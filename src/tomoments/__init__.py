@@ -42,13 +42,10 @@ from .moments import (
     MomentDiagnostics,
     MomentEstimate,
     MomentEstimatorConfig,
-    build_regressors,
-    concentrated_objective,
     estimate,
     model_power_spectrum,
     moment_orders,
     reconstruct_covariance,
-    solve_alpha,
 )
 from .parametric import (
     ParametricEstimate,

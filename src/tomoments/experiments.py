@@ -66,6 +66,8 @@ _KIND_STREAM = {kind: index + 1 for index, kind in enumerate(KINDS)}
 _SIGMA_SWEEP_CAP = 0.35
 _FAILURE_RATE_LIMIT = 0.01
 
+_CONFIG_TYPES = {"moments": MomentEstimatorConfig, "parametric": ParametricEstimatorConfig}
+_SWEEP_NAMES = {"rmse_vs_N": "N", "asymptotic_bias_vs_sigma": "sigma_z"}
 _RESULT_COLUMNS = (
     "experiment",
     "estimator",
@@ -80,6 +82,8 @@ _RESULT_COLUMNS = (
     "crb",
     "failures",
 )
+_HAT_COLUMNS = tuple(f"{name}_hat" for name in PARAM_NAMES)
+_TRIAL_COLUMNS = ("estimator", "sweep_value", "trial", "failed") + _HAT_COLUMNS
 
 
 class ExperimentError(RuntimeError):
@@ -97,11 +101,8 @@ class EstimatorSpec:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("estimator label must be non-empty")
-        if self.method == "moments":
-            expected = MomentEstimatorConfig
-        elif self.method == "parametric":
-            expected = ParametricEstimatorConfig
-        else:
+        expected = _CONFIG_TYPES.get(self.method)
+        if expected is None:
             raise ValueError("method must be 'moments' or 'parametric'")
         if not isinstance(self.config, expected):
             raise ValueError(f"method {self.method!r} needs a {expected.__name__}")
@@ -112,13 +113,9 @@ class EstimatorSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorSpec":
         method = str(obj.get("method", ""))
-        if method == "moments":
-            config = MomentEstimatorConfig.from_json(obj)
-        elif method == "parametric":
-            config = ParametricEstimatorConfig.from_json(obj)
-        else:
+        if method not in _CONFIG_TYPES:
             raise ValueError("estimator entry needs method 'moments' or 'parametric'")
-        return cls(label=str(obj["label"]), method=method, config=config)
+        return cls(label=str(obj["label"]), method=method, config=_CONFIG_TYPES[method].from_json(obj))
 
 
 @dataclass(frozen=True)
@@ -153,10 +150,10 @@ class ExperimentSpec:
         if len(set(labels)) != len(labels):
             raise ValueError("estimator labels must be unique")
         object.__setattr__(self, "estimators", estimators)
-        N_list = tuple(int(n) for n in self.N_list)
-        if any(n < 1 for n in N_list) or list(N_list) != sorted(set(N_list)):
+        N_list = tuple(self.N_list)
+        if any(int(n) != n or n < 1 for n in N_list) or list(N_list) != sorted(set(N_list)):
             raise ValueError("N_list must be strictly increasing positive integers")
-        object.__setattr__(self, "N_list", N_list)
+        object.__setattr__(self, "N_list", tuple(int(n) for n in N_list))
         sigma_list = tuple(float(s) for s in self.sigma_list)
         if any(not (math.isfinite(s) and s >= 0.0) for s in sigma_list) or list(
             sigma_list
@@ -172,6 +169,9 @@ class ExperimentSpec:
         if int(self.workers) != self.workers or self.workers < 1:
             raise ValueError("workers must be a positive integer")
         object.__setattr__(self, "workers", int(self.workers))
+        for name in ("timestamp_header", "dump_trials"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false")
 
     def to_json(self) -> dict:
         return {
@@ -199,18 +199,10 @@ class ExperimentSpec:
             sigma_eps2=float(obj["sigma_eps2"]),
             estimators=tuple(EstimatorSpec.from_json(e) for e in obj["estimators"]),
         )
-        for name in (
-            "N_list",
-            "sigma_list",
-            "trials",
-            "master_seed",
-            "output_dir",
-            "timestamp_header",
-            "dump_trials",
-            "workers",
-        ):
-            if name in obj:
-                kwargs[name] = tuple(obj[name]) if name in ("N_list", "sigma_list") else obj[name]
+        # the remaining fields take their JSON values as given; __post_init__ validates them
+        for f in dataclasses.fields(cls):
+            if f.name in obj and f.name not in kwargs:
+                kwargs[f.name] = obj[f.name]
         return cls(**kwargs)
 
 
@@ -277,11 +269,14 @@ def _require_kind(spec: ExperimentSpec, kind: str) -> None:
         raise ValueError(f"spec kind is {spec.kind!r}, expected {kind!r}")
 
 
-def _run_estimator(entry: EstimatorSpec, R_bar: CovarianceModel, array: ArrayConfig) -> tuple:
+def _run_estimator(entry: EstimatorSpec, R_bar: CovarianceModel, array: ArrayConfig):
     if entry.method == "moments":
-        fit = estimate(R_bar, entry.config, array)
-        return (fit.z0_hat, fit.sigma_z_hat, fit.P_hat, fit.sigma_eps2_hat)
-    fit = estimate_parametric(R_bar, entry.config, array)
+        return estimate(R_bar, entry.config, array)
+    return estimate_parametric(R_bar, entry.config, array)
+
+
+def _estimates(fit) -> tuple:
+    """The fitted parameters in ``PARAM_NAMES`` order."""
     return (fit.z0_hat, fit.sigma_z_hat, fit.P_hat, fit.sigma_eps2_hat)
 
 
@@ -303,7 +298,7 @@ def _run_trial(context: _TrialContext, trial: int) -> tuple[int, dict]:
     out = {}
     for entry in context.estimators:
         try:
-            out[entry.label] = _run_estimator(entry, R_bar, context.array)
+            out[entry.label] = _estimates(_run_estimator(entry, R_bar, context.array))
         except Exception:
             out[entry.label] = None
     return trial, out
@@ -312,20 +307,17 @@ def _run_trial(context: _TrialContext, trial: int) -> tuple[int, dict]:
 def _collect_trials(context: _TrialContext, trials: int, workers: int) -> dict:
     """Per-estimator (trials, 4) arrays of estimates, NaN rows for failures."""
     results = {e.label: np.full((trials, 4), np.nan) for e in context.estimators}
+    run = partial(_run_trial, context)
     if workers > 1:
         chunksize = max(1, trials // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = pool.map(partial(_run_trial, context), range(trials), chunksize=chunksize)
-            for trial, out in outputs:
-                for label, values in out.items():
-                    if values is not None:
-                        results[label][trial] = values
+            outputs = list(pool.map(run, range(trials), chunksize=chunksize))
     else:
-        for trial in range(trials):
-            _, out = _run_trial(context, trial)
-            for label, values in out.items():
-                if values is not None:
-                    results[label][trial] = values
+        outputs = map(run, range(trials))
+    for trial, out in outputs:
+        for label, values in out.items():
+            if values is not None:
+                results[label][trial] = values
     return results
 
 
@@ -338,12 +330,12 @@ def _normalizers(spec: ExperimentSpec) -> dict:
     }
 
 
-def _truths(spec: ExperimentSpec) -> dict:
+def _truths(profile: SourceProfile, sigma_eps2: float) -> dict:
     return {
-        "z0": spec.profile.z0,
-        "sigma_z": spec.profile.sigma_z,
-        "P": spec.profile.P,
-        "sigma_eps2": spec.sigma_eps2,
+        "z0": profile.z0,
+        "sigma_z": profile.sigma_z,
+        "P": profile.P,
+        "sigma_eps2": sigma_eps2,
     }
 
 
@@ -351,6 +343,46 @@ def _errors(parameter: str, estimates: np.ndarray, truth: float, period: float) 
     if parameter == "z0":
         return wrap_height_error(estimates - truth, period)
     return estimates - truth
+
+
+def _result_row(
+    spec: ExperimentSpec,
+    label: str,
+    sweep_value,
+    parameter: str,
+    *,
+    n_trials: int,
+    failures: int,
+    rmse: float,
+    bias: float,
+    mean: float,
+    crb=None,
+) -> dict:
+    """One row of the shared result schema (``_RESULT_COLUMNS``)."""
+    normalizer = _normalizers(spec)[parameter]
+    return {
+        "experiment": spec.kind,
+        "estimator": label,
+        "sweep_name": _SWEEP_NAMES[spec.kind],
+        "sweep_value": sweep_value,
+        "parameter": parameter,
+        "n_trials": n_trials,
+        "rmse": rmse,
+        "rmse_normalized": rmse / normalizer if normalizer else None,
+        "bias": bias,
+        "mean": mean,
+        "crb": crb,
+        "failures": failures,
+    }
+
+
+def _interpolation_rows(label: str, fit, xi: np.ndarray, true_spectrum: np.ndarray, **keys) -> list:
+    """Fitted moment spectrum against the true one on ``xi``, one row per point."""
+    model = np.real(model_power_spectrum(fit.P_hat, fit.nu, xi))
+    return [
+        {"estimator": label, **keys, "xi": float(x), "model_spectrum": float(m), "true_spectrum": float(t)}
+        for x, m, t in zip(xi, model, true_spectrum)
+    ]
 
 
 def _format_cell(value) -> str:
@@ -376,6 +408,16 @@ def _write_csv(path: Path, columns, rows, timestamp_header: bool) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_cell(row.get(column)) for column in columns])
+
+
+def _write_result(spec: ExperimentSpec, rows: list, tables) -> ExperimentResult:
+    """Write each ``(name, columns, rows)`` table to ``<output_dir>/<name>.csv``."""
+    result = ExperimentResult(spec=spec, rows=rows)
+    for name, columns, table in tables:
+        path = Path(spec.output_dir) / f"{name}.csv"
+        _write_csv(path, columns, table, spec.timestamp_header)
+        result.files[name] = str(path)
+    return result
 
 
 def _check_failure_rates(rows, trials: int) -> None:
@@ -404,8 +446,7 @@ def run_rmse_vs_N(spec: ExperimentSpec) -> ExperimentResult:
     _require_kind(spec, "rmse_vs_N")
     period = _height_period(spec)
     R_true = true_covariance(spec.profile, spec.array, spec.sigma_eps2)
-    truths = _truths(spec)
-    normalizers = _normalizers(spec)
+    truths = _truths(spec.profile, spec.sigma_eps2)
     try:
         fim_unit = fisher_information(spec.profile, spec.array, spec.sigma_eps2, 1)
     except (SingularFimError, ValueError):
@@ -440,22 +481,19 @@ def run_rmse_vs_N(spec: ExperimentSpec) -> ExperimentResult:
                 else:
                     rmse = float("nan")
                     bias = float("nan")
-                normalizer = normalizers[parameter]
                 rows.append(
-                    {
-                        "experiment": spec.kind,
-                        "estimator": entry.label,
-                        "sweep_name": "N",
-                        "sweep_value": N,
-                        "parameter": parameter,
-                        "n_trials": n_ok,
-                        "rmse": rmse,
-                        "rmse_normalized": rmse / normalizer if normalizer else None,
-                        "bias": bias,
-                        "mean": truths[parameter] + bias,
-                        "crb": crb[parameter] if crb else None,
-                        "failures": failures,
-                    }
+                    _result_row(
+                        spec,
+                        entry.label,
+                        N,
+                        parameter,
+                        n_trials=n_ok,
+                        failures=failures,
+                        rmse=rmse,
+                        bias=bias,
+                        mean=truths[parameter] + bias,
+                        crb=crb[parameter] if crb else None,
+                    )
                 )
             if spec.dump_trials:
                 for trial in range(spec.trials):
@@ -465,26 +503,13 @@ def run_rmse_vs_N(spec: ExperimentSpec) -> ExperimentResult:
                         "trial": trial,
                         "failed": bool(np.isnan(values[trial, 0])),
                     }
-                    row.update(
-                        {
-                            f"{name}_hat": float(values[trial, column])
-                            for column, name in enumerate(PARAM_NAMES)
-                        }
-                    )
+                    row.update(zip(_HAT_COLUMNS, map(float, values[trial])))
                     trial_rows.append(row)
 
-    out_dir = Path(spec.output_dir)
-    result = ExperimentResult(spec=spec, rows=rows)
-    path = out_dir / "rmse_vs_N.csv"
-    _write_csv(path, _RESULT_COLUMNS, rows, spec.timestamp_header)
-    result.files["rmse_vs_N"] = str(path)
+    tables = [("rmse_vs_N", _RESULT_COLUMNS, rows)]
     if spec.dump_trials:
-        columns = ("estimator", "sweep_value", "trial", "failed") + tuple(
-            f"{name}_hat" for name in PARAM_NAMES
-        )
-        path = out_dir / "rmse_vs_N_trials.csv"
-        _write_csv(path, columns, trial_rows, spec.timestamp_header)
-        result.files["rmse_vs_N_trials"] = str(path)
+        tables.append(("rmse_vs_N_trials", _TRIAL_COLUMNS, trial_rows))
+    result = _write_result(spec, rows, tables)
     _check_failure_rates(rows, spec.trials)
     return result
 
@@ -510,7 +535,6 @@ def run_asymptotic_bias_vs_sigma(spec: ExperimentSpec) -> ExperimentResult:
         if max(spec.sigma_list) > cap:
             raise ValueError(f"sigma_list exceeds {_SIGMA_SWEEP_CAP:.0%} of the ambiguity ({cap:.3g} m)")
     period = _height_period(spec)
-    normalizers = _normalizers(spec)
     xi = _spectrum_xi_grid(spec.array)
 
     rows = []
@@ -518,68 +542,41 @@ def run_asymptotic_bias_vs_sigma(spec: ExperimentSpec) -> ExperimentResult:
     for sigma in spec.sigma_list:
         profile = dataclasses.replace(spec.profile, sigma_z=sigma)
         R = true_covariance(profile, spec.array, spec.sigma_eps2)
-        truths = {
-            "z0": profile.z0,
-            "sigma_z": sigma,
-            "P": profile.P,
-            "sigma_eps2": spec.sigma_eps2,
-        }
+        truths = _truths(profile, spec.sigma_eps2)
         true_spectrum = profile.P * np.real(characteristic_function(profile, xi))
         for entry in spec.estimators:
             try:
-                if entry.method == "moments":
-                    fit = estimate(R, entry.config, spec.array)
-                    values = (fit.z0_hat, fit.sigma_z_hat, fit.P_hat, fit.sigma_eps2_hat)
-                    model = np.real(model_power_spectrum(fit.P_hat, fit.nu, xi))
-                    for x, m, t in zip(xi, model, true_spectrum):
-                        interpolation_rows.append(
-                            {
-                                "estimator": entry.label,
-                                "sigma_z": sigma,
-                                "xi": float(x),
-                                "model_spectrum": float(m),
-                                "true_spectrum": float(t),
-                            }
-                        )
-                else:
-                    values = _run_estimator(entry, R, spec.array)
-                failed = False
+                fit = _run_estimator(entry, R, spec.array)
             except Exception:
-                values = (float("nan"),) * 4
-                failed = True
+                fit = None
+            if fit is not None and entry.method == "moments":
+                interpolation_rows += _interpolation_rows(entry.label, fit, xi, true_spectrum, sigma_z=sigma)
+            values = (float("nan"),) * 4 if fit is None else _estimates(fit)
             for column, parameter in enumerate(PARAM_NAMES):
-                value = values[column]
-                if parameter == "z0" and not failed:
-                    bias = float(wrap_height_error(value - truths[parameter], period))
-                else:
-                    bias = value - truths[parameter]
-                normalizer = normalizers[parameter]
+                bias = float(_errors(parameter, values[column], truths[parameter], period))
                 rows.append(
-                    {
-                        "experiment": spec.kind,
-                        "estimator": entry.label,
-                        "sweep_name": "sigma_z",
-                        "sweep_value": sigma,
-                        "parameter": parameter,
-                        "n_trials": 0 if failed else 1,
-                        "rmse": abs(bias),
-                        "rmse_normalized": abs(bias) / normalizer if normalizer else None,
-                        "bias": bias,
-                        "mean": value,
-                        "crb": None,
-                        "failures": 1 if failed else 0,
-                    }
+                    _result_row(
+                        spec,
+                        entry.label,
+                        sigma,
+                        parameter,
+                        n_trials=0 if fit is None else 1,
+                        failures=1 if fit is None else 0,
+                        rmse=abs(bias),
+                        bias=bias,
+                        mean=values[column],
+                    )
                 )
 
-    out_dir = Path(spec.output_dir)
-    result = ExperimentResult(spec=spec, rows=rows)
-    path = out_dir / "asymptotic_bias_vs_sigma.csv"
-    _write_csv(path, _RESULT_COLUMNS, rows, spec.timestamp_header)
-    result.files["asymptotic_bias_vs_sigma"] = str(path)
     columns = ("estimator", "sigma_z", "xi", "model_spectrum", "true_spectrum")
-    path = out_dir / "asymptotic_interpolation.csv"
-    _write_csv(path, columns, interpolation_rows, spec.timestamp_header)
-    result.files["asymptotic_interpolation"] = str(path)
+    result = _write_result(
+        spec,
+        rows,
+        (
+            ("asymptotic_bias_vs_sigma", _RESULT_COLUMNS, rows),
+            ("asymptotic_interpolation", columns, interpolation_rows),
+        ),
+    )
     _check_failure_rates(rows, 1)
     return result
 
@@ -642,32 +639,20 @@ def run_spectrum_dump(spec: ExperimentSpec) -> ExperimentResult:
     R = true_covariance(profile, spec.array, spec.sigma_eps2)
     true_spectrum = profile.P * np.real(characteristic_function(profile, xi))
     for entry in spec.estimators:
-        if entry.method != "moments":
-            continue
-        fit = estimate(R, entry.config, spec.array)
-        model = np.real(model_power_spectrum(fit.P_hat, fit.nu, xi))
-        for x, m, t in zip(xi, model, true_spectrum):
-            interpolation_rows.append(
-                {
-                    "estimator": entry.label,
-                    "xi": float(x),
-                    "model_spectrum": float(m),
-                    "true_spectrum": float(t),
-                }
-            )
+        if entry.method == "moments":
+            fit = _run_estimator(entry, R, spec.array)
+            interpolation_rows += _interpolation_rows(entry.label, fit, xi, true_spectrum)
 
-    out_dir = Path(spec.output_dir)
-    result = ExperimentResult(spec=spec, rows=[])
-    for name, columns, rows in (
-        ("spectrum_densities", ("shape", "z", "density"), density_rows),
-        ("spectrum_curves", ("curve", "xi", "value"), curve_rows),
-        ("spectrum_measurements", ("shape", "xi", "spectrum", "observed"), measurement_rows),
-        ("spectrum_interpolation", ("estimator", "xi", "model_spectrum", "true_spectrum"), interpolation_rows),
-    ):
-        path = out_dir / f"{name}.csv"
-        _write_csv(path, columns, rows, spec.timestamp_header)
-        result.files[name] = str(path)
-    return result
+    return _write_result(
+        spec,
+        [],
+        (
+            ("spectrum_densities", ("shape", "z", "density"), density_rows),
+            ("spectrum_curves", ("curve", "xi", "value"), curve_rows),
+            ("spectrum_measurements", ("shape", "xi", "spectrum", "observed"), measurement_rows),
+            ("spectrum_interpolation", ("estimator", "xi", "model_spectrum", "true_spectrum"), interpolation_rows),
+        ),
+    )
 
 
 _RUNNERS = {

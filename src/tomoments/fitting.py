@@ -11,6 +11,12 @@ The linear coefficients concentrate in closed form through the quantities
 
 which are assembled directly from M x M products; the M^2 x M^2 Kronecker
 forms are never materialized.  For Hermitian inputs both are exactly real.
+The basis is always held as a (K, M, M) stack.
+
+The height search both estimators run has its defaults and checks here too:
+the searched interval ``[0, z0_max)``, the coarse grid size, the refinement
+tolerance, the validation of those config fields and the screen that
+rejects non-finite or zero covariances.
 """
 
 from __future__ import annotations
@@ -19,14 +25,13 @@ import math
 
 import numpy as np
 
+from .geometry import ArrayConfig, fourier_resolution
 from .profiles import CovarianceModel
 
 __all__ = [
     "WEIGHTINGS",
     "DegenerateCovarianceError",
     "weighting",
-    "vec",
-    "unvec",
     "fit_terms",
     "fit_terms_grid",
     "solve_quadratic",
@@ -40,6 +45,10 @@ _CONDITION_LIMIT = 1e12
 _LOADING_FACTOR = 1e-8
 _PINV_CUTOFF = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Height-grid default: at least 8 points per acquisition and 16 per resolution cell.
+_GRID_PER_CHANNEL = 8
+_GRID_PER_RESOLUTION = 16
+_REFINE_TOL_REL = 1e-4
 
 
 class DegenerateCovarianceError(ValueError):
@@ -78,14 +87,55 @@ def _weighting_flagged(R_bar: CovarianceModel, choice: str) -> tuple[np.ndarray,
     return 0.5 * (W + W.conj().T), loaded
 
 
-def vec(A: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(A).reshape(-1, order="F")
+def _check_search_options(config, grid_name: str) -> None:
+    """Validate the weighting and height-search fields both estimator configs share.
+
+    ``grid_name`` names the config's coarse z0 grid field; integer-valued
+    fields are normalized in place on the frozen config.
+    """
+    if config.weighting not in WEIGHTINGS:
+        raise ValueError(f"weighting must be one of {WEIGHTINGS}")
+    grid = getattr(config, grid_name)
+    if grid is not None:
+        if int(grid) != grid or grid < 2:
+            raise ValueError(f"{grid_name} must be an integer >= 2")
+        object.__setattr__(config, grid_name, int(grid))
+    for name in ("refine_tol", "z0_max"):
+        value = getattr(config, name)
+        if value is not None:
+            value = float(value)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite")
+            object.__setattr__(config, name, value)
 
 
-def unvec(v: np.ndarray, M: int) -> np.ndarray:
-    """Inverse of :func:`vec` for an M x M matrix."""
-    return np.asarray(v).reshape((M, M), order="F")
+def _checked_covariance(R_bar: CovarianceModel, array: ArrayConfig) -> np.ndarray:
+    """The covariance matrix, once it matches the array and is finite and nonzero."""
+    if R_bar.M != array.M:
+        raise ValueError("covariance and array dimensions disagree")
+    R = np.asarray(R_bar.matrix)
+    if not np.all(np.isfinite(R)):
+        raise ValueError("covariance contains non-finite entries")
+    if np.linalg.norm(R) < 1e-30:
+        raise DegenerateCovarianceError("covariance is numerically zero")
+    return R
+
+
+def _search_domain(config, array: ArrayConfig) -> float:
+    if config.z0_max is not None:
+        return config.z0_max
+    if array.ambiguity is None:
+        raise ValueError("array has no known ambiguity; set z0_max on the config")
+    return float(array.ambiguity)
+
+
+def _default_grid_points(array: ArrayConfig, z_amb: float) -> int:
+    per_resolution = math.ceil(z_amb / (fourier_resolution(array) / _GRID_PER_RESOLUTION))
+    return max(_GRID_PER_CHANNEL * array.M, per_resolution)
+
+
+def _refine_tol(config, z_amb: float) -> float:
+    return config.refine_tol if config.refine_tol is not None else _REFINE_TOL_REL * z_amb
 
 
 def fit_terms(
@@ -93,13 +143,12 @@ def fit_terms(
     a: np.ndarray,
     W: np.ndarray,
     WRW: np.ndarray,
-    real_cast: bool = True,
 ):
     """Concentration terms y (K,) and Y (K, K) at one steering vector.
 
     ``stack`` holds the K Hermitian basis matrices, ``a`` the steering
     vector at the candidate height, ``WRW`` the precomputed ``W Rbar W``.
-    With ``real_cast`` the exactly-real outputs are returned as floats.
+    Both outputs are exactly real and are returned as floats.
     """
     ac = a.conj()
     G = ac[:, None] * W * a[None, :]
@@ -107,9 +156,7 @@ def fit_terms(
     y = np.einsum("imn,mn->i", stack.conj(), T)
     GHG = np.einsum("mp,kpq,qn->kmn", G, stack, G, optimize=True)
     Y = np.einsum("imn,kmn->ik", stack.conj(), GHG, optimize=True)
-    if real_cast:
-        return y.real.copy(), 0.5 * (Y.real + Y.real.T)
-    return y, Y
+    return y.real.copy(), 0.5 * (Y.real + Y.real.T)
 
 
 def fit_terms_grid(

@@ -16,23 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import (
-    WEIGHTINGS,
-    DegenerateCovarianceError,
+    _GRID_PER_CHANNEL,
+    _check_search_options,
+    _checked_covariance,
+    _default_grid_points,
+    _refine_tol,
+    _search_domain,
     _weighting_flagged,
     cost_constant,
     fit_terms,
     fit_terms_grid,
     golden_section_max,
     solve_quadratic,
-    unvec,
-    vec,
 )
 from .fitting import weighting  # re-exported; part of this module's surface
 from .geometry import (
     MAX_DIFFERENCE_ORDER,
     ArrayConfig,
     difference_power_matrix,
-    fourier_resolution,
     steering_vector,
 )
 from .profiles import CovarianceModel
@@ -42,19 +43,11 @@ __all__ = [
     "MomentDiagnostics",
     "MomentEstimate",
     "moment_orders",
-    "build_regressors",
     "weighting",
-    "concentrated_objective",
-    "solve_alpha",
     "estimate",
     "reconstruct_covariance",
     "model_power_spectrum",
 ]
-
-# Grid default: at least 8 points per acquisition and 16 per resolution cell.
-_GRID_PER_CHANNEL = 8
-_GRID_PER_RESOLUTION = 16
-_REFINE_TOL_REL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -92,19 +85,9 @@ class MomentEstimatorConfig:
         if int(self.D) != self.D or not (2 <= self.D <= MAX_DIFFERENCE_ORDER):
             raise ValueError(f"D must be an integer in [2, {MAX_DIFFERENCE_ORDER}]")
         object.__setattr__(self, "D", int(self.D))
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(f"weighting must be one of {WEIGHTINGS}")
-        if self.grid_points is not None:
-            if int(self.grid_points) != self.grid_points or self.grid_points < 2:
-                raise ValueError("grid_points must be an integer >= 2")
-            object.__setattr__(self, "grid_points", int(self.grid_points))
-        for name in ("refine_tol", "z0_max"):
-            value = getattr(self, name)
-            if value is not None:
-                value = float(value)
-                if not (math.isfinite(value) and value > 0.0):
-                    raise ValueError(f"{name} must be positive and finite")
-                object.__setattr__(self, name, value)
+        if not isinstance(self.symmetric, bool):
+            raise ValueError("symmetric must be true or false")
+        _check_search_options(self, "grid_points")
 
     def to_json(self) -> dict:
         out = {"method": "moments", "D": self.D, "symmetric": self.symmetric, "weighting": self.weighting}
@@ -169,83 +152,6 @@ def _basis_stack(config: MomentEstimatorConfig, array: ArrayConfig) -> np.ndarra
     return np.stack(matrices)
 
 
-def build_regressors(config: MomentEstimatorConfig, array: ArrayConfig) -> np.ndarray:
-    """Regressor matrix J with columns ``vec(H_i)``.
-
-    Column order matches ``alpha = (P, sigma_eps2, nu_2, ...)``: the all-ones
-    matrix, the identity, then ``(j^d / d!) U_d`` for each included order.
-    Every column is the vectorization of a Hermitian matrix.
-    """
-    stack = _basis_stack(config, array)
-    return np.column_stack([vec(H) for H in stack])
-
-
-def _stack_from_regressors(J: np.ndarray, M: int) -> np.ndarray:
-    return np.stack([unvec(J[:, k], M) for k in range(J.shape[1])])
-
-
-def _check_not_degenerate(R: np.ndarray) -> None:
-    if not np.all(np.isfinite(R)):
-        raise ValueError("covariance contains non-finite entries")
-    if np.linalg.norm(R) < 1e-30:
-        raise DegenerateCovarianceError("covariance is numerically zero")
-
-
-def concentrated_objective(
-    z: float,
-    R_bar: CovarianceModel,
-    J: np.ndarray,
-    W: np.ndarray,
-    array: ArrayConfig,
-) -> float:
-    """Concentrated criterion ``y(z)^T Y(z)^{-1} y(z)``; larger is better.
-
-    Equals the constant ``tr(Rbar W Rbar W)`` minus the weighted cost at the
-    best linear coefficients for this z, so maximizing it over z minimizes
-    the cost.  Real and nonnegative.
-    """
-    R = np.asarray(R_bar.matrix)
-    _check_not_degenerate(R)
-    stack = _stack_from_regressors(np.asarray(J), array.M)
-    WRW = W @ R @ W
-    y, Y = fit_terms(stack, steering_vector(array, z), W, WRW)
-    _, objective, _ = solve_quadratic(y, Y)
-    return float(objective)
-
-
-def solve_alpha(
-    z: float,
-    R_bar: CovarianceModel,
-    J: np.ndarray,
-    W: np.ndarray,
-    array: ArrayConfig,
-) -> np.ndarray:
-    """Closed-form linear coefficients ``alpha = Y(z)^{-1} y(z)`` at height z.
-
-    Ordered as ``(P, sigma_eps2, nu_2, ...)``, matching the columns of J.
-    """
-    R = np.asarray(R_bar.matrix)
-    _check_not_degenerate(R)
-    stack = _stack_from_regressors(np.asarray(J), array.M)
-    WRW = W @ R @ W
-    y, Y = fit_terms(stack, steering_vector(array, z), W, WRW)
-    alpha, _, _ = solve_quadratic(y, Y)
-    return alpha
-
-
-def _search_domain(config, array: ArrayConfig) -> float:
-    if config.z0_max is not None:
-        return config.z0_max
-    if array.ambiguity is None:
-        raise ValueError("array has no known ambiguity; set z0_max on the config")
-    return float(array.ambiguity)
-
-
-def _default_grid_points(array: ArrayConfig, z_amb: float) -> int:
-    per_resolution = math.ceil(z_amb / (fourier_resolution(array) / _GRID_PER_RESOLUTION))
-    return max(_GRID_PER_CHANNEL * array.M, per_resolution)
-
-
 def estimate(
     R_bar: CovarianceModel,
     config: MomentEstimatorConfig,
@@ -265,15 +171,12 @@ def estimate(
     array : ArrayConfig
         Geometry; must match the covariance dimension.
     """
-    R = np.asarray(R_bar.matrix)
-    if R_bar.M != array.M:
-        raise ValueError("covariance and array dimensions disagree")
-    _check_not_degenerate(R)
+    R = _checked_covariance(R_bar, array)
     z_amb = _search_domain(config, array)
     grid_points = config.grid_points or _default_grid_points(array, z_amb)
     if grid_points < _GRID_PER_CHANNEL * array.M:
         raise ValueError(f"grid_points must be at least {_GRID_PER_CHANNEL}*M")
-    refine_tol = config.refine_tol if config.refine_tol is not None else _REFINE_TOL_REL * z_amb
+    refine_tol = _refine_tol(config, z_amb)
 
     W, loaded = _weighting_flagged(R_bar, config.weighting)
     WRW = W @ R @ W
@@ -332,7 +235,7 @@ def reconstruct_covariance(
     stack = _basis_stack(config, array)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (stack.shape[0],):
-        raise ValueError("alpha length must match the regressor count")
+        raise ValueError("alpha length must match the basis size")
     inner = np.tensordot(alpha, stack, axes=1)
     a = steering_vector(array, z0)
     R = a[:, None] * inner * a.conj()[None, :]

@@ -23,13 +23,16 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .fitting import (
-    WEIGHTINGS,
+    _check_search_options,
+    _checked_covariance,
+    _default_grid_points,
+    _refine_tol,
+    _search_domain,
     _weighting_flagged,
     cost_constant,
     fit_terms,
 )
 from .geometry import ArrayConfig, steering_vector
-from .moments import _check_not_degenerate, _default_grid_points, _search_domain
 from .profiles import CovarianceModel, SourceProfile, shape_matrix
 
 __all__ = [
@@ -44,7 +47,6 @@ __all__ = [
 ASSUMED_SHAPES = ("uniform", "gaussian")
 
 _SIGMA_MAX_REL = 0.3
-_REFINE_TOL_REL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -85,19 +87,7 @@ class ParametricEstimatorConfig:
     def __post_init__(self) -> None:
         if self.assumed_shape not in ASSUMED_SHAPES:
             raise ValueError(f"assumed_shape must be one of {ASSUMED_SHAPES}")
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(f"weighting must be one of {WEIGHTINGS}")
-        if self.z0_grid is not None:
-            if int(self.z0_grid) != self.z0_grid or self.z0_grid < 2:
-                raise ValueError("z0_grid must be an integer >= 2")
-            object.__setattr__(self, "z0_grid", int(self.z0_grid))
-        for name in ("refine_tol", "z0_max"):
-            value = getattr(self, name)
-            if value is not None:
-                value = float(value)
-                if not (math.isfinite(value) and value > 0.0):
-                    raise ValueError(f"{name} must be positive and finite")
-                object.__setattr__(self, name, value)
+        _check_search_options(self, "z0_grid")
 
     def to_json(self) -> dict:
         out = {"method": "parametric", "assumed_shape": self.assumed_shape, "weighting": self.weighting}
@@ -124,7 +114,7 @@ class ParametricEstimatorConfig:
             kwargs["sigma_grid"] = SigmaGrid(
                 min=float(grid.get("min", 0.0)),
                 max=None if grid.get("max") is None else float(grid["max"]),
-                points=int(grid.get("points", 64)),
+                points=grid.get("points", 64),
             )
         return cls(**kwargs)
 
@@ -190,13 +180,10 @@ def estimate_parametric(
     Nelder-Mead on the concentrated criterion.  The fitted coherence is even
     in sigma_z, so the polish runs unconstrained and the sign is dropped.
     """
-    R = np.asarray(R_bar.matrix)
-    if R_bar.M != array.M:
-        raise ValueError("covariance and array dimensions disagree")
-    _check_not_degenerate(R)
+    R = _checked_covariance(R_bar, array)
     z_amb = _search_domain(config, array)
     z_points = config.z0_grid or _default_grid_points(array, z_amb)
-    refine_tol = config.refine_tol if config.refine_tol is not None else _REFINE_TOL_REL * z_amb
+    refine_tol = _refine_tol(config, z_amb)
     sigma_max = config.sigma_grid.max if config.sigma_grid.max is not None else _SIGMA_MAX_REL * z_amb
     sigma_values = np.linspace(config.sigma_grid.min, sigma_max, config.sigma_grid.points)
 

@@ -1,8 +1,10 @@
-"""Quadrature oracles used to pin expected values independently.
+"""Oracles used to pin expected values independently.
 
-Everything here integrates the reflectivity density directly with
-``scipy.integrate.quad`` so the closed forms in the package can be checked
-against a slower but assumption-free computation.
+The quadrature oracles integrate the reflectivity density directly with
+``scipy.integrate.quad``, and the trace oracle evaluates the concentration
+terms from full M x M matrix products, so the closed forms and contractions
+in the package can be checked against slower but assumption-free
+computations.
 """
 
 import math
@@ -58,6 +60,19 @@ def central_moment_quadrature(profile: SourceProfile, d: int) -> float:
         warnings.simplefilter("ignore", IntegrationWarning)
         value, _ = quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
     return value
+
+
+def fit_terms_trace_oracle(stack, a, W, WRW):
+    """Complex concentration terms from explicit traces, no real cast.
+
+    ``y_i = tr(S_i^H W Rbar W)`` and ``Y_ik = tr(S_i^H W S_k W)`` with
+    ``S_i = Phi H_i Phi^H`` and ``Phi = diag(a)``.
+    """
+    Phi = np.diag(a)
+    S = [Phi @ H @ Phi.conj().T for H in stack]
+    y = np.array([np.trace(Si.conj().T @ WRW) for Si in S])
+    Y = np.array([[np.trace(Si.conj().T @ W @ Sk @ W) for Sk in S] for Si in S])
+    return y, Y
 
 
 def random_psd_covariance(rng: np.random.Generator, M: int, scale: float = 1.0):

@@ -30,7 +30,7 @@ from tomoments import (
 from tomoments.fitting import cost_constant, fit_terms, weighting
 from tomoments.moments import _basis_stack
 
-from .oracles import random_psd_covariance
+from .oracles import fit_terms_trace_oracle, random_psd_covariance
 from .test_moments import _direct_cost
 
 ARRAY = make_uniform_array(7, 100.0)
@@ -270,23 +270,29 @@ def test_criterion_6_numerical_identities():
         (worst_cost <= 1e-9, f"cost identity relative error {worst_cost:.2e} > 1e-9")
     )
 
+    # the terms are exactly real in theory: an independent complex trace
+    # oracle shows it to rounding, and fit_terms must return its real part
     R_exact = true_covariance(UNIFORM, ARRAY, NOISE)
     worst_imag = 0.0
+    real_part_matches = True
     for W in (np.eye(ARRAY.M, dtype=complex), weighting(R_exact, "inverse_sample")):
         WRW = W @ np.asarray(R_exact.matrix) @ W
         for z in (0.0, 13.7, 61.2):
-            y, Y = fit_terms(
-                stack, steering_vector(ARRAY, z), W, WRW, real_cast=False
-            )
-            scale = max(np.abs(y.real).max(), np.abs(Y.real).max())
+            a = steering_vector(ARRAY, z)
+            y_c, Y_c = fit_terms_trace_oracle(stack, a, W, WRW)
+            scale = max(np.abs(y_c.real).max(), np.abs(Y_c.real).max())
             worst_imag = max(
                 worst_imag,
-                np.abs(y.imag).max() / scale,
-                np.abs(Y.imag).max() / scale,
+                np.abs(y_c.imag).max() / scale,
+                np.abs(Y_c.imag).max() / scale,
             )
+            y, Y = fit_terms(stack, a, W, WRW)
+            real_part_matches &= np.allclose(y, y_c.real, rtol=1e-10, atol=1e-12 * scale)
+            real_part_matches &= np.allclose(Y, Y_c.real, rtol=1e-10, atol=1e-12 * scale)
     checks.append(
         (worst_imag <= 1e-9, f"fit terms imaginary residue {worst_imag:.2e} > 1e-9 relative")
     )
+    checks.append((real_part_matches, "fit_terms differs from the real part of the trace oracle"))
 
     steps = {"z0": 1e-5 * Z_AMB, "sigma_z": 1e-4, "P": 1e-2, "sigma_eps2": 1e-4}
     worst_fd = 0.0

@@ -67,6 +67,15 @@ def test_experiment_spec_validation():
         default_spec("rmse_vs_N", master_seed=-1)
     with pytest.raises(ValueError):
         default_spec("rmse_vs_N", workers=0)
+    # fractional snapshot counts are rejected, not truncated
+    with pytest.raises(ValueError):
+        default_spec("rmse_vs_N", N_list=(100.5, 1000.9))
+    # JSON flags must be real booleans, not truthy strings
+    for name in ("timestamp_header", "dump_trials"):
+        obj = default_spec("rmse_vs_N").to_json()
+        obj[name] = "no"
+        with pytest.raises(ValueError):
+            ExperimentSpec.from_json(obj)
 
 
 def test_spec_json_round_trip():
@@ -253,18 +262,27 @@ def test_rmse_deterministic_bytes(tmp_path):
 
 def test_rmse_workers_match_serial(tmp_path):
     rows = {}
+    files = {}
     for workers in (1, 2):
         spec = default_spec(
             "rmse_vs_N",
             N_list=(25,),
             trials=4,
-            estimators=(MOMENTS_SYM,),
+            estimators=(
+                MOMENTS_SYM,
+                EstimatorSpec("parametric-uniform", "parametric", ParametricEstimatorConfig()),
+            ),
             output_dir=str(tmp_path / f"w{workers}"),
             timestamp_header=False,
+            dump_trials=True,
             workers=workers,
         )
-        rows[workers] = run_rmse_vs_N(spec).rows
+        result = run_rmse_vs_N(spec)
+        rows[workers] = result.rows
+        files[workers] = {name: open(path, "rb").read() for name, path in result.files.items()}
     assert rows[1] == rows[2]
+    assert set(files[1]) == {"rmse_vs_N", "rmse_vs_N_trials"}
+    assert files[1] == files[2]
 
 
 def test_rmse_seed_changes_results(tmp_path):
@@ -298,6 +316,32 @@ def test_rmse_failure_guard(tmp_path, monkeypatch):
     )
     with pytest.raises(ExperimentError):
         run_rmse_vs_N(spec)
+
+
+def test_bias_failure_guard(tmp_path, monkeypatch):
+    def explode(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("tomoments.experiments.estimate", explode)
+    spec = default_spec(
+        "asymptotic_bias_vs_sigma",
+        sigma_list=(5.0,),
+        estimators=(MOMENTS_SYM,),
+        output_dir=str(tmp_path),
+        timestamp_header=False,
+    )
+    with pytest.raises(ExperimentError):
+        run_asymptotic_bias_vs_sigma(spec)
+    # the CSVs are written before the failure gate fires
+    rows = _read_csv(tmp_path / "asymptotic_bias_vs_sigma.csv")
+    assert [row["parameter"] for row in rows] == ["z0", "sigma_z", "P", "sigma_eps2"]
+    for row in rows:
+        assert row["estimator"] == "moments-sym"
+        assert row["failures"] == "1"
+        assert row["n_trials"] == "0"
+        for column in ("rmse", "rmse_normalized", "bias", "mean"):
+            assert row[column] == ""
+    assert _read_csv(tmp_path / "asymptotic_interpolation.csv") == []
 
 
 def test_height_period_needs_ambiguity():

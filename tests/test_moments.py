@@ -8,20 +8,17 @@ from tomoments import (
     CovarianceModel,
     MomentEstimatorConfig,
     SourceProfile,
-    build_regressors,
-    concentrated_objective,
     estimate,
     make_uniform_array,
     model_power_spectrum,
     reconstruct_covariance,
     sample_covariance,
     sample_snapshots,
-    solve_alpha,
     steering_vector,
     true_covariance,
 )
-from tomoments.fitting import cost_constant, fit_terms, unvec, weighting
-from tomoments.moments import _basis_stack, _default_grid_points, moment_orders
+from tomoments.fitting import _default_grid_points, cost_constant, fit_terms, solve_quadratic, weighting
+from tomoments.moments import _basis_stack, moment_orders
 
 from .oracles import random_psd_covariance
 
@@ -49,6 +46,15 @@ FROZEN_ALPHA = {
 }
 
 
+def _concentrate(z, R_bar, config, W, array):
+    """Closed-form ``(alpha, objective)`` at height z from the basis stack."""
+    stack = _basis_stack(config, array)
+    R = np.asarray(R_bar.matrix)
+    y, Y = fit_terms(stack, steering_vector(array, z), W, W @ R @ W)
+    alpha, objective, _ = solve_quadratic(y, Y)
+    return alpha, objective
+
+
 def _direct_cost(R, W, array, z, stack, alpha):
     """Weighted Frobenius cost evaluated from the covariance residual."""
     Phi = np.diag(steering_vector(array, z))
@@ -61,21 +67,19 @@ def _direct_cost(R, W, array, z, stack, alpha):
 def test_regressors_hand_example():
     array = ArrayConfig(kz=np.array([0.0, 1.0]))
     config = MomentEstimatorConfig(D=2, symmetric=True, weighting="identity")
-    J = build_regressors(config, array)
-    assert J.shape == (4, 3)
-    np.testing.assert_allclose(unvec(J[:, 0], 2), np.ones((2, 2)), rtol=0, atol=0)
-    np.testing.assert_allclose(unvec(J[:, 1], 2), np.eye(2), rtol=0, atol=0)
+    stack = _basis_stack(config, array)
+    assert stack.shape == (3, 2, 2)
+    np.testing.assert_allclose(stack[0], np.ones((2, 2)), rtol=0, atol=0)
+    np.testing.assert_allclose(stack[1], np.eye(2), rtol=0, atol=0)
     np.testing.assert_allclose(
-        unvec(J[:, 2], 2), -0.5 * np.array([[0.0, 1.0], [1.0, 0.0]]), rtol=0, atol=1e-16
+        stack[2], -0.5 * np.array([[0.0, 1.0], [1.0, 0.0]]), rtol=0, atol=1e-16
     )
 
 
 def test_regressor_columns_are_hermitian(reference_array):
     for symmetric in (True, False):
         config = MomentEstimatorConfig(D=5, symmetric=symmetric)
-        J = build_regressors(config, reference_array)
-        for k in range(J.shape[1]):
-            H = unvec(J[:, k], reference_array.M)
+        for H in _basis_stack(config, reference_array):
             np.testing.assert_allclose(H, H.conj().T, rtol=0, atol=1e-15)
 
 
@@ -95,6 +99,9 @@ def test_config_validation():
         MomentEstimatorConfig(grid_points=1)
     with pytest.raises(ValueError):
         MomentEstimatorConfig(refine_tol=-1.0)
+    # JSON flags must be real booleans, not truthy strings
+    with pytest.raises(ValueError):
+        MomentEstimatorConfig.from_json({"symmetric": "false"})
 
 
 def test_config_json_round_trip():
@@ -106,9 +113,8 @@ def test_config_json_round_trip():
 def test_solve_alpha_exact_point_source(point_profile, reference_array):
     R = true_covariance(point_profile, reference_array, 10.0)
     config = MomentEstimatorConfig(D=4, symmetric=True, weighting="identity")
-    J = build_regressors(config, reference_array)
     W = weighting(R, "identity")
-    alpha = solve_alpha(10.0, R, J, W, reference_array)
+    alpha, _ = _concentrate(10.0, R, config, W, reference_array)
     np.testing.assert_allclose(alpha[:2], [100.0, 10.0], rtol=1e-9)
     np.testing.assert_allclose(alpha[2:], 0.0, atol=1e-7)
 
@@ -117,9 +123,8 @@ def test_solve_alpha_exact_point_source(point_profile, reference_array):
 @pytest.mark.parametrize("D", [4, 6])
 def test_solve_alpha_frozen_reference(weighting_name, D, reference_covariance, reference_array):
     config = MomentEstimatorConfig(D=D, symmetric=True, weighting=weighting_name)
-    J = build_regressors(config, reference_array)
     W = weighting(reference_covariance, weighting_name)
-    alpha = solve_alpha(10.0, reference_covariance, J, W, reference_array)
+    alpha, _ = _concentrate(10.0, reference_covariance, config, W, reference_array)
     np.testing.assert_allclose(alpha, FROZEN_ALPHA[(weighting_name, D)], rtol=1e-7)
 
 
@@ -130,8 +135,7 @@ def test_higher_order_is_not_truncated(reference_covariance, reference_array):
     results = {}
     for D in (4, 6):
         config = MomentEstimatorConfig(D=D, symmetric=True, weighting="identity")
-        J = build_regressors(config, reference_array)
-        alpha = solve_alpha(10.0, reference_covariance, J, W, reference_array)
+        alpha, _ = _concentrate(10.0, reference_covariance, config, W, reference_array)
         results[D] = np.sqrt(alpha[2] / alpha[0])
     assert abs(results[6] - results[4]) > 0.05
     assert abs(results[6] - 5.0) < abs(results[4] - 5.0)
@@ -141,7 +145,6 @@ def test_cost_identity_against_direct_residual(rng, reference_array):
     # vectorized concentrated cost equals the matrix-residual evaluation
     config = MomentEstimatorConfig(D=4, symmetric=False)
     stack = _basis_stack(config, reference_array)
-    J = build_regressors(config, reference_array)
     R = random_psd_covariance(rng, reference_array.M, scale=50.0)
     R_model = CovarianceModel(matrix=R, kind="sample")
     W = random_psd_covariance(rng, reference_array.M)
@@ -159,10 +162,9 @@ def test_cost_identity_against_direct_residual(rng, reference_array):
 def test_concentration_is_optimal(rng, reference_covariance, reference_array):
     config = MomentEstimatorConfig(D=4, symmetric=True, weighting="inverse_sample")
     stack = _basis_stack(config, reference_array)
-    J = build_regressors(config, reference_array)
     W = weighting(reference_covariance, "inverse_sample")
     R = np.asarray(reference_covariance.matrix)
-    alpha_star = solve_alpha(10.0, reference_covariance, J, W, reference_array)
+    alpha_star, _ = _concentrate(10.0, reference_covariance, config, W, reference_array)
     best = _direct_cost(R, W, reference_array, 10.0, stack, alpha_star)
     for _ in range(50):
         alpha = alpha_star * (1.0 + 0.1 * rng.standard_normal(alpha_star.size))
@@ -171,25 +173,23 @@ def test_concentration_is_optimal(rng, reference_covariance, reference_array):
 
 def test_objective_periodic_in_ambiguity(reference_covariance, reference_array):
     config = MomentEstimatorConfig(D=4, symmetric=True, weighting="identity")
-    J = build_regressors(config, reference_array)
     W = weighting(reference_covariance, "identity")
     for z in (3.7, 42.0, 88.8):
-        q = concentrated_objective(z, reference_covariance, J, W, reference_array)
-        q_shift = concentrated_objective(z + 100.0, reference_covariance, J, W, reference_array)
+        _, q = _concentrate(z, reference_covariance, config, W, reference_array)
+        _, q_shift = _concentrate(z + 100.0, reference_covariance, config, W, reference_array)
         assert q == pytest.approx(q_shift, rel=1e-9)
 
 
 def test_objective_peaks_at_true_height(reference_covariance, reference_array):
     config = MomentEstimatorConfig(D=4, symmetric=True, weighting="inverse_sample")
-    J = build_regressors(config, reference_array)
     W = weighting(reference_covariance, "inverse_sample")
-    q0 = concentrated_objective(10.0, reference_covariance, J, W, reference_array)
+    _, q0 = _concentrate(10.0, reference_covariance, config, W, reference_array)
     z_grid = np.linspace(0.0, 100.0, 400, endpoint=False)
     resolution = 100.0 / 6.0
     for z in z_grid:
         wrapped = min(abs(z - 10.0), 100.0 - abs(z - 10.0))
         if wrapped > resolution / 2.0:
-            q = concentrated_objective(z, reference_covariance, J, W, reference_array)
+            _, q = _concentrate(z, reference_covariance, config, W, reference_array)
             assert q < q0
 
 

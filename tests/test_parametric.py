@@ -166,6 +166,9 @@ def test_config_validation():
         ParametricEstimatorConfig(z0_grid=1)
     with pytest.raises(ValueError):
         ParametricEstimatorConfig(refine_tol=0.0)
+    # a fractional grid size from JSON is rejected, not truncated
+    with pytest.raises(ValueError):
+        ParametricEstimatorConfig.from_json({"sigma_grid": {"points": 2.7}})
 
 
 def test_config_json_round_trip():
