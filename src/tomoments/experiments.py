@@ -118,6 +118,11 @@ class EstimatorSpec:
         return cls(label=str(obj["label"]), method=method, config=_CONFIG_TYPES[method].from_json(obj))
 
 
+def _is_integer(value, least: int) -> bool:
+    """Whether a count is an integral number >= ``least``; booleans are not counts."""
+    return not isinstance(value, bool) and int(value) == value and value >= least
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Complete description of one experiment run."""
@@ -151,24 +156,22 @@ class ExperimentSpec:
             raise ValueError("estimator labels must be unique")
         object.__setattr__(self, "estimators", estimators)
         N_list = tuple(self.N_list)
-        if any(int(n) != n or n < 1 for n in N_list) or list(N_list) != sorted(set(N_list)):
+        if not all(_is_integer(n, 1) for n in N_list) or list(N_list) != sorted(set(N_list)):
             raise ValueError("N_list must be strictly increasing positive integers")
         object.__setattr__(self, "N_list", tuple(int(n) for n in N_list))
+        if any(isinstance(s, bool) for s in self.sigma_list):
+            raise ValueError("sigma_list must hold numbers, not booleans")
         sigma_list = tuple(float(s) for s in self.sigma_list)
         if any(not (math.isfinite(s) and s >= 0.0) for s in sigma_list) or list(
             sigma_list
         ) != sorted(set(sigma_list)):
             raise ValueError("sigma_list must be strictly increasing nonnegative values")
         object.__setattr__(self, "sigma_list", sigma_list)
-        if int(self.trials) != self.trials or self.trials < 1:
-            raise ValueError("trials must be a positive integer")
-        object.__setattr__(self, "trials", int(self.trials))
-        if int(self.master_seed) != self.master_seed or self.master_seed < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
-        if int(self.workers) != self.workers or self.workers < 1:
-            raise ValueError("workers must be a positive integer")
-        object.__setattr__(self, "workers", int(self.workers))
+        for name, least in (("trials", 1), ("master_seed", 0), ("workers", 1)):
+            value = getattr(self, name)
+            if not _is_integer(value, least):
+                raise ValueError(f"{name} must be an integer >= {least}")
+            object.__setattr__(self, name, int(value))
         for name in ("timestamp_header", "dump_trials"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false")
@@ -299,7 +302,7 @@ def _run_trial(context: _TrialContext, trial: int) -> tuple[int, dict]:
     for entry in context.estimators:
         try:
             out[entry.label] = _estimates(_run_estimator(entry, R_bar, context.array))
-        except Exception:
+        except (ValueError, np.linalg.LinAlgError):
             out[entry.label] = None
     return trial, out
 
@@ -547,7 +550,7 @@ def run_asymptotic_bias_vs_sigma(spec: ExperimentSpec) -> ExperimentResult:
         for entry in spec.estimators:
             try:
                 fit = _run_estimator(entry, R, spec.array)
-            except Exception:
+            except (ValueError, np.linalg.LinAlgError):
                 fit = None
             if fit is not None and entry.method == "moments":
                 interpolation_rows += _interpolation_rows(entry.label, fit, xi, true_spectrum, sigma_z=sigma)

@@ -9,9 +9,12 @@ The linear coefficients concentrate in closed form through the quantities
     y_i(z) = tr(H_i^H Phi^H W Rbar W Phi)      (weighted data correlations)
     Y_ik(z) = tr(H_i^H G H_k G), G = Phi^H W Phi
 
-which are assembled directly from M x M products; the M^2 x M^2 Kronecker
-forms are never materialized.  For Hermitian inputs both are exactly real.
-The basis is always held as a (K, M, M) stack.
+which one engine, :func:`fit_terms_grid`, assembles from M x M products for
+both estimators; the M^2 x M^2 Kronecker forms are never materialized.  Its
+steering vectors ``(..., M)`` and basis stacks ``(..., K, M, M)`` broadcast
+over their leading dimensions, and ``Y_ik = tr(C_i C_k)`` with
+``C_k = G H_k``, which holds only for a Hermitian basis.  Both terms are then
+exactly real.  :func:`fit_terms` is the single-point case.
 
 The height search both estimators run has its defaults and checks here too:
 the searched interval ``[0, z0_max)``, the coarse grid size, the refinement
@@ -103,6 +106,8 @@ def _check_search_options(config, grid_name: str) -> None:
     for name in ("refine_tol", "z0_max"):
         value = getattr(config, name)
         if value is not None:
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a length in m, not a boolean")
             value = float(value)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite")
@@ -144,19 +149,12 @@ def fit_terms(
     W: np.ndarray,
     WRW: np.ndarray,
 ):
-    """Concentration terms y (K,) and Y (K, K) at one steering vector.
+    """Concentration terms y (K,) and Y (K, K) at one steering vector ``a``.
 
-    ``stack`` holds the K Hermitian basis matrices, ``a`` the steering
-    vector at the candidate height, ``WRW`` the precomputed ``W Rbar W``.
-    Both outputs are exactly real and are returned as floats.
+    The single-point case of :func:`fit_terms_grid`; ``WRW`` is ``W Rbar W``.
     """
-    ac = a.conj()
-    G = ac[:, None] * W * a[None, :]
-    T = ac[:, None] * WRW * a[None, :]
-    y = np.einsum("imn,mn->i", stack.conj(), T)
-    GHG = np.einsum("mp,kpq,qn->kmn", G, stack, G, optimize=True)
-    Y = np.einsum("imn,kmn->ik", stack.conj(), GHG, optimize=True)
-    return y.real.copy(), 0.5 * (Y.real + Y.real.T)
+    y, Y = fit_terms_grid(stack, a[None], W, WRW)
+    return y[0], Y[0]
 
 
 def fit_terms_grid(
@@ -165,13 +163,20 @@ def fit_terms_grid(
     W: np.ndarray,
     WRW: np.ndarray,
 ):
-    """Batched :func:`fit_terms` over a grid of steering vectors (rows of A)."""
+    """Concentration terms y (..., K) and Y (..., K, K) over broadcast batches.
+
+    Steering vectors ``A (..., M)`` and Hermitian bases ``stack (..., K, M, M)``
+    broadcast over their leading dimensions: ``(Z, M)`` against ``(K, M, M)``
+    gives one system per height, ``(Z, 1, M)`` against ``(S, K, M, M)`` one per
+    (height, basis) pair.  ``Y_ik = tr(C_i C_k)`` with ``C_k = G H_k`` is valid
+    only because every ``H_k`` is Hermitian.  Both outputs are real floats.
+    """
     Ac = A.conj()
-    G = Ac[:, :, None] * W[None, :, :] * A[:, None, :]
-    T = Ac[:, :, None] * WRW[None, :, :] * A[:, None, :]
-    y = np.einsum("imn,zmn->zi", stack.conj(), T).real
-    GHG = np.einsum("zmp,kpq,zqn->zkmn", G, stack, G, optimize=True)
-    Y = np.einsum("imn,zkmn->zik", stack.conj(), GHG, optimize=True).real
+    G = Ac[..., :, None] * W * A[..., None, :]
+    T = Ac[..., :, None] * WRW * A[..., None, :]
+    y = np.einsum("...kmn,...mn->...k", stack.conj(), T).real
+    C = G[..., None, :, :] @ stack
+    Y = np.einsum("...imn,...knm->...ik", C, C).real
     return y.copy(), 0.5 * (Y + np.swapaxes(Y, -1, -2))
 
 

@@ -5,7 +5,11 @@ moment fit, but with the coherence shape pinned to an assumed family
 (uniform or gaussian) so the free parameters are ``(z0, sigma_z, P,
 sigma_eps2)``.  Power and noise concentrate linearly under a
 nonnegativity constraint; the remaining 2-d search runs on a coarse
-grid followed by a Nelder-Mead polish.
+(z0, sigma_z) grid followed by a Nelder-Mead polish.  The grid stacks one
+(shape, identity) basis per sigma value and builds the terms of every
+(z0, sigma) node with the shared broadcasting engine
+:func:`~tomoments.fitting.fit_terms_grid`; the grid and the polish then
+concentrate through the same batched 2x2 closed form.
 
 On uniformly spaced arrays the unconstrained fit is ambiguous: a
 uniform shape evaluated only at harmonic baselines admits exact twins
@@ -31,6 +35,7 @@ from .fitting import (
     _weighting_flagged,
     cost_constant,
     fit_terms,
+    fit_terms_grid,
 )
 from .geometry import ArrayConfig, steering_vector
 from .profiles import CovarianceModel, SourceProfile, shape_matrix
@@ -47,6 +52,10 @@ __all__ = [
 ASSUMED_SHAPES = ("uniform", "gaussian")
 
 _SIGMA_MAX_REL = 0.3
+# sigma values per fit_terms_grid call in the grid scan: all 64 at once hold a
+# (z0, 64, 2, M, M) intermediate of about 12 MB at M = 7, one at a time pays
+# the per-call overhead 64 times; 8 holds about 2 MB and runs as fast as 64
+_SIGMA_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,8 @@ class SigmaGrid:
     points: int = 64
 
     def __post_init__(self) -> None:
+        if isinstance(self.min, bool) or isinstance(self.max, bool):
+            raise ValueError("sigma grid bounds are lengths in m, not booleans")
         if not (math.isfinite(self.min) and self.min >= 0.0):
             raise ValueError("sigma grid min must be nonnegative")
         if self.max is not None:
@@ -137,35 +148,30 @@ class ParametricEstimate:
     diagnostics: ParametricDiagnostics
 
 
-def _shape_basis(shape: str, sigma: float, array: ArrayConfig) -> np.ndarray:
-    # reference profile: the shape family only enters through sigma_z
-    return shape_matrix(SourceProfile(shape, 0.0, abs(float(sigma)), 1.0), array)
-
-
-def _concentrate_nonneg(
-    y1: float, y2: float, Y11: float, Y12: float, Y22: float
-) -> tuple[float, float, float, bool]:
+def _concentrate_nonneg(y: np.ndarray, Y: np.ndarray):
     """Maximize 2*y'a - a'Ya over a = (P, sigma_eps2) with a >= 0.
 
-    Returns ``(P, sigma_eps2, objective, degenerate)``.  The interior
-    stationary point is used when feasible, otherwise the best feasible
-    edge; a 2x2 system this small is solved in closed form.
+    Takes a batch of 2x2 systems, ``y (..., 2)`` and ``Y (..., 2, 2)``, and
+    returns ``(alpha (..., 2), objective (...), degenerate (...))``.  Each
+    system uses its interior stationary point when that is feasible,
+    otherwise the best feasible edge, in closed form.
     """
+    y1, y2 = y[..., 0], y[..., 1]
+    Y11, Y12, Y22 = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 1]
     det = Y11 * Y22 - Y12 * Y12
-    degenerate = not det > 1e-12 * max(Y11 * Y22, np.finfo(float).tiny)
-    if not degenerate:
+    degenerate = ~(det > 1e-12 * np.maximum(Y11 * Y22, np.finfo(float).tiny))
+    with np.errstate(divide="ignore", invalid="ignore"):
         a1 = (Y22 * y1 - Y12 * y2) / det
         a2 = (Y11 * y2 - Y12 * y1) / det
-        if a1 >= 0.0 and a2 >= 0.0:
-            q = (Y22 * y1 * y1 - 2.0 * Y12 * y1 * y2 + Y11 * y2 * y2) / det
-            return a1, a2, q, False
-    edge1 = max(y1, 0.0) / Y11 if Y11 > 0.0 else 0.0  # sigma_eps2 = 0
-    edge2 = max(y2, 0.0) / Y22 if Y22 > 0.0 else 0.0  # P = 0
-    q1 = edge1 * y1
-    q2 = edge2 * y2
-    if q1 >= q2:
-        return edge1, 0.0, q1, degenerate
-    return 0.0, edge2, q2, degenerate
+        q_in = (Y22 * y1 * y1 - 2.0 * Y12 * y1 * y2 + Y11 * y2 * y2) / det
+        edge1 = np.where(Y11 > 0.0, np.maximum(y1, 0.0) / Y11, 0.0)  # sigma_eps2 = 0
+        edge2 = np.where(Y22 > 0.0, np.maximum(y2, 0.0) / Y22, 0.0)  # P = 0
+    q1, q2 = edge1 * y1, edge2 * y2
+    interior = ~degenerate & (a1 >= 0.0) & (a2 >= 0.0)
+    first = q1 >= q2
+    P = np.where(interior, a1, np.where(first, edge1, 0.0))
+    noise = np.where(interior, a2, np.where(first, 0.0, edge2))
+    return np.stack([P, noise], axis=-1), np.where(interior, q_in, np.where(first, q1, q2)), degenerate
 
 
 def estimate_parametric(
@@ -189,48 +195,32 @@ def estimate_parametric(
 
     W, loaded = _weighting_flagged(R_bar, config.weighting)
     WRW = W @ R @ W
-    identity = np.eye(array.M, dtype=complex)
-
     z_step = z_amb / z_points
     z_grid = z_step * np.arange(z_points)
     A = np.exp(1j * np.outer(z_grid, array.kz))
-    Ac = A.conj()
-    G = Ac[:, :, None] * W[None, :, :] * A[:, None, :]
-    T = Ac[:, :, None] * WRW[None, :, :] * A[:, None, :]
-    GG = np.matmul(G, G)
-    y2 = np.einsum("znn->z", T).real
-    Y22 = np.einsum("znn->z", GG).real
 
-    # concentrated objective on the (z0, sigma) grid via the 2x2 closed form,
-    # restricted to nonnegative power and noise
-    objective = np.full((z_points, sigma_values.size), -np.inf)
-    for s, sigma in enumerate(sigma_values):
-        B = _shape_basis(config.assumed_shape, sigma, array)
-        Bc = B.conj()
-        y1 = np.einsum("mn,zmn->z", Bc, T).real
-        GBG = np.matmul(np.matmul(G, B), G)
-        Y11 = np.einsum("mn,zmn->z", Bc, GBG).real
-        Y12 = np.einsum("mn,zmn->z", Bc, GG).real
-        det = Y11 * Y22 - Y12**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a1 = (Y22 * y1 - Y12 * y2) / det
-            a2 = (Y11 * y2 - Y12 * y1) / det
-            q_in = (Y22 * y1**2 - 2.0 * Y12 * y1 * y2 + Y11 * y2**2) / det
-            q1 = np.maximum(y1, 0.0) ** 2 / Y11
-            q2 = np.maximum(y2, 0.0) ** 2 / Y22
-        interior = (det > 1e-12 * np.maximum(Y11 * Y22, np.finfo(float).tiny)) & (a1 >= 0.0) & (a2 >= 0.0)
-        q_edge = np.maximum(np.nan_to_num(q1, nan=0.0), np.nan_to_num(q2, nan=0.0))
-        objective[:, s] = np.where(interior, q_in, q_edge)
+    def basis(sigma) -> np.ndarray:
+        # (shape, identity) pair of a reference profile: the shape enters only through sigma_z
+        shape = shape_matrix(SourceProfile(config.assumed_shape, 0.0, abs(float(sigma)), 1.0), array)
+        return np.stack([shape, np.eye(array.M)])
+
+    # concentrated objective on the (z0, sigma) grid, restricted to
+    # nonnegative power and noise, a chunk of sigma values at a time
+    stacks = np.stack([basis(sigma) for sigma in sigma_values])
+    objective = np.empty((z_points, sigma_values.size))
+    for start in range(0, sigma_values.size, _SIGMA_CHUNK):
+        chunk = slice(start, start + _SIGMA_CHUNK)
+        y, Y = fit_terms_grid(stacks[chunk], A[:, None, :], W, WRW)
+        objective[:, chunk] = _concentrate_nonneg(y, Y)[1]
 
     best_z, best_s = np.unravel_index(int(np.argmax(objective)), objective.shape)
     flags = {"pinv": False}
 
     def concentrated(point) -> tuple[np.ndarray, float, bool]:
         z, sigma = point
-        stack = np.stack([_shape_basis(config.assumed_shape, sigma, array), identity])
-        y, Y = fit_terms(stack, steering_vector(array, z), W, WRW)
-        a1, a2, q, degenerate = _concentrate_nonneg(y[0], y[1], Y[0, 0], Y[0, 1], Y[1, 1])
-        return np.array([a1, a2]), q, degenerate
+        y, Y = fit_terms(basis(sigma), steering_vector(array, z), W, WRW)
+        alpha, q, degenerate = _concentrate_nonneg(y, Y)
+        return alpha, float(q), bool(degenerate)
 
     def negated(point) -> float:
         _, q, degenerate = concentrated(point)

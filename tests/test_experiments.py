@@ -5,6 +5,7 @@ import pytest
 
 from tomoments import (
     ArrayConfig,
+    DegenerateCovarianceError,
     EstimatorSpec,
     ExperimentError,
     ExperimentSpec,
@@ -70,6 +71,16 @@ def test_experiment_spec_validation():
     # fractional snapshot counts are rejected, not truncated
     with pytest.raises(ValueError):
         default_spec("rmse_vs_N", N_list=(100.5, 1000.9))
+    # booleans are not counts or lengths, although int(True) == 1
+    for overrides in (
+        {"trials": True},
+        {"workers": True},
+        {"master_seed": False},
+        {"N_list": (True,)},
+        {"sigma_list": (False, 5.0)},
+    ):
+        with pytest.raises(ValueError):
+            default_spec("rmse_vs_N", **overrides)
     # JSON flags must be real booleans, not truthy strings
     for name in ("timestamp_header", "dump_trials"):
         obj = default_spec("rmse_vs_N").to_json()
@@ -303,7 +314,7 @@ def test_rmse_seed_changes_results(tmp_path):
 
 def test_rmse_failure_guard(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
-        raise RuntimeError("boom")
+        raise DegenerateCovarianceError("boom")
 
     monkeypatch.setattr("tomoments.experiments.estimate", explode)
     spec = default_spec(
@@ -320,7 +331,7 @@ def test_rmse_failure_guard(tmp_path, monkeypatch):
 
 def test_bias_failure_guard(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
-        raise RuntimeError("boom")
+        raise DegenerateCovarianceError("boom")
 
     monkeypatch.setattr("tomoments.experiments.estimate", explode)
     spec = default_spec(
@@ -342,6 +353,27 @@ def test_bias_failure_guard(tmp_path, monkeypatch):
         for column in ("rmse", "rmse_normalized", "bias", "mean"):
             assert row[column] == ""
     assert _read_csv(tmp_path / "asymptotic_interpolation.csv") == []
+
+
+@pytest.mark.parametrize("kind", ["rmse_vs_N", "asymptotic_bias_vs_sigma"])
+def test_unexpected_estimator_error_propagates(kind, tmp_path, monkeypatch):
+    # only documented fit failures count as failed trials; anything else is a bug
+    def explode(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("tomoments.experiments.estimate", explode)
+    spec = default_spec(
+        kind,
+        N_list=(25,),
+        sigma_list=(5.0,),
+        trials=2,
+        estimators=(MOMENTS_SYM,),
+        output_dir=str(tmp_path),
+        timestamp_header=False,
+    )
+    with pytest.raises(RuntimeError, match="boom") as raised:
+        run_experiment(spec)
+    assert not isinstance(raised.value, ExperimentError)
 
 
 def test_height_period_needs_ambiguity():

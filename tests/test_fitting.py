@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tomoments import (
+    ArrayConfig,
     DegenerateCovarianceError,
     CovarianceModel,
     make_uniform_array,
@@ -106,6 +107,32 @@ def test_fit_terms_grid_matches_pointwise(rng):
         y, Y = fit_terms(stack, steering_vector(array, z), W, WRW)
         np.testing.assert_allclose(y_all[idx], y, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(Y_all[idx], Y, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "array, z0_max",
+    [
+        (make_uniform_array(5, 80.0), None),
+        (ArrayConfig(kz=np.array([0.0, 0.031, 0.077, 0.102, 0.19])), 140.0),
+    ],
+    ids=["uniform", "irregular"],
+)
+def test_fit_terms_grid_broadcasts_heights_against_stacks(rng, array, z0_max):
+    # (Z, 1, M) steering vectors against an (S, K, M, M) stack of bases give
+    # one system per (height, basis) pair, each equal to the trace oracle
+    M, K, S = array.M, 2, 3
+    R = random_psd_covariance(rng, M, scale=3.0)
+    W = random_psd_covariance(rng, M)
+    WRW = W @ R @ W
+    stacks = np.stack([_random_hermitian_stack(rng, K, M) for _ in range(S)])
+    z_grid = np.linspace(0.0, z0_max or array.ambiguity, 4, endpoint=False) + 1.3
+    A = np.stack([steering_vector(array, z) for z in z_grid])
+    y, Y = fit_terms_grid(stacks, A[:, None, :], W, WRW)
+    assert y.shape == (z_grid.size, S, K) and Y.shape == (z_grid.size, S, K, K)
+    for z, s in np.ndindex(z_grid.size, S):
+        expected_y, expected_Y = fit_terms_trace_oracle(stacks[s], A[z], W, WRW)
+        assert y[z, s] == pytest.approx(expected_y.real, rel=1e-10, abs=1e-12)
+        assert Y[z, s] == pytest.approx(expected_Y.real, rel=1e-10, abs=1e-12)
 
 
 def test_solve_quadratic_recovers_exact_solution(rng):

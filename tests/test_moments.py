@@ -99,6 +99,10 @@ def test_config_validation():
         MomentEstimatorConfig(grid_points=1)
     with pytest.raises(ValueError):
         MomentEstimatorConfig(refine_tol=-1.0)
+    # booleans are not lengths, although float(True) == 1.0
+    for overrides in ({"refine_tol": True}, {"z0_max": True}):
+        with pytest.raises(ValueError):
+            MomentEstimatorConfig(**overrides)
     # JSON flags must be real booleans, not truthy strings
     with pytest.raises(ValueError):
         MomentEstimatorConfig.from_json({"symmetric": "false"})

@@ -97,8 +97,9 @@ def test_concentrate_nonneg_matches_nnls(rng):
         A = rng.standard_normal((2, 2)) * rng.choice([1.0, 10.0, 1e3])
         Y = A.T @ A + 1e-6 * np.eye(2)
         y = rng.standard_normal(2) * rng.choice([1.0, 50.0])
-        a1, a2, q, degenerate = _concentrate_nonneg(y[0], y[1], Y[0, 0], Y[0, 1], Y[1, 1])
-        assert a1 >= 0.0 and a2 >= 0.0
+        alpha, q, degenerate = _concentrate_nonneg(y, Y)
+        assert alpha.shape == (2,) and np.ndim(q) == np.ndim(degenerate) == 0
+        assert np.all(alpha >= 0.0)
         # max 2 y'a - a'Ya over a >= 0 is an NNLS problem after factoring Y
         L = np.linalg.cholesky(Y)
         b = np.linalg.solve(L, y)
@@ -106,15 +107,44 @@ def test_concentrate_nonneg_matches_nnls(rng):
         q_ref = float(b @ b - rnorm**2)
         assert q == pytest.approx(q_ref, rel=1e-8, abs=1e-10)
         if not degenerate:
-            np.testing.assert_allclose([a1, a2], a_ref, rtol=1e-6, atol=1e-8)
+            np.testing.assert_allclose(alpha, a_ref, rtol=1e-6, atol=1e-8)
 
 
 def test_concentrate_nonneg_degenerate_system():
     # rank-1 Y: closed form must still return a feasible point
-    a1, a2, q, degenerate = _concentrate_nonneg(1.0, 1.0, 1.0, 1.0, 1.0)
+    alpha, q, degenerate = _concentrate_nonneg(np.array([1.0, 1.0]), np.ones((2, 2)))
     assert degenerate
-    assert a1 >= 0.0 and a2 >= 0.0
+    assert np.all(alpha >= 0.0)
     assert q == pytest.approx(1.0)
+
+
+def test_concentrate_nonneg_batch_matches_elementwise(rng):
+    # interior, both edges, a rank-1 system, a zero diagonal and a negative y
+    y = np.array([[1.0, 1.0], [1.0, -5.0], [-5.0, 1.0], [1.0, 1.0], [2.0, 0.5], [-1.0, -1.0]])
+    Y = np.array(
+        [
+            [[2.0, 0.5], [0.5, 1.0]],
+            [[2.0, 0.5], [0.5, 1.0]],
+            [[2.0, 0.5], [0.5, 1.0]],
+            [[1.0, 1.0], [1.0, 1.0]],
+            [[0.0, 0.0], [0.0, 3.0]],
+            [[1.0, 0.2], [0.2, 1.0]],
+        ]
+    )
+    extra = rng.standard_normal((12, 2, 2))
+    y = np.concatenate([y, 10.0 * rng.standard_normal((12, 2))])
+    Y = np.concatenate([Y, extra @ np.swapaxes(extra, -1, -2)])
+    batch_y, batch_Y = y.reshape(3, 6, 2), Y.reshape(3, 6, 2, 2)
+    alpha, q, degenerate = _concentrate_nonneg(batch_y, batch_Y)
+    assert alpha.shape == (3, 6, 2) and q.shape == degenerate.shape == (3, 6)
+    seen = {"interior": 0, "edge": 0, "degenerate": 0}
+    for index in np.ndindex(3, 6):
+        a_i, q_i, d_i = _concentrate_nonneg(batch_y[index], batch_Y[index])
+        np.testing.assert_array_equal(alpha[index], a_i)
+        assert q[index] == q_i and degenerate[index] == d_i
+        kind = "degenerate" if d_i else ("interior" if np.all(a_i > 0.0) else "edge")
+        seen[kind] += 1
+    assert min(seen.values()) > 0
 
 
 def test_scale_equivariance(reference_covariance, reference_array):
@@ -166,6 +196,13 @@ def test_config_validation():
         ParametricEstimatorConfig(z0_grid=1)
     with pytest.raises(ValueError):
         ParametricEstimatorConfig(refine_tol=0.0)
+    # booleans are not lengths, although float(True) == 1.0
+    for overrides in ({"refine_tol": True}, {"z0_max": True}):
+        with pytest.raises(ValueError):
+            ParametricEstimatorConfig(**overrides)
+    for bounds in ({"max": True}, {"min": True, "max": 5.0}):
+        with pytest.raises(ValueError):
+            SigmaGrid(**bounds)
     # a fractional grid size from JSON is rejected, not truncated
     with pytest.raises(ValueError):
         ParametricEstimatorConfig.from_json({"sigma_grid": {"points": 2.7}})
