@@ -59,6 +59,7 @@ from .profiles import (
     central_moment,
     characteristic_function,
     density,
+    shape_characteristic,
     shape_matrix,
     true_covariance,
 )

@@ -26,6 +26,7 @@ from .parametric import ParametricEstimatorConfig, estimate_parametric
 from .profiles import (
     CovarianceModel,
     SourceProfile,
+    _noise_power,
     characteristic_function,
     density,
     true_covariance,
@@ -144,10 +145,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        sigma_eps2 = float(self.sigma_eps2)
-        if not (math.isfinite(sigma_eps2) and sigma_eps2 >= 0.0):
-            raise ValueError("sigma_eps2 must be finite and nonnegative")
-        object.__setattr__(self, "sigma_eps2", sigma_eps2)
+        object.__setattr__(self, "sigma_eps2", _noise_power(self.sigma_eps2))
         estimators = tuple(self.estimators)
         if not estimators:
             raise ValueError("at least one estimator is required")
@@ -199,7 +197,7 @@ class ExperimentSpec:
             kind=str(obj["kind"]),
             profile=SourceProfile.from_json(obj["profile"]),
             array=ArrayConfig.from_json(obj["array"]),
-            sigma_eps2=float(obj["sigma_eps2"]),
+            sigma_eps2=obj["sigma_eps2"],
             estimators=tuple(EstimatorSpec.from_json(e) for e in obj["estimators"]),
         )
         # the remaining fields take their JSON values as given; __post_init__ validates them
@@ -258,13 +256,17 @@ def wrap_height_error(delta, period: float):
     return (np.asarray(delta) + 0.5 * period) % period - 0.5 * period
 
 
-def _height_period(spec: ExperimentSpec) -> float:
+def _height_period(spec: ExperimentSpec) -> float | None:
+    """The period height errors fold on: the array ambiguity, or None for a stack without one.
+
+    Such a stack needs ``z0_max`` on every estimator config; its heights do
+    not repeat, so an error across the domain is not a small one.
+    """
     if spec.array.ambiguity is not None:
         return float(spec.array.ambiguity)
-    caps = [e.config.z0_max for e in spec.estimators if e.config.z0_max is not None]
-    if caps:
-        return float(max(caps))
-    raise ValueError("no ambiguity or z0_max available to define the height period")
+    if any(e.config.z0_max is None for e in spec.estimators):
+        raise ValueError("array has no known ambiguity; set z0_max on every estimator config")
+    return None
 
 
 def _require_kind(spec: ExperimentSpec, kind: str) -> None:
@@ -342,8 +344,8 @@ def _truths(profile: SourceProfile, sigma_eps2: float) -> dict:
     }
 
 
-def _errors(parameter: str, estimates: np.ndarray, truth: float, period: float) -> np.ndarray:
-    if parameter == "z0":
+def _errors(parameter: str, estimates: np.ndarray, truth: float, period: float | None) -> np.ndarray:
+    if parameter == "z0" and period is not None:
         return wrap_height_error(estimates - truth, period)
     return estimates - truth
 
@@ -442,7 +444,8 @@ def run_rmse_vs_N(spec: ExperimentSpec) -> ExperimentResult:
     """Monte Carlo RMSE/bias sweep over snapshot counts, with CRB columns.
 
     All estimators see the same realizations trial for trial.  Height errors
-    are wrapped on the ambiguity interval.  Writes ``rmse_vs_N.csv`` (plus
+    are wrapped on the ambiguity interval (not at all on a stack without
+    one).  Writes ``rmse_vs_N.csv`` (plus
     ``rmse_vs_N_trials.csv`` when per-trial dumps are enabled) and raises
     :class:`ExperimentError` if any estimator fails more than 1% of trials.
     """

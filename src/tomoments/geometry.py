@@ -65,6 +65,8 @@ class ArrayConfig:
         if amb is None:
             object.__setattr__(self, "ambiguity", _uniform_period(kz))
         else:
+            if isinstance(amb, bool):
+                raise ValueError("ambiguity is a length in m, not a boolean")
             amb = float(amb)
             if not (math.isfinite(amb) and amb > 0.0):
                 raise ValueError("ambiguity must be a positive finite length")
@@ -93,7 +95,7 @@ class ArrayConfig:
         if "kz" in obj:
             return cls(np.asarray(obj["kz"], dtype=float))
         if "M" in obj and "z_amb" in obj:
-            return make_uniform_array(int(obj["M"]), float(obj["z_amb"]))
+            return make_uniform_array(int(obj["M"]), obj["z_amb"])
         raise ValueError("array config needs either 'kz' or both 'M' and 'z_amb'")
 
 
@@ -110,8 +112,10 @@ def make_uniform_array(M: int, z_amb: float) -> ArrayConfig:
     z_amb : float
         Height ambiguity in m, positive.
     """
-    if int(M) != M or M < 2:
+    if isinstance(M, bool) or int(M) != M or M < 2:
         raise ValueError("M must be an integer >= 2")
+    if isinstance(z_amb, bool):
+        raise ValueError("z_amb is a length in m, not a boolean")
     z_amb = float(z_amb)
     if not (math.isfinite(z_amb) and z_amb > 0.0):
         raise ValueError("z_amb must be a positive finite length")

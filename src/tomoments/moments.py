@@ -5,7 +5,11 @@ density, ``Bhat(mu) = 1 1^T + sum_d (j^d / d!) mu_d U_d`` with ``U_d`` the
 elementwise d-th power of the wavenumber differences.  After the change of
 variables ``nu = P mu`` the model is linear in ``alpha = (P, sigma_eps2,
 nu_2, ..., nu_D)`` at fixed height, so the fit reduces to a 1-d search over
-z0 of a concentrated weighted least-squares criterion.
+z0 of a concentrated weighted least-squares criterion.  Every basis matrix
+is a function of the baseline difference, so the coarse z0 grid runs on the
+harmonic form :func:`~tomoments.fitting.fit_terms_grid`; the golden-section
+refinement and the final coefficients use the product form
+:func:`~tomoments.fitting.fit_terms`.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .fitting import (
     _check_search_options,
     _checked_covariance,
     _default_grid_points,
+    _height_bounds,
     _refine_tol,
     _search_domain,
     _weighting_flagged,
@@ -27,13 +32,14 @@ from .fitting import (
     fit_terms,
     fit_terms_grid,
     golden_section_max,
+    harmonic_terms,
     solve_quadratic,
 )
 from .fitting import weighting  # re-exported; part of this module's surface
 from .geometry import (
     MAX_DIFFERENCE_ORDER,
     ArrayConfig,
-    difference_power_matrix,
+    baseline_differences,
     steering_vector,
 )
 from .profiles import CovarianceModel
@@ -142,14 +148,18 @@ def moment_orders(config: MomentEstimatorConfig) -> tuple[int, ...]:
     return tuple(range(2, config.D + 1, step))
 
 
+def _basis_response(config: MomentEstimatorConfig, f) -> np.ndarray:
+    """The basis as functions of the baseline frequency f, stacked (K, ...):
+    all-ones, identity (``f = 0``), then ``(j^d / d!) f^d`` per moment order."""
+    f = np.asarray(f, dtype=float)
+    terms = [np.ones_like(f), (f == 0.0).astype(float)]
+    terms += [(1j**d / math.factorial(d)) * f**d for d in moment_orders(config)]
+    return np.stack(terms).astype(complex)
+
+
 def _basis_stack(config: MomentEstimatorConfig, array: ArrayConfig) -> np.ndarray:
-    """Hermitian basis (K, M, M): all-ones, identity, then the moment terms."""
-    M = array.M
-    matrices = [np.ones((M, M), dtype=complex), np.eye(M, dtype=complex)]
-    for d in moment_orders(config):
-        coefficient = 1j**d / math.factorial(d)
-        matrices.append(coefficient * difference_power_matrix(array, d))
-    return np.stack(matrices)
+    """Hermitian basis (K, M, M): the basis response at every baseline difference."""
+    return _basis_response(config, baseline_differences(array))
 
 
 def estimate(
@@ -184,8 +194,8 @@ def estimate(
 
     step = z_amb / grid_points
     z_grid = step * np.arange(grid_points)
-    A = np.exp(1j * np.outer(z_grid, array.kz))
-    y, Y = fit_terms_grid(stack, A, W, WRW)
+    terms = harmonic_terms(array, W, WRW)
+    y, Y = fit_terms_grid(_basis_response(config, terms.frequencies), z_grid, terms)
     _, objective, pinv_used = solve_quadratic(y, Y)
     best = int(np.argmax(objective))
 
@@ -194,7 +204,13 @@ def estimate(
         _, q, _ = solve_quadratic(y1, Y1)
         return q
 
-    z0_hat = golden_section_max(at, z_grid[best] - step, z_grid[best] + step, refine_tol) % z_amb
+    lo, hi = z_grid[best] - step, z_grid[best] + step
+    bounds = _height_bounds(array, z_amb)
+    if bounds is not None:
+        lo, hi = max(lo, bounds[0]), min(hi, bounds[1])
+    z0_hat = golden_section_max(at, lo, hi, refine_tol)
+    if bounds is None:
+        z0_hat %= z_amb
 
     y1, Y1 = fit_terms(stack, steering_vector(array, z0_hat), W, WRW)
     alpha, q_final, pinv_final = solve_quadratic(y1, Y1)

@@ -5,10 +5,12 @@ moment fit, but with the coherence shape pinned to an assumed family
 (uniform or gaussian) so the free parameters are ``(z0, sigma_z, P,
 sigma_eps2)``.  Power and noise concentrate linearly under a
 nonnegativity constraint; the remaining 2-d search runs on a coarse
-(z0, sigma_z) grid followed by a Nelder-Mead polish.  The grid stacks one
-(shape, identity) basis per sigma value and builds the terms of every
-(z0, sigma) node with the shared broadcasting engine
-:func:`~tomoments.fitting.fit_terms_grid`; the grid and the polish then
+(z0, sigma_z) grid followed by a Nelder-Mead polish.  The grid uses the
+harmonic form of :func:`~tomoments.fitting.fit_terms_grid`: the shape
+characteristic function of all sigma values is evaluated in one call at the
+array's distinct baseline frequencies, and the identity terms are constants
+computed once per covariance.  The polish and the final coefficients use
+the exact M x M product form :func:`~tomoments.fitting.fit_terms`.  Both
 concentrate through the same batched 2x2 closed form.
 
 On uniformly spaced arrays the unconstrained fit is ambiguous: a
@@ -30,15 +32,17 @@ from .fitting import (
     _check_search_options,
     _checked_covariance,
     _default_grid_points,
+    _height_bounds,
     _refine_tol,
     _search_domain,
     _weighting_flagged,
     cost_constant,
     fit_terms,
     fit_terms_grid,
+    harmonic_terms,
 )
 from .geometry import ArrayConfig, steering_vector
-from .profiles import CovarianceModel, SourceProfile, shape_matrix
+from .profiles import CovarianceModel, SourceProfile, shape_characteristic, shape_matrix
 
 __all__ = [
     "ASSUMED_SHAPES",
@@ -52,9 +56,10 @@ __all__ = [
 ASSUMED_SHAPES = ("uniform", "gaussian")
 
 _SIGMA_MAX_REL = 0.3
-# sigma values per fit_terms_grid call in the grid scan: all 64 at once hold a
-# (z0, 64, 2, M, M) intermediate of about 12 MB at M = 7, one at a time pays
-# the per-call overhead 64 times; 8 holds about 2 MB and runs as fast as 64
+# sigma values per fit_terms_grid call in the grid scan: all 64 at once hold
+# (z0, 64, M * M) complex terms of about 5 MB at M = 7 and 96 heights, which
+# shows in the process's peak memory; 8 holds about 0.6 MB, no more than the
+# grid's M x M product form did, at about 1 ms more per fit than 64
 _SIGMA_CHUNK = 8
 
 
@@ -184,7 +189,9 @@ def estimate_parametric(
     The (z0, sigma_z) plane is scanned on a coarse grid with power and noise
     concentrated out at every node, then the best node is polished by
     Nelder-Mead on the concentrated criterion.  The fitted coherence is even
-    in sigma_z, so the polish runs unconstrained and the sign is dropped.
+    in sigma_z, so sigma_z runs unconstrained and its sign is dropped.  The
+    height runs free and wraps when ``z0_max`` is a period of the array, and
+    is bounded to ``[0, z0_max)`` otherwise.
     """
     R = _checked_covariance(R_bar, array)
     z_amb = _search_domain(config, array)
@@ -197,21 +204,28 @@ def estimate_parametric(
     WRW = W @ R @ W
     z_step = z_amb / z_points
     z_grid = z_step * np.arange(z_points)
-    A = np.exp(1j * np.outer(z_grid, array.kz))
 
     def basis(sigma) -> np.ndarray:
         # (shape, identity) pair of a reference profile: the shape enters only through sigma_z
         shape = shape_matrix(SourceProfile(config.assumed_shape, 0.0, abs(float(sigma)), 1.0), array)
         return np.stack([shape, np.eye(array.M)])
 
-    # concentrated objective on the (z0, sigma) grid, restricted to
-    # nonnegative power and noise, a chunk of sigma values at a time
-    stacks = np.stack([basis(sigma) for sigma in sigma_values])
+    # concentrated objective on the (z0, sigma) grid, restricted to nonnegative
+    # power and noise.  The identity does not move with z0: its own terms are
+    # the constants tr(W Rbar W) and tr(W W), and its cross term with the shape
+    # is the shape's data term against W I W, the second data column.
+    data = np.stack([WRW, W @ W])
+    terms = harmonic_terms(array, W, data)
+    noise_y, noise_Y = np.trace(data, axis1=-2, axis2=-1).real
+    phi = shape_characteristic(config.assumed_shape, sigma_values[:, None], terms.frequencies)
     objective = np.empty((z_points, sigma_values.size))
     for start in range(0, sigma_values.size, _SIGMA_CHUNK):
         chunk = slice(start, start + _SIGMA_CHUNK)
-        y, Y = fit_terms_grid(stacks[chunk], A[:, None, :], W, WRW)
-        objective[:, chunk] = _concentrate_nonneg(y, Y)[1]
+        y_shape, Y_shape = fit_terms_grid(phi[chunk, None, :], z_grid[:, None], terms)
+        y1, Y12 = y_shape[..., 0, 0], y_shape[..., 0, 1]
+        y = np.stack([y1, np.full_like(y1, noise_y)], axis=-1)
+        Y = np.stack([Y_shape[..., 0, 0], Y12, Y12, np.full_like(y1, noise_Y)], axis=-1)
+        objective[:, chunk] = _concentrate_nonneg(y, Y.reshape(y1.shape + (2, 2)))[1]
 
     best_z, best_s = np.unravel_index(int(np.argmax(objective)), objective.shape)
     flags = {"pinv": False}
@@ -233,10 +247,12 @@ def estimate_parametric(
         [start, start + [0.5 * z_step, 0.0], start + [0.0, 0.5 * sigma_step]]
     )
     q_start = float(objective[best_z, best_s])
+    bounds = _height_bounds(array, z_amb)
     result = minimize(
         negated,
         start,
         method="Nelder-Mead",
+        bounds=None if bounds is None else [bounds, (None, None)],
         options={
             "initial_simplex": simplex,
             "xatol": refine_tol,
@@ -245,7 +261,9 @@ def estimate_parametric(
             "maxfev": 8000,
         },
     )
-    z0_hat = float(result.x[0]) % z_amb
+    z0_hat = float(result.x[0])
+    if bounds is None:
+        z0_hat %= z_amb
     sigma_z_hat = abs(float(result.x[1]))
 
     alpha, q_final, pinv_final = concentrated([z0_hat, sigma_z_hat])

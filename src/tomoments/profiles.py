@@ -20,6 +20,7 @@ __all__ = [
     "SourceProfile",
     "CovarianceModel",
     "characteristic_function",
+    "shape_characteristic",
     "central_moment",
     "density",
     "shape_matrix",
@@ -61,6 +62,8 @@ class SourceProfile:
         if self.shape not in SHAPES:
             raise ValueError(f"shape must be one of {SHAPES}")
         for name in ("z0", "sigma_z", "P"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a boolean")
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
@@ -79,28 +82,39 @@ class SourceProfile:
     def from_json(cls, obj: dict) -> "SourceProfile":
         return cls(
             shape=str(obj["shape"]),
-            z0=float(obj["z0"]),
-            sigma_z=float(obj["sigma_z"]),
-            P=float(obj["P"]),
+            z0=obj["z0"],
+            sigma_z=obj["sigma_z"],
+            P=obj["P"],
         )
 
 
 def characteristic_function(profile: SourceProfile, xi) -> np.ndarray:
     """Characteristic function of the centered density at spatial frequency xi.
 
+    Closed forms in :func:`shape_characteristic`.  Broadcasts over
+    array-valued xi.
+    """
+    return shape_characteristic(profile.shape, profile.sigma_z, xi).astype(complex)[()]
+
+
+def shape_characteristic(shape: str, sigma_z, xi) -> np.ndarray:
+    """Characteristic function of a shape family, real, broadcasting sigma_z against xi.
+
     Closed forms: 1 for a point, ``exp(-(sigma_z xi)^2 / 2)`` for a gaussian,
     ``sin(a xi) / (a xi)`` with ``a = sigma_z sqrt(3)`` for a uniform.  All
-    three are real and even in xi.  Broadcasts over array-valued xi.
+    three are real and even in xi.  One call evaluates a whole grid of
+    spreads, e.g. ``sigma_z (S, 1)`` against ``xi (F,)`` gives ``(S, F)``.
     """
+    if shape not in SHAPES:
+        raise ValueError(f"shape must be one of {SHAPES}")
+    sigma = np.asarray(sigma_z, dtype=float)
     x = np.asarray(xi, dtype=float)
-    if profile.shape == "point":
-        out = np.ones_like(x, dtype=complex)
-    elif profile.shape == "gaussian":
-        out = np.exp(-0.5 * (profile.sigma_z * x) ** 2).astype(complex)
-    else:
-        half_width = _SQRT3 * profile.sigma_z
-        out = np.sinc(half_width * x / np.pi).astype(complex)
-    return out[()]
+    if shape == "point":
+        return np.ones(np.broadcast_shapes(sigma.shape, x.shape))
+    if shape == "gaussian":
+        return np.exp(-0.5 * (sigma * x) ** 2)
+    half_width = _SQRT3 * sigma
+    return np.sinc(half_width * x / np.pi)
 
 
 def _char_fn_sigma_derivative(profile: SourceProfile, xi) -> np.ndarray:
@@ -161,6 +175,16 @@ def density(profile: SourceProfile, z) -> np.ndarray:
     return out[()]
 
 
+def _noise_power(sigma_eps2) -> float:
+    """A noise power as a float, once it is a finite nonnegative number (not a boolean)."""
+    if isinstance(sigma_eps2, bool):
+        raise ValueError("sigma_eps2 must be a power, not a boolean")
+    sigma_eps2 = float(sigma_eps2)
+    if not (math.isfinite(sigma_eps2) and sigma_eps2 >= 0.0):
+        raise ValueError("sigma_eps2 must be finite and nonnegative")
+    return sigma_eps2
+
+
 def shape_matrix(profile: SourceProfile, config: ArrayConfig) -> np.ndarray:
     """Coherence shape matrix: characteristic function at each ``kz_n - kz_m``.
 
@@ -183,9 +207,7 @@ def true_covariance(profile: SourceProfile, config: ArrayConfig, sigma_eps2: flo
     sigma_eps2 : float
         Noise power, nonnegative.
     """
-    sigma_eps2 = float(sigma_eps2)
-    if not (math.isfinite(sigma_eps2) and sigma_eps2 >= 0.0):
-        raise ValueError("sigma_eps2 must be finite and nonnegative")
+    sigma_eps2 = _noise_power(sigma_eps2)
     a = steering_vector(config, profile.z0)
     B = shape_matrix(profile, config)
     R = profile.P * np.outer(a, a.conj()) * B + sigma_eps2 * np.eye(config.M)

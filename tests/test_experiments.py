@@ -51,6 +51,16 @@ def test_estimator_spec_validation():
         EstimatorSpec("x", "moments", ParametricEstimatorConfig())
 
 
+def test_noise_power_is_not_a_boolean():
+    # float(True) == 1.0 used to give a spec with noise power 1
+    with pytest.raises(ValueError):
+        default_spec("rmse_vs_N", sigma_eps2=True)
+    obj = default_spec("rmse_vs_N").to_json()
+    obj["sigma_eps2"] = True
+    with pytest.raises(ValueError):
+        ExperimentSpec.from_json(obj)
+
+
 def test_experiment_spec_validation():
     with pytest.raises(ValueError):
         default_spec("unknown_kind")
@@ -109,6 +119,20 @@ def test_wrap_height_error():
     assert wrap_height_error(49.0, 100.0) == 49.0
     assert wrap_height_error(50.0, 100.0) == -50.0
     np.testing.assert_allclose(wrap_height_error(np.array([0.0, 99.0]), 100.0), [0.0, -1.0])
+
+
+def test_height_errors_are_not_folded_without_an_ambiguity():
+    from tomoments.experiments import _errors, _height_period
+
+    # heights on a non-uniform stack do not repeat, so an estimate at the far
+    # edge of the searched interval is a large error, not a small one
+    estimators = (EstimatorSpec("moments", "moments", MomentEstimatorConfig(z0_max=80.0)),)
+    irregular = ArrayConfig(kz=np.array([0.0, 0.05, 0.17]))
+    spec = default_spec("rmse_vs_N", array=irregular, estimators=estimators)
+    assert _height_period(spec) is None
+    assert _errors("z0", np.array([79.9]), 0.1, _height_period(spec)) == pytest.approx(79.8)
+    uniform = default_spec("rmse_vs_N", estimators=estimators)
+    assert _errors("z0", np.array([99.9]), 0.1, _height_period(uniform)) == pytest.approx(-0.2)
 
 
 def test_spectrum_dump(tmp_path):

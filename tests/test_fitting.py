@@ -5,9 +5,14 @@ from tomoments import (
     ArrayConfig,
     DegenerateCovarianceError,
     CovarianceModel,
+    MomentEstimatorConfig,
+    SourceProfile,
+    baseline_differences,
     make_uniform_array,
     sample_covariance,
     sample_snapshots,
+    shape_characteristic,
+    shape_matrix,
     steering_vector,
 )
 from tomoments.fitting import (
@@ -16,9 +21,11 @@ from tomoments.fitting import (
     fit_terms,
     fit_terms_grid,
     golden_section_max,
+    harmonic_terms,
     solve_quadratic,
     weighting,
 )
+from tomoments.moments import _basis_response, _basis_stack
 
 from .oracles import fit_terms_trace_oracle, random_psd_covariance
 
@@ -93,16 +100,55 @@ def test_fit_terms_real_to_rounding(rng):
     assert Y == pytest.approx(Y_c.real, rel=1e-10, abs=1e-12)
 
 
+def _random_frequency_responses(rng, shape, frequencies):
+    """Random basis responses h (..., F) whose matrices h(f_mn) are Hermitian.
+
+    Hermitian means ``h(-f) = conj(h(f))``.  The frequencies are sorted and
+    come in pairs ``+-f``, so reversing them maps each f to -f.
+    """
+    h = rng.standard_normal(shape + frequencies.shape) + 1j * rng.standard_normal(
+        shape + frequencies.shape
+    )
+    np.testing.assert_array_equal(frequencies, -frequencies[::-1])
+    return 0.5 * (h + h[..., ::-1].conj())
+
+
+def _matrices(h, array, frequencies):
+    """The basis matrices ``H[m, n] = h(kz_m - kz_n)`` of responses h (..., F)."""
+    index = np.searchsorted(frequencies, baseline_differences(array))
+    return h[..., index]
+
+
+def _harmonic_setup(rng, array):
+    M = array.M
+    R = random_psd_covariance(rng, M, scale=3.0)
+    W = random_psd_covariance(rng, M)
+    WRW = W @ R @ W
+    return W, WRW, harmonic_terms(array, W, WRW)
+
+
+IRREGULAR = ArrayConfig(kz=np.array([0.0, 0.031, 0.077, 0.102, 0.19]))
+# kz_1 - kz_0 and kz_4 - kz_3 agree to 1e-9 relative
+NEAR_COINCIDENT = ArrayConfig(kz=np.array([0.0, 0.031, 0.077, 0.102, 0.102 + 0.031 * (1.0 + 1e-9)]))
+
+
+def test_harmonic_terms_keep_close_frequencies_apart():
+    frequencies = harmonic_terms(NEAR_COINCIDENT, np.eye(5), np.eye(5)).frequencies
+    # all 5 * 4 off-diagonal differences stay distinct, plus f = 0
+    assert frequencies.size == 21
+    close = np.sort(frequencies[(frequencies > 0.03) & (frequencies < 0.032)])
+    assert close.size == 2
+    assert close[1] / close[0] - 1.0 == pytest.approx(1e-9, rel=1e-3)
+
+
 def test_fit_terms_grid_matches_pointwise(rng):
     M, K = 4, 3
     array = make_uniform_array(M, 70.0)
-    R = random_psd_covariance(rng, M, scale=2.0)
-    W = random_psd_covariance(rng, M)
-    stack = _random_hermitian_stack(rng, K, M)
+    W, WRW, terms = _harmonic_setup(rng, array)
+    h = _random_frequency_responses(rng, (K,), terms.frequencies)
+    stack = _matrices(h, array, terms.frequencies)
     z_grid = np.array([0.0, 13.7, 35.0, 69.9])
-    WRW = W @ R @ W
-    A = np.stack([steering_vector(array, z) for z in z_grid])
-    y_all, Y_all = fit_terms_grid(stack, A, W, WRW)
+    y_all, Y_all = fit_terms_grid(h, z_grid, terms)
     for idx, z in enumerate(z_grid):
         y, Y = fit_terms(stack, steering_vector(array, z), W, WRW)
         np.testing.assert_allclose(y_all[idx], y, rtol=1e-12, atol=1e-12)
@@ -111,28 +157,69 @@ def test_fit_terms_grid_matches_pointwise(rng):
 
 @pytest.mark.parametrize(
     "array, z0_max",
-    [
-        (make_uniform_array(5, 80.0), None),
-        (ArrayConfig(kz=np.array([0.0, 0.031, 0.077, 0.102, 0.19])), 140.0),
-    ],
+    [(make_uniform_array(5, 80.0), None), (IRREGULAR, 140.0)],
     ids=["uniform", "irregular"],
 )
 def test_fit_terms_grid_broadcasts_heights_against_stacks(rng, array, z0_max):
-    # (Z, 1, M) steering vectors against an (S, K, M, M) stack of bases give
-    # one system per (height, basis) pair, each equal to the trace oracle
-    M, K, S = array.M, 2, 3
-    R = random_psd_covariance(rng, M, scale=3.0)
-    W = random_psd_covariance(rng, M)
-    WRW = W @ R @ W
-    stacks = np.stack([_random_hermitian_stack(rng, K, M) for _ in range(S)])
+    # (Z, 1) heights against (S, K, F) responses give one system per
+    # (height, basis) pair, each equal to the trace oracle
+    K, S = 2, 3
+    W, WRW, terms = _harmonic_setup(rng, array)
+    h = _random_frequency_responses(rng, (S, K), terms.frequencies)
     z_grid = np.linspace(0.0, z0_max or array.ambiguity, 4, endpoint=False) + 1.3
-    A = np.stack([steering_vector(array, z) for z in z_grid])
-    y, Y = fit_terms_grid(stacks, A[:, None, :], W, WRW)
+    y, Y = fit_terms_grid(h, z_grid[:, None], terms)
     assert y.shape == (z_grid.size, S, K) and Y.shape == (z_grid.size, S, K, K)
     for z, s in np.ndindex(z_grid.size, S):
-        expected_y, expected_Y = fit_terms_trace_oracle(stacks[s], A[z], W, WRW)
+        a = steering_vector(array, z_grid[z])
+        stack = _matrices(h[s], array, terms.frequencies)
+        expected_y, expected_Y = fit_terms_trace_oracle(stack, a, W, WRW)
         assert y[z, s] == pytest.approx(expected_y.real, rel=1e-10, abs=1e-12)
         assert Y[z, s] == pytest.approx(expected_Y.real, rel=1e-10, abs=1e-12)
+
+
+ARRAYS = {
+    "uniform": (make_uniform_array(6, 90.0), 90.0),
+    "irregular": (IRREGULAR, 140.0),
+    "near-coincident": (NEAR_COINCIDENT, 140.0),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAYS))
+def test_fit_terms_grid_moment_basis_matches_trace_oracle(rng, name):
+    # odd orders make the responses complex
+    array, z0_max = ARRAYS[name]
+    config = MomentEstimatorConfig(D=5, symmetric=False)
+    W, WRW, terms = _harmonic_setup(rng, array)
+    z_grid = np.linspace(0.0, z0_max, 7, endpoint=False) + 0.37
+    y, Y = fit_terms_grid(_basis_response(config, terms.frequencies), z_grid, terms)
+    stack = _basis_stack(config, array)
+    for idx, z in enumerate(z_grid):
+        expected_y, expected_Y = fit_terms_trace_oracle(stack, steering_vector(array, z), W, WRW)
+        assert y[idx] == pytest.approx(expected_y.real, rel=1e-10, abs=1e-12)
+        assert Y[idx] == pytest.approx(expected_Y.real, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", list(ARRAYS))
+@pytest.mark.parametrize("shape", ["uniform", "gaussian"])
+def test_fit_terms_grid_shape_identity_basis_matches_trace_oracle(rng, name, shape):
+    # the parametric grid's (shape, identity) basis over several sigma values;
+    # the identity's cross term is also the shape's data term against W W
+    array, z0_max = ARRAYS[name]
+    W, WRW, _ = _harmonic_setup(rng, array)
+    terms = harmonic_terms(array, W, np.stack([WRW, W @ W]))
+    sigmas = np.array([0.0, 2.5, 7.0, 19.0])
+    phi = shape_characteristic(shape, sigmas[:, None], terms.frequencies)
+    h = np.stack([phi, np.broadcast_to(terms.frequencies == 0.0, phi.shape)], axis=1)
+    z_grid = np.linspace(0.0, z0_max, 5, endpoint=False) + 2.9
+    y, Y = fit_terms_grid(h, z_grid[:, None], terms)
+    assert y.shape == (z_grid.size, sigmas.size, 2, 2) and Y.shape == (z_grid.size, sigmas.size, 2, 2)
+    for z, s in np.ndindex(z_grid.size, sigmas.size):
+        profile = SourceProfile(shape, 0.0, sigmas[s], 1.0)
+        stack = np.stack([shape_matrix(profile, array), np.eye(array.M)])
+        expected_y, expected_Y = fit_terms_trace_oracle(stack, steering_vector(array, z_grid[z]), W, WRW)
+        assert y[z, s, :, 0] == pytest.approx(expected_y.real, rel=1e-10, abs=1e-12)
+        assert Y[z, s] == pytest.approx(expected_Y.real, rel=1e-10, abs=1e-12)
+        assert y[z, s, 0, 1] == pytest.approx(expected_Y[0, 1].real, rel=1e-10, abs=1e-12)
 
 
 def test_solve_quadratic_recovers_exact_solution(rng):

@@ -32,6 +32,16 @@ def test_uniform_array_validation():
         make_uniform_array(7, -5.0)
 
 
+def test_booleans_are_not_lengths():
+    # float(True) == 1.0: each of these used to build a 1-m ambiguity
+    with pytest.raises(ValueError):
+        make_uniform_array(7, True)
+    with pytest.raises(ValueError):
+        ArrayConfig(kz=np.array([0.0, 0.1, 0.25]), ambiguity=True)
+    with pytest.raises(ValueError):
+        ArrayConfig.from_json({"M": 7, "z_amb": True})
+
+
 def test_array_config_requires_increasing_finite():
     with pytest.raises(ValueError):
         ArrayConfig(kz=np.array([0.0]))

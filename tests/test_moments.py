@@ -20,6 +20,7 @@ from tomoments import (
 from tomoments.fitting import _default_grid_points, cost_constant, fit_terms, solve_quadratic, weighting
 from tomoments.moments import _basis_stack, moment_orders
 
+from .conftest import IRREGULAR_STACKS
 from .oracles import random_psd_covariance
 
 # linear coefficients at the true height on the exact reference covariance
@@ -220,6 +221,35 @@ def test_estimate_point_source_is_exact(point_profile, reference_array):
     assert result.sigma_eps2_hat == pytest.approx(10.0, rel=1e-9)
     assert result.sigma_z_hat <= 1e-6
     assert result.cost == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("weighting_name", ["inverse_sample", "identity"])
+@pytest.mark.parametrize("z0_frac", [0.0, 0.1, 0.37, 0.93])
+@pytest.mark.parametrize("stack", list(IRREGULAR_STACKS))
+def test_estimate_point_source_irregular_stack(stack, z0_frac, weighting_name):
+    kz, z0_max = IRREGULAR_STACKS[stack]
+    array = ArrayConfig(kz=np.array(kz))
+    z0 = z0_frac * z0_max
+    R = true_covariance(SourceProfile("point", z0, 0.0, 100.0), array, 10.0)
+    config = MomentEstimatorConfig(refine_tol=1e-6, z0_max=z0_max, weighting=weighting_name)
+    result = estimate(R, config, array)
+    assert abs(result.z0_hat - z0) <= config.refine_tol
+    assert result.P_hat == pytest.approx(100.0, rel=1e-9)
+    assert result.sigma_eps2_hat == pytest.approx(10.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("z0_frac", [-0.02, 1.01])
+@pytest.mark.parametrize("stack", list(IRREGULAR_STACKS))
+def test_estimate_stays_in_domain_when_the_optimum_lies_outside(stack, z0_frac):
+    # z0_max is not a period of a non-uniform stack, so a source just outside
+    # [0, z0_max) is fitted at the nearest edge instead of wrapping
+    kz, z0_max = IRREGULAR_STACKS[stack]
+    array = ArrayConfig(kz=np.array(kz))
+    R = true_covariance(SourceProfile("gaussian", z0_frac * z0_max, 4.0, 100.0), array, 10.0)
+    config = MomentEstimatorConfig(refine_tol=1e-6, z0_max=z0_max)
+    result = estimate(R, config, array)
+    assert 0.0 <= result.z0_hat < z0_max
+    assert min(result.z0_hat, z0_max - result.z0_hat) <= config.refine_tol
 
 
 def test_estimate_wraps_height(reference_array, uniform_profile):

@@ -11,14 +11,19 @@ from tomoments import (
     CovarianceModel,
     ParametricEstimatorConfig,
     SigmaGrid,
+    SourceProfile,
     estimate_parametric,
     make_uniform_array,
     sample_covariance,
     sample_snapshots,
+    steering_vector,
     true_covariance,
 )
+from tomoments.fitting import cost_constant, fit_terms, weighting
 from tomoments.parametric import _concentrate_nonneg
+from tomoments.profiles import shape_matrix
 
+from .conftest import IRREGULAR_STACKS
 from .oracles import random_psd_covariance
 
 TIGHT = ParametricEstimatorConfig(refine_tol=1e-9 * 100.0)
@@ -60,6 +65,46 @@ def test_point_source_snaps_to_zero_spread(point_profile, reference_array):
         assert result.z0_hat == pytest.approx(10.0, abs=1e-6)
         assert result.P_hat == pytest.approx(100.0, rel=1e-8)
         assert result.sigma_eps2_hat == pytest.approx(10.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("weighting_name", ["inverse_sample", "identity"])
+@pytest.mark.parametrize("shape", ["uniform", "gaussian"])
+@pytest.mark.parametrize("z0_frac", [0.0, 0.1, 0.37, 0.93])
+@pytest.mark.parametrize("stack", list(IRREGULAR_STACKS))
+def test_point_source_irregular_stack(stack, z0_frac, shape, weighting_name):
+    kz, z0_max = IRREGULAR_STACKS[stack]
+    array = ArrayConfig(kz=np.array(kz))
+    z0 = z0_frac * z0_max
+    R = true_covariance(SourceProfile("point", z0, 0.0, 100.0), array, 10.0)
+    config = ParametricEstimatorConfig(
+        assumed_shape=shape, weighting=weighting_name, refine_tol=1e-6, z0_max=z0_max
+    )
+    result = estimate_parametric(R, config, array)
+    assert abs(result.z0_hat - z0) <= config.refine_tol
+    assert result.sigma_z_hat == 0.0
+    assert result.P_hat == pytest.approx(100.0, rel=1e-8)
+    assert result.sigma_eps2_hat == pytest.approx(10.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("z0_frac", [-0.02, 1.01])
+@pytest.mark.parametrize("stack", list(IRREGULAR_STACKS))
+def test_stays_in_domain_when_the_optimum_lies_outside(stack, z0_frac):
+    # z0_max is not a period of a non-uniform stack, so a source just outside
+    # [0, z0_max) is fitted at the nearest edge, with the spread fitted there
+    kz, z0_max = IRREGULAR_STACKS[stack]
+    array = ArrayConfig(kz=np.array(kz))
+    R = true_covariance(SourceProfile("gaussian", z0_frac * z0_max, 4.0, 100.0), array, 10.0)
+    config = ParametricEstimatorConfig(assumed_shape="gaussian", refine_tol=1e-6, z0_max=z0_max)
+    result = estimate_parametric(R, config, array)
+    assert 0.0 <= result.z0_hat < z0_max
+    assert min(result.z0_hat, z0_max - result.z0_hat) <= config.refine_tol
+    W = weighting(R, config.weighting)
+    WRW = W @ R.matrix @ W
+    a = steering_vector(array, result.z0_hat)
+    for sigma in result.sigma_z_hat * np.array([0.9, 0.97, 1.03, 1.1]):
+        basis = np.stack([shape_matrix(SourceProfile("gaussian", 0.0, sigma, 1.0), array), np.eye(array.M)])
+        _, q, _ = _concentrate_nonneg(*fit_terms(basis, a, W, WRW))
+        assert result.cost <= cost_constant(R.matrix, W) - q + 1e-9
 
 
 def test_diffuse_truth_does_not_snap(reference_covariance, reference_array):

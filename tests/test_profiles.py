@@ -12,6 +12,7 @@ from tomoments import (
     characteristic_function,
     density,
     make_uniform_array,
+    shape_characteristic,
     shape_matrix,
     true_covariance,
 )
@@ -100,6 +101,32 @@ def test_source_profile_validation():
         SourceProfile("point", 0.0, 2.0, 10.0)
     with pytest.raises(ValueError):
         SourceProfile("triangular", 0.0, 2.0, 10.0)
+
+
+def test_booleans_are_not_heights_spreads_or_powers(reference_array):
+    # float(True) == 1.0: each of these used to build a profile or covariance
+    for args in (("uniform", True, 5.0, 100.0), ("uniform", 0.0, True, 100.0), ("uniform", 0.0, 5.0, True)):
+        with pytest.raises(ValueError):
+            SourceProfile(*args)
+    with pytest.raises(ValueError):
+        SourceProfile.from_json({"shape": "point", "z0": True, "sigma_z": 0.0, "P": 1.0})
+    profile = SourceProfile("uniform", 10.0, 5.0, 100.0)
+    with pytest.raises(ValueError):
+        true_covariance(profile, reference_array, True)
+
+
+@pytest.mark.parametrize("shape", ["point", "uniform", "gaussian"])
+def test_shape_characteristic_is_the_profile_closed_form(shape):
+    # one call over a sigma grid gives, row by row, the characteristic function
+    # of each profile bit for bit
+    xi = np.linspace(-0.4, 0.4, 9)
+    sigmas = np.array([0.0]) if shape == "point" else np.linspace(0.0, 30.0, 7)
+    grid = shape_characteristic(shape, sigmas[:, None], xi)
+    assert grid.shape == (sigmas.size, xi.size) and grid.dtype == np.float64
+    for row, sigma in zip(grid, sigmas):
+        expected = characteristic_function(SourceProfile(shape, 0.0, sigma, 1.0), xi)
+        np.testing.assert_array_equal(row, expected.real)
+        np.testing.assert_array_equal(expected.imag, 0.0)
 
 
 def test_source_profile_json_round_trip():
