@@ -9,8 +9,8 @@ The linear coefficients concentrate in closed form through the quantities
     y_i(z) = tr(H_i^H Phi^H W Rbar W Phi)      (weighted data correlations)
     Y_ik(z) = tr(H_i^H G H_k G), G = Phi^H W Phi
 
-with two evaluators shared by both estimators; the M^2 x M^2 Kronecker forms
-are never materialized.
+with a point evaluator and grid evaluators shared by both estimators; the
+M^2 x M^2 Kronecker forms are never materialized.
 
 - Points (refinement and the final coefficients): :func:`fit_terms` builds
   the terms from M x M products, ``Y_ik = tr(C_i C_k)`` with
@@ -19,11 +19,17 @@ are never materialized.
   ``H_k[m, n] = h_k(kz_m - kz_n)``, so :func:`harmonic_terms` computes
   coefficients over the array's distinct baseline frequencies once per
   covariance and :func:`fit_terms_grid` evaluates the terms on a whole
-  height grid from them, with Y a sum of squares.
+  height grid from them, with Y a sum of squares.  For a single real, even
+  response per system (the parametric shapes over a sigma grid),
+  :func:`shape_terms_grid` evaluates the same terms in Gram form, Y as a
+  quadratic form in the response with a per-covariance ``(F, F)`` matrix.
 
-Both return exactly real terms; on the same inputs they agree to rounding.
+All return exactly real terms; on the same inputs they agree to rounding.
 Refinement stays on the product form: near a flat optimum a change of the
 objective at the rounding level moves the polished estimates measurably.
+The concentrated quadratic of one system, :func:`solve_quadratic` on a 1-d
+``y``, takes a path without batch bookkeeping that is bit-identical to a row
+of the batched solve.
 
 The height search both estimators run has its defaults and checks here too:
 the searched interval ``[0, z0_max)`` and the bounds a refined height keeps
@@ -50,6 +56,7 @@ __all__ = [
     "HarmonicTerms",
     "harmonic_terms",
     "fit_terms_grid",
+    "shape_terms_grid",
     "solve_quadratic",
     "cost_constant",
     "golden_section_max",
@@ -65,6 +72,11 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_PER_CHANNEL = 8
 _GRID_PER_RESOLUTION = 16
 _REFINE_TOL_REL = 1e-4
+# heights per chunk of shape_terms_grid: the chunk's (heights, F/2, F) complex
+# and (heights, F/2, S) real temporaries hold about 0.1 MB each at F = 25 and
+# S = 64 (the parametric grid on the reference stack); all 96 heights at once
+# would hold about 0.6 MB each and took twice as long on one core
+_GRAM_CHUNK = 16
 
 
 class DegenerateCovarianceError(ValueError):
@@ -252,10 +264,41 @@ def fit_terms_grid(h: np.ndarray, z: np.ndarray, terms: HarmonicTerms):
     return y, np.einsum("...im,...km->...ik", X, X)
 
 
+def shape_terms_grid(phi: np.ndarray, z: np.ndarray, terms: HarmonicTerms):
+    """Terms of a one-matrix basis with a real, even response, on a (height, response) grid.
+
+    ``phi (S, F)`` holds S responses sampled at ``terms.frequencies``, each
+    real and even in f (a shape characteristic function), so the basis
+    matrices are real symmetric.  Then ``y(z) = Re(e_f c_f) @ phi^T`` is one
+    real product, and the square norm of
+    :func:`fit_terms_grid`'s ``X(z) = sum_f phi_f e_f Gamma_f`` is the quadratic
+    form ``Y(z) = phi^T A(z) phi`` with ``A(z)_fg = Re(conj(e_f) Q_fg e_g)``,
+    ``e_f = exp(j z f)`` and the Gram matrix ``Q = conj(Gamma) Gamma^T``
+    ``(F, F)``, computed once.  The frequencies come in exact pairs
+    ``+-f`` and ``A_{-f,-g} = A_fg``, so only the rows ``f >= 0`` are formed,
+    those of ``f > 0`` counted twice.  Heights ``z (Z,)`` and a ``c (F, J)``
+    of J data matrices give ``y (Z, S, J)`` and ``Y (Z, S)``, both real.
+    """
+    F = terms.frequencies.size
+    half = slice(F // 2, None)  # f = 0 and the f > 0 half of the sorted, symmetric frequencies
+    phi_t = np.ascontiguousarray(phi.T)
+    e = np.exp(1j * np.multiply.outer(z, terms.frequencies))
+    y = np.swapaxes((e[:, :, None] * terms.c).real.transpose(0, 2, 1) @ phi_t, 1, 2)
+    Q = terms.Gamma[half].conj() @ terms.Gamma.T
+    weighted = phi_t[half] * np.where(terms.frequencies[half] > 0.0, 2.0, 1.0)[:, None]
+    Y = np.empty((z.size, phi.shape[0]))
+    for start in range(0, z.size, _GRAM_CHUNK):
+        rows = slice(start, start + _GRAM_CHUNK)
+        A = (e[rows, half].conj()[:, :, None] * Q * e[rows, None, :]).real
+        Y[rows] = np.einsum("zfs,fs->zs", A @ phi_t, weighted)
+    return y, Y
+
+
 def solve_quadratic(y: np.ndarray, Y: np.ndarray):
     """Solve ``Y alpha = y`` and evaluate the concentrated quadratic form.
 
-    Accepts a single system (1-d y) or a leading batch dimension.  Each
+    Accepts a single system (1-d y) or a leading batch dimension; a single
+    system gives the same bits as the same row of a batch.  Each
     system is diagonally equilibrated to unit diagonal before solving, so
     the conditioning screen reflects collinearity rather than column
     scale; high-order regressor columns are orders of magnitude smaller
@@ -266,10 +309,8 @@ def solve_quadratic(y: np.ndarray, Y: np.ndarray):
     """
     y = np.asarray(y, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    single = y.ndim == 1
-    if single:
-        y = y[None]
-        Y = Y[None]
+    if y.ndim == 1:
+        return _solve_single(y, Y)
     diag = np.einsum("zkk->zk", Y)
     scale = np.sqrt(np.where(np.isfinite(diag) & (diag > 0.0), diag, 1.0))
     Ys = Y / (scale[:, :, None] * scale[:, None, :])
@@ -286,10 +327,31 @@ def solve_quadratic(y: np.ndarray, Y: np.ndarray):
         beta[i] = np.linalg.pinv(Ys[i], rcond=_PINV_CUTOFF) @ ys[i]
     alpha = beta / scale
     objective = np.clip(np.einsum("zk,zk->z", ys, beta), 0.0, None)
-    used_pinv = bool(np.any(bad))
-    if single:
-        return alpha[0], float(objective[0]), used_pinv
-    return alpha, objective, used_pinv
+    return alpha, objective, bool(np.any(bad))
+
+
+def _solve_single(y: np.ndarray, Y: np.ndarray):
+    """:func:`solve_quadratic` on one system, bit-identical to a row of a batch.
+
+    The same equilibration, screen and LAPACK routines on 2-d inputs,
+    without the batch bookkeeping; the golden section calls it per point.
+    """
+    diag = np.einsum("kk->k", Y)
+    scale = np.sqrt(np.where(np.isfinite(diag) & (diag > 0.0), diag, 1.0))
+    Ys = Y / (scale[:, None] * scale[None, :])
+    ys = y / scale
+    eigenvalues = np.linalg.eigvalsh(Ys).tolist()
+    bad = eigenvalues[0] <= eigenvalues[-1] * _PINV_CUTOFF or not all(map(math.isfinite, eigenvalues))
+    if bad:
+        beta = np.linalg.pinv(Ys, rcond=_PINV_CUTOFF) @ ys
+    else:
+        beta = np.linalg.solve(Ys, ys[:, None])[:, 0]
+    return beta / scale, _positive_part(float(np.einsum("k,k->", ys, beta))), bad
+
+
+def _positive_part(x: float) -> float:
+    """``np.maximum(x, 0.0)`` on a Python float: keeps a NaN, maps -0.0 to 0.0."""
+    return x if x > 0.0 or x != x else 0.0
 
 
 def cost_constant(R: np.ndarray, W: np.ndarray) -> float:

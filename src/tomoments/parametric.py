@@ -5,13 +5,20 @@ moment fit, but with the coherence shape pinned to an assumed family
 (uniform or gaussian) so the free parameters are ``(z0, sigma_z, P,
 sigma_eps2)``.  Power and noise concentrate linearly under a
 nonnegativity constraint; the remaining 2-d search runs on a coarse
-(z0, sigma_z) grid followed by a Nelder-Mead polish.  The grid uses the
-harmonic form of :func:`~tomoments.fitting.fit_terms_grid`: the shape
-characteristic function of all sigma values is evaluated in one call at the
-array's distinct baseline frequencies, and the identity terms are constants
-computed once per covariance.  The polish and the final coefficients use
-the exact M x M product form :func:`~tomoments.fitting.fit_terms`.  Both
-concentrate through the same batched 2x2 closed form.
+(z0, sigma_z) grid followed by a Nelder-Mead polish.
+
+- Grid: the shape characteristic function of all sigma values is evaluated
+  in one call at the array's distinct baseline frequencies, and the terms
+  come from the Gram form :func:`~tomoments.fitting.shape_terms_grid`: the
+  shapes are real and even, so the shape's own term is a quadratic form in
+  them with a per-covariance Gram matrix, and its data and cross terms are
+  one real product.  The identity terms are constants computed once per
+  covariance, and the grid's 2x2 systems concentrate in one broadcast call
+  of the nonnegative closed form, :func:`_concentrate_terms`.
+- Polish and final coefficients: the exact M x M product form
+  :func:`~tomoments.fitting.fit_terms` at each point, concentrated on Python
+  floats by :func:`_concentrate_pair`, the same closed form in the same
+  order, so bit-identical to the array form without its per-call overhead.
 
 On uniformly spaced arrays the unconstrained fit is ambiguous: a
 uniform shape evaluated only at harmonic baselines admits exact twins
@@ -33,13 +40,14 @@ from .fitting import (
     _checked_covariance,
     _default_grid_points,
     _height_bounds,
+    _positive_part,
     _refine_tol,
     _search_domain,
     _weighting_flagged,
     cost_constant,
     fit_terms,
-    fit_terms_grid,
     harmonic_terms,
+    shape_terms_grid,
 )
 from .geometry import ArrayConfig, steering_vector
 from .profiles import CovarianceModel, SourceProfile, shape_characteristic, shape_matrix
@@ -56,11 +64,7 @@ __all__ = [
 ASSUMED_SHAPES = ("uniform", "gaussian")
 
 _SIGMA_MAX_REL = 0.3
-# sigma values per fit_terms_grid call in the grid scan: all 64 at once hold
-# (z0, 64, M * M) complex terms of about 5 MB at M = 7 and 96 heights, which
-# shows in the process's peak memory; 8 holds about 0.6 MB, no more than the
-# grid's M x M product form did, at about 1 ms more per fit than 64
-_SIGMA_CHUNK = 8
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -161,10 +165,20 @@ def _concentrate_nonneg(y: np.ndarray, Y: np.ndarray):
     system uses its interior stationary point when that is feasible,
     otherwise the best feasible edge, in closed form.
     """
-    y1, y2 = y[..., 0], y[..., 1]
-    Y11, Y12, Y22 = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 1]
+    P, noise, q, degenerate = _concentrate_terms(
+        y[..., 0], y[..., 1], Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 1]
+    )
+    return np.stack([P, noise], axis=-1), q, degenerate
+
+
+def _concentrate_terms(y1, y2, Y11, Y12, Y22):
+    """:func:`_concentrate_nonneg` on the five terms, which broadcast.
+
+    Returns ``(P, sigma_eps2, objective, degenerate)``; the grid scan passes
+    the identity's constant terms ``y2`` and ``Y22`` as scalars.
+    """
     det = Y11 * Y22 - Y12 * Y12
-    degenerate = ~(det > 1e-12 * np.maximum(Y11 * Y22, np.finfo(float).tiny))
+    degenerate = ~(det > 1e-12 * np.maximum(Y11 * Y22, _TINY))
     with np.errstate(divide="ignore", invalid="ignore"):
         a1 = (Y22 * y1 - Y12 * y2) / det
         a2 = (Y11 * y2 - Y12 * y1) / det
@@ -176,7 +190,53 @@ def _concentrate_nonneg(y: np.ndarray, Y: np.ndarray):
     first = q1 >= q2
     P = np.where(interior, a1, np.where(first, edge1, 0.0))
     noise = np.where(interior, a2, np.where(first, 0.0, edge2))
-    return np.stack([P, noise], axis=-1), np.where(interior, q_in, np.where(first, q1, q2)), degenerate
+    return P, noise, np.where(interior, q_in, np.where(first, q1, q2)), degenerate
+
+
+def _concentrate_pair(y1: float, y2: float, Y11: float, Y12: float, Y22: float):
+    """:func:`_concentrate_nonneg` on one system of Python floats.
+
+    Same formulas in the same order, so the results are bit-identical to the
+    array form's; returns ``(P, sigma_eps2, objective, degenerate)``.  The
+    interior solution is only formed when ``det`` passes the screen.
+    """
+    det = Y11 * Y22 - Y12 * Y12
+    degenerate = not det > 1e-12 * max(Y11 * Y22, _TINY)
+    if not degenerate:
+        a1 = (Y22 * y1 - Y12 * y2) / det
+        a2 = (Y11 * y2 - Y12 * y1) / det
+        if a1 >= 0.0 and a2 >= 0.0:
+            q_in = (Y22 * y1 * y1 - 2.0 * Y12 * y1 * y2 + Y11 * y2 * y2) / det
+            return a1, a2, q_in, False
+    edge1 = _positive_part(y1) / Y11 if Y11 > 0.0 else 0.0  # sigma_eps2 = 0
+    edge2 = _positive_part(y2) / Y22 if Y22 > 0.0 else 0.0  # P = 0
+    q1, q2 = edge1 * y1, edge2 * y2
+    if q1 >= q2:
+        return edge1, 0.0, q1, degenerate
+    return 0.0, edge2, q2, degenerate
+
+
+def _point_evaluator(shape: str, array: ArrayConfig, W: np.ndarray, WRW: np.ndarray):
+    """The concentrated criterion at one ``(z0, sigma_z)`` point, exact.
+
+    Returns a function of ``(z, sigma)`` giving ``(P, sigma_eps2, objective,
+    degenerate)``: the product form :func:`~tomoments.fitting.fit_terms` on the
+    (shape, identity) basis, concentrated by :func:`_concentrate_pair`, so
+    bit-identical to :func:`_concentrate_nonneg` on the same terms.  The
+    basis lives in one preallocated stack whose identity is written once.
+    """
+    stack = np.empty((2, array.M, array.M), dtype=complex)
+    stack[1] = np.eye(array.M)
+
+    def concentrated(point) -> tuple[float, float, float, bool]:
+        z, sigma = point
+        # the shape enters only through sigma_z of a reference profile
+        stack[0] = shape_matrix(SourceProfile(shape, 0.0, abs(float(sigma)), 1.0), array)
+        y, Y = fit_terms(stack, steering_vector(array, z), W, WRW)
+        (Y11, Y12), (_, Y22) = Y.tolist()
+        return _concentrate_pair(*y.tolist(), Y11, Y12, Y22)
+
+    return concentrated
 
 
 def estimate_parametric(
@@ -205,11 +265,6 @@ def estimate_parametric(
     z_step = z_amb / z_points
     z_grid = z_step * np.arange(z_points)
 
-    def basis(sigma) -> np.ndarray:
-        # (shape, identity) pair of a reference profile: the shape enters only through sigma_z
-        shape = shape_matrix(SourceProfile(config.assumed_shape, 0.0, abs(float(sigma)), 1.0), array)
-        return np.stack([shape, np.eye(array.M)])
-
     # concentrated objective on the (z0, sigma) grid, restricted to nonnegative
     # power and noise.  The identity does not move with z0: its own terms are
     # the constants tr(W Rbar W) and tr(W W), and its cross term with the shape
@@ -218,26 +273,15 @@ def estimate_parametric(
     terms = harmonic_terms(array, W, data)
     noise_y, noise_Y = np.trace(data, axis1=-2, axis2=-1).real
     phi = shape_characteristic(config.assumed_shape, sigma_values[:, None], terms.frequencies)
-    objective = np.empty((z_points, sigma_values.size))
-    for start in range(0, sigma_values.size, _SIGMA_CHUNK):
-        chunk = slice(start, start + _SIGMA_CHUNK)
-        y_shape, Y_shape = fit_terms_grid(phi[chunk, None, :], z_grid[:, None], terms)
-        y1, Y12 = y_shape[..., 0, 0], y_shape[..., 0, 1]
-        y = np.stack([y1, np.full_like(y1, noise_y)], axis=-1)
-        Y = np.stack([Y_shape[..., 0, 0], Y12, Y12, np.full_like(y1, noise_Y)], axis=-1)
-        objective[:, chunk] = _concentrate_nonneg(y, Y.reshape(y1.shape + (2, 2)))[1]
+    y_shape, Y11 = shape_terms_grid(phi, z_grid, terms)
+    objective = _concentrate_terms(y_shape[..., 0], noise_y, Y11, y_shape[..., 1], noise_Y)[2]
 
     best_z, best_s = np.unravel_index(int(np.argmax(objective)), objective.shape)
     flags = {"pinv": False}
-
-    def concentrated(point) -> tuple[np.ndarray, float, bool]:
-        z, sigma = point
-        y, Y = fit_terms(basis(sigma), steering_vector(array, z), W, WRW)
-        alpha, q, degenerate = _concentrate_nonneg(y, Y)
-        return alpha, float(q), bool(degenerate)
+    concentrated = _point_evaluator(config.assumed_shape, array, W, WRW)
 
     def negated(point) -> float:
-        _, q, degenerate = concentrated(point)
+        _, _, q, degenerate = concentrated(point)
         flags["pinv"] = flags["pinv"] or degenerate
         return -q
 
@@ -266,21 +310,21 @@ def estimate_parametric(
         z0_hat %= z_amb
     sigma_z_hat = abs(float(result.x[1]))
 
-    alpha, q_final, pinv_final = concentrated([z0_hat, sigma_z_hat])
+    P_hat, noise_hat, q_final, pinv_final = concentrated([z0_hat, sigma_z_hat])
     # the objective is quartically flat in sigma near a point source, so the
     # polish can stall at a tiny spread; prefer the zero-spread boundary when
     # it matches the polished objective to numerical resolution
     if sigma_z_hat > 0.0:
-        alpha0, q0, pinv0 = concentrated([z0_hat, 0.0])
+        P0, noise0, q0, pinv0 = concentrated([z0_hat, 0.0])
         if q0 >= q_final - 1e-10 * (1.0 + abs(q_final)):
-            sigma_z_hat, alpha, q_final, pinv_final = 0.0, alpha0, q0, pinv0
+            sigma_z_hat, P_hat, noise_hat, q_final, pinv_final = 0.0, P0, noise0, q0, pinv0
     cost = max(cost_constant(R, W) - q_final, 0.0)
 
     return ParametricEstimate(
         z0_hat=z0_hat,
         sigma_z_hat=sigma_z_hat,
-        P_hat=float(alpha[0]),
-        sigma_eps2_hat=float(alpha[1]),
+        P_hat=P_hat,
+        sigma_eps2_hat=noise_hat,
         cost=float(cost),
         diagnostics=ParametricDiagnostics(
             weighting_loaded=loaded,

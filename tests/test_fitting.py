@@ -22,6 +22,7 @@ from tomoments.fitting import (
     fit_terms_grid,
     golden_section_max,
     harmonic_terms,
+    shape_terms_grid,
     solve_quadratic,
     weighting,
 )
@@ -222,6 +223,28 @@ def test_fit_terms_grid_shape_identity_basis_matches_trace_oracle(rng, name, sha
         assert y[z, s, 0, 1] == pytest.approx(expected_Y[0, 1].real, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", list(ARRAYS))
+@pytest.mark.parametrize("shape", ["uniform", "gaussian"])
+def test_shape_terms_grid_matches_trace_oracle(rng, name, shape):
+    # the Gram form against explicit traces of the (shape, identity) basis:
+    # the shape's y and Y, and its data term against W W, the cross term Y12
+    array, z0_max = ARRAYS[name]
+    W, WRW, _ = _harmonic_setup(rng, array)
+    terms = harmonic_terms(array, W, np.stack([WRW, W @ W]))
+    sigmas = np.array([0.0, 2.5, 7.0, 19.0])
+    phi = shape_characteristic(shape, sigmas[:, None], terms.frequencies)
+    z_grid = np.linspace(0.0, z0_max, 37, endpoint=False) + 2.9
+    y, Y = shape_terms_grid(phi, z_grid, terms)
+    assert y.shape == (z_grid.size, sigmas.size, 2) and Y.shape == (z_grid.size, sigmas.size)
+    for z, s in np.ndindex(z_grid.size, sigmas.size):
+        profile = SourceProfile(shape, 0.0, sigmas[s], 1.0)
+        stack = np.stack([shape_matrix(profile, array), np.eye(array.M)])
+        expected_y, expected_Y = fit_terms_trace_oracle(stack, steering_vector(array, z_grid[z]), W, WRW)
+        assert y[z, s, 0] == pytest.approx(expected_y[0].real, rel=1e-10, abs=1e-12)
+        assert Y[z, s] == pytest.approx(expected_Y[0, 0].real, rel=1e-10, abs=1e-12)
+        assert y[z, s, 1] == pytest.approx(expected_Y[0, 1].real, rel=1e-10, abs=1e-12)
+
+
 def test_solve_quadratic_recovers_exact_solution(rng):
     K = 4
     A = rng.standard_normal((K, K))
@@ -247,6 +270,28 @@ def test_solve_quadratic_batch_matches_single(rng):
         a_z, q_z, _ = solve_quadratic(y[z], Y[z])
         np.testing.assert_allclose(alpha[z], a_z, rtol=1e-12)
         assert objective[z] == pytest.approx(q_z, rel=1e-12, abs=1e-12)
+
+
+def test_solve_quadratic_single_system_is_bit_identical_to_a_batch_row(rng):
+    # the single-system path runs the same routines without the batch: every
+    # output bit matches, on well-posed systems of every size and on
+    # rank-deficient ones that take the pseudo-inverse
+    seen_pinv = 0
+    for _ in range(400):
+        K = int(rng.integers(2, 7))
+        A = rng.standard_normal((K, K)) * np.exp(rng.uniform(-6.0, 6.0, K))
+        if rng.random() < 0.1:
+            A[:, -1] = A[:, 0] * rng.uniform(0.5, 2.0)
+        Y = A.T @ A
+        y = 3.0 * rng.standard_normal(K)
+        alpha, objective, used_pinv = solve_quadratic(y, Y)
+        batch_alpha, batch_objective, batch_pinv = solve_quadratic(y[None], Y[None])
+        assert alpha.tobytes() == batch_alpha[0].tobytes()
+        assert type(objective) is float
+        assert np.float64(objective).tobytes() == batch_objective[0].tobytes()
+        assert used_pinv == batch_pinv
+        seen_pinv += used_pinv
+    assert seen_pinv > 0
 
 
 def test_solve_quadratic_handles_badly_scaled_columns(rng):

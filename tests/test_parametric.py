@@ -19,9 +19,16 @@ from tomoments import (
     steering_vector,
     true_covariance,
 )
-from tomoments.fitting import cost_constant, fit_terms, weighting
-from tomoments.parametric import _concentrate_nonneg
-from tomoments.profiles import shape_matrix
+from tomoments.fitting import (
+    cost_constant,
+    fit_terms,
+    fit_terms_grid,
+    harmonic_terms,
+    shape_terms_grid,
+    weighting,
+)
+from tomoments.parametric import _concentrate_nonneg, _concentrate_pair, _point_evaluator
+from tomoments.profiles import shape_characteristic, shape_matrix
 
 from .conftest import IRREGULAR_STACKS
 from .oracles import random_psd_covariance
@@ -190,6 +197,105 @@ def test_concentrate_nonneg_batch_matches_elementwise(rng):
         kind = "degenerate" if d_i else ("interior" if np.all(a_i > 0.0) else "edge")
         seen[kind] += 1
     assert min(seen.values()) > 0
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_concentrate_pair_is_bit_identical_to_the_array_form(rng):
+    # the six hand systems of the batch test, det = 0 with a positive diagonal,
+    # a zero y2 of either sign, and random systems; every output bit matches
+    # the array form on the batch and on each system alone
+    y = np.array(
+        [[1.0, 1.0], [1.0, -5.0], [-5.0, 1.0], [1.0, 1.0], [2.0, 0.5], [-1.0, -1.0],
+         [3.0, 2.0], [1.0, -0.0], [-0.0, -0.0], [-1.0, 0.0]]
+    )
+    Y = np.array(
+        [
+            [[2.0, 0.5], [0.5, 1.0]],
+            [[2.0, 0.5], [0.5, 1.0]],
+            [[2.0, 0.5], [0.5, 1.0]],
+            [[1.0, 1.0], [1.0, 1.0]],
+            [[0.0, 0.0], [0.0, 3.0]],
+            [[1.0, 0.2], [0.2, 1.0]],
+            [[4.0, 2.0], [2.0, 1.0]],
+            [[2.0, 0.5], [0.5, 1.0]],
+            [[2.0, 0.5], [0.5, 1.0]],
+            [[2.0, 0.5], [0.5, 1.0]],
+        ]
+    )
+    extra = rng.standard_normal((200, 2, 2)) * rng.choice([1e-3, 1.0, 1e3], (200, 1, 1))
+    y = np.concatenate([y, 10.0 * rng.standard_normal((200, 2))])
+    Y = np.concatenate([Y, extra @ np.swapaxes(extra, -1, -2)])
+    alpha, q, degenerate = _concentrate_nonneg(y, Y)
+    kinds = set()
+    for i in range(y.shape[0]):
+        P, noise, q_i, d_i = _concentrate_pair(y[i, 0], y[i, 1], Y[i, 0, 0], Y[i, 0, 1], Y[i, 1, 1])
+        assert _bits(P, noise, q_i) == _bits(*alpha[i], q[i])
+        assert d_i is bool(degenerate[i])
+        alone = _concentrate_nonneg(y[i], Y[i])
+        assert _bits(P, noise, q_i) == _bits(*alone[0], alone[1])
+        kinds.add("degenerate" if d_i else ("interior" if P > 0.0 and noise > 0.0 else "edge"))
+    assert kinds == {"degenerate", "interior", "edge"}
+    # the seventh system has det = 0 exactly; a signed zero reaches the
+    # objective of the last hand system (0.0 * -1.0), which the bit
+    # comparison above covers
+    assert _concentrate_pair(3.0, 2.0, 4.0, 2.0, 1.0)[3]
+    assert np.signbit(q[9])
+
+
+@pytest.mark.parametrize("shape", ["uniform", "gaussian"])
+def test_point_evaluator_matches_array_concentration(rng, reference_array, shape):
+    # the polish evaluator against a fresh (shape, identity) stack and the
+    # array concentrator, bit for bit, at random points including negative
+    # and zero spreads; the reused stack carries nothing between calls
+    R_bar = random_psd_covariance(rng, reference_array.M, scale=50.0)
+    W = weighting(CovarianceModel(R_bar, "sample"), "inverse_sample")
+    WRW = W @ R_bar @ W
+    evaluate = _point_evaluator(shape, reference_array, W, WRW)
+    sigmas = np.concatenate([[0.0, -0.0, -7.5, 7.5], rng.uniform(-30.0, 30.0, 16)])
+    for sigma in sigmas:
+        z = rng.uniform(-20.0, 120.0)
+        profile = SourceProfile(shape, 0.0, abs(float(sigma)), 1.0)
+        stack = np.stack([shape_matrix(profile, reference_array), np.eye(reference_array.M)])
+        alpha, q, degenerate = _concentrate_nonneg(
+            *fit_terms(stack, steering_vector(reference_array, z), W, WRW)
+        )
+        P, noise, q_point, d_point = evaluate(np.array([z, sigma]))
+        assert _bits(P, noise, q_point) == _bits(*alpha, q)
+        assert d_point is bool(degenerate)
+        assert type(q_point) is float
+
+
+@pytest.mark.parametrize("shape", ["uniform", "gaussian"])
+def test_grid_argmax_matches_sum_of_squares_grid(reference_covariance, reference_array, shape):
+    # the parametric grid from the Gram form picks the same node as the
+    # sum-of-squares fit_terms_grid on sampled reference covariances
+    sigma_values = np.linspace(0.0, 30.0, 64)
+    z_grid = np.arange(96) * (100.0 / 96)
+    for N in (100, 1000, 10000):
+        for seed in range(4):
+            R_bar = sample_covariance(sample_snapshots(reference_covariance, N, seed=seed))
+            W = weighting(R_bar, "inverse_sample")
+            WRW = W @ R_bar.matrix @ W
+            data = np.stack([WRW, W @ W])
+            terms = harmonic_terms(reference_array, W, data)
+            phi = shape_characteristic(shape, sigma_values[:, None], terms.frequencies)
+            noise_y, noise_Y = np.trace(data, axis1=-2, axis2=-1).real
+            y, Y11 = shape_terms_grid(phi, z_grid, terms)
+            gram = _grid_objective(y[..., 0], Y11, y[..., 1], noise_y, noise_Y)
+            identity = np.broadcast_to(terms.frequencies == 0.0, phi.shape)
+            y_sq, Y_sq = fit_terms_grid(np.stack([phi, identity], axis=1), z_grid[:, None], terms)
+            squares = _grid_objective(y_sq[..., 0, 0], Y_sq[..., 0, 0], y_sq[..., 0, 1], noise_y, noise_Y)
+            assert np.argmax(gram) == np.argmax(squares)
+            np.testing.assert_allclose(gram, squares, rtol=1e-10, atol=1e-12 * np.abs(squares).max())
+
+
+def _grid_objective(y1, Y11, Y12, noise_y, noise_Y):
+    y = np.stack([y1, np.full_like(y1, noise_y)], axis=-1)
+    Y = np.stack([Y11, Y12, Y12, np.full_like(y1, noise_Y)], axis=-1).reshape(y1.shape + (2, 2))
+    return _concentrate_nonneg(y, Y)[1]
 
 
 def test_scale_equivariance(reference_covariance, reference_array):
