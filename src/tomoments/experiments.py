@@ -4,6 +4,15 @@ Every experiment is described by a single :class:`ExperimentSpec` (JSON
 serializable) and writes deterministic long-format CSV files.  Trials are
 seeded individually from the master seed, so results are independent of the
 execution order and of the worker count.
+
+The RMSE and bias experiments run through one sweep runner, ``_run_sweep``:
+at each sweep point it builds the truth and its exact covariance, takes a
+(trials, 4) estimate array per estimator (seeded sample trials for
+``rmse_vs_N``, one fit of the exact covariance for
+``asymptotic_bias_vs_sigma``) and computes every result row with the same
+statistics.  What differs between the two kinds is data: the sweep values
+and truths, the CRB column, the extra table and the rule for the ``mean``
+cell.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import numpy as np
 
 from .crb import SingularFimError, crb_stddev, fisher_information
 from .geometry import ArrayConfig, baseline_differences, fourier_resolution, make_uniform_array
-from .moments import MomentEstimatorConfig, estimate, model_power_spectrum
+from .moments import MomentEstimatorConfig, _check_identifiable, estimate, model_power_spectrum
 from .parametric import ParametricEstimatorConfig, estimate_parametric
 from .profiles import (
     CovarianceModel,
@@ -153,6 +162,9 @@ class ExperimentSpec:
         if len(set(labels)) != len(labels):
             raise ValueError("estimator labels must be unique")
         object.__setattr__(self, "estimators", estimators)
+        for entry in estimators:
+            if entry.method == "moments":
+                _check_identifiable(entry.config, self.array)
         N_list = tuple(self.N_list)
         if not all(_is_integer(n, 1) for n in N_list) or list(N_list) != sorted(set(N_list)):
             raise ValueError("N_list must be strictly increasing positive integers")
@@ -280,50 +292,38 @@ def _run_estimator(entry: EstimatorSpec, R_bar: CovarianceModel, array: ArrayCon
     return estimate_parametric(R_bar, entry.config, array)
 
 
+def _fit_or_none(entry: EstimatorSpec, R_bar: CovarianceModel, array: ArrayConfig):
+    """The fit, or None when it failed with a numerical error (a failed trial)."""
+    try:
+        return _run_estimator(entry, R_bar, array)
+    except (ValueError, np.linalg.LinAlgError):
+        return None
+
+
 def _estimates(fit) -> tuple:
-    """The fitted parameters in ``PARAM_NAMES`` order."""
+    """The fitted parameters in ``PARAM_NAMES`` order, NaN for a failed fit."""
+    if fit is None:
+        return (float("nan"),) * 4
     return (fit.z0_hat, fit.sigma_z_hat, fit.P_hat, fit.sigma_eps2_hat)
 
 
-@dataclass(frozen=True)
-class _TrialContext:
-    R_true: CovarianceModel
-    array: ArrayConfig
-    estimators: tuple[EstimatorSpec, ...]
-    N: int
-    master_seed: int
-    stream: int
-    sweep_index: int
+def _run_trial(spec: ExperimentSpec, sweep_index: int, N: int, R_true: CovarianceModel, trial: int) -> list:
+    """Every estimator's estimates on one seeded sample covariance."""
+    seed = derive_seed(spec.master_seed, _KIND_STREAM[spec.kind], sweep_index, trial)
+    R_bar = sample_covariance(sample_snapshots(R_true, N, seed))
+    return [_estimates(_fit_or_none(entry, R_bar, spec.array)) for entry in spec.estimators]
 
 
-def _run_trial(context: _TrialContext, trial: int) -> tuple[int, dict]:
-    seed = derive_seed(context.master_seed, context.stream, context.sweep_index, trial)
-    stack = sample_snapshots(context.R_true, context.N, seed)
-    R_bar = sample_covariance(stack)
-    out = {}
-    for entry in context.estimators:
-        try:
-            out[entry.label] = _estimates(_run_estimator(entry, R_bar, context.array))
-        except (ValueError, np.linalg.LinAlgError):
-            out[entry.label] = None
-    return trial, out
-
-
-def _collect_trials(context: _TrialContext, trials: int, workers: int) -> dict:
-    """Per-estimator (trials, 4) arrays of estimates, NaN rows for failures."""
-    results = {e.label: np.full((trials, 4), np.nan) for e in context.estimators}
-    run = partial(_run_trial, context)
-    if workers > 1:
-        chunksize = max(1, trials // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(run, range(trials), chunksize=chunksize))
+def _collect_trials(spec: ExperimentSpec, sweep_index: int, N: int, R_true: CovarianceModel) -> np.ndarray:
+    """(estimators, trials, 4) estimates, NaN rows for failures."""
+    run = partial(_run_trial, spec, sweep_index, N, R_true)
+    if spec.workers > 1:
+        chunksize = max(1, spec.trials // (8 * spec.workers))
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            outputs = list(pool.map(run, range(spec.trials), chunksize=chunksize))
     else:
-        outputs = map(run, range(trials))
-    for trial, out in outputs:
-        for label, values in out.items():
-            if values is not None:
-                results[label][trial] = values
-    return results
+        outputs = list(map(run, range(spec.trials)))
+    return np.array(outputs, dtype=float).transpose(1, 0, 2)
 
 
 def _normalizers(spec: ExperimentSpec) -> dict:
@@ -335,50 +335,10 @@ def _normalizers(spec: ExperimentSpec) -> dict:
     }
 
 
-def _truths(profile: SourceProfile, sigma_eps2: float) -> dict:
-    return {
-        "z0": profile.z0,
-        "sigma_z": profile.sigma_z,
-        "P": profile.P,
-        "sigma_eps2": sigma_eps2,
-    }
-
-
 def _errors(parameter: str, estimates: np.ndarray, truth: float, period: float | None) -> np.ndarray:
     if parameter == "z0" and period is not None:
         return wrap_height_error(estimates - truth, period)
     return estimates - truth
-
-
-def _result_row(
-    spec: ExperimentSpec,
-    label: str,
-    sweep_value,
-    parameter: str,
-    *,
-    n_trials: int,
-    failures: int,
-    rmse: float,
-    bias: float,
-    mean: float,
-    crb=None,
-) -> dict:
-    """One row of the shared result schema (``_RESULT_COLUMNS``)."""
-    normalizer = _normalizers(spec)[parameter]
-    return {
-        "experiment": spec.kind,
-        "estimator": label,
-        "sweep_name": _SWEEP_NAMES[spec.kind],
-        "sweep_value": sweep_value,
-        "parameter": parameter,
-        "n_trials": n_trials,
-        "rmse": rmse,
-        "rmse_normalized": rmse / normalizer if normalizer else None,
-        "bias": bias,
-        "mean": mean,
-        "crb": crb,
-        "failures": failures,
-    }
 
 
 def _interpolation_rows(label: str, fit, xi: np.ndarray, true_spectrum: np.ndarray, **keys) -> list:
@@ -425,19 +385,73 @@ def _write_result(spec: ExperimentSpec, rows: list, tables) -> ExperimentResult:
     return result
 
 
-def _check_failure_rates(rows, trials: int) -> None:
-    worst = None
-    for row in rows:
-        failures = row.get("failures") or 0
-        if failures > _FAILURE_RATE_LIMIT * trials:
-            key = (row["estimator"], row["sweep_value"], failures)
-            if worst is None or failures > worst[2]:
-                worst = key
-    if worst is not None:
+def _check_failure_rates(rows) -> None:
+    over = [row for row in rows if row["failures"] > _FAILURE_RATE_LIMIT * (row["n_trials"] + row["failures"])]
+    if over:
+        worst = max(over, key=lambda row: row["failures"])
         raise ExperimentError(
-            f"estimator {worst[0]!r} failed {worst[2]} of {trials} trials at "
-            f"sweep value {worst[1]} (limit {_FAILURE_RATE_LIMIT:.0%})"
+            f"estimator {worst['estimator']!r} failed {worst['failures']} of "
+            f"{worst['n_trials'] + worst['failures']} trials at sweep value {worst['sweep_value']} "
+            f"(limit {_FAILURE_RATE_LIMIT:.0%})"
         )
+
+
+def _run_sweep(spec: ExperimentSpec, points, fit_point, extra_table, *, crb_at=None, mean_of_fits=False):
+    """The one loop of the RMSE and bias experiments.
+
+    ``points`` holds ``(sweep_value, truth profile)`` pairs.  At each one,
+    ``fit_point(sweep_index, sweep_value, profile, R)`` gets the exact
+    covariance ``R`` and returns the (estimators, trials, 4) estimates, NaN
+    rows for failed fits, plus its rows of ``extra_table = (name, columns)``
+    (None: no extra table).  Every parameter row takes
+    ``rmse = sqrt(mean(e**2))`` and ``bias = mean(e)`` over the successful
+    trials; ``mean`` is truth + bias, or the mean of the fitted values when
+    ``mean_of_fits`` (the two differ in the last bit).  ``crb_at(sweep_value)``
+    gives the CRB column, if any.
+    """
+    period = _height_period(spec)
+    normalizers = _normalizers(spec)
+    rows, extra_rows = [], []
+    for sweep_index, (sweep_value, profile) in enumerate(points):
+        R = true_covariance(profile, spec.array, spec.sigma_eps2)
+        estimates, extra = fit_point(sweep_index, sweep_value, profile, R)
+        extra_rows += extra
+        crb = crb_at(sweep_value) if crb_at else None
+        truths = dict(zip(PARAM_NAMES, (profile.z0, profile.sigma_z, profile.P, spec.sigma_eps2)))
+        for entry, values in zip(spec.estimators, estimates):
+            ok = ~np.isnan(values[:, 0])
+            n_ok = int(ok.sum())
+            for column, parameter in enumerate(PARAM_NAMES):
+                rmse = bias = mean = float("nan")
+                if n_ok > 0:
+                    errors = _errors(parameter, values[ok, column], truths[parameter], period)
+                    rmse = float(np.sqrt(np.mean(errors**2)))
+                    bias = float(np.mean(errors))
+                    mean = float(np.mean(values[ok, column])) if mean_of_fits else truths[parameter] + bias
+                normalizer = normalizers[parameter]
+                rows.append(
+                    {
+                        "experiment": spec.kind,
+                        "estimator": entry.label,
+                        "sweep_name": _SWEEP_NAMES[spec.kind],
+                        "sweep_value": sweep_value,
+                        "parameter": parameter,
+                        "n_trials": n_ok,
+                        "rmse": rmse,
+                        "rmse_normalized": rmse / normalizer if normalizer else None,
+                        "bias": bias,
+                        "mean": mean,
+                        "crb": crb[parameter] if crb else None,
+                        "failures": values.shape[0] - n_ok,
+                    }
+                )
+
+    tables = [(spec.kind, _RESULT_COLUMNS, rows)]
+    if extra_table is not None:
+        tables.append((*extra_table, extra_rows))
+    result = _write_result(spec, rows, tables)
+    _check_failure_rates(rows)
+    return result
 
 
 def run_rmse_vs_N(spec: ExperimentSpec) -> ExperimentResult:
@@ -450,74 +464,27 @@ def run_rmse_vs_N(spec: ExperimentSpec) -> ExperimentResult:
     :class:`ExperimentError` if any estimator fails more than 1% of trials.
     """
     _require_kind(spec, "rmse_vs_N")
-    period = _height_period(spec)
-    R_true = true_covariance(spec.profile, spec.array, spec.sigma_eps2)
-    truths = _truths(spec.profile, spec.sigma_eps2)
     try:
         fim_unit = fisher_information(spec.profile, spec.array, spec.sigma_eps2, 1)
     except (SingularFimError, ValueError):
         fim_unit = None
 
-    rows = []
-    trial_rows = []
-    for sweep_index, N in enumerate(spec.N_list):
-        context = _TrialContext(
-            R_true=R_true,
-            array=spec.array,
-            estimators=spec.estimators,
-            N=N,
-            master_seed=spec.master_seed,
-            stream=_KIND_STREAM[spec.kind],
-            sweep_index=sweep_index,
-        )
-        estimates = _collect_trials(context, spec.trials, spec.workers)
-        crb = None
-        if fim_unit is not None:
-            crb = crb_stddev(fim_unit, n_scale=N).bounds
-        for entry in spec.estimators:
-            values = estimates[entry.label]
-            ok = ~np.isnan(values[:, 0])
-            n_ok = int(ok.sum())
-            failures = spec.trials - n_ok
-            for column, parameter in enumerate(PARAM_NAMES):
-                if n_ok > 0:
-                    errors = _errors(parameter, values[ok, column], truths[parameter], period)
-                    rmse = float(np.sqrt(np.mean(errors**2)))
-                    bias = float(np.mean(errors))
-                else:
-                    rmse = float("nan")
-                    bias = float("nan")
-                rows.append(
-                    _result_row(
-                        spec,
-                        entry.label,
-                        N,
-                        parameter,
-                        n_trials=n_ok,
-                        failures=failures,
-                        rmse=rmse,
-                        bias=bias,
-                        mean=truths[parameter] + bias,
-                        crb=crb[parameter] if crb else None,
-                    )
-                )
-            if spec.dump_trials:
-                for trial in range(spec.trials):
-                    row = {
-                        "estimator": entry.label,
-                        "sweep_value": N,
-                        "trial": trial,
-                        "failed": bool(np.isnan(values[trial, 0])),
-                    }
-                    row.update(zip(_HAT_COLUMNS, map(float, values[trial])))
-                    trial_rows.append(row)
+    def trials(sweep_index, N, profile, R_true):
+        estimates = _collect_trials(spec, sweep_index, N, R_true)
+        dump = []
+        for entry, values in zip(spec.estimators, estimates if spec.dump_trials else ()):
+            for trial, hats in enumerate(values):
+                row = {"estimator": entry.label, "sweep_value": N, "trial": trial, "failed": bool(np.isnan(hats[0]))}
+                dump.append({**row, **dict(zip(_HAT_COLUMNS, map(float, hats)))})
+        return estimates, dump
 
-    tables = [("rmse_vs_N", _RESULT_COLUMNS, rows)]
-    if spec.dump_trials:
-        tables.append(("rmse_vs_N_trials", _TRIAL_COLUMNS, trial_rows))
-    result = _write_result(spec, rows, tables)
-    _check_failure_rates(rows, spec.trials)
-    return result
+    return _run_sweep(
+        spec,
+        [(N, spec.profile) for N in spec.N_list],
+        trials,
+        ("rmse_vs_N_trials", _TRIAL_COLUMNS) if spec.dump_trials else None,
+        crb_at=None if fim_unit is None else lambda N: crb_stddev(fim_unit, n_scale=N).bounds,
+    )
 
 
 def _spectrum_xi_grid(array: ArrayConfig, points: int = 321) -> np.ndarray:
@@ -540,51 +507,25 @@ def run_asymptotic_bias_vs_sigma(spec: ExperimentSpec) -> ExperimentResult:
         cap = _SIGMA_SWEEP_CAP * spec.array.ambiguity
         if max(spec.sigma_list) > cap:
             raise ValueError(f"sigma_list exceeds {_SIGMA_SWEEP_CAP:.0%} of the ambiguity ({cap:.3g} m)")
-    period = _height_period(spec)
     xi = _spectrum_xi_grid(spec.array)
 
-    rows = []
-    interpolation_rows = []
-    for sigma in spec.sigma_list:
-        profile = dataclasses.replace(spec.profile, sigma_z=sigma)
-        R = true_covariance(profile, spec.array, spec.sigma_eps2)
-        truths = _truths(profile, spec.sigma_eps2)
+    def exact_fit(sweep_index, sigma, profile, R):
         true_spectrum = profile.P * np.real(characteristic_function(profile, xi))
+        estimates, interpolation_rows = [], []
         for entry in spec.estimators:
-            try:
-                fit = _run_estimator(entry, R, spec.array)
-            except (ValueError, np.linalg.LinAlgError):
-                fit = None
+            fit = _fit_or_none(entry, R, spec.array)
             if fit is not None and entry.method == "moments":
                 interpolation_rows += _interpolation_rows(entry.label, fit, xi, true_spectrum, sigma_z=sigma)
-            values = (float("nan"),) * 4 if fit is None else _estimates(fit)
-            for column, parameter in enumerate(PARAM_NAMES):
-                bias = float(_errors(parameter, values[column], truths[parameter], period))
-                rows.append(
-                    _result_row(
-                        spec,
-                        entry.label,
-                        sigma,
-                        parameter,
-                        n_trials=0 if fit is None else 1,
-                        failures=1 if fit is None else 0,
-                        rmse=abs(bias),
-                        bias=bias,
-                        mean=values[column],
-                    )
-                )
+            estimates.append([_estimates(fit)])
+        return np.array(estimates, dtype=float), interpolation_rows
 
-    columns = ("estimator", "sigma_z", "xi", "model_spectrum", "true_spectrum")
-    result = _write_result(
+    return _run_sweep(
         spec,
-        rows,
-        (
-            ("asymptotic_bias_vs_sigma", _RESULT_COLUMNS, rows),
-            ("asymptotic_interpolation", columns, interpolation_rows),
-        ),
+        [(sigma, dataclasses.replace(spec.profile, sigma_z=sigma)) for sigma in spec.sigma_list],
+        exact_fit,
+        ("asymptotic_interpolation", ("estimator", "sigma_z", "xi", "model_spectrum", "true_spectrum")),
+        mean_of_fits=True,
     )
-    _check_failure_rates(rows, 1)
-    return result
 
 
 def run_spectrum_dump(spec: ExperimentSpec) -> ExperimentResult:

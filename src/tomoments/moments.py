@@ -63,7 +63,8 @@ class MomentEstimatorConfig:
     Parameters
     ----------
     D : int
-        Highest moment order in the expansion, between 2 and 12.
+        Highest moment order in the expansion, between 2 and 12.  A fit
+        refuses a D too high for its array (see :func:`_check_identifiable`).
     symmetric : bool
         Keep even orders only, for profiles assumed symmetric about z0.
     weighting : str
@@ -162,6 +163,29 @@ def _basis_stack(config: MomentEstimatorConfig, array: ArrayConfig) -> np.ndarra
     return _basis_response(config, baseline_differences(array))
 
 
+def _check_identifiable(config: MomentEstimatorConfig, array: ArrayConfig) -> None:
+    """Refuse a moment basis that fits the half-ambiguity twin of a source exactly.
+
+    Shifting a source by half the ambiguity height multiplies the covariance
+    at each integer lag ``|kz_m - kz_n| * z_amb / 2pi`` by ``(-1)^lag``.  The
+    even-order terms (P, nu_2, nu_4, ...: ``1 + D // 2`` real coefficients,
+    whether or not the fit is symmetric) fit that sign pattern exactly, with
+    a negative power, once they are at least as many as the distinct nonzero
+    lags; the noise absorbs lag 0.  The height is then not identifiable.
+    Arrays without an ambiguity are not checked.
+    """
+    if array.ambiguity is None:
+        return
+    lags = np.unique(np.rint(np.abs(baseline_differences(array)) * (array.ambiguity / (2.0 * math.pi))))
+    distinct = int(np.count_nonzero(lags))
+    if 1 + config.D // 2 >= distinct:
+        raise ValueError(
+            f"moment fit D={config.D}, symmetric={config.symmetric} is not identifiable on M={array.M} "
+            f"acquisitions: its {1 + config.D // 2} even-order terms fit all {distinct} distinct lags of "
+            "the half-ambiguity twin; lower D"
+        )
+
+
 def estimate(
     R_bar: CovarianceModel,
     config: MomentEstimatorConfig,
@@ -182,6 +206,7 @@ def estimate(
         Geometry; must match the covariance dimension.
     """
     R = _checked_covariance(R_bar, array)
+    _check_identifiable(config, array)
     z_amb = _search_domain(config, array)
     grid_points = config.grid_points or _default_grid_points(array, z_amb)
     if grid_points < _GRID_PER_CHANNEL * array.M:

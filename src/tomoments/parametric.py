@@ -157,25 +157,14 @@ class ParametricEstimate:
     diagnostics: ParametricDiagnostics
 
 
-def _concentrate_nonneg(y: np.ndarray, Y: np.ndarray):
+def _concentrate_terms(y1, y2, Y11, Y12, Y22):
     """Maximize 2*y'a - a'Ya over a = (P, sigma_eps2) with a >= 0.
 
-    Takes a batch of 2x2 systems, ``y (..., 2)`` and ``Y (..., 2, 2)``, and
-    returns ``(alpha (..., 2), objective (...), degenerate (...))``.  Each
-    system uses its interior stationary point when that is feasible,
-    otherwise the best feasible edge, in closed form.
-    """
-    P, noise, q, degenerate = _concentrate_terms(
-        y[..., 0], y[..., 1], Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 1]
-    )
-    return np.stack([P, noise], axis=-1), q, degenerate
-
-
-def _concentrate_terms(y1, y2, Y11, Y12, Y22):
-    """:func:`_concentrate_nonneg` on the five terms, which broadcast.
-
-    Returns ``(P, sigma_eps2, objective, degenerate)``; the grid scan passes
-    the identity's constant terms ``y2`` and ``Y22`` as scalars.
+    ``y = (y1, y2)`` and ``Y = [[Y11, Y12], [Y12, Y22]]`` are given by their
+    terms, which broadcast; the grid scan passes the identity's constant
+    terms ``y2`` and ``Y22`` as scalars.  Each system uses its interior
+    stationary point when that is feasible, otherwise the best feasible
+    edge, in closed form.  Returns ``(P, sigma_eps2, objective, degenerate)``.
     """
     det = Y11 * Y22 - Y12 * Y12
     degenerate = ~(det > 1e-12 * np.maximum(Y11 * Y22, _TINY))
@@ -194,7 +183,7 @@ def _concentrate_terms(y1, y2, Y11, Y12, Y22):
 
 
 def _concentrate_pair(y1: float, y2: float, Y11: float, Y12: float, Y22: float):
-    """:func:`_concentrate_nonneg` on one system of Python floats.
+    """:func:`_concentrate_terms` on one system of Python floats.
 
     Same formulas in the same order, so the results are bit-identical to the
     array form's; returns ``(P, sigma_eps2, objective, degenerate)``.  The
@@ -222,7 +211,7 @@ def _point_evaluator(shape: str, array: ArrayConfig, W: np.ndarray, WRW: np.ndar
     Returns a function of ``(z, sigma)`` giving ``(P, sigma_eps2, objective,
     degenerate)``: the product form :func:`~tomoments.fitting.fit_terms` on the
     (shape, identity) basis, concentrated by :func:`_concentrate_pair`, so
-    bit-identical to :func:`_concentrate_nonneg` on the same terms.  The
+    bit-identical to :func:`_concentrate_terms` on the same terms.  The
     basis lives in one preallocated stack whose identity is written once.
     """
     stack = np.empty((2, array.M, array.M), dtype=complex)

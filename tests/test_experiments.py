@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,13 +15,17 @@ from tomoments import (
     SourceProfile,
     default_estimators,
     default_spec,
+    estimate,
+    estimate_parametric,
     make_uniform_array,
     run_asymptotic_bias_vs_sigma,
     run_experiment,
     run_rmse_vs_N,
     run_spectrum_dump,
+    true_covariance,
     wrap_height_error,
 )
+from tomoments.experiments import PARAM_NAMES
 
 MOMENTS_SYM = EstimatorSpec("moments-sym", "moments", MomentEstimatorConfig(D=4, symmetric=True))
 
@@ -228,6 +233,86 @@ def test_asymptotic_bias(tmp_path):
     interpolation = _read_csv(result.files["asymptotic_interpolation"])
     assert {row["estimator"] for row in interpolation} == {"moments-sym"}
     assert {float(row["sigma_z"]) for row in interpolation} == {0.0, 5.0}
+
+
+def test_bias_rows_are_the_exact_fits(tmp_path):
+    # one fit of the exact covariance per spread, so bias is its (wrapped)
+    # error, rmse the error's magnitude and mean the fitted value, bit for bit
+    spec = default_spec(
+        "asymptotic_bias_vs_sigma",
+        sigma_list=(0.0, 7.0, 20.0),
+        output_dir=str(tmp_path),
+        timestamp_header=False,
+    )
+    result = run_asymptotic_bias_vs_sigma(spec)
+    assert len(result.rows) == 3 * 4 * 4
+    for sigma in spec.sigma_list:
+        profile = dataclasses.replace(spec.profile, sigma_z=sigma)
+        R = true_covariance(profile, spec.array, spec.sigma_eps2)
+        truths = (profile.z0, profile.sigma_z, profile.P, spec.sigma_eps2)
+        for entry in spec.estimators:
+            fit = (estimate if entry.method == "moments" else estimate_parametric)(R, entry.config, spec.array)
+            fitted = (fit.z0_hat, fit.sigma_z_hat, fit.P_hat, fit.sigma_eps2_hat)
+            for parameter, value, truth in zip(PARAM_NAMES, fitted, truths):
+                (row,) = result.select(estimator=entry.label, sweep_value=sigma, parameter=parameter)
+                error = value - truth
+                if parameter == "z0":
+                    error = float(wrap_height_error(error, 100.0))
+                assert row["bias"] == error
+                assert row["rmse"] == abs(error)
+                assert row["mean"] == value
+                assert (row["n_trials"], row["failures"]) == (1, 0)
+
+
+def test_rmse_rows_recomputed_from_the_trial_dump(tmp_path, monkeypatch):
+    # the result rows are the statistics of the dumped estimates, bit for bit
+    # (repr floats round-trip), with one injected failed fit left out
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:  # trial 1 of N = 50, second moment estimator
+            raise DegenerateCovarianceError("injected")
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr("tomoments.experiments.estimate", flaky)
+    full = EstimatorSpec("moments-full", "moments", MomentEstimatorConfig(D=4, symmetric=False))
+    spec = default_spec(
+        "rmse_vs_N",
+        N_list=(50, 200),
+        trials=4,
+        estimators=(full, MOMENTS_SYM),
+        output_dir=str(tmp_path),
+        timestamp_header=False,
+        dump_trials=True,
+    )
+    # one failure in four trials trips the 1% gate after the CSVs are written
+    with pytest.raises(ExperimentError, match="'moments-sym' failed 1 of 4 trials at sweep value 50 "):
+        run_rmse_vs_N(spec)
+    dump = _read_csv(tmp_path / "rmse_vs_N_trials.csv")
+    rows = _read_csv(tmp_path / "rmse_vs_N.csv")
+    assert [(row["estimator"], row["sweep_value"], row["trial"]) for row in dump if row["failed"] == "true"] == [
+        ("moments-sym", "50", "1")
+    ]
+    assert len(rows) == 2 * 2 * 4
+    truths = {"z0": 10.0, "sigma_z": 5.0, "P": 100.0, "sigma_eps2": 10.0}
+    for row in rows:
+        hats = np.array(
+            [
+                float(trial[f"{row['parameter']}_hat"])
+                for trial in dump
+                if (trial["estimator"], trial["sweep_value"], trial["failed"])
+                == (row["estimator"], row["sweep_value"], "false")
+            ]
+        )
+        errors = hats - truths[row["parameter"]]
+        if row["parameter"] == "z0":
+            errors = wrap_height_error(errors, 100.0)
+        bias = float(np.mean(errors))
+        assert (int(row["n_trials"]), int(row["failures"])) == (hats.size, 4 - hats.size)
+        assert float(row["rmse"]) == float(np.sqrt(np.mean(errors**2)))
+        assert float(row["bias"]) == bias
+        assert float(row["mean"]) == truths[row["parameter"]] + bias
 
 
 def test_sigma_sweep_guards():

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from tomoments import (
     ArrayConfig,
     CovarianceModel,
+    EstimatorSpec,
     MomentEstimatorConfig,
     SourceProfile,
+    default_spec,
     estimate,
     make_uniform_array,
     model_power_spectrum,
@@ -348,3 +350,82 @@ def test_estimate_outputs_well_formed(seed):
     assert np.isfinite(result.P_hat)
     assert np.isfinite(result.sigma_eps2_hat)
     assert np.all(np.isfinite(result.nu))
+
+
+# (M, D, symmetric) the identifiability guard accepts over M = 3..15 and the
+# whole D range: 1 + D // 2 even-order terms below the M - 1 distinct lags
+IDENTIFIABLE = [
+    (M, D, symmetric)
+    for M in range(3, 16)
+    for symmetric in (True, False)
+    for D in range(2, 13)
+    if 1 + D // 2 < M - 1
+]
+
+
+def test_identifiable_configuration_count():
+    assert len(IDENTIFIABLE) == 214
+
+
+@pytest.mark.parametrize("M", range(3, 16))
+def test_point_source_recovered_where_identifiable(M):
+    array = make_uniform_array(M, 100.0)
+    R = true_covariance(SourceProfile("point", 10.0, 0.0, 100.0), array, 10.0)
+    for _, D, symmetric in (c for c in IDENTIFIABLE if c[0] == M):
+        result = estimate(R, MomentEstimatorConfig(D=D, symmetric=symmetric, refine_tol=1e-7), array)
+        assert abs(result.z0_hat - 10.0) <= 1e-6, (D, symmetric)
+        assert result.P_hat == pytest.approx(100.0, rel=1e-9), (D, symmetric)
+        assert result.sigma_eps2_hat == pytest.approx(10.0, rel=1e-9), (D, symmetric)
+
+
+@pytest.mark.parametrize("M, first_rejected", [(3, 2), (4, 4), (5, 6), (6, 8), (7, 10), (8, 12)])
+def test_unidentifiable_configurations_raise(M, first_rejected):
+    # from that D on, the even-order terms fit the half-ambiguity twin
+    # (z0 + z_amb / 2, negative power) exactly; it used to be returned
+    array = make_uniform_array(M, 100.0)
+    R = true_covariance(SourceProfile("point", 10.0, 0.0, 100.0), array, 10.0)
+    for symmetric in (True, False):
+        for D in range(2, 13):
+            config = MomentEstimatorConfig(D=D, symmetric=symmetric)
+            if D < first_rejected:
+                estimate(R, config, array)
+                continue
+            message = rf"D={D}, symmetric={symmetric} .* M={M} "
+            with pytest.raises(ValueError, match=message):
+                estimate(R, config, array)
+            with pytest.raises(ValueError, match=message):
+                default_spec("rmse_vs_N", array=array, estimators=(EstimatorSpec("m", "moments", config),))
+
+
+def test_identifiability_guard_skips_arrays_without_ambiguity():
+    kz, z0_max = IRREGULAR_STACKS["M5"]
+    array = ArrayConfig(kz=np.array(kz))
+    R = true_covariance(SourceProfile("point", 30.0, 0.0, 100.0), array, 10.0)
+    estimate(R, MomentEstimatorConfig(D=12, z0_max=z0_max), array)
+
+
+# (z0, sigma_z, P, sigma_eps2) on the exact reference covariance, unchanged by
+# the identifiability guard: frozen from the implementation before it
+REFERENCE_UP_TO_ORDER_8 = {
+    (2, True): (12.396839895894672, 3.10622922684364, 74.6310589720935, 10.533410760016077),
+    (3, True): (12.396839895894672, 3.10622922684364, 74.6310589720935, 10.533410760016077),
+    (4, True): (10.000610947863215, 4.838118810861643, 99.59490847008027, 10.414919611202988),
+    (5, True): (10.000610947863215, 4.838118810861643, 99.59490847008027, 10.414919611202988),
+    (6, True): (10.000610947863215, 4.992053511781728, 99.98263462597986, 10.02001874838954),
+    (7, True): (10.000610947863215, 4.992053511781728, 99.98263462597986, 10.02001874838954),
+    (8, True): (10.000610947863215, 4.999748780377009, 99.99955196156107, 10.000457321073908),
+    (2, False): (12.396839895894672, 3.10622922684364, 74.6310589720935, 10.533410760016077),
+    (3, False): (12.400838601572797, 3.082573576524516, 73.83286267187495, 10.497452851200284),
+    (4, False): (10.000610947863215, 4.838118841895469, 99.59490961025092, 10.414919620462982),
+    (5, False): (10.000610947863215, 4.838118864362137, 99.59490972287482, 10.414919657022628),
+    (6, False): (10.000610947863215, 4.992053583646035, 99.98263597932873, 10.020018753492211),
+    (7, False): (10.000610947863215, 4.992053583747918, 99.98263597488183, 10.020018753313327),
+    (8, False): (10.000610947863215, 4.999748853441984, 99.99955331334142, 10.000457322664692),
+}
+
+
+@pytest.mark.parametrize("D, symmetric", list(REFERENCE_UP_TO_ORDER_8))
+def test_reference_stack_up_to_order_8_unchanged(reference_covariance, reference_array, D, symmetric):
+    result = estimate(reference_covariance, MomentEstimatorConfig(D=D, symmetric=symmetric), reference_array)
+    fitted = (result.z0_hat, result.sigma_z_hat, result.P_hat, result.sigma_eps2_hat)
+    assert fitted == pytest.approx(REFERENCE_UP_TO_ORDER_8[D, symmetric], rel=1e-9)

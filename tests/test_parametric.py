@@ -27,13 +27,19 @@ from tomoments.fitting import (
     shape_terms_grid,
     weighting,
 )
-from tomoments.parametric import _concentrate_nonneg, _concentrate_pair, _point_evaluator
+from tomoments.parametric import _concentrate_pair, _concentrate_terms, _point_evaluator
 from tomoments.profiles import shape_characteristic, shape_matrix
 
 from .conftest import IRREGULAR_STACKS
 from .oracles import random_psd_covariance
 
 TIGHT = ParametricEstimatorConfig(refine_tol=1e-9 * 100.0)
+
+
+def _terms(y, Y):
+    """The five terms ``(y1, y2, Y11, Y12, Y22)`` of ``y (..., 2)`` and ``Y (..., 2, 2)``."""
+    return y[..., 0], y[..., 1], Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 1]
+
 
 # assumed-gaussian fit applied to the exact uniform-profile reference
 # covariance; values frozen from this implementation as a regression anchor
@@ -110,7 +116,7 @@ def test_stays_in_domain_when_the_optimum_lies_outside(stack, z0_frac):
     a = steering_vector(array, result.z0_hat)
     for sigma in result.sigma_z_hat * np.array([0.9, 0.97, 1.03, 1.1]):
         basis = np.stack([shape_matrix(SourceProfile("gaussian", 0.0, sigma, 1.0), array), np.eye(array.M)])
-        _, q, _ = _concentrate_nonneg(*fit_terms(basis, a, W, WRW))
+        q = _concentrate_terms(*_terms(*fit_terms(basis, a, W, WRW)))[2]
         assert result.cost <= cost_constant(R.matrix, W) - q + 1e-9
 
 
@@ -149,8 +155,9 @@ def test_concentrate_nonneg_matches_nnls(rng):
         A = rng.standard_normal((2, 2)) * rng.choice([1.0, 10.0, 1e3])
         Y = A.T @ A + 1e-6 * np.eye(2)
         y = rng.standard_normal(2) * rng.choice([1.0, 50.0])
-        alpha, q, degenerate = _concentrate_nonneg(y, Y)
-        assert alpha.shape == (2,) and np.ndim(q) == np.ndim(degenerate) == 0
+        P, noise, q, degenerate = _concentrate_terms(*_terms(y, Y))
+        assert np.ndim(P) == np.ndim(noise) == np.ndim(q) == np.ndim(degenerate) == 0
+        alpha = np.array([P, noise])
         assert np.all(alpha >= 0.0)
         # max 2 y'a - a'Ya over a >= 0 is an NNLS problem after factoring Y
         L = np.linalg.cholesky(Y)
@@ -164,9 +171,9 @@ def test_concentrate_nonneg_matches_nnls(rng):
 
 def test_concentrate_nonneg_degenerate_system():
     # rank-1 Y: closed form must still return a feasible point
-    alpha, q, degenerate = _concentrate_nonneg(np.array([1.0, 1.0]), np.ones((2, 2)))
+    P, noise, q, degenerate = _concentrate_terms(*_terms(np.array([1.0, 1.0]), np.ones((2, 2))))
     assert degenerate
-    assert np.all(alpha >= 0.0)
+    assert P >= 0.0 and noise >= 0.0
     assert q == pytest.approx(1.0)
 
 
@@ -187,14 +194,14 @@ def test_concentrate_nonneg_batch_matches_elementwise(rng):
     y = np.concatenate([y, 10.0 * rng.standard_normal((12, 2))])
     Y = np.concatenate([Y, extra @ np.swapaxes(extra, -1, -2)])
     batch_y, batch_Y = y.reshape(3, 6, 2), Y.reshape(3, 6, 2, 2)
-    alpha, q, degenerate = _concentrate_nonneg(batch_y, batch_Y)
-    assert alpha.shape == (3, 6, 2) and q.shape == degenerate.shape == (3, 6)
+    P, noise, q, degenerate = _concentrate_terms(*_terms(batch_y, batch_Y))
+    assert P.shape == noise.shape == q.shape == degenerate.shape == (3, 6)
     seen = {"interior": 0, "edge": 0, "degenerate": 0}
     for index in np.ndindex(3, 6):
-        a_i, q_i, d_i = _concentrate_nonneg(batch_y[index], batch_Y[index])
-        np.testing.assert_array_equal(alpha[index], a_i)
+        P_i, noise_i, q_i, d_i = _concentrate_terms(*_terms(batch_y[index], batch_Y[index]))
+        np.testing.assert_array_equal([P[index], noise[index]], [P_i, noise_i])
         assert q[index] == q_i and degenerate[index] == d_i
-        kind = "degenerate" if d_i else ("interior" if np.all(a_i > 0.0) else "edge")
+        kind = "degenerate" if d_i else ("interior" if P_i > 0.0 and noise_i > 0.0 else "edge")
         seen[kind] += 1
     assert min(seen.values()) > 0
 
@@ -228,14 +235,14 @@ def test_concentrate_pair_is_bit_identical_to_the_array_form(rng):
     extra = rng.standard_normal((200, 2, 2)) * rng.choice([1e-3, 1.0, 1e3], (200, 1, 1))
     y = np.concatenate([y, 10.0 * rng.standard_normal((200, 2))])
     Y = np.concatenate([Y, extra @ np.swapaxes(extra, -1, -2)])
-    alpha, q, degenerate = _concentrate_nonneg(y, Y)
+    P_all, noise_all, q, degenerate = _concentrate_terms(*_terms(y, Y))
     kinds = set()
     for i in range(y.shape[0]):
-        P, noise, q_i, d_i = _concentrate_pair(y[i, 0], y[i, 1], Y[i, 0, 0], Y[i, 0, 1], Y[i, 1, 1])
-        assert _bits(P, noise, q_i) == _bits(*alpha[i], q[i])
+        P, noise, q_i, d_i = _concentrate_pair(*_terms(y[i], Y[i]))
+        assert _bits(P, noise, q_i) == _bits(P_all[i], noise_all[i], q[i])
         assert d_i is bool(degenerate[i])
-        alone = _concentrate_nonneg(y[i], Y[i])
-        assert _bits(P, noise, q_i) == _bits(*alone[0], alone[1])
+        alone = _concentrate_terms(*_terms(y[i], Y[i]))
+        assert _bits(P, noise, q_i) == _bits(*alone[:3])
         kinds.add("degenerate" if d_i else ("interior" if P > 0.0 and noise > 0.0 else "edge"))
     assert kinds == {"degenerate", "interior", "edge"}
     # the seventh system has det = 0 exactly; a signed zero reaches the
@@ -259,11 +266,11 @@ def test_point_evaluator_matches_array_concentration(rng, reference_array, shape
         z = rng.uniform(-20.0, 120.0)
         profile = SourceProfile(shape, 0.0, abs(float(sigma)), 1.0)
         stack = np.stack([shape_matrix(profile, reference_array), np.eye(reference_array.M)])
-        alpha, q, degenerate = _concentrate_nonneg(
-            *fit_terms(stack, steering_vector(reference_array, z), W, WRW)
+        P_array, noise_array, q, degenerate = _concentrate_terms(
+            *_terms(*fit_terms(stack, steering_vector(reference_array, z), W, WRW))
         )
         P, noise, q_point, d_point = evaluate(np.array([z, sigma]))
-        assert _bits(P, noise, q_point) == _bits(*alpha, q)
+        assert _bits(P, noise, q_point) == _bits(P_array, noise_array, q)
         assert d_point is bool(degenerate)
         assert type(q_point) is float
 
@@ -293,9 +300,7 @@ def test_grid_argmax_matches_sum_of_squares_grid(reference_covariance, reference
 
 
 def _grid_objective(y1, Y11, Y12, noise_y, noise_Y):
-    y = np.stack([y1, np.full_like(y1, noise_y)], axis=-1)
-    Y = np.stack([Y11, Y12, Y12, np.full_like(y1, noise_Y)], axis=-1).reshape(y1.shape + (2, 2))
-    return _concentrate_nonneg(y, Y)[1]
+    return _concentrate_terms(y1, noise_y, Y11, Y12, noise_Y)[2]
 
 
 def test_scale_equivariance(reference_covariance, reference_array):
