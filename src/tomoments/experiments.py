@@ -350,16 +350,28 @@ def _interpolation_rows(label: str, fit, xi: np.ndarray, true_spectrum: np.ndarr
     ]
 
 
-def _format_cell(value) -> str:
+def _format_cell(value):
+    """One value as the cell ``csv`` writes.
+
+    None and NaN give an empty cell, booleans ``true``/``false`` and integers
+    their digits; other floats pass through as floats, whose repr ``csv``
+    writes.  The common exact types come first: a sweep writes tens of
+    thousands of cells.
+    """
+    kind = type(value)
+    if kind is float:
+        return "" if value != value else value
+    if kind is str or kind is int:
+        return value
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         value = float(value)
-        return "" if math.isnan(value) else repr(value)
+        return "" if math.isnan(value) else value
     return str(value)
 
 

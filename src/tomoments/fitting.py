@@ -18,11 +18,12 @@ M^2 x M^2 Kronecker forms are never materialized.
 - Grids: every basis matrix is a function of the baseline difference,
   ``H_k[m, n] = h_k(kz_m - kz_n)``, so :func:`harmonic_terms` computes
   coefficients over the array's distinct baseline frequencies once per
-  covariance and :func:`fit_terms_grid` evaluates the terms on a whole
-  height grid from them, with Y a sum of squares.  For a single real, even
-  response per system (the parametric shapes over a sigma grid),
-  :func:`shape_terms_grid` evaluates the same terms in Gram form, Y as a
-  quadratic form in the response with a per-covariance ``(F, F)`` matrix.
+  covariance, among them the rows ``f >= 0`` of the weighting's Gram
+  matrix ``Q``.  :func:`fit_terms_grid` evaluates the terms of any
+  Hermitian basis on a whole height grid from them, Y in Gram form, a
+  quadratic form in the responses with ``Q``; :func:`shape_terms_grid` does
+  the same for a single real, even response per system (the parametric
+  shapes over a sigma grid).
 
 All return exactly real terms; on the same inputs they agree to rounding.
 Refinement stays on the product form: near a flat optimum a change of the
@@ -35,11 +36,16 @@ The height search both estimators run has its defaults and checks here too:
 the searched interval ``[0, z0_max)`` and the bounds a refined height keeps
 when ``z0_max`` is not a period of the array, the coarse grid size, the refinement tolerance, the
 validation of those config fields and the screen that rejects non-finite
-or zero covariances.
+or zero covariances.  What a search needs of the config and the array
+alone is built once and cached, read-only: the frequency grouping per array
+(:func:`_frequency_groups`), and the grid with its phase table per (config,
+array) (:func:`_search_plan`, inside each estimator's cached plan).  Each
+cache keeps the :data:`_PLAN_CACHE_SIZE` latest entries.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -77,6 +83,9 @@ _REFINE_TOL_REL = 1e-4
 # S = 64 (the parametric grid on the reference stack); all 96 heights at once
 # would hold about 0.6 MB each and took twice as long on one core
 _GRAM_CHUNK = 16
+# (config, array) pairs whose search tables stay cached: a sweep uses one
+# array and up to four estimator configs; a moment plan holds about 0.25 MB
+_PLAN_CACHE_SIZE = 16
 
 
 class DegenerateCovarianceError(ValueError):
@@ -183,6 +192,60 @@ def _refine_tol(config, z_amb: float) -> float:
     return config.refine_tol if config.refine_tol is not None else _REFINE_TOL_REL * z_amb
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: cached tables are shared by every fit that hits the cache."""
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _frequency_groups(array: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct baseline frequencies ``(F,)`` and the 0/1 matrix ``(F, M*M)``
+    that sums the flattened ``(m, n)`` pairs at each of them."""
+    frequencies, pair = np.unique(baseline_differences(array), return_inverse=True)
+    members = (pair.reshape(-1) == np.arange(frequencies.size)[:, None]).astype(float)
+    return _read_only(frequencies), _read_only(members)
+
+
+class _SearchPlan(NamedTuple):
+    """The height-search tables that depend only on the config and the array.
+
+    ``z_amb`` is the searched interval's upper edge, ``z_grid (Z,)`` the
+    coarse grid with spacing ``step``, ``bounds`` those of
+    :func:`_height_bounds`, ``frequencies (F,)`` the array's distinct
+    baseline frequencies and ``phase (Z, F)`` the table ``exp(j z f)``.
+    """
+
+    z_amb: float
+    step: float
+    z_grid: np.ndarray
+    bounds: tuple[float, float] | None
+    refine_tol: float
+    frequencies: np.ndarray
+    phase: np.ndarray
+
+
+def _search_plan(config, array: ArrayConfig, grid_points: int | None) -> _SearchPlan:
+    """The :class:`_SearchPlan` of a config whose coarse grid field holds ``grid_points``.
+
+    Each estimator caches its own plan, which holds this one, per (config, array).
+    """
+    z_amb = _search_domain(config, array)
+    points = grid_points or _default_grid_points(array, z_amb)
+    step = z_amb / points
+    z_grid = step * np.arange(points)
+    frequencies = _frequency_groups(array)[0]
+    return _SearchPlan(
+        z_amb=z_amb,
+        step=step,
+        z_grid=_read_only(z_grid),
+        bounds=_height_bounds(array, z_amb),
+        refine_tol=_refine_tol(config, z_amb),
+        frequencies=frequencies,
+        phase=_read_only(np.exp(1j * np.multiply.outer(z_grid, frequencies))),
+    )
+
+
 def fit_terms(
     stack: np.ndarray,
     a: np.ndarray,
@@ -209,87 +272,95 @@ class HarmonicTerms(NamedTuple):
     """Coefficients of the concentration terms of one covariance, by baseline frequency.
 
     ``frequencies (F,)`` are the distinct baseline differences
-    ``f_mn = kz_m - kz_n``; ``c (F,)`` holds ``c_f``, the sum of
-    ``(W Rbar W)_nm`` over the pairs with ``f_mn = f`` (``(F, J)`` for a stack
-    of J data matrices); ``Gamma (F, M*M)`` holds the flattened
-    ``Gamma_f = sum conj(L[m, :])^T L[n, :]`` over the same pairs, with
-    ``W = L L^H``.
+    ``f_mn = kz_m - kz_n``, sorted and in exact pairs ``+-f``; ``c (F,)``
+    holds ``c_f``, the sum of ``(W Rbar W)_nm`` over the pairs with
+    ``f_mn = f`` (``(F, J)`` for a stack of J data matrices).  ``Q`` holds the
+    rows ``f >= 0`` (``(F // 2 + 1, F)``) of the Gram matrix
+    ``Q_fg = <Gamma_f, Gamma_g>`` of ``Gamma_f = sum conj(L[m, :])^T L[n, :]``
+    over the same pairs, with ``W = L L^H``; the rows ``f < 0`` are
+    ``Q_{-f,-g} = conj(Q_fg)``.
     """
 
     frequencies: np.ndarray
     c: np.ndarray
-    Gamma: np.ndarray
+    Q: np.ndarray
 
 
 def harmonic_terms(array: ArrayConfig, W: np.ndarray, WRW: np.ndarray) -> HarmonicTerms:
-    """The per-covariance coefficients :func:`fit_terms_grid` evaluates.
+    """The per-covariance coefficients the grid evaluators use.
 
     ``WRW`` is ``W Rbar W`` ``(M, M)``, or a stack ``(J, M, M)`` of such data
     matrices, which gives ``c`` the shape ``(F, J)``.  Frequencies are grouped
-    by exact equality, so a non-uniform stack only has more of them; the
-    uniform M = 7 stack of :func:`~tomoments.geometry.make_uniform_array` has
-    25 rather than 13, as its wavenumber differences disagree in the last bit.
+    by exact equality, once per array, so a non-uniform stack only has more
+    of them; the uniform M = 7 stack of
+    :func:`~tomoments.geometry.make_uniform_array` has 25 rather than 13, as
+    its wavenumber differences disagree in the last bit.
     """
-    frequencies, pair = np.unique(baseline_differences(array), return_inverse=True)
-    members = (pair.reshape(-1) == np.arange(frequencies.size)[:, None]).astype(float)
+    frequencies, members = _frequency_groups(array)
     L = np.linalg.cholesky(W)
     data = np.swapaxes(WRW, -1, -2).reshape(WRW.shape[:-2] + (-1,))
     c = np.moveaxis(data @ members.T, -1, 0)
-    return HarmonicTerms(frequencies, c, members @ np.kron(L.conj(), L))
+    Gamma = members @ np.kron(L.conj(), L)
+    return HarmonicTerms(frequencies, c, Gamma[frequencies.size // 2 :].conj() @ Gamma.T)
 
 
-def fit_terms_grid(h: np.ndarray, z: np.ndarray, terms: HarmonicTerms):
+def _half_weights(frequencies: np.ndarray) -> np.ndarray:
+    """Weights of the rows ``f >= 0``: 1 at ``f = 0``, 2 above, counting each ``-f`` row."""
+    return np.where(frequencies[frequencies.size // 2 :] > 0.0, 2.0, 1.0)
+
+
+def fit_terms_grid(hz: np.ndarray, terms: HarmonicTerms):
     """Concentration terms y and Y on a height grid, from harmonic coefficients.
 
     Every basis matrix is a function of the baseline frequency,
-    ``H_k[m, n] = h_k(f_mn)``; ``h (..., K, F)`` samples it at
-    ``terms.frequencies``, and each ``H_k`` must be Hermitian,
-    ``h_k(-f) = conj(h_k(f))``, for y to hold.  With ``e_f = h_k(f) exp(j z f)``,
-    ``y_k(z) = Re sum_f e_f c_f`` and ``Y_ik(z) = Re <X_i(z), X_k(z)>`` with
-    ``X_k(z) = sum_f e_f Gamma_f = L^H Phi H_k Phi^H L``, so Y is a sum of
-    squares.  Heights ``z`` broadcast against the leading dimensions of h:
-    ``(Z,)`` against ``(K, F)`` gives ``y (Z, K)`` and ``Y (Z, K, K)``;
-    ``(Z, 1)`` against ``(S, K, F)`` gives ``(Z, S, K)`` and ``(Z, S, K, K)``.
-    A ``c`` with a trailing column per data matrix gives y a trailing
-    dimension too.  Both outputs are real floats.
+    ``H_k[m, n] = h_k(f_mn)``, and must be Hermitian,
+    ``h_k(-f) = conj(h_k(f))``.  ``hz (..., K, F)`` holds the phase-weighted
+    responses ``h_k(f) e_f``, ``e_f = exp(j z f)``, at ``terms.frequencies``,
+    with one leading index per height (or per height and basis).  Then
+    ``y_k(z) = Re sum_f h_k(f) e_f c_f``, and Y is the Gram form
+    ``Y_ik(z) = Re sum_{f >= 0} w_f conj(h_i(f) e_f) sum_g Q_fg h_k(g) e_g``
+    with ``w_f`` 1 at ``f = 0`` and 2 above: as ``h(-f) = conj(h(f))`` and
+    ``Q_{-f,-g} = conj(Q_fg)``, the term of -f is the conjugate of that of
+    f.  ``hz (Z, K, F)`` gives ``y (Z, K)`` and ``Y (Z, K, K)``;
+    ``(Z, S, K, F)`` gives ``(Z, S, K)`` and ``(Z, S, K, K)``.  A ``c`` with a
+    trailing column per data matrix gives y a trailing dimension too.  Both
+    outputs are real floats.
     """
-    hz = h * np.exp(1j * np.multiply.outer(z, terms.frequencies))[..., None, :]
-    shape, F = hz.shape[:-1], hz.shape[-1]
-    y = (hz.reshape(-1, F) @ terms.c).real.reshape(shape + terms.c.shape[1:])
-    # one small product per leading index rather than one large one: an
-    # unpinned OpenBLAS threads the large one, and its spinning workers slow
-    # the rest of the fit (the parametric grid took 13 ms instead of 7.5 ms
-    # on 2 vCPUs); the small ones cost 0.5 to 1 ms more on one thread
-    X = (hz.reshape(shape[0], -1, F) @ terms.Gamma).view(float).reshape(shape + (-1,))
-    return y, np.einsum("...im,...km->...ik", X, X)
+    F = terms.frequencies.size
+    shape = hz.shape[:-1]
+    flat = hz.reshape(-1, F)
+    y = (flat @ terms.c).real.reshape(shape + terms.c.shape[1:])
+    # one (heights * K, F) product for all heights, then one (K, K) product
+    # per height.  Unlike the (heights, K * M * M) products of a sum of
+    # squares, nothing here is large enough for OpenBLAS to thread: the moment
+    # grid on the reference stack (96 heights, K = 5, F = 25) took 0.19-0.20
+    # ms unpinned and 0.16-0.19 ms on one thread, on a 2-vCPU Xeon VM
+    V = (flat @ terms.Q.T).reshape(shape + (-1,))
+    U = hz[..., F // 2 :].conj() * _half_weights(terms.frequencies)
+    return y, (U @ np.swapaxes(V, -1, -2)).real
 
 
-def shape_terms_grid(phi: np.ndarray, z: np.ndarray, terms: HarmonicTerms):
+def shape_terms_grid(phi: np.ndarray, phase: np.ndarray, terms: HarmonicTerms):
     """Terms of a one-matrix basis with a real, even response, on a (height, response) grid.
 
     ``phi (S, F)`` holds S responses sampled at ``terms.frequencies``, each
     real and even in f (a shape characteristic function), so the basis
-    matrices are real symmetric.  Then ``y(z) = Re(e_f c_f) @ phi^T`` is one
-    real product, and the square norm of
-    :func:`fit_terms_grid`'s ``X(z) = sum_f phi_f e_f Gamma_f`` is the quadratic
-    form ``Y(z) = phi^T A(z) phi`` with ``A(z)_fg = Re(conj(e_f) Q_fg e_g)``,
-    ``e_f = exp(j z f)`` and the Gram matrix ``Q = conj(Gamma) Gamma^T``
-    ``(F, F)``, computed once.  The frequencies come in exact pairs
-    ``+-f`` and ``A_{-f,-g} = A_fg``, so only the rows ``f >= 0`` are formed,
-    those of ``f > 0`` counted twice.  Heights ``z (Z,)`` and a ``c (F, J)``
-    of J data matrices give ``y (Z, S, J)`` and ``Y (Z, S)``, both real.
+    matrices are real symmetric, and ``phase (Z, F)`` the table
+    ``e_f = exp(j z f)`` of the heights.  Then ``y(z) = Re(e_f c_f) @ phi^T``
+    is one real product, and :func:`fit_terms_grid`'s Gram form of Y is the
+    quadratic form ``Y(z) = phi^T A(z) phi`` with
+    ``A(z)_fg = Re(conj(e_f) Q_fg e_g)`` over the rows ``f >= 0``, those of
+    ``f > 0`` counted twice.  A ``c (F, J)`` of J data matrices gives
+    ``y (Z, S, J)`` and ``Y (Z, S)``, both real.
     """
-    F = terms.frequencies.size
-    half = slice(F // 2, None)  # f = 0 and the f > 0 half of the sorted, symmetric frequencies
+    half = slice(terms.frequencies.size // 2, None)
     phi_t = np.ascontiguousarray(phi.T)
-    e = np.exp(1j * np.multiply.outer(z, terms.frequencies))
-    y = np.swapaxes((e[:, :, None] * terms.c).real.transpose(0, 2, 1) @ phi_t, 1, 2)
-    Q = terms.Gamma[half].conj() @ terms.Gamma.T
-    weighted = phi_t[half] * np.where(terms.frequencies[half] > 0.0, 2.0, 1.0)[:, None]
-    Y = np.empty((z.size, phi.shape[0]))
-    for start in range(0, z.size, _GRAM_CHUNK):
+    y = np.swapaxes((phase[:, :, None] * terms.c).real.transpose(0, 2, 1) @ phi_t, 1, 2)
+    weighted = phi_t[half] * _half_weights(terms.frequencies)[:, None]
+    Y = np.empty((phase.shape[0], phi.shape[0]))
+    for start in range(0, phase.shape[0], _GRAM_CHUNK):
         rows = slice(start, start + _GRAM_CHUNK)
-        A = (e[rows, half].conj()[:, :, None] * Q * e[rows, None, :]).real
+        A = (phase[rows, half].conj()[:, :, None] * terms.Q * phase[rows, None, :]).real
         Y[rows] = np.einsum("zfs,fs->zs", A @ phi_t, weighted)
     return y, Y
 

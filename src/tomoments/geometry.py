@@ -72,6 +72,18 @@ class ArrayConfig:
                 raise ValueError("ambiguity must be a positive finite length")
             object.__setattr__(self, "ambiguity", amb)
 
+    def _key(self) -> tuple:
+        return self.kz.tobytes(), self.ambiguity
+
+    def __eq__(self, other) -> bool:
+        """Equal when the wavenumbers agree bit for bit and the ambiguities agree."""
+        if not isinstance(other, ArrayConfig):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     @property
     def M(self) -> int:
         """Number of acquisitions."""

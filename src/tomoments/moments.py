@@ -7,26 +7,31 @@ variables ``nu = P mu`` the model is linear in ``alpha = (P, sigma_eps2,
 nu_2, ..., nu_D)`` at fixed height, so the fit reduces to a 1-d search over
 z0 of a concentrated weighted least-squares criterion.  Every basis matrix
 is a function of the baseline difference, so the coarse z0 grid runs on the
-harmonic form :func:`~tomoments.fitting.fit_terms_grid`; the golden-section
+Gram form :func:`~tomoments.fitting.fit_terms_grid`; the golden-section
 refinement and the final coefficients use the product form
-:func:`~tomoments.fitting.fit_terms`.
+:func:`~tomoments.fitting.fit_terms`.  What the search needs of the config
+and the array alone (the grid, the basis stack, the basis responses times
+the grid's phase table, the identifiability check) is built once per
+(config, array) by :func:`_moment_plan` and cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .fitting import (
     _GRID_PER_CHANNEL,
+    _PLAN_CACHE_SIZE,
+    _SearchPlan,
     _check_search_options,
     _checked_covariance,
-    _default_grid_points,
-    _height_bounds,
-    _refine_tol,
-    _search_domain,
+    _read_only,
+    _search_plan,
     _weighting_flagged,
     cost_constant,
     fit_terms,
@@ -186,6 +191,35 @@ def _check_identifiable(config: MomentEstimatorConfig, array: ArrayConfig) -> No
         )
 
 
+class _MomentPlan(NamedTuple):
+    """The tables of a moment fit that depend only on the config and the array.
+
+    ``search`` holds the grid, ``stack (K, M, M)`` the basis matrices and
+    ``weighted (Z, K, F)`` the basis responses at the array's baseline
+    frequencies times the grid's phase table, the input of
+    :func:`~tomoments.fitting.fit_terms_grid`.
+    """
+
+    search: _SearchPlan
+    stack: np.ndarray
+    weighted: np.ndarray
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _moment_plan(config: MomentEstimatorConfig, array: ArrayConfig) -> _MomentPlan:
+    """The cached :class:`_MomentPlan` of ``(config, array)``, its arrays read-only.
+
+    Raises for a config the array cannot identify or a grid too coarse for
+    it; nothing is cached then, so every later call raises again.
+    """
+    _check_identifiable(config, array)
+    search = _search_plan(config, array, config.grid_points)
+    if search.z_grid.size < _GRID_PER_CHANNEL * array.M:
+        raise ValueError(f"grid_points must be at least {_GRID_PER_CHANNEL}*M")
+    weighted = _basis_response(config, search.frequencies) * search.phase[:, None, :]
+    return _MomentPlan(search, _read_only(_basis_stack(config, array)), _read_only(weighted))
+
+
 def estimate(
     R_bar: CovarianceModel,
     config: MomentEstimatorConfig,
@@ -206,21 +240,12 @@ def estimate(
         Geometry; must match the covariance dimension.
     """
     R = _checked_covariance(R_bar, array)
-    _check_identifiable(config, array)
-    z_amb = _search_domain(config, array)
-    grid_points = config.grid_points or _default_grid_points(array, z_amb)
-    if grid_points < _GRID_PER_CHANNEL * array.M:
-        raise ValueError(f"grid_points must be at least {_GRID_PER_CHANNEL}*M")
-    refine_tol = _refine_tol(config, z_amb)
+    plan = _moment_plan(config, array)
+    search, stack = plan.search, plan.stack
 
     W, loaded = _weighting_flagged(R_bar, config.weighting)
     WRW = W @ R @ W
-    stack = _basis_stack(config, array)
-
-    step = z_amb / grid_points
-    z_grid = step * np.arange(grid_points)
-    terms = harmonic_terms(array, W, WRW)
-    y, Y = fit_terms_grid(_basis_response(config, terms.frequencies), z_grid, terms)
+    y, Y = fit_terms_grid(plan.weighted, harmonic_terms(array, W, WRW))
     _, objective, pinv_used = solve_quadratic(y, Y)
     best = int(np.argmax(objective))
 
@@ -229,13 +254,12 @@ def estimate(
         _, q, _ = solve_quadratic(y1, Y1)
         return q
 
-    lo, hi = z_grid[best] - step, z_grid[best] + step
-    bounds = _height_bounds(array, z_amb)
-    if bounds is not None:
-        lo, hi = max(lo, bounds[0]), min(hi, bounds[1])
-    z0_hat = golden_section_max(at, lo, hi, refine_tol)
-    if bounds is None:
-        z0_hat %= z_amb
+    lo, hi = search.z_grid[best] - search.step, search.z_grid[best] + search.step
+    if search.bounds is not None:
+        lo, hi = max(lo, search.bounds[0]), min(hi, search.bounds[1])
+    z0_hat = golden_section_max(at, lo, hi, search.refine_tol)
+    if search.bounds is None:
+        z0_hat %= search.z_amb
 
     y1, Y1 = fit_terms(stack, steering_vector(array, z0_hat), W, WRW)
     alpha, q_final, pinv_final = solve_quadratic(y1, Y1)
@@ -259,7 +283,7 @@ def estimate(
         cost=float(cost),
         diagnostics=MomentDiagnostics(
             clamped_sigma=clamped,
-            grid_resolution_used=float(step),
+            grid_resolution_used=float(search.step),
             weighting_loaded=loaded,
             pinv_used=bool(pinv_used or pinv_final),
         ),

@@ -8,7 +8,8 @@ nonnegativity constraint; the remaining 2-d search runs on a coarse
 (z0, sigma_z) grid followed by a Nelder-Mead polish.
 
 - Grid: the shape characteristic function of all sigma values is evaluated
-  in one call at the array's distinct baseline frequencies, and the terms
+  at the array's distinct baseline frequencies once per (config, array)
+  (:func:`_parametric_plan`, cached with the height grid), and the terms
   come from the Gram form :func:`~tomoments.fitting.shape_terms_grid`: the
   shapes are real and even, so the shape's own term is a quadratic form in
   them with a per-covariance Gram matrix, and its data and cross terms are
@@ -29,20 +30,22 @@ sigma_eps2 >= 0 removes both.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .fitting import (
+    _PLAN_CACHE_SIZE,
+    _SearchPlan,
     _check_search_options,
     _checked_covariance,
-    _default_grid_points,
-    _height_bounds,
     _positive_part,
-    _refine_tol,
-    _search_domain,
+    _read_only,
+    _search_plan,
     _weighting_flagged,
     cost_constant,
     fit_terms,
@@ -228,6 +231,27 @@ def _point_evaluator(shape: str, array: ArrayConfig, W: np.ndarray, WRW: np.ndar
     return concentrated
 
 
+class _ParametricPlan(NamedTuple):
+    """The tables of a parametric fit that depend only on the config and the array:
+    the height ``search``, the ``sigma_values (S,)`` of the spread grid and the
+    assumed shape's characteristic function ``phi (S, F)`` at them."""
+
+    search: _SearchPlan
+    sigma_values: np.ndarray
+    phi: np.ndarray
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _parametric_plan(config: ParametricEstimatorConfig, array: ArrayConfig) -> _ParametricPlan:
+    """The cached :class:`_ParametricPlan` of ``(config, array)``, its arrays read-only."""
+    search = _search_plan(config, array, config.z0_grid)
+    grid = config.sigma_grid
+    sigma_max = grid.max if grid.max is not None else _SIGMA_MAX_REL * search.z_amb
+    sigma_values = np.linspace(grid.min, sigma_max, grid.points)
+    phi = shape_characteristic(config.assumed_shape, sigma_values[:, None], search.frequencies)
+    return _ParametricPlan(search, _read_only(sigma_values), _read_only(phi))
+
+
 def estimate_parametric(
     R_bar: CovarianceModel,
     config: ParametricEstimatorConfig,
@@ -243,16 +267,11 @@ def estimate_parametric(
     is bounded to ``[0, z0_max)`` otherwise.
     """
     R = _checked_covariance(R_bar, array)
-    z_amb = _search_domain(config, array)
-    z_points = config.z0_grid or _default_grid_points(array, z_amb)
-    refine_tol = _refine_tol(config, z_amb)
-    sigma_max = config.sigma_grid.max if config.sigma_grid.max is not None else _SIGMA_MAX_REL * z_amb
-    sigma_values = np.linspace(config.sigma_grid.min, sigma_max, config.sigma_grid.points)
+    plan = _parametric_plan(config, array)
+    search, sigma_values = plan.search, plan.sigma_values
 
     W, loaded = _weighting_flagged(R_bar, config.weighting)
     WRW = W @ R @ W
-    z_step = z_amb / z_points
-    z_grid = z_step * np.arange(z_points)
 
     # concentrated objective on the (z0, sigma) grid, restricted to nonnegative
     # power and noise.  The identity does not move with z0: its own terms are
@@ -261,8 +280,7 @@ def estimate_parametric(
     data = np.stack([WRW, W @ W])
     terms = harmonic_terms(array, W, data)
     noise_y, noise_Y = np.trace(data, axis1=-2, axis2=-1).real
-    phi = shape_characteristic(config.assumed_shape, sigma_values[:, None], terms.frequencies)
-    y_shape, Y11 = shape_terms_grid(phi, z_grid, terms)
+    y_shape, Y11 = shape_terms_grid(plan.phi, search.phase, terms)
     objective = _concentrate_terms(y_shape[..., 0], noise_y, Y11, y_shape[..., 1], noise_Y)[2]
 
     best_z, best_s = np.unravel_index(int(np.argmax(objective)), objective.shape)
@@ -274,13 +292,13 @@ def estimate_parametric(
         flags["pinv"] = flags["pinv"] or degenerate
         return -q
 
-    start = np.array([z_grid[best_z], sigma_values[best_s]])
+    start = np.array([search.z_grid[best_z], sigma_values[best_s]])
     sigma_step = sigma_values[1] - sigma_values[0]
     simplex = np.array(
-        [start, start + [0.5 * z_step, 0.0], start + [0.0, 0.5 * sigma_step]]
+        [start, start + [0.5 * search.step, 0.0], start + [0.0, 0.5 * sigma_step]]
     )
     q_start = float(objective[best_z, best_s])
-    bounds = _height_bounds(array, z_amb)
+    bounds = search.bounds
     result = minimize(
         negated,
         start,
@@ -288,7 +306,7 @@ def estimate_parametric(
         bounds=None if bounds is None else [bounds, (None, None)],
         options={
             "initial_simplex": simplex,
-            "xatol": refine_tol,
+            "xatol": search.refine_tol,
             "fatol": 1e-9 * (1.0 + abs(q_start)),
             "maxiter": 4000,
             "maxfev": 8000,
@@ -296,7 +314,7 @@ def estimate_parametric(
     )
     z0_hat = float(result.x[0])
     if bounds is None:
-        z0_hat %= z_amb
+        z0_hat %= search.z_amb
     sigma_z_hat = abs(float(result.x[1]))
 
     P_hat, noise_hat, q_final, pinv_final = concentrated([z0_hat, sigma_z_hat])

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import io
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from tomoments import (
     true_covariance,
     wrap_height_error,
 )
-from tomoments.experiments import PARAM_NAMES
+from tomoments.experiments import PARAM_NAMES, _format_cell
 
 MOMENTS_SYM = EstimatorSpec("moments-sym", "moments", MomentEstimatorConfig(D=4, symmetric=True))
 
@@ -116,6 +118,43 @@ def test_spec_json_round_trip():
         workers=2,
     )
     assert ExperimentSpec.from_json(spec.to_json()).to_json() == spec.to_json()
+    assert ExperimentSpec.from_json(spec.to_json()) == spec
+    assert ExperimentSpec.from_json(spec.to_json()) != dataclasses.replace(spec, array=make_uniform_array(7, 90.0))
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (None, ""),
+        (True, "true"),
+        (False, "false"),
+        (np.bool_(True), "true"),
+        (np.bool_(False), "false"),
+        (0, "0"),
+        (-7, "-7"),
+        (10**20, "100000000000000000000"),
+        (np.int64(-3), "-3"),
+        (1.5, "1.5"),
+        (0.1 + 0.2, "0.30000000000000004"),
+        (1e-300, "1e-300"),
+        (np.float64(0.1 + 0.2), "0.30000000000000004"),
+        (np.float32(0.5), "0.5"),
+        (math.nan, ""),
+        (np.float64("nan"), ""),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (np.float64(-np.inf), "-inf"),
+        (-0.0, "-0.0"),
+        (np.float64(-0.0), "-0.0"),
+        ("moments-sym", "moments-sym"),
+        ("a,b", '"a,b"'),
+    ],
+)
+def test_format_cell(value, text):
+    # the cell text csv writes for each kind of value a table holds
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([_format_cell(value), "end"])
+    assert buffer.getvalue() == f"{text},end\r\n"
 
 
 def test_wrap_height_error():

@@ -120,6 +120,17 @@ def _matrices(h, array, frequencies):
     return h[..., index]
 
 
+def _phase(z, terms):
+    """The phase table ``exp(j z f)`` of heights z at ``terms.frequencies``."""
+    return np.exp(1j * np.multiply.outer(z, terms.frequencies))
+
+
+def _phase_weighted(h, z, terms):
+    """Responses h (..., K, F) times the phase table of heights z, broadcast
+    against their leading dimensions: the input of ``fit_terms_grid``."""
+    return h * _phase(z, terms)[..., None, :]
+
+
 def _harmonic_setup(rng, array):
     M = array.M
     R = random_psd_covariance(rng, M, scale=3.0)
@@ -149,7 +160,7 @@ def test_fit_terms_grid_matches_pointwise(rng):
     h = _random_frequency_responses(rng, (K,), terms.frequencies)
     stack = _matrices(h, array, terms.frequencies)
     z_grid = np.array([0.0, 13.7, 35.0, 69.9])
-    y_all, Y_all = fit_terms_grid(h, z_grid, terms)
+    y_all, Y_all = fit_terms_grid(_phase_weighted(h, z_grid, terms), terms)
     for idx, z in enumerate(z_grid):
         y, Y = fit_terms(stack, steering_vector(array, z), W, WRW)
         np.testing.assert_allclose(y_all[idx], y, rtol=1e-12, atol=1e-12)
@@ -168,7 +179,7 @@ def test_fit_terms_grid_broadcasts_heights_against_stacks(rng, array, z0_max):
     W, WRW, terms = _harmonic_setup(rng, array)
     h = _random_frequency_responses(rng, (S, K), terms.frequencies)
     z_grid = np.linspace(0.0, z0_max or array.ambiguity, 4, endpoint=False) + 1.3
-    y, Y = fit_terms_grid(h, z_grid[:, None], terms)
+    y, Y = fit_terms_grid(_phase_weighted(h, z_grid[:, None], terms), terms)
     assert y.shape == (z_grid.size, S, K) and Y.shape == (z_grid.size, S, K, K)
     for z, s in np.ndindex(z_grid.size, S):
         a = steering_vector(array, z_grid[z])
@@ -192,7 +203,7 @@ def test_fit_terms_grid_moment_basis_matches_trace_oracle(rng, name):
     config = MomentEstimatorConfig(D=5, symmetric=False)
     W, WRW, terms = _harmonic_setup(rng, array)
     z_grid = np.linspace(0.0, z0_max, 7, endpoint=False) + 0.37
-    y, Y = fit_terms_grid(_basis_response(config, terms.frequencies), z_grid, terms)
+    y, Y = fit_terms_grid(_phase_weighted(_basis_response(config, terms.frequencies), z_grid, terms), terms)
     stack = _basis_stack(config, array)
     for idx, z in enumerate(z_grid):
         expected_y, expected_Y = fit_terms_trace_oracle(stack, steering_vector(array, z), W, WRW)
@@ -212,7 +223,7 @@ def test_fit_terms_grid_shape_identity_basis_matches_trace_oracle(rng, name, sha
     phi = shape_characteristic(shape, sigmas[:, None], terms.frequencies)
     h = np.stack([phi, np.broadcast_to(terms.frequencies == 0.0, phi.shape)], axis=1)
     z_grid = np.linspace(0.0, z0_max, 5, endpoint=False) + 2.9
-    y, Y = fit_terms_grid(h, z_grid[:, None], terms)
+    y, Y = fit_terms_grid(_phase_weighted(h, z_grid[:, None], terms), terms)
     assert y.shape == (z_grid.size, sigmas.size, 2, 2) and Y.shape == (z_grid.size, sigmas.size, 2, 2)
     for z, s in np.ndindex(z_grid.size, sigmas.size):
         profile = SourceProfile(shape, 0.0, sigmas[s], 1.0)
@@ -234,7 +245,7 @@ def test_shape_terms_grid_matches_trace_oracle(rng, name, shape):
     sigmas = np.array([0.0, 2.5, 7.0, 19.0])
     phi = shape_characteristic(shape, sigmas[:, None], terms.frequencies)
     z_grid = np.linspace(0.0, z0_max, 37, endpoint=False) + 2.9
-    y, Y = shape_terms_grid(phi, z_grid, terms)
+    y, Y = shape_terms_grid(phi, _phase(z_grid, terms), terms)
     assert y.shape == (z_grid.size, sigmas.size, 2) and Y.shape == (z_grid.size, sigmas.size)
     for z, s in np.ndindex(z_grid.size, sigmas.size):
         profile = SourceProfile(shape, 0.0, sigmas[s], 1.0)

@@ -66,6 +66,27 @@ def test_kz_array_is_read_only():
         array.kz[0] = 1.0
 
 
+def test_equal_arrays_are_equal_and_hash_equal():
+    first, second = make_uniform_array(7, 100.0), make_uniform_array(7, 100.0)
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    ragged = ArrayConfig(kz=np.array([0.0, 0.1, 0.25]))
+    assert ragged == ArrayConfig(kz=[0.0, 0.1, 0.25])
+    assert hash(ragged) == hash(ArrayConfig(kz=[0.0, 0.1, 0.25]))
+
+
+def test_arrays_differing_in_kz_or_ambiguity_are_unequal():
+    array = make_uniform_array(7, 100.0)
+    assert array != make_uniform_array(7, 90.0)
+    assert array != make_uniform_array(6, 100.0)
+    assert array != ArrayConfig(kz=array.kz, ambiguity=2.0 * array.ambiguity)
+    assert array != ArrayConfig(kz=np.nextafter(array.kz, 1.0), ambiguity=array.ambiguity)
+    ragged = ArrayConfig(kz=np.array([0.0, 0.1, 0.25]))
+    assert ragged != ArrayConfig(kz=ragged.kz, ambiguity=50.0)
+    assert array != array.to_json()
+
+
 def test_resolution_conventions():
     array = make_uniform_array(7, 100.0)
     # span of 6 spacings: 2*pi / (6 * 2*pi/100) = 100/6

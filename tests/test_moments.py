@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,16 @@ from tomoments import (
     steering_vector,
     true_covariance,
 )
-from tomoments.fitting import _default_grid_points, cost_constant, fit_terms, solve_quadratic, weighting
-from tomoments.moments import _basis_stack, moment_orders
+from tomoments.fitting import (
+    _default_grid_points,
+    cost_constant,
+    fit_terms,
+    fit_terms_grid,
+    harmonic_terms,
+    solve_quadratic,
+    weighting,
+)
+from tomoments.moments import _basis_stack, _moment_plan, moment_orders
 
 from .conftest import IRREGULAR_STACKS
 from .oracles import random_psd_covariance
@@ -255,8 +265,6 @@ def test_estimate_stays_in_domain_when_the_optimum_lies_outside(stack, z0_frac):
 
 
 def test_estimate_wraps_height(reference_array, uniform_profile):
-    import dataclasses
-
     shifted = dataclasses.replace(uniform_profile, z0=97.0)
     R = true_covariance(shifted, reference_array, 10.0)
     result = estimate(R, MomentEstimatorConfig(), reference_array)
@@ -278,8 +286,6 @@ def test_estimate_scale_equivariant(reference_covariance, reference_array):
 
 
 def test_estimate_phase_shift_equivariant(reference_array, uniform_profile):
-    import dataclasses
-
     config = MomentEstimatorConfig(refine_tol=1e-7 * 100.0)
     base = estimate(true_covariance(uniform_profile, reference_array, 10.0), config, reference_array)
     shifted_profile = dataclasses.replace(uniform_profile, z0=10.0 + 17.0)
@@ -429,3 +435,83 @@ def test_reference_stack_up_to_order_8_unchanged(reference_covariance, reference
     result = estimate(reference_covariance, MomentEstimatorConfig(D=D, symmetric=symmetric), reference_array)
     fitted = (result.z0_hat, result.sigma_z_hat, result.P_hat, result.sigma_eps2_hat)
     assert fitted == pytest.approx(REFERENCE_UP_TO_ORDER_8[D, symmetric], rel=1e-9)
+
+
+GRID_ORACLE_ARRAYS = {
+    "reference": (make_uniform_array(7, 100.0), None),
+    "M7-signed": (ArrayConfig(kz=np.array(IRREGULAR_STACKS["M7-signed"][0])), IRREGULAR_STACKS["M7-signed"][1]),
+}
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["full", "sym"])
+@pytest.mark.parametrize("name", list(GRID_ORACLE_ARRAYS))
+def test_grid_argmax_matches_product_form(name, symmetric):
+    # the moment grid from the Gram form picks the same height as the product
+    # form fit_terms, height by height, on sampled covariances
+    array, z0_max = GRID_ORACLE_ARRAYS[name]
+    config = MomentEstimatorConfig(D=4, symmetric=symmetric, z0_max=z0_max)
+    plan = _moment_plan(config, array)
+    R_true = true_covariance(SourceProfile("uniform", 10.0, 5.0, 100.0), array, 10.0)
+    steering = [steering_vector(array, z) for z in plan.search.z_grid]
+    for N in (100, 1000, 10000):
+        for seed in range(4):
+            R_bar = sample_covariance(sample_snapshots(R_true, N, seed=seed))
+            W = weighting(R_bar, "inverse_sample")
+            WRW = W @ R_bar.matrix @ W
+            gram = solve_quadratic(*fit_terms_grid(plan.weighted, harmonic_terms(array, W, WRW)))[1]
+            points = np.array([solve_quadratic(*fit_terms(plan.stack, a, W, WRW))[1] for a in steering])
+            assert np.argmax(gram) == np.argmax(points)
+            np.testing.assert_allclose(gram, points, rtol=1e-10, atol=1e-12 * np.abs(points).max())
+
+
+def _fits_equal(a, b) -> bool:
+    """Two estimates with the same bits in every field."""
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+    )
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["full", "sym"])
+def test_plan_cache_is_transparent(reference_covariance, reference_array, symmetric):
+    # every estimate has the same bits from a cold and from a warm cache
+    config = MomentEstimatorConfig(D=4, symmetric=symmetric)
+    for seed in range(3):
+        R_bar = sample_covariance(sample_snapshots(reference_covariance, 1000, seed=seed))
+        _moment_plan.cache_clear()
+        cold = estimate(R_bar, config, reference_array)
+        assert _moment_plan.cache_info().misses == 1
+        warm = estimate(R_bar, config, make_uniform_array(7, 100.0))
+        assert _moment_plan.cache_info().hits == 1
+        assert _fits_equal(cold, warm)
+
+
+def test_equal_arrays_share_one_plan():
+    _moment_plan.cache_clear()
+    config = MomentEstimatorConfig()
+    first, second = make_uniform_array(7, 100.0), make_uniform_array(7, 100.0)
+    assert first is not second
+    assert _moment_plan(config, first) is _moment_plan(config, second)
+    assert _moment_plan.cache_info().currsize == 1
+    assert _moment_plan(config, make_uniform_array(7, 90.0)) is not _moment_plan(config, first)
+
+
+def test_unidentifiable_config_raises_on_every_call():
+    array = make_uniform_array(7, 100.0)
+    R = true_covariance(SourceProfile("point", 10.0, 0.0, 100.0), array, 10.0)
+    config = MomentEstimatorConfig(D=10)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not identifiable"):
+            estimate(R, config, array)
+    coarse = MomentEstimatorConfig(grid_points=8 * 7 - 1)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="grid_points"):
+            estimate(R, coarse, array)
+
+
+def test_cached_plan_arrays_are_read_only(reference_array):
+    plan = _moment_plan(MomentEstimatorConfig(), reference_array)
+    tables = [plan.stack, plan.weighted, plan.search.z_grid, plan.search.frequencies, plan.search.phase]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0.0

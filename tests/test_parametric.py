@@ -22,12 +22,11 @@ from tomoments import (
 from tomoments.fitting import (
     cost_constant,
     fit_terms,
-    fit_terms_grid,
     harmonic_terms,
     shape_terms_grid,
     weighting,
 )
-from tomoments.parametric import _concentrate_pair, _concentrate_terms, _point_evaluator
+from tomoments.parametric import _concentrate_pair, _concentrate_terms, _parametric_plan, _point_evaluator
 from tomoments.profiles import shape_characteristic, shape_matrix
 
 from .conftest import IRREGULAR_STACKS
@@ -276,11 +275,16 @@ def test_point_evaluator_matches_array_concentration(rng, reference_array, shape
 
 
 @pytest.mark.parametrize("shape", ["uniform", "gaussian"])
-def test_grid_argmax_matches_sum_of_squares_grid(reference_covariance, reference_array, shape):
+def test_grid_argmax_matches_product_form(reference_covariance, reference_array, shape):
     # the parametric grid from the Gram form picks the same node as the
-    # sum-of-squares fit_terms_grid on sampled reference covariances
+    # product form fit_terms on sampled reference covariances; at each height
+    # one fit_terms call takes all 64 shape matrices and the identity, whose
+    # terms are those of every (shape, identity) pair
     sigma_values = np.linspace(0.0, 30.0, 64)
     z_grid = np.arange(96) * (100.0 / 96)
+    shapes = [shape_matrix(SourceProfile(shape, 0.0, sigma, 1.0), reference_array) for sigma in sigma_values]
+    stack = np.stack(shapes + [np.eye(7)])
+    steering = [steering_vector(reference_array, z) for z in z_grid]
     for N in (100, 1000, 10000):
         for seed in range(4):
             R_bar = sample_covariance(sample_snapshots(reference_covariance, N, seed=seed))
@@ -290,17 +294,17 @@ def test_grid_argmax_matches_sum_of_squares_grid(reference_covariance, reference
             terms = harmonic_terms(reference_array, W, data)
             phi = shape_characteristic(shape, sigma_values[:, None], terms.frequencies)
             noise_y, noise_Y = np.trace(data, axis1=-2, axis2=-1).real
-            y, Y11 = shape_terms_grid(phi, z_grid, terms)
-            gram = _grid_objective(y[..., 0], Y11, y[..., 1], noise_y, noise_Y)
-            identity = np.broadcast_to(terms.frequencies == 0.0, phi.shape)
-            y_sq, Y_sq = fit_terms_grid(np.stack([phi, identity], axis=1), z_grid[:, None], terms)
-            squares = _grid_objective(y_sq[..., 0, 0], Y_sq[..., 0, 0], y_sq[..., 0, 1], noise_y, noise_Y)
-            assert np.argmax(gram) == np.argmax(squares)
-            np.testing.assert_allclose(gram, squares, rtol=1e-10, atol=1e-12 * np.abs(squares).max())
-
-
-def _grid_objective(y1, Y11, Y12, noise_y, noise_Y):
-    return _concentrate_terms(y1, noise_y, Y11, Y12, noise_Y)[2]
+            phase = np.exp(1j * np.multiply.outer(z_grid, terms.frequencies))
+            y, Y11 = shape_terms_grid(phi, phase, terms)
+            gram = _concentrate_terms(y[..., 0], noise_y, Y11, y[..., 1], noise_Y)[2]
+            points = np.empty_like(gram)
+            for z, a in enumerate(steering):
+                y_point, Y_point = fit_terms(stack, a, W, WRW)
+                points[z] = _concentrate_terms(
+                    y_point[:-1], y_point[-1], np.diag(Y_point)[:-1], Y_point[:-1, -1], Y_point[-1, -1]
+                )[2]
+            assert np.argmax(gram) == np.argmax(points)
+            np.testing.assert_allclose(gram, points, rtol=1e-10, atol=1e-12 * np.abs(points).max())
 
 
 def test_scale_equivariance(reference_covariance, reference_array):
@@ -412,3 +416,25 @@ def test_estimates_respect_sign_constraints(seed, shape):
     assert result.sigma_z_hat >= 0.0
     assert 0.0 <= result.z0_hat < 60.0
     assert result.cost >= 0.0
+
+
+def test_plan_cache_is_transparent(reference_covariance, reference_array):
+    # every estimate has the same bits from a cold and from a warm cache, and
+    # an equal array hits the entry of the first
+    for shape in ("uniform", "gaussian"):
+        config = ParametricEstimatorConfig(assumed_shape=shape)
+        for seed in range(2):
+            R_bar = sample_covariance(sample_snapshots(reference_covariance, 1000, seed=seed))
+            _parametric_plan.cache_clear()
+            cold = estimate_parametric(R_bar, config, reference_array)
+            warm = estimate_parametric(R_bar, config, make_uniform_array(7, 100.0))
+            assert _parametric_plan.cache_info()[:2] == (1, 1)  # hits, misses
+            assert all(getattr(cold, f.name) == getattr(warm, f.name) for f in dataclasses.fields(cold))
+
+
+def test_cached_plan_arrays_are_read_only(reference_array):
+    plan = _parametric_plan(ParametricEstimatorConfig(), reference_array)
+    for table in (plan.sigma_values, plan.phi, plan.search.z_grid, plan.search.phase):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0.0
