@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
 """Run the three benchmark experiments on the reference scenario.
 
-Produces the spectrum dump, the asymptotic bias scan and the Monte Carlo
-RMSE sweep in one go, each into its own subdirectory of --out.  The RMSE
-sweep is the slow part: use --fast for a 500-trial smoke run.
+Calls the ``tomoments`` command line once per subcommand (spectrum, bias,
+rmse), each writing into its own subdirectory of --out, and passes the
+other flags on.  Stops at the first subcommand that fails and returns its
+exit code.  The RMSE sweep is the slow part: use --fast for a 500-trial
+smoke run (the spectrum and bias outputs do not depend on it).
 """
 
 import argparse
-import dataclasses
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tomoments import default_spec, run_experiment
+from tomoments import cli
 from tomoments.experiments import FAST_TRIALS
 
 
@@ -27,26 +28,17 @@ def main(argv=None) -> int:
     parser.add_argument("--no-timestamp", action="store_true", help="omit timestamped CSV headers")
     args = parser.parse_args(argv)
 
-    for kind, name in (
-        ("spectrum_dump", "spectrum"),
-        ("asymptotic_bias_vs_sigma", "bias"),
-        ("rmse_vs_N", "rmse"),
-    ):
-        spec = default_spec(
-            kind,
-            master_seed=args.seed,
-            output_dir=str(args.out / name),
-            workers=args.workers,
-            timestamp_header=not args.no_timestamp,
-        )
-        if args.fast and kind == "rmse_vs_N":
-            spec = dataclasses.replace(spec, trials=FAST_TRIALS)
+    flags = ["--seed", str(args.seed), "--workers", str(args.workers)]
+    if args.fast:
+        flags.append("--fast")
+    if args.no_timestamp:
+        flags.append("--no-timestamp")
+    for command in ("spectrum", "bias", "rmse"):
         start = time.perf_counter()
-        result = run_experiment(spec)
-        elapsed = time.perf_counter() - start
-        print(f"{name}: {elapsed:.1f} s")
-        for path in result.files.values():
-            print(f"  wrote {path}")
+        code = cli.main([command, "--out", str(args.out / command), *flags])
+        print(f"{command}: {time.perf_counter() - start:.1f} s")
+        if code != 0:
+            return code
     return 0
 
 

@@ -7,11 +7,11 @@ vector ``theta = (z0, sigma_z, P, sigma_eps2)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import count, real
 from .geometry import ArrayConfig, baseline_differences, steering_vector
 from .profiles import (
     SourceProfile,
@@ -85,11 +85,11 @@ def fisher_information(
 ) -> np.ndarray:
     """Fisher information matrix for ``(z0, sigma_z, P, sigma_eps2)`` at N snapshots.
 
-    Raises :class:`SingularFimError` when a parameter carries no information
-    (for example sigma_z at sigma_z = 0, where the shape derivative vanishes).
+    ``N`` is a count (see :mod:`tomoments._fields`).  Raises
+    :class:`SingularFimError` when a parameter carries no information (for
+    example sigma_z at sigma_z = 0, where the shape derivative vanishes).
     """
-    if int(N) != N or N < 1:
-        raise ValueError("N must be a positive integer")
+    N = count(N, "N", least=1)
     R = true_covariance(profile, config, sigma_eps2).matrix
     eigenvalues, vectors = np.linalg.eigh(R)
     if eigenvalues[0] <= 0.0:
@@ -102,7 +102,7 @@ def fisher_information(
     for i in range(n_params):
         for k in range(i, n_params):
             value = float(np.real(np.einsum("nm,mn->", whitened[i], whitened[k])))
-            fim[i, k] = fim[k, i] = int(N) * value
+            fim[i, k] = fim[k, i] = N * value
     scale = float(np.max(np.abs(fim)))
     if np.any(np.diag(fim) <= 1e-15 * scale):
         raise SingularFimError("a parameter carries no Fisher information in this scenario")
@@ -119,11 +119,10 @@ def crb_stddev(fim: np.ndarray, n_scale: float = 1.0) -> CrbResult:
     fim = np.asarray(fim, dtype=float)
     if fim.shape != (len(PARAMETERS), len(PARAMETERS)):
         raise ValueError("FIM must be 4 x 4 over (z0, sigma_z, P, sigma_eps2)")
-    if not (math.isfinite(n_scale) and n_scale > 0.0):
-        raise ValueError("n_scale must be positive")
+    n_scale = real(n_scale, "n_scale", above=0.0)
     eigenvalues = np.linalg.eigvalsh(fim)
     if eigenvalues[0] <= 0.0 or eigenvalues[-1] / eigenvalues[0] > _CONDITION_LIMIT:
         raise SingularFimError("Fisher information is singular or too ill-conditioned to invert")
     inverse = np.linalg.inv(fim)
-    bounds = np.sqrt(np.diag(inverse) / float(n_scale))
+    bounds = np.sqrt(np.diag(inverse) / n_scale)
     return CrbResult({name: float(b) for name, b in zip(PARAMETERS, bounds)})

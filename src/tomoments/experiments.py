@@ -1,9 +1,12 @@
 """Benchmark experiments: spectrum dumps, RMSE sweeps and asymptotic bias scans.
 
 Every experiment is described by a single :class:`ExperimentSpec` (JSON
-serializable) and writes deterministic long-format CSV files.  Trials are
-seeded individually from the master seed, so results are independent of the
-execution order and of the worker count.
+serializable field by field; its values are checked by the rules of
+:mod:`tomoments._fields`, so a count such as ``trials`` may be ``100.0`` but
+not ``true``, ``"100"`` or ``Infinity``) and writes deterministic
+long-format CSV files.  Trials are seeded individually from the master
+seed, so results are independent of the execution order and of the worker
+count.
 
 The RMSE and bias experiments run through one sweep runner, ``_run_sweep``:
 at each sweep point it builds the truth and its exact covariance, takes a
@@ -28,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fields import choice, count, flag, from_json, real, to_json
 from .crb import SingularFimError, crb_stddev, fisher_information
 from .geometry import ArrayConfig, baseline_differences, fourier_resolution, make_uniform_array
 from .moments import MomentEstimatorConfig, _check_identifiable, estimate, model_power_spectrum
@@ -35,7 +39,6 @@ from .parametric import ParametricEstimatorConfig, estimate_parametric
 from .profiles import (
     CovarianceModel,
     SourceProfile,
-    _noise_power,
     characteristic_function,
     density,
     true_covariance,
@@ -111,9 +114,7 @@ class EstimatorSpec:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("estimator label must be non-empty")
-        expected = _CONFIG_TYPES.get(self.method)
-        if expected is None:
-            raise ValueError("method must be 'moments' or 'parametric'")
+        expected = _CONFIG_TYPES[choice(self.method, tuple(_CONFIG_TYPES), "method")]
         if not isinstance(self.config, expected):
             raise ValueError(f"method {self.method!r} needs a {expected.__name__}")
 
@@ -122,15 +123,8 @@ class EstimatorSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorSpec":
-        method = str(obj.get("method", ""))
-        if method not in _CONFIG_TYPES:
-            raise ValueError("estimator entry needs method 'moments' or 'parametric'")
+        method = choice(obj.get("method"), tuple(_CONFIG_TYPES), "method")
         return cls(label=str(obj["label"]), method=method, config=_CONFIG_TYPES[method].from_json(obj))
-
-
-def _is_integer(value, least: int) -> bool:
-    """Whether a count is an integral number >= ``least``; booleans are not counts."""
-    return not isinstance(value, bool) and int(value) == value and value >= least
 
 
 @dataclass(frozen=True)
@@ -152,9 +146,8 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
-        object.__setattr__(self, "sigma_eps2", _noise_power(self.sigma_eps2))
+        choice(self.kind, KINDS, "kind")
+        object.__setattr__(self, "sigma_eps2", real(self.sigma_eps2, "sigma_eps2", least=0.0))
         estimators = tuple(self.estimators)
         if not estimators:
             raise ValueError("at least one estimator is required")
@@ -165,58 +158,31 @@ class ExperimentSpec:
         for entry in estimators:
             if entry.method == "moments":
                 _check_identifiable(entry.config, self.array)
-        N_list = tuple(self.N_list)
-        if not all(_is_integer(n, 1) for n in N_list) or list(N_list) != sorted(set(N_list)):
-            raise ValueError("N_list must be strictly increasing positive integers")
-        object.__setattr__(self, "N_list", tuple(int(n) for n in N_list))
-        if any(isinstance(s, bool) for s in self.sigma_list):
-            raise ValueError("sigma_list must hold numbers, not booleans")
-        sigma_list = tuple(float(s) for s in self.sigma_list)
-        if any(not (math.isfinite(s) and s >= 0.0) for s in sigma_list) or list(
-            sigma_list
-        ) != sorted(set(sigma_list)):
-            raise ValueError("sigma_list must be strictly increasing nonnegative values")
+        N_list = tuple(count(n, "N_list", least=1) for n in self.N_list)
+        if list(N_list) != sorted(set(N_list)):
+            raise ValueError("N_list must be strictly increasing")
+        object.__setattr__(self, "N_list", N_list)
+        sigma_list = tuple(real(s, "sigma_list", least=0.0) for s in self.sigma_list)
+        if list(sigma_list) != sorted(set(sigma_list)):
+            raise ValueError("sigma_list must be strictly increasing")
         object.__setattr__(self, "sigma_list", sigma_list)
         for name, least in (("trials", 1), ("master_seed", 0), ("workers", 1)):
-            value = getattr(self, name)
-            if not _is_integer(value, least):
-                raise ValueError(f"{name} must be an integer >= {least}")
-            object.__setattr__(self, name, int(value))
-        for name in ("timestamp_header", "dump_trials"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false")
+            object.__setattr__(self, name, count(getattr(self, name), name, least=least))
+        flag(self.timestamp_header, "timestamp_header")
+        flag(self.dump_trials, "dump_trials")
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "profile": self.profile.to_json(),
-            "array": self.array.to_json(),
-            "sigma_eps2": self.sigma_eps2,
-            "estimators": [e.to_json() for e in self.estimators],
-            "N_list": list(self.N_list),
-            "sigma_list": list(self.sigma_list),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "output_dir": self.output_dir,
-            "timestamp_header": self.timestamp_header,
-            "dump_trials": self.dump_trials,
-            "workers": self.workers,
-        }
+        return to_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentSpec":
-        kwargs = dict(
-            kind=str(obj["kind"]),
-            profile=SourceProfile.from_json(obj["profile"]),
-            array=ArrayConfig.from_json(obj["array"]),
-            sigma_eps2=obj["sigma_eps2"],
-            estimators=tuple(EstimatorSpec.from_json(e) for e in obj["estimators"]),
+        return from_json(
+            cls,
+            obj,
+            profile=SourceProfile.from_json,
+            array=ArrayConfig.from_json,
+            estimators=lambda entries: tuple(EstimatorSpec.from_json(e) for e in entries),
         )
-        # the remaining fields take their JSON values as given; __post_init__ validates them
-        for f in dataclasses.fields(cls):
-            if f.name in obj and f.name not in kwargs:
-                kwargs[f.name] = obj[f.name]
-        return cls(**kwargs)
 
 
 @dataclass

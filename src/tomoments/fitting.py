@@ -34,9 +34,10 @@ of the batched solve.
 
 The height search both estimators run has its defaults and checks here too:
 the searched interval ``[0, z0_max)`` and the bounds a refined height keeps
-when ``z0_max`` is not a period of the array, the coarse grid size, the refinement tolerance, the
-validation of those config fields and the screen that rejects non-finite
-or zero covariances.  What a search needs of the config and the array
+when ``z0_max`` is not a period of the array, the coarse grid size, the
+refinement tolerance, the validation of those config fields (by the rules
+of :mod:`tomoments._fields`) and the screen that rejects non-finite or
+zero covariances.  What a search needs of the config and the array
 alone is built once and cached, read-only: the frequency grouping per array
 (:func:`_frequency_groups`), and the grid with its phase table per (config,
 array) (:func:`_search_plan`, inside each estimator's cached plan).  Each
@@ -51,6 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _fields
 from .geometry import ArrayConfig, baseline_differences, fourier_resolution
 from .profiles import CovarianceModel
 
@@ -104,8 +106,7 @@ def weighting(R_bar: CovarianceModel, choice: str) -> np.ndarray:
 
 
 def _weighting_flagged(R_bar: CovarianceModel, choice: str) -> tuple[np.ndarray, bool]:
-    if choice not in WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {WEIGHTINGS}")
+    _fields.choice(choice, WEIGHTINGS, "weighting")
     M = R_bar.M
     if choice == "identity":
         return np.eye(M), False
@@ -127,25 +128,15 @@ def _weighting_flagged(R_bar: CovarianceModel, choice: str) -> tuple[np.ndarray,
 def _check_search_options(config, grid_name: str) -> None:
     """Validate the weighting and height-search fields both estimator configs share.
 
-    ``grid_name`` names the config's coarse z0 grid field; integer-valued
-    fields are normalized in place on the frozen config.
+    ``grid_name`` names the config's coarse z0 grid field; the fields set
+    are stored normalized (an int, floats) on the frozen config.
     """
-    if config.weighting not in WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {WEIGHTINGS}")
-    grid = getattr(config, grid_name)
-    if grid is not None:
-        if int(grid) != grid or grid < 2:
-            raise ValueError(f"{grid_name} must be an integer >= 2")
-        object.__setattr__(config, grid_name, int(grid))
+    _fields.choice(config.weighting, WEIGHTINGS, "weighting")
+    if getattr(config, grid_name) is not None:
+        object.__setattr__(config, grid_name, _fields.count(getattr(config, grid_name), grid_name, least=2))
     for name in ("refine_tol", "z0_max"):
-        value = getattr(config, name)
-        if value is not None:
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a length in m, not a boolean")
-            value = float(value)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite")
-            object.__setattr__(config, name, value)
+        if getattr(config, name) is not None:
+            object.__setattr__(config, name, _fields.real(getattr(config, name), name, above=0.0))
 
 
 def _checked_covariance(R_bar: CovarianceModel, array: ArrayConfig) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Acquisition geometry: interferometric wavenumbers, steering vectors, resolutions."""
+"""Acquisition geometry: interferometric wavenumbers, steering vectors, resolutions.
+
+Counts and lengths are checked by the rules of :mod:`tomoments._fields`.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +9,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._fields import count, real
 
 __all__ = [
     "MAX_DIFFERENCE_ORDER",
@@ -61,16 +66,8 @@ class ArrayConfig:
             raise ValueError("kz must be strictly increasing")
         kz.setflags(write=False)
         object.__setattr__(self, "kz", kz)
-        amb = self.ambiguity
-        if amb is None:
-            object.__setattr__(self, "ambiguity", _uniform_period(kz))
-        else:
-            if isinstance(amb, bool):
-                raise ValueError("ambiguity is a length in m, not a boolean")
-            amb = float(amb)
-            if not (math.isfinite(amb) and amb > 0.0):
-                raise ValueError("ambiguity must be a positive finite length")
-            object.__setattr__(self, "ambiguity", amb)
+        amb = _uniform_period(kz) if self.ambiguity is None else real(self.ambiguity, "ambiguity", above=0.0)
+        object.__setattr__(self, "ambiguity", amb)
 
     def _key(self) -> tuple:
         return self.kz.tobytes(), self.ambiguity
@@ -107,7 +104,7 @@ class ArrayConfig:
         if "kz" in obj:
             return cls(np.asarray(obj["kz"], dtype=float))
         if "M" in obj and "z_amb" in obj:
-            return make_uniform_array(int(obj["M"]), obj["z_amb"])
+            return make_uniform_array(obj["M"], obj["z_amb"])
         raise ValueError("array config needs either 'kz' or both 'M' and 'z_amb'")
 
 
@@ -124,14 +121,9 @@ def make_uniform_array(M: int, z_amb: float) -> ArrayConfig:
     z_amb : float
         Height ambiguity in m, positive.
     """
-    if isinstance(M, bool) or int(M) != M or M < 2:
-        raise ValueError("M must be an integer >= 2")
-    if isinstance(z_amb, bool):
-        raise ValueError("z_amb is a length in m, not a boolean")
-    z_amb = float(z_amb)
-    if not (math.isfinite(z_amb) and z_amb > 0.0):
-        raise ValueError("z_amb must be a positive finite length")
-    kz = _TWO_PI * np.arange(int(M)) / z_amb
+    M = count(M, "M", least=2)
+    z_amb = real(z_amb, "z_amb", above=0.0)
+    kz = _TWO_PI * np.arange(M) / z_amb
     return ArrayConfig(kz, ambiguity=z_amb)
 
 
@@ -171,6 +163,4 @@ def difference_power_matrix(config: ArrayConfig, d: int) -> np.ndarray:
     ``d = 0`` gives the all-ones matrix.  Even orders are symmetric, odd
     orders antisymmetric.  Orders above ``MAX_DIFFERENCE_ORDER`` are refused.
     """
-    if int(d) != d or d < 0 or d > MAX_DIFFERENCE_ORDER:
-        raise ValueError(f"order d must be an integer in [0, {MAX_DIFFERENCE_ORDER}]")
-    return baseline_differences(config) ** int(d)
+    return baseline_differences(config) ** count(d, "d", most=MAX_DIFFERENCE_ORDER)

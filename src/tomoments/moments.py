@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._fields import count, flag, from_json, to_json
 from .fitting import (
     _GRID_PER_CHANNEL,
     _PLAN_CACHE_SIZE,
@@ -84,6 +85,8 @@ class MomentEstimatorConfig:
     z0_max : float, optional
         Upper edge of the searched height interval ``[0, z0_max)``.
         Defaults to the array ambiguity.
+
+    Fields are checked by :mod:`tomoments._fields`; JSON writes those set.
     """
 
     D: int = 4
@@ -94,25 +97,16 @@ class MomentEstimatorConfig:
     z0_max: float | None = None
 
     def __post_init__(self) -> None:
-        if int(self.D) != self.D or not (2 <= self.D <= MAX_DIFFERENCE_ORDER):
-            raise ValueError(f"D must be an integer in [2, {MAX_DIFFERENCE_ORDER}]")
-        object.__setattr__(self, "D", int(self.D))
-        if not isinstance(self.symmetric, bool):
-            raise ValueError("symmetric must be true or false")
+        object.__setattr__(self, "D", count(self.D, "D", least=2, most=MAX_DIFFERENCE_ORDER))
+        flag(self.symmetric, "symmetric")
         _check_search_options(self, "grid_points")
 
     def to_json(self) -> dict:
-        out = {"method": "moments", "D": self.D, "symmetric": self.symmetric, "weighting": self.weighting}
-        for name in ("grid_points", "refine_tol", "z0_max"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        return {"method": "moments", **to_json(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "MomentEstimatorConfig":
-        kwargs = {k: obj[k] for k in ("D", "symmetric", "weighting", "grid_points", "refine_tol", "z0_max") if k in obj}
-        return cls(**kwargs)
+        return from_json(cls, obj)
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,13 @@ sigma_eps2 >= 0 removes both.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
 
+from ._fields import choice, count, from_json, real, to_json
 from .fitting import (
     _PLAN_CACHE_SIZE,
     _SearchPlan,
@@ -72,23 +72,20 @@ _TINY = float(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class SigmaGrid:
-    """Coarse search grid for the spread parameter, in m."""
+    """Coarse search grid for the spread parameter, in m; JSON leaves out an unset ``max``."""
 
     min: float = 0.0
     max: float | None = None  # None -> 0.3 * z_amb
     points: int = 64
 
     def __post_init__(self) -> None:
-        if isinstance(self.min, bool) or isinstance(self.max, bool):
-            raise ValueError("sigma grid bounds are lengths in m, not booleans")
-        if not (math.isfinite(self.min) and self.min >= 0.0):
-            raise ValueError("sigma grid min must be nonnegative")
+        object.__setattr__(self, "min", real(self.min, "sigma_grid.min", least=0.0))
         if self.max is not None:
-            if not (math.isfinite(self.max) and self.max > self.min):
-                raise ValueError("sigma grid max must exceed min")
-        if int(self.points) != self.points or self.points < 2:
-            raise ValueError("sigma grid needs at least 2 points")
-        object.__setattr__(self, "points", int(self.points))
+            object.__setattr__(self, "max", real(self.max, "sigma_grid.max", above=self.min))
+        object.__setattr__(self, "points", count(self.points, "sigma_grid.points", least=2))
+
+    def to_json(self) -> dict:
+        return to_json(self)
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,9 @@ class ParametricEstimatorConfig:
 
     ``assumed_shape`` selects the coherence family used by the fit, which
     need not match the data; ``z0_grid`` defaults to the same rule as the
-    moment estimator's grid.
+    moment estimator's grid.  The JSON form writes every field that is set,
+    after ``"method": "parametric"``, and ``sigma_grid`` only when it is not
+    the default grid.
     """
 
     assumed_shape: str = "uniform"
@@ -108,38 +107,15 @@ class ParametricEstimatorConfig:
     z0_max: float | None = None
 
     def __post_init__(self) -> None:
-        if self.assumed_shape not in ASSUMED_SHAPES:
-            raise ValueError(f"assumed_shape must be one of {ASSUMED_SHAPES}")
+        choice(self.assumed_shape, ASSUMED_SHAPES, "assumed_shape")
         _check_search_options(self, "z0_grid")
 
     def to_json(self) -> dict:
-        out = {"method": "parametric", "assumed_shape": self.assumed_shape, "weighting": self.weighting}
-        if self.z0_grid is not None:
-            out["z0_grid"] = self.z0_grid
-        grid = self.sigma_grid
-        if (grid.min, grid.max, grid.points) != (0.0, None, 64):
-            out["sigma_grid"] = {"min": grid.min, "max": grid.max, "points": grid.points}
-        for name in ("refine_tol", "z0_max"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        return {"method": "parametric", **to_json(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ParametricEstimatorConfig":
-        kwargs = {
-            k: obj[k]
-            for k in ("assumed_shape", "weighting", "z0_grid", "refine_tol", "z0_max")
-            if k in obj
-        }
-        if "sigma_grid" in obj:
-            grid = obj["sigma_grid"]
-            kwargs["sigma_grid"] = SigmaGrid(
-                min=float(grid.get("min", 0.0)),
-                max=None if grid.get("max") is None else float(grid["max"]),
-                points=grid.get("points", 64),
-            )
-        return cls(**kwargs)
+        return from_json(cls, obj, sigma_grid=lambda grid: from_json(SigmaGrid, grid))
 
 
 @dataclass(frozen=True)

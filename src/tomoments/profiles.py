@@ -4,6 +4,8 @@ A diffuse scatterer is modeled as a unit-mass, zero-mean density shape
 ``p`` scaled by a total power P and centered at height z0.  The second-order
 signature of the stack is fully described by the characteristic function of
 ``p`` sampled at the wavenumber differences of the acquisition geometry.
+Heights, spreads, powers and moment orders are checked by
+:mod:`tomoments._fields`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import choice, count, from_json, real, to_json
 from .geometry import ArrayConfig, baseline_differences, steering_vector
 
 __all__ = [
@@ -59,33 +62,19 @@ class SourceProfile:
     P: float
 
     def __post_init__(self) -> None:
-        if self.shape not in SHAPES:
-            raise ValueError(f"shape must be one of {SHAPES}")
-        for name in ("z0", "sigma_z", "P"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, not a boolean")
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
-        if self.sigma_z < 0.0:
-            raise ValueError("sigma_z must be nonnegative")
-        if self.P <= 0.0:
-            raise ValueError("P must be strictly positive")
+        choice(self.shape, SHAPES, "shape")
+        object.__setattr__(self, "z0", real(self.z0, "z0"))
+        object.__setattr__(self, "sigma_z", real(self.sigma_z, "sigma_z", least=0.0))
+        object.__setattr__(self, "P", real(self.P, "P", above=0.0))
         if self.shape == "point" and self.sigma_z != 0.0:
             raise ValueError("a point profile has sigma_z = 0")
 
     def to_json(self) -> dict:
-        return {"shape": self.shape, "z0": self.z0, "sigma_z": self.sigma_z, "P": self.P}
+        return to_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SourceProfile":
-        return cls(
-            shape=str(obj["shape"]),
-            z0=obj["z0"],
-            sigma_z=obj["sigma_z"],
-            P=obj["P"],
-        )
+        return from_json(cls, obj)
 
 
 def characteristic_function(profile: SourceProfile, xi) -> np.ndarray:
@@ -105,8 +94,7 @@ def shape_characteristic(shape: str, sigma_z, xi) -> np.ndarray:
     three are real and even in xi.  One call evaluates a whole grid of
     spreads, e.g. ``sigma_z (S, 1)`` against ``xi (F,)`` gives ``(S, F)``.
     """
-    if shape not in SHAPES:
-        raise ValueError(f"shape must be one of {SHAPES}")
+    choice(shape, SHAPES, "shape")
     sigma = np.asarray(sigma_z, dtype=float)
     x = np.asarray(xi, dtype=float)
     if shape == "point":
@@ -141,9 +129,7 @@ def central_moment(profile: SourceProfile, d: int) -> float:
     ``sigma_z^d (d-1)!!`` for the gaussian and ``a^d / (d+1)`` with
     ``a = sigma_z sqrt(3)`` for the uniform.
     """
-    if int(d) != d or d < 0:
-        raise ValueError("moment order must be a nonnegative integer")
-    d = int(d)
+    d = count(d, "d")
     if d == 0:
         return 1.0
     if d % 2 == 1 or profile.shape == "point":
@@ -175,16 +161,6 @@ def density(profile: SourceProfile, z) -> np.ndarray:
     return out[()]
 
 
-def _noise_power(sigma_eps2) -> float:
-    """A noise power as a float, once it is a finite nonnegative number (not a boolean)."""
-    if isinstance(sigma_eps2, bool):
-        raise ValueError("sigma_eps2 must be a power, not a boolean")
-    sigma_eps2 = float(sigma_eps2)
-    if not (math.isfinite(sigma_eps2) and sigma_eps2 >= 0.0):
-        raise ValueError("sigma_eps2 must be finite and nonnegative")
-    return sigma_eps2
-
-
 def shape_matrix(profile: SourceProfile, config: ArrayConfig) -> np.ndarray:
     """Coherence shape matrix: characteristic function at each ``kz_n - kz_m``.
 
@@ -207,7 +183,7 @@ def true_covariance(profile: SourceProfile, config: ArrayConfig, sigma_eps2: flo
     sigma_eps2 : float
         Noise power, nonnegative.
     """
-    sigma_eps2 = _noise_power(sigma_eps2)
+    sigma_eps2 = real(sigma_eps2, "sigma_eps2", least=0.0)
     a = steering_vector(config, profile.z0)
     B = shape_matrix(profile, config)
     R = profile.P * np.outer(a, a.conj()) * B + sigma_eps2 * np.eye(config.M)

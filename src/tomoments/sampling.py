@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import count
 from .profiles import CovarianceModel
 
 __all__ = [
@@ -98,13 +99,13 @@ def sample_snapshots(R: CovarianceModel, N: int, seed: int) -> SnapshotStack:
     Snapshots are ``y = L w`` where ``L L^H = R`` and w has i.i.d. entries
     with independent real and imaginary parts of variance 1/2.  The stream
     is generated by the counter-based Philox 4x64 generator keyed by
-    ``seed``, so equal seeds give byte-identical stacks.
+    ``seed``, so equal seeds give byte-identical stacks.  ``N`` is a count
+    (see :mod:`tomoments._fields`).
     """
-    if int(N) != N or N < 1:
-        raise ValueError("N must be a positive integer")
+    N = count(N, "N", least=1)
     L = covariance_factor(R.matrix)
     rng = np.random.Generator(np.random.Philox(int(seed)))
-    shape = (int(N), R.M)
+    shape = (N, R.M)
     w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     return SnapshotStack(w @ L.T, int(seed))
 
