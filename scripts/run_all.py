@@ -5,18 +5,25 @@ Calls the ``tomoments`` command line once per subcommand (spectrum, bias,
 rmse), each writing into its own subdirectory of --out, and passes the
 other flags on.  Stops at the first subcommand that fails and returns its
 exit code.  The RMSE sweep is the slow part: use --fast for a 500-trial
-smoke run (the spectrum and bias outputs do not depend on it).
+smoke run (the spectrum and bias outputs do not depend on it).  BLAS runs
+on one thread: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS
+default to 1, and a value the caller sets wins.
 """
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
+# set before numpy is imported
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tomoments import cli
-from tomoments.experiments import FAST_TRIALS
+from tomoments import cli  # noqa: E402
+from tomoments.experiments import FAST_TRIALS  # noqa: E402
 
 
 def main(argv=None) -> int:

@@ -5,6 +5,8 @@
 - A count is an integral number (``100.0`` counts); :func:`count` returns an
   int, exact for an int input (a seed above 2**53 is not rounded).
 - A flag is ``True`` or ``False``; a choice is one string of a fixed tuple.
+- A list is a list, tuple or numpy array (a JSON array); :func:`items`
+  returns it as a tuple.
 
 Every refusal is a :class:`ValueError` naming the field.  Spec and config
 dataclasses serialize field by field with :func:`to_json` and :func:`from_json`.
@@ -65,6 +67,12 @@ def choice(value, options: tuple, name: str) -> str:
     if not (isinstance(value, str) and value in options):
         raise ValueError(f"{name} must be one of {options}, got {value!r}")
     return value
+
+
+def items(value, name: str) -> tuple:
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def to_json(obj) -> dict:

@@ -54,6 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
     if args.config is not None:
         obj = json.loads(Path(args.config).read_text())
+        if not isinstance(obj, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object, got {type(obj).__name__}")
         obj.setdefault("kind", args.kind)
         if obj["kind"] != args.kind:
             raise ValueError(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -31,11 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fields import choice, count, flag, from_json, real, to_json
+from ._fields import choice, count, flag, from_json, items, real, to_json
 from .crb import SingularFimError, crb_stddev, fisher_information
 from .geometry import ArrayConfig, baseline_differences, fourier_resolution, make_uniform_array
-from .moments import MomentEstimatorConfig, _check_identifiable, estimate, model_power_spectrum
-from .parametric import ParametricEstimatorConfig, estimate_parametric
+from .moments import MomentEstimatorConfig, _moment_plan, estimate, model_power_spectrum
+from .parametric import ParametricEstimatorConfig, _parametric_plan, estimate_parametric
 from .profiles import (
     CovarianceModel,
     SourceProfile,
@@ -80,6 +81,8 @@ _SIGMA_SWEEP_CAP = 0.35
 _FAILURE_RATE_LIMIT = 0.01
 
 _CONFIG_TYPES = {"moments": MomentEstimatorConfig, "parametric": ParametricEstimatorConfig}
+# the cached search plan of each method; building it refuses a config its array cannot run
+_PLANS = {"moments": _moment_plan, "parametric": _parametric_plan}
 _SWEEP_NAMES = {"rmse_vs_N": "N", "asymptotic_bias_vs_sigma": "sigma_z"}
 _RESULT_COLUMNS = (
     "experiment",
@@ -112,8 +115,8 @@ class EstimatorSpec:
     config: MomentEstimatorConfig | ParametricEstimatorConfig
 
     def __post_init__(self) -> None:
-        if not self.label:
-            raise ValueError("estimator label must be non-empty")
+        if not (isinstance(self.label, str) and self.label):
+            raise ValueError(f"estimator label must be a non-empty string, got {self.label!r}")
         expected = _CONFIG_TYPES[choice(self.method, tuple(_CONFIG_TYPES), "method")]
         if not isinstance(self.config, expected):
             raise ValueError(f"method {self.method!r} needs a {expected.__name__}")
@@ -123,13 +126,16 @@ class EstimatorSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorSpec":
+        if not (isinstance(obj, dict) and "label" in obj):
+            raise ValueError(f"estimator JSON must be an object with a 'label', got {obj!r}")
         method = choice(obj.get("method"), tuple(_CONFIG_TYPES), "method")
-        return cls(label=str(obj["label"]), method=method, config=_CONFIG_TYPES[method].from_json(obj))
+        return cls(label=obj["label"], method=method, config=_CONFIG_TYPES[method].from_json(obj))
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Complete description of one experiment run."""
+    """Complete description of one experiment run.  Building it builds each estimator's
+    cached search plan on the array, so a config the array cannot run is refused here."""
 
     kind: str
     profile: SourceProfile
@@ -148,7 +154,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         choice(self.kind, KINDS, "kind")
         object.__setattr__(self, "sigma_eps2", real(self.sigma_eps2, "sigma_eps2", least=0.0))
-        estimators = tuple(self.estimators)
+        estimators = items(self.estimators, "estimators")
         if not estimators:
             raise ValueError("at least one estimator is required")
         labels = [e.label for e in estimators]
@@ -156,16 +162,12 @@ class ExperimentSpec:
             raise ValueError("estimator labels must be unique")
         object.__setattr__(self, "estimators", estimators)
         for entry in estimators:
-            if entry.method == "moments":
-                _check_identifiable(entry.config, self.array)
-        N_list = tuple(count(n, "N_list", least=1) for n in self.N_list)
-        if list(N_list) != sorted(set(N_list)):
-            raise ValueError("N_list must be strictly increasing")
-        object.__setattr__(self, "N_list", N_list)
-        sigma_list = tuple(real(s, "sigma_list", least=0.0) for s in self.sigma_list)
-        if list(sigma_list) != sorted(set(sigma_list)):
-            raise ValueError("sigma_list must be strictly increasing")
-        object.__setattr__(self, "sigma_list", sigma_list)
+            _PLANS[entry.method](entry.config, self.array)
+        for name, check in (("N_list", partial(count, least=1)), ("sigma_list", partial(real, least=0.0))):
+            values = tuple(check(value, name) for value in items(getattr(self, name), name))
+            if list(values) != sorted(set(values)):
+                raise ValueError(f"{name} must be strictly increasing")
+            object.__setattr__(self, name, values)
         for name, least in (("trials", 1), ("master_seed", 0), ("workers", 1)):
             object.__setattr__(self, name, count(getattr(self, name), name, least=least))
         flag(self.timestamp_header, "timestamp_header")
@@ -181,7 +183,7 @@ class ExperimentSpec:
             obj,
             profile=SourceProfile.from_json,
             array=ArrayConfig.from_json,
-            estimators=lambda entries: tuple(EstimatorSpec.from_json(e) for e in entries),
+            estimators=lambda entries: tuple(EstimatorSpec.from_json(e) for e in items(entries, "estimators")),
         )
 
 
@@ -195,11 +197,7 @@ class ExperimentResult:
 
     def select(self, **criteria) -> list:
         """Rows whose columns match all the given values."""
-        out = []
-        for row in self.rows:
-            if all(row.get(k) == v for k, v in criteria.items()):
-                out.append(row)
-        return out
+        return [row for row in self.rows if all(row.get(k) == v for k, v in criteria.items())]
 
 
 def default_estimators(truth_shape: str = "uniform") -> tuple[EstimatorSpec, ...]:
@@ -232,19 +230,6 @@ def default_spec(kind: str, **overrides) -> ExperimentSpec:
 def wrap_height_error(delta, period: float):
     """Signed height error folded into ``[-period/2, period/2)``."""
     return (np.asarray(delta) + 0.5 * period) % period - 0.5 * period
-
-
-def _height_period(spec: ExperimentSpec) -> float | None:
-    """The period height errors fold on: the array ambiguity, or None for a stack without one.
-
-    Such a stack needs ``z0_max`` on every estimator config; its heights do
-    not repeat, so an error across the domain is not a small one.
-    """
-    if spec.array.ambiguity is not None:
-        return float(spec.array.ambiguity)
-    if any(e.config.z0_max is None for e in spec.estimators):
-        raise ValueError("array has no known ambiguity; set z0_max on every estimator config")
-    return None
 
 
 def _require_kind(spec: ExperimentSpec, kind: str) -> None:
@@ -307,13 +292,16 @@ def _errors(parameter: str, estimates: np.ndarray, truth: float, period: float |
     return estimates - truth
 
 
+def _rows(**columns) -> list:
+    """Row dicts from equal-length array columns, as Python scalars; str and scalar columns repeat on every row."""
+    values = [np.asarray(v).tolist() if np.ndim(v) else itertools.repeat(v) for v in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
+
+
 def _interpolation_rows(label: str, fit, xi: np.ndarray, true_spectrum: np.ndarray, **keys) -> list:
     """Fitted moment spectrum against the true one on ``xi``, one row per point."""
     model = np.real(model_power_spectrum(fit.P_hat, fit.nu, xi))
-    return [
-        {"estimator": label, **keys, "xi": float(x), "model_spectrum": float(m), "true_spectrum": float(t)}
-        for x, m, t in zip(xi, model, true_spectrum)
-    ]
+    return _rows(estimator=label, **keys, xi=xi, model_spectrum=model, true_spectrum=true_spectrum)
 
 
 def _format_cell(value):
@@ -387,7 +375,9 @@ def _run_sweep(spec: ExperimentSpec, points, fit_point, extra_table, *, crb_at=N
     ``mean_of_fits`` (the two differ in the last bit).  ``crb_at(sweep_value)``
     gives the CRB column, if any.
     """
-    period = _height_period(spec)
+    # a stack without an ambiguity has no period to fold height errors on: its
+    # heights do not repeat, so an error across the searched interval is a large one
+    period = spec.array.ambiguity
     normalizers = _normalizers(spec)
     rows, extra_rows = [], []
     for sweep_index, (sweep_value, profile) in enumerate(points):
@@ -451,9 +441,9 @@ def run_rmse_vs_N(spec: ExperimentSpec) -> ExperimentResult:
         estimates = _collect_trials(spec, sweep_index, N, R_true)
         dump = []
         for entry, values in zip(spec.estimators, estimates if spec.dump_trials else ()):
-            for trial, hats in enumerate(values):
-                row = {"estimator": entry.label, "sweep_value": N, "trial": trial, "failed": bool(np.isnan(hats[0]))}
-                dump.append({**row, **dict(zip(_HAT_COLUMNS, map(float, hats)))})
+            failed = np.isnan(values[:, 0])
+            hats = dict(zip(_HAT_COLUMNS, values.T))
+            dump += _rows(estimator=entry.label, sweep_value=N, trial=np.arange(failed.size), failed=failed, **hats)
         return estimates, dump
 
     return _run_sweep(
@@ -528,37 +518,24 @@ def run_spectrum_dump(spec: ExperimentSpec) -> ExperimentResult:
 
     density_rows = []
     for member in families:
-        if member.shape == "point":
-            continue
-        half_span = 4.5 * member.sigma_z
-        z_grid = np.linspace(member.z0 - half_span, member.z0 + half_span, 401)
-        p = density(member, z_grid)
-        for z, value in zip(z_grid, p):
-            density_rows.append({"shape": member.shape, "z": float(z), "density": float(value)})
+        if member.shape != "point":
+            half_span = 4.5 * member.sigma_z
+            z_grid = np.linspace(member.z0 - half_span, member.z0 + half_span, 401)
+            density_rows += _rows(shape=member.shape, z=z_grid, density=density(member, z_grid))
 
     curve_rows = []
     for member in families:
         spectrum = member.P * np.real(characteristic_function(member, xi))
-        for x, value in zip(xi, spectrum):
-            curve_rows.append({"curve": member.shape, "xi": float(x), "value": float(value)})
+        curve_rows += _rows(curve=member.shape, xi=xi, value=spectrum)
     parabola = profile.P * (1.0 - 0.5 * (profile.sigma_z * xi) ** 2)
-    for x, value in zip(xi, parabola):
-        curve_rows.append({"curve": "parabola", "xi": float(x), "value": float(value)})
+    curve_rows += _rows(curve="parabola", xi=xi, value=parabola)
 
     baselines = np.unique(np.abs(baseline_differences(spec.array)))
+    noise = np.where(baselines == 0.0, spec.sigma_eps2, 0.0)  # adding 0.0 keeps every other value's bits
     measurement_rows = []
     for member in families:
         spectrum = member.P * np.real(characteristic_function(member, baselines))
-        for x, value in zip(baselines, spectrum):
-            observed = value + (spec.sigma_eps2 if x == 0.0 else 0.0)
-            measurement_rows.append(
-                {
-                    "shape": member.shape,
-                    "xi": float(x),
-                    "spectrum": float(value),
-                    "observed": float(observed),
-                }
-            )
+        measurement_rows += _rows(shape=member.shape, xi=baselines, spectrum=spectrum, observed=spectrum + noise)
 
     interpolation_rows = []
     R = true_covariance(profile, spec.array, spec.sigma_eps2)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import count, real
+from ._fields import count, items, real
 
 __all__ = [
     "MAX_DIFFERENCE_ORDER",
@@ -93,16 +93,22 @@ class ArrayConfig:
         return bool(np.allclose(self.kz, ref, rtol=0.0, atol=1e-12 * max(self.kz[-1], 1.0)))
 
     def to_json(self) -> dict:
-        """JSON-serializable form, ``{"M", "z_amb"}`` for canonical uniform arrays."""
+        """JSON-serializable form, ``{"M", "z_amb"}`` for canonical uniform arrays; other
+        arrays write ``kz``, and ``ambiguity`` when it is not the one ``kz`` implies."""
         if self._is_canonical_uniform():
             return {"M": self.M, "z_amb": float(self.ambiguity)}
-        return {"kz": [float(k) for k in self.kz]}
+        out = {"kz": self.kz.tolist()}
+        if self.ambiguity != _uniform_period(self.kz):
+            out["ambiguity"] = self.ambiguity
+        return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "ArrayConfig":
-        """Accepts either ``{"kz": [...]}`` or ``{"M": int, "z_amb": float}``."""
+        """Accepts ``{"kz": [...]}``, optionally with ``"ambiguity"``, or ``{"M": int, "z_amb": float}``."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"array config must be an object, got {obj!r}")
         if "kz" in obj:
-            return cls(np.asarray(obj["kz"], dtype=float))
+            return cls([real(k, "kz") for k in items(obj["kz"], "kz")], obj.get("ambiguity"))
         if "M" in obj and "z_amb" in obj:
             return make_uniform_array(obj["M"], obj["z_amb"])
         raise ValueError("array config needs either 'kz' or both 'M' and 'z_amb'")

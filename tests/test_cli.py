@@ -1,7 +1,13 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 from tomoments import cli, default_spec
 from tomoments.cli import main
@@ -135,12 +141,70 @@ def test_non_finite_count_is_a_named_error(tmp_path, capsys):
     assert "trials" in err["message"]
 
 
+def test_estimator_its_array_cannot_run_is_refused_before_any_trial(tmp_path, capsys):
+    # a 10-point grid on 7 acquisitions used to fail every trial, then report only the failure count
+    obj = default_spec("rmse_vs_N", N_list=(25,), trials=3).to_json()
+    obj["estimators"] = [{"label": "m", "method": "moments", "grid_points": 10}]
+    config_path = tmp_path / "spec.json"
+    config_path.write_text(json.dumps(obj))
+    assert main(["rmse", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "grid_points" in err["message"]
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_config_that_is_not_an_object_is_a_named_error(tmp_path, capsys):
+    config_path = tmp_path / "spec.json"
+    config_path.write_text(json.dumps([default_spec("rmse_vs_N").to_json()]))
+    assert main(["rmse", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "JSON object" in err["message"]
+
+
+RUN_ALL = Path(__file__).resolve().parents[1] / "scripts" / "run_all.py"
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _run_all():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all.py"
-    spec = importlib.util.spec_from_file_location("run_all", path)
+    spec = importlib.util.spec_from_file_location("run_all", RUN_ALL)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    with mock.patch.dict(os.environ):  # the script's BLAS settings stay out of this process
+        spec.loader.exec_module(module)
     return module
+
+
+# loads run_all.py without running main and prints the BLAS settings seen when numpy is first imported
+_BLAS_PROBE = """
+import os, runpy, sys
+
+seen = []
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(var) for var in sys.argv[2:]])
+
+sys.meta_path.insert(0, Probe())
+runpy.run_path(sys.argv[1])
+print(seen[0])
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_run_all_pins_blas_threads_unless_set(preset):
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREADS}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE, str(RUN_ALL), *BLAS_THREADS],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert probe.stdout.strip() == str([preset or "1", "1", "1"])
 
 
 def test_run_all_passes_its_flags_to_each_subcommand(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import json
 import math
 
 import numpy as np
@@ -122,6 +123,12 @@ def test_spec_json_round_trip():
     assert ExperimentSpec.from_json(spec.to_json()) != dataclasses.replace(spec, array=make_uniform_array(7, 90.0))
 
 
+def test_spec_json_keeps_an_ambiguity_the_wavenumbers_do_not_imply():
+    sparse = ArrayConfig(2 * np.pi / 100 * np.array([0, 1, 3, 7]), ambiguity=100)
+    spec = default_spec("rmse_vs_N", array=sparse)
+    assert ExperimentSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+
+
 @pytest.mark.parametrize(
     "value, text",
     [
@@ -166,17 +173,17 @@ def test_wrap_height_error():
 
 
 def test_height_errors_are_not_folded_without_an_ambiguity():
-    from tomoments.experiments import _errors, _height_period
+    from tomoments.experiments import _errors
 
     # heights on a non-uniform stack do not repeat, so an estimate at the far
     # edge of the searched interval is a large error, not a small one
     estimators = (EstimatorSpec("moments", "moments", MomentEstimatorConfig(z0_max=80.0)),)
     irregular = ArrayConfig(kz=np.array([0.0, 0.05, 0.17]))
     spec = default_spec("rmse_vs_N", array=irregular, estimators=estimators)
-    assert _height_period(spec) is None
-    assert _errors("z0", np.array([79.9]), 0.1, _height_period(spec)) == pytest.approx(79.8)
+    assert spec.array.ambiguity is None
+    assert _errors("z0", np.array([79.9]), 0.1, spec.array.ambiguity) == pytest.approx(79.8)
     uniform = default_spec("rmse_vs_N", estimators=estimators)
-    assert _errors("z0", np.array([99.9]), 0.1, _height_period(uniform)) == pytest.approx(-0.2)
+    assert _errors("z0", np.array([99.9]), 0.1, uniform.array.ambiguity) == pytest.approx(-0.2)
 
 
 def test_spectrum_dump(tmp_path):
@@ -333,6 +340,8 @@ def test_rmse_rows_recomputed_from_the_trial_dump(tmp_path, monkeypatch):
     assert [(row["estimator"], row["sweep_value"], row["trial"]) for row in dump if row["failed"] == "true"] == [
         ("moments-sym", "50", "1")
     ]
+    failed = next(row for row in dump if row["failed"] == "true")
+    assert [failed[f"{name}_hat"] for name in PARAM_NAMES] == [""] * 4
     assert len(rows) == 2 * 2 * 4
     truths = {"z0": 10.0, "sigma_z": 5.0, "P": 100.0, "sigma_eps2": 10.0}
     for row in rows:
@@ -526,9 +535,47 @@ def test_unexpected_estimator_error_propagates(kind, tmp_path, monkeypatch):
 
 def test_height_period_needs_ambiguity():
     array = ArrayConfig(kz=np.array([0.0, 0.05, 0.17]))
-    spec = default_spec("rmse_vs_N", array=array, N_list=(25,), trials=1)
     with pytest.raises(ValueError):
+        spec = default_spec("rmse_vs_N", array=array, N_list=(25,), trials=1)
         run_rmse_vs_N(spec)
+
+
+def test_spec_refuses_an_estimator_its_array_cannot_run():
+    # the estimator's own plan decides, when the spec is built, not after every trial failed
+    coarse = EstimatorSpec("m", "moments", MomentEstimatorConfig(grid_points=10))
+    with pytest.raises(ValueError, match="grid_points"):
+        default_spec("rmse_vs_N", estimators=(coarse,))
+    with pytest.raises(ValueError, match="not identifiable"):
+        default_spec("rmse_vs_N", estimators=(EstimatorSpec("m", "moments", MomentEstimatorConfig(D=12)),))
+    irregular = ArrayConfig(kz=np.array([0.0, 0.05, 0.17]))
+    parametric = EstimatorSpec("p", "parametric", ParametricEstimatorConfig())
+    with pytest.raises(ValueError, match="z0_max"):
+        default_spec("spectrum_dump", array=irregular, estimators=(parametric,))
+
+
+def test_container_fields_have_a_named_cause():
+    obj = default_spec("rmse_vs_N").to_json()
+    for name, value, cause in (
+        ("N_list", 100, "N_list must be a list"),
+        ("sigma_list", 5.0, "sigma_list must be a list"),
+        ("estimators", 5, "estimators must be a list"),
+        ("estimators", [5], "estimator JSON must be an object"),
+        ("array", 7, "array config must be an object"),
+        ("array", {"kz": 0.5}, "kz must be a list"),
+    ):
+        with pytest.raises(ValueError, match=cause):
+            ExperimentSpec.from_json({**obj, name: value})
+
+
+def test_estimator_json_needs_a_string_label():
+    entry = default_spec("rmse_vs_N").estimators[0].to_json()
+    del entry["label"]
+    with pytest.raises(ValueError, match="label"):
+        EstimatorSpec.from_json(entry)
+    with pytest.raises(ValueError, match="label"):
+        EstimatorSpec.from_json({**entry, "label": 5})
+    with pytest.raises(ValueError, match="label"):
+        EstimatorSpec(None, "moments", MomentEstimatorConfig())
 
 
 def test_run_experiment_dispatch(tmp_path):

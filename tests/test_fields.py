@@ -38,6 +38,7 @@ ENTRY_POINTS = {
     "difference_power_matrix d": (lambda v: difference_power_matrix(ARRAY, v), True),
     "make_uniform_array M": (lambda v: make_uniform_array(v, 100.0), True),
     "ArrayConfig.from_json M": (lambda v: ArrayConfig.from_json({"M": v, "z_amb": 100.0}), True),
+    "ArrayConfig.from_json kz": (lambda v: ArrayConfig.from_json({"kz": [0.0, v]}), False),
     "trials": (lambda v: default_spec("rmse_vs_N", trials=v), True),
     "sigma_grid.points": (lambda v: ParametricEstimatorConfig.from_json({"sigma_grid": {"points": v}}), True),
     "crb_stddev n_scale": (lambda v: crb_stddev(FIM, n_scale=v), False),

@@ -148,6 +148,15 @@ def test_json_round_trip_explicit_kz():
     assert back.ambiguity is None
 
 
+def test_json_keeps_an_ambiguity_kz_does_not_imply():
+    sparse = ArrayConfig(2.0 * np.pi / 100.0 * np.array([0, 1, 3, 7]), ambiguity=100.0)
+    assert sparse.to_json() == {"kz": sparse.kz.tolist(), "ambiguity": 100.0}
+    assert ArrayConfig.from_json(sparse.to_json()) == sparse
+    # an ambiguity kz implies is not written
+    offset = ArrayConfig(kz=np.array([0.1, 0.2, 0.3]))
+    assert offset.ambiguity is not None and offset.to_json() == {"kz": offset.kz.tolist()}
+
+
 @settings(max_examples=50)
 @given(
     M=st.integers(min_value=2, max_value=12),
