@@ -42,12 +42,17 @@ alone is built once and cached, read-only: the frequency grouping per array
 (:func:`_frequency_groups`), and the grid with its phase table per (config,
 array) (:func:`_search_plan`, inside each estimator's cached plan).  Each
 cache keeps the :data:`_PLAN_CACHE_SIZE` latest entries.
+
+The two derivative-free refinements live here too: the moment fit's
+golden section, :func:`golden_section_max`, and the parametric fit's
+bounded Nelder-Mead polish, :func:`nelder_mead`, both on Python floats.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +73,8 @@ __all__ = [
     "solve_quadratic",
     "cost_constant",
     "golden_section_max",
+    "NelderMeadResult",
+    "nelder_mead",
 ]
 
 WEIGHTINGS = ("identity", "inverse_sample")
@@ -437,3 +444,125 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> float:
             d = lo + _INV_PHI * (hi - lo)
             fd = f(d)
     return 0.5 * (lo + hi)
+
+
+class NelderMeadResult(NamedTuple):
+    """End of a :func:`nelder_mead` search: the best vertex ``x``, the number
+    of evaluations ``nfev`` and of iterations ``nit`` (counted from 1), and
+    ``success``, false when the evaluation or iteration budget ran out."""
+
+    x: tuple[float, ...]
+    nfev: int
+    nit: int
+    success: bool
+
+
+class _BudgetSpent(Exception):
+    """The evaluation budget ran out, possibly in the middle of an iteration."""
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """``numpy.clip`` on a finite Python float, signed zeros included: -0.0 clips to a bound 0.0."""
+    x = x if x > lo else lo
+    return x if x < hi else hi
+
+
+def _sorted(sim: list, fsim: list) -> tuple[list, list]:
+    """Vertices and values by value, stable and NaN last, as ``numpy.argsort`` orders a simplex."""
+    order = sorted(range(len(fsim)), key=lambda k: (fsim[k] != fsim[k], fsim[k]))
+    return [sim[k] for k in order], [fsim[k] for k in order]
+
+
+def _line(a: float, u, b: float, v) -> tuple[float, ...]:
+    """The point ``a u + b v``, coordinate by coordinate."""
+    return tuple(a * x + b * y for x, y in zip(u, v))
+
+
+def nelder_mead(f, simplex, bounds, xatol: float, fatol: float, maxiter: int, maxfev: int) -> NelderMeadResult:
+    """Minimize ``f`` by the Nelder-Mead simplex method from the given simplex.
+
+    The method of Nelder & Mead (Comput. J. 1965) with the fixed
+    coefficients reflection 1, expansion 2, contraction 1/2 and shrink 1/2
+    (the non-adaptive case of Gao & Han, Comput. Optim. Appl. 2012), on
+    Python floats.  Its steps, their order and arithmetic, the bound
+    handling and the stopping test are those of the bounded Nelder-Mead of
+    the usual Python optimization library, which ``tests/test_fitting.py``
+    runs as its oracle: the same vertices to the bit and the same
+    evaluation and iteration counts.  ``simplex`` holds N + 1 vertices of N
+    coordinates, and ``f`` takes a vertex (a tuple of floats) and returns a
+    float.  ``bounds`` is None or one ``(lo, hi)`` pair per
+    coordinate (infinite for a free one): vertices above ``hi`` are
+    reflected to ``2 hi - v``, then every vertex and trial point is clipped.
+    The search stops when every vertex is within ``xatol`` of the best in
+    each coordinate and within ``fatol`` of its value, or when ``maxiter``
+    iterations or ``maxfev`` evaluations are spent, the last possibly in the
+    middle of an iteration.
+    """
+    n = len(simplex) - 1
+    sim = [tuple(map(float, v)) for v in simplex]
+    if bounds is None:
+        def clip(v):
+            return v
+    else:
+        def clip(v):
+            return tuple(_clip(x, lo, hi) for x, (lo, hi) in zip(v, bounds))
+
+        sim = [clip(tuple(2 * hi - x if x > hi else x for x, (_, hi) in zip(v, bounds))) for v in sim]
+
+    nfev = 0
+
+    def evaluate(v):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return f(v)
+
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = _sorted(sim, fsim)
+
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            best, worst = sim[0], sim[-1]
+            if all(abs(x - b) <= xatol for v in sim[1:] for x, b in zip(v, best)) and all(
+                abs(fsim[0] - fv) <= fatol for fv in fsim[1:]
+            ):
+                break
+            # the centroid of all but the worst vertex, summed in order as numpy
+            # reduces rows (sum() would start at 0 and, from Python 3.12, compensate)
+            xbar = [functools.reduce(operator.add, column) / n for column in zip(*sim[:-1])]
+            xr = clip(_line(2, xbar, -1, worst))  # reflection
+            fxr = evaluate(xr)
+            if fxr < fsim[0]:
+                xe = clip(_line(3, xbar, -2, worst))  # expansion
+                fxe = evaluate(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = clip(_line(1.5, xbar, -0.5, worst))  # outside contraction
+                    fxc = evaluate(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = clip(_line(0.5, xbar, 0.5, worst))  # inside contraction
+                    fxc = evaluate(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = clip(tuple(b + 0.5 * (x - b) for x, b in zip(sim[j], best)))
+                        fsim[j] = evaluate(sim[j])
+            nit += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = _sorted(sim, fsim)
+
+    return NelderMeadResult(sim[0], nfev, nit, nfev < maxfev and nit < maxiter)

@@ -111,12 +111,18 @@ class MomentEstimatorConfig:
 
 @dataclass(frozen=True)
 class MomentDiagnostics:
-    """Solver events recorded during an estimate."""
+    """Solver events recorded during an estimate.
+
+    ``clamped_sigma`` is set when the spread was clamped to zero (a
+    nonpositive fitted curvature or power), ``negative_power`` when the
+    fitted power itself is nonpositive, the mark of a twin-like fit.
+    """
 
     clamped_sigma: bool
     grid_resolution_used: float
     weighting_loaded: bool = False
     pinv_used: bool = False
+    negative_power: bool = False
 
 
 @dataclass(frozen=True)
@@ -280,6 +286,7 @@ def estimate(
             grid_resolution_used=float(search.step),
             weighting_loaded=loaded,
             pinv_used=bool(pinv_used or pinv_final),
+            negative_power=P_hat <= 0.0,
         ),
     )
 

@@ -20,6 +20,8 @@ nonnegativity constraint; the remaining 2-d search runs on a coarse
   :func:`~tomoments.fitting.fit_terms` at each point, concentrated on Python
   floats by :func:`_concentrate_pair`, the same closed form in the same
   order, so bit-identical to the array form without its per-call overhead.
+  The polish is the package's own Nelder-Mead on Python floats,
+  :func:`~tomoments.fitting.nelder_mead`.
 
 On uniformly spaced arrays the unconstrained fit is ambiguous: a
 uniform shape evaluated only at harmonic baselines admits exact twins
@@ -31,11 +33,11 @@ sigma_eps2 >= 0 removes both.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._fields import choice, count, from_json, real, to_json
 from .fitting import (
@@ -52,6 +54,7 @@ from .fitting import (
     harmonic_terms,
     shape_terms_grid,
 )
+from .fitting import nelder_mead as minimize  # the polish's name: perfbench/spans.py times it
 from .geometry import ArrayConfig, steering_vector
 from .profiles import CovarianceModel, SourceProfile, shape_characteristic, shape_matrix
 
@@ -268,30 +271,23 @@ def estimate_parametric(
         flags["pinv"] = flags["pinv"] or degenerate
         return -q
 
-    start = np.array([search.z_grid[best_z], sigma_values[best_s]])
-    sigma_step = sigma_values[1] - sigma_values[0]
-    simplex = np.array(
-        [start, start + [0.5 * search.step, 0.0], start + [0.0, 0.5 * sigma_step]]
-    )
+    z, sigma = float(search.z_grid[best_z]), float(sigma_values[best_s])
+    sigma_step = float(sigma_values[1] - sigma_values[0])
+    simplex = [(z, sigma), (z + 0.5 * search.step, sigma), (z, sigma + 0.5 * sigma_step)]
     q_start = float(objective[best_z, best_s])
     bounds = search.bounds
     result = minimize(
         negated,
-        start,
-        method="Nelder-Mead",
-        bounds=None if bounds is None else [bounds, (None, None)],
-        options={
-            "initial_simplex": simplex,
-            "xatol": search.refine_tol,
-            "fatol": 1e-9 * (1.0 + abs(q_start)),
-            "maxiter": 4000,
-            "maxfev": 8000,
-        },
+        simplex,
+        bounds=None if bounds is None else [bounds, (-math.inf, math.inf)],
+        xatol=search.refine_tol,
+        fatol=1e-9 * (1.0 + abs(q_start)),
+        maxiter=4000,
+        maxfev=8000,
     )
-    z0_hat = float(result.x[0])
+    z0_hat, sigma_z_hat = result.x[0], abs(result.x[1])
     if bounds is None:
         z0_hat %= search.z_amb
-    sigma_z_hat = abs(float(result.x[1]))
 
     P_hat, noise_hat, q_final, pinv_final = concentrated([z0_hat, sigma_z_hat])
     # the objective is quartically flat in sigma near a point source, so the

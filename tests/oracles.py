@@ -4,7 +4,8 @@ The quadrature oracles integrate the reflectivity density directly with
 ``scipy.integrate.quad``, and the trace oracle evaluates the concentration
 terms from full M x M matrix products, so the closed forms and contractions
 in the package can be checked against slower but assumption-free
-computations.
+computations.  The Nelder-Mead oracle is ``scipy.optimize.minimize``, the
+implementation :func:`tomoments.fitting.nelder_mead` ports bit for bit.
 """
 
 import math
@@ -12,6 +13,7 @@ import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import minimize
 
 from tomoments import SourceProfile, density
 
@@ -81,3 +83,14 @@ def random_psd_covariance(rng: np.random.Generator, M: int, scale: float = 1.0):
     A = F @ F.conj().T / M * scale
     A = A + scale * 1e-3 * np.eye(M)
     return 0.5 * (A + A.conj().T)
+
+
+def nelder_mead_scipy(f, simplex, bounds, xatol, fatol, maxiter, maxfev):
+    """:func:`tomoments.fitting.nelder_mead`'s search, run by scipy's Nelder-Mead.
+
+    ``f`` receives each point as a float array; ``bounds`` takes infinite
+    ends for free coordinates, which scipy reads as ``None``.
+    """
+    simplex = np.array(simplex, dtype=float)
+    options = {"initial_simplex": simplex, "xatol": xatol, "fatol": fatol, "maxiter": maxiter, "maxfev": maxfev}
+    return minimize(f, simplex[0], method="Nelder-Mead", bounds=bounds, options=options)

@@ -224,3 +224,43 @@ def test_run_all_stops_at_the_first_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv[0]) or next(codes))
     assert _run_all().main(["--out", str(tmp_path)]) == 3
     assert calls == ["spectrum", "bias"]
+
+
+# imports the package and the CLI, runs one parametric fit and a tiny rmse
+# run with a parametric estimator, and prints which scipy modules each step left loaded
+_SCIPY_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+steps = {}
+import tomoments, tomoments.cli
+steps["import"] = loaded()
+
+from tomoments import SourceProfile, estimate_parametric, make_uniform_array, true_covariance
+from tomoments import ParametricEstimatorConfig, default_spec
+array = make_uniform_array(7, 100.0)
+R = true_covariance(SourceProfile("uniform", 10.0, 5.0, 100.0), array, 10.0)
+estimate_parametric(R, ParametricEstimatorConfig(), array)
+steps["estimate_parametric"] = loaded()
+
+spec = default_spec("rmse_vs_N", N_list=(50,), estimators=default_spec("rmse_vs_N").estimators[2:3])
+with tempfile.TemporaryDirectory() as out:
+    config = Path(out) / "spec.json"
+    config.write_text(json.dumps(spec.to_json()))
+    argv = ["rmse", "--fast", "--trials", "2", "--config", str(config), "--out", out, "--no-timestamp"]
+    code = tomoments.cli.main(argv)
+steps["rmse"] = loaded() if code == 0 else f"exit code {code}"
+print(json.dumps(steps))
+"""
+
+
+def test_runtime_does_not_load_scipy():
+    # scipy is a test dependency only (pyproject.toml): the oracles use it
+    probe = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, check=True
+    )
+    steps = json.loads(probe.stdout.strip().splitlines()[-1])
+    assert steps == {"import": [], "estimate_parametric": [], "rmse": []}

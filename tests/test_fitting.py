@@ -1,3 +1,6 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -6,14 +9,17 @@ from tomoments import (
     DegenerateCovarianceError,
     CovarianceModel,
     MomentEstimatorConfig,
+    ParametricEstimatorConfig,
     SourceProfile,
     baseline_differences,
+    estimate_parametric,
     make_uniform_array,
     sample_covariance,
     sample_snapshots,
     shape_characteristic,
     shape_matrix,
     steering_vector,
+    true_covariance,
 )
 from tomoments.fitting import (
     _weighting_flagged,
@@ -22,13 +28,15 @@ from tomoments.fitting import (
     fit_terms_grid,
     golden_section_max,
     harmonic_terms,
+    nelder_mead,
     shape_terms_grid,
     solve_quadratic,
     weighting,
 )
 from tomoments.moments import _basis_response, _basis_stack
 
-from .oracles import fit_terms_trace_oracle, random_psd_covariance
+from .conftest import IRREGULAR_STACKS
+from .oracles import fit_terms_trace_oracle, nelder_mead_scipy, random_psd_covariance
 
 
 def _random_hermitian_stack(rng, K, M):
@@ -342,3 +350,128 @@ def test_cost_constant_is_squared_norm(rng):
 def test_golden_section_max_quadratic():
     x_star = golden_section_max(lambda x: -((x - 2.3) ** 2), 0.0, 5.0, tol=1e-9)
     assert x_star == pytest.approx(2.3, abs=1e-8)
+
+
+def _same_search_as_scipy(f, simplex, **options):
+    """Run ``nelder_mead`` and scipy's Nelder-Mead; require the same bits of the
+    best vertex, the same evaluation and iteration counts and the same verdict."""
+    ours = nelder_mead(f, simplex, **options)
+    theirs = nelder_mead_scipy(f, simplex, **options)
+    assert np.array(ours.x, dtype=float).tobytes() == theirs.x.tobytes()
+    assert (ours.nfev, ours.nit, ours.success) == (theirs.nfev, theirs.nit, theirs.success)
+    return ours
+
+
+def _rosenbrock(x):
+    return 100.0 * (x[1] - x[0] * x[0]) * (x[1] - x[0] * x[0]) + (1.0 - x[0]) * (1.0 - x[0])
+
+
+def _rosenbrock_nan_right(x):
+    return math.nan if x[0] > 0.3 else _rosenbrock(x)
+
+
+def _terraces(x):
+    # piecewise constant: most comparisons are ties
+    return float(math.floor(4.0 * (x[0] * x[0] + x[1] * x[1])))
+
+
+def _bowl_3d(x):
+    return (x[0] - 1.0) ** 2 + 2.0 * (x[1] + 0.5) ** 2 + 3.0 * (x[2] - 2.0) ** 2
+
+
+FREE = (-math.inf, math.inf)
+START = ((-1.2, 1.0), (-1.0, 1.0), (-1.2, 1.2))
+NELDER_MEAD_CASES = {
+    "rosenbrock": (_rosenbrock, START, None),
+    "rosenbrock-bounded": (_rosenbrock, START, [(-2.0, 0.5), FREE]),
+    # vertices above the upper bound reflect inside, then clip at the lower
+    "vertex-reflected": (_rosenbrock, ((-1.2, 1.0), (0.9, 1.0), (-1.2, 1.2)), [(-2.0, 0.5), FREE]),
+    "vertex-reflected-then-clipped": (_rosenbrock, ((-1.2, 1.0), (3.5, 1.0), (-1.2, 4.0)), [(-2.0, 0.5), (0.0, 2.0)]),
+    "nan": (_rosenbrock_nan_right, START, None),
+    "nan-first-vertex": (_rosenbrock_nan_right, ((0.5, 0.5), (-1.0, 1.0), (-1.2, 1.2)), None),
+    # numpy.clip maps -0.0 to a lower bound of 0.0; min(max(...)) would keep it
+    "signed-zero-on-bound": (lambda x: x[0] + (x[1] - 0.5) ** 2, ((-0.0, 0.5), (0.5, 0.5), (0.25, 1.0)), [(0.0, 1.0), FREE]),
+    "ties": (_terraces, ((0.9, 0.8), (1.3, -0.2), (-0.4, 1.1)), None),
+    "constant": (lambda x: 1.0, START, None),
+    "3-d": (_bowl_3d, ((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.5)), None),
+}
+
+
+@pytest.mark.parametrize("case", list(NELDER_MEAD_CASES))
+def test_nelder_mead_matches_scipy(case):
+    f, simplex, bounds = NELDER_MEAD_CASES[case]
+    result = _same_search_as_scipy(f, simplex, bounds=bounds, xatol=1e-8, fatol=1e-8, maxiter=4000, maxfev=8000)
+    assert result.success
+    if bounds is not None:
+        assert all(lo <= x <= hi for x, (lo, hi) in zip(result.x, bounds))
+
+
+@pytest.mark.parametrize("case", ["ties", "constant"])
+def test_nelder_mead_zero_tolerances_like_scipy(case):
+    # with both tolerances 0 the search stops only on an exactly collapsed
+    # simplex, so the stopping test must accept equality, as scipy's does:
+    # the terraces collapse; the constant's shrinks stall an ulp apart (a
+    # tie rounds to even) until the evaluations run out
+    f, simplex, bounds = NELDER_MEAD_CASES[case]
+    result = _same_search_as_scipy(f, simplex, bounds=bounds, xatol=0.0, fatol=0.0, maxiter=4000, maxfev=8000)
+    assert result.success is (case == "ties")
+
+
+@pytest.mark.parametrize("maxfev", range(1, 40))
+def test_nelder_mead_budget_ends_mid_iteration_like_scipy(maxfev):
+    # every cut of the budget, in the first evaluations and inside each kind
+    # of step, leaves the same simplex and counts; the search fails
+    result = _same_search_as_scipy(
+        _rosenbrock, START, bounds=[(-2.0, 0.5), FREE], xatol=1e-8, fatol=1e-8, maxiter=4000, maxfev=maxfev
+    )
+    assert result.nfev == maxfev
+    assert not result.success
+
+
+@pytest.mark.parametrize("maxiter", [1, 2, 7])
+def test_nelder_mead_iteration_cap_like_scipy(maxiter):
+    result = _same_search_as_scipy(_rosenbrock, START, bounds=None, xatol=1e-8, fatol=1e-8, maxiter=maxiter, maxfev=8000)
+    assert result.nit == maxiter
+    assert not result.success
+
+
+def _polish_searches(R_bar, config, array):
+    """The ``(objective, simplex, options)`` of every polish one estimate runs."""
+    searches = []
+
+    def record(f, simplex, **options):
+        searches.append((f, simplex, options))
+        return nelder_mead(f, simplex, **options)
+
+    with mock.patch("tomoments.parametric.minimize", record):
+        estimate_parametric(R_bar, config, array)
+    return searches
+
+
+@pytest.mark.parametrize("z0_max", [None, 37.0])
+@pytest.mark.parametrize("shape", ["uniform", "gaussian"])
+def test_polish_matches_scipy_on_the_reference_stack(reference_covariance, reference_array, shape, z0_max):
+    # the concentrated objective on sampled reference covariances; z0_max =
+    # 37 m is not a period of the stack, so the height is bounded
+    config = ParametricEstimatorConfig(assumed_shape=shape, z0_max=z0_max)
+    for N in (100, 1000):
+        for seed in range(5):
+            R_bar = sample_covariance(sample_snapshots(reference_covariance, N, seed=seed))
+            [(f, simplex, options)] = _polish_searches(R_bar, config, reference_array)
+            assert (options["bounds"] is None) is (z0_max is None)
+            _same_search_as_scipy(f, simplex, **options)
+
+
+@pytest.mark.parametrize("z0_frac", [0.37, 0.995])
+@pytest.mark.parametrize("stack", list(IRREGULAR_STACKS))
+def test_polish_matches_scipy_on_irregular_stacks(stack, z0_frac):
+    # no common period, so every polish is bounded; a source at the upper
+    # edge of [0, z0_max) drives trial points into the bound
+    kz, z0_max = IRREGULAR_STACKS[stack]
+    array = ArrayConfig(kz=np.array(kz))
+    R = true_covariance(SourceProfile("gaussian", z0_frac * z0_max, 4.0, 100.0), array, 10.0)
+    config = ParametricEstimatorConfig(assumed_shape="gaussian", z0_max=z0_max)
+    for seed in range(4):
+        R_bar = sample_covariance(sample_snapshots(R, 1000, seed=seed))
+        [(f, simplex, options)] = _polish_searches(R_bar, config, array)
+        _same_search_as_scipy(f, simplex, **options)

@@ -435,6 +435,20 @@ def test_reference_stack_up_to_order_8_unchanged(reference_covariance, reference
     result = estimate(reference_covariance, MomentEstimatorConfig(D=D, symmetric=symmetric), reference_array)
     fitted = (result.z0_hat, result.sigma_z_hat, result.P_hat, result.sigma_eps2_hat)
     assert fitted == pytest.approx(REFERENCE_UP_TO_ORDER_8[D, symmetric], rel=1e-9)
+    assert not result.diagnostics.negative_power
+
+
+@pytest.mark.parametrize("D, symmetric", [(4, True), (4, False), (8, True)])
+def test_negative_power_twin_is_flagged(reference_array, D, symmetric):
+    # a source as wide as 0.15 z_amb on the reference stack is fitted, on its
+    # exact covariance, by the half-ambiguity twin with a negative power: the
+    # power gets its own flag, and the spread stays clamped as before
+    R = true_covariance(SourceProfile("uniform", 10.0, 15.0, 100.0), reference_array, 10.0)
+    result = estimate(R, MomentEstimatorConfig(D=D, symmetric=symmetric), reference_array)
+    assert result.P_hat < 0.0
+    assert result.z0_hat == pytest.approx(60.0, abs=0.01)
+    assert result.diagnostics.negative_power
+    assert result.diagnostics.clamped_sigma
 
 
 GRID_ORACLE_ARRAYS = {
