@@ -30,7 +30,13 @@ Refinement stays on the product form: near a flat optimum a change of the
 objective at the rounding level moves the polished estimates measurably.
 The concentrated quadratic of one system, :func:`solve_quadratic` on a 1-d
 ``y``, takes a path without batch bookkeeping that is bit-identical to a row
-of the batched solve.
+of the batched solve.  The batched solve screens a grid's systems for the
+pseudo-inverse fallback with one Cholesky factorization of the whole
+equilibrated stack, shifted so that its success proves that the eigenvalue
+screen would pass every system; only a stack that fails it (a rank-deficient
+or nearly singular system in it) computes eigenvalues.  Both paths refuse a
+system with a non-finite entry with a ``ValueError``; none reaches the
+pseudo-inverse, whose SVD may not return on one.
 
 The height search both estimators run has its defaults and checks here too:
 the searched interval ``[0, z0_max)`` and the bounds a refined height keeps
@@ -82,6 +88,10 @@ WEIGHTINGS = ("identity", "inverse_sample")
 _CONDITION_LIMIT = 1e12
 _LOADING_FACTOR = 1e-8
 _PINV_CUTOFF = 1e-12
+# shift of the batched screen's Cholesky certificate, and the largest system
+# it is proven for (the moment basis at D = 12 has K = 13); see solve_quadratic
+_CERTIFY_SHIFT = 1e-10
+_CERTIFY_MAX_K = 13
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Height-grid default: at least 8 points per acquisition and 16 per resolution cell.
 _GRID_PER_CHANNEL = 8
@@ -373,8 +383,17 @@ def solve_quadratic(y: np.ndarray, Y: np.ndarray):
     scale; high-order regressor columns are orders of magnitude smaller
     than the leading ones.  Systems whose smallest equilibrated
     eigenvalue falls below 1e-12 of the largest fall back to a
-    pseudo-inverse and are flagged.  Returns ``(alpha, objective,
-    used_pinv)`` with the objective ``y^T alpha`` clipped at zero.
+    pseudo-inverse and are flagged.  A batch first tries to certify that
+    no system falls back with one Cholesky factorization of the whole
+    equilibrated stack, shifted by 1e-10: if it succeeds, the stack is
+    solved at once and no eigenvalue is computed; if any system fails it,
+    every system takes the eigenvalue screen.  Returns ``(alpha,
+    objective, used_pinv)`` with the objective ``y^T alpha`` clipped at
+    zero.  A system with a non-finite entry in ``y``, ``Y`` or the
+    equilibrated ``Y`` is refused with a ``ValueError``; a batch names its
+    index and refuses it before any LAPACK call (a Cholesky factorization
+    can complete on an infinite diagonal), a single system once the
+    screen or the objective shows it.
     """
     y = np.asarray(y, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -384,6 +403,38 @@ def solve_quadratic(y: np.ndarray, Y: np.ndarray):
     scale = np.sqrt(np.where(np.isfinite(diag) & (diag > 0.0), diag, 1.0))
     Ys = Y / (scale[:, :, None] * scale[:, None, :])
     ys = y / scale
+    # scale is finite and positive, so a non-finite Y gives a non-finite Ys
+    if not (np.isfinite(Ys).all() and np.isfinite(y).all()):
+        finite = np.isfinite(Ys).all(axis=(-2, -1)) & np.isfinite(y).all(axis=-1)
+        raise ValueError(f"system {int(np.argmin(finite))} of the batch has a non-finite entry")
+    K = Ys.shape[-1]
+    if K <= _CERTIFY_MAX_K:
+        # The certificate: if the Cholesky factorization of Ys - tau I
+        # completes in floating point, its factor satisfies
+        # R^T R = Ys - tau I + E with |E| <= gamma_{K+1} |R^T| |R| (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+        # ch. 10).  A completed factorization means a positive diagonal, which
+        # equilibration has made 1 to a few ulps, so the columns of R have
+        # norm about 1, ||E||_2 <~ K^2 eps and lambda_min(Ys) >= tau - K^2 eps.
+        # The unit diagonal also bounds lambda_max(Ys) by the trace K, and
+        # eigvalsh is accurate to about K eps ||Ys||_2 <= K^2 eps.  At K <= 13
+        # both errors are below 3e-14, so eigvalsh's smallest eigenvalue is at
+        # least 1e-10 - 6e-14, about 8 times the largest possible cutoff
+        # 1e-12 * lambda_max <= 1.3e-11: the screen below would pass every
+        # system of a certified stack.  tau stays far below the conditioning
+        # of the estimators' grids: the smallest equilibrated ratio measured
+        # is 1.3e-7 (moment basis, D = 8, reference stack).  Every grid
+        # measured passes: 360 at D = 2..8 on the reference stack, 560 at
+        # D = 10 and 12 on uniform stacks of M = 8..10.  A stack that fails
+        # pays this factorization on top of the eigenvalue screen, about a
+        # sixth of the screen's cost.
+        try:
+            np.linalg.cholesky(Ys - _CERTIFY_SHIFT * np.eye(K))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            beta = np.linalg.solve(Ys, ys[..., None])[..., 0]
+            return beta / scale, np.clip(np.einsum("zk,zk->z", ys, beta), 0.0, None), False
     eigenvalues = np.linalg.eigvalsh(Ys)
     bad = (eigenvalues[:, 0] <= eigenvalues[:, -1] * _PINV_CUTOFF) | ~np.all(
         np.isfinite(eigenvalues), axis=-1
@@ -404,18 +455,38 @@ def _solve_single(y: np.ndarray, Y: np.ndarray):
 
     The same equilibration, screen and LAPACK routines on 2-d inputs,
     without the batch bookkeeping; the golden section calls it per point.
+    The eigenvalue screen stays: on one system a Cholesky certificate
+    costs as much as ``eigvalsh``.
     """
     diag = np.einsum("kk->k", Y)
     scale = np.sqrt(np.where(np.isfinite(diag) & (diag > 0.0), diag, 1.0))
     Ys = Y / (scale[:, None] * scale[None, :])
     ys = y / scale
-    eigenvalues = np.linalg.eigvalsh(Ys).tolist()
+    # the finiteness test runs only where a non-finite entry can show: a
+    # non-finite Ys makes eigvalsh raise or return a non-finite eigenvalue
+    # (so the system is bad, and pinv's SVD must not see it), a non-finite
+    # ys a non-finite objective
+    try:
+        eigenvalues = np.linalg.eigvalsh(Ys).tolist()
+    except np.linalg.LinAlgError:
+        _refuse_non_finite(ys, Ys)
+        raise
     bad = eigenvalues[0] <= eigenvalues[-1] * _PINV_CUTOFF or not all(map(math.isfinite, eigenvalues))
     if bad:
+        _refuse_non_finite(ys, Ys)
         beta = np.linalg.pinv(Ys, rcond=_PINV_CUTOFF) @ ys
     else:
         beta = np.linalg.solve(Ys, ys[:, None])[:, 0]
-    return beta / scale, _positive_part(float(np.einsum("k,k->", ys, beta))), bad
+    objective = float(np.einsum("k,k->", ys, beta))
+    if not math.isfinite(objective):
+        _refuse_non_finite(ys, Ys)
+    return beta / scale, _positive_part(objective), bad
+
+
+def _refuse_non_finite(ys: np.ndarray, Ys: np.ndarray) -> None:
+    """Raise ``ValueError`` if one system's ``ys`` or ``Ys`` has a non-finite entry."""
+    if not (np.isfinite(Ys).all() and np.isfinite(ys).all()):
+        raise ValueError("the system has a non-finite entry")
 
 
 def _positive_part(x: float) -> float:

@@ -20,6 +20,11 @@ nonnegativity constraint; the remaining 2-d search runs on a coarse
   :func:`~tomoments.fitting.fit_terms` at each point, concentrated on Python
   floats by :func:`_concentrate_pair`, the same closed form in the same
   order, so bit-identical to the array form without its per-call overhead.
+  The shape column comes from a per-fit table: the array's baseline
+  differences are taken once per fit and each point evaluates the shape's
+  characteristic function on them, the entries of
+  :func:`~tomoments.profiles.shape_matrix` without its profile, its
+  recomputed differences or its Hermitian average (:func:`_point_evaluator`).
   The polish is the package's own Nelder-Mead on Python floats,
   :func:`~tomoments.fitting.nelder_mead`.
 
@@ -55,8 +60,9 @@ from .fitting import (
     shape_terms_grid,
 )
 from .fitting import nelder_mead as minimize  # the polish's name: perfbench/spans.py times it
-from .geometry import ArrayConfig, steering_vector
-from .profiles import CovarianceModel, SourceProfile, shape_characteristic, shape_matrix
+from .geometry import ArrayConfig, baseline_differences, steering_vector
+from .profiles import CovarianceModel, shape_characteristic
+from .profiles import shape_matrix  # not called: perfbench/spans.py patches this name
 
 __all__ = [
     "ASSUMED_SHAPES",
@@ -194,15 +200,20 @@ def _point_evaluator(shape: str, array: ArrayConfig, W: np.ndarray, WRW: np.ndar
     degenerate)``: the product form :func:`~tomoments.fitting.fit_terms` on the
     (shape, identity) basis, concentrated by :func:`_concentrate_pair`, so
     bit-identical to :func:`_concentrate_terms` on the same terms.  The
-    basis lives in one preallocated stack whose identity is written once.
+    basis lives in one preallocated stack whose identity is written once;
+    the array's baseline differences are computed once too, and each point
+    writes the shape's characteristic function at them, the entries of
+    :func:`~tomoments.profiles.shape_matrix` of a profile with that spread.
+    Its Hermitian average changes no bit here: the differences are exactly
+    antisymmetric and both assumed shapes exactly even.
     """
     stack = np.empty((2, array.M, array.M), dtype=complex)
     stack[1] = np.eye(array.M)
+    differences = baseline_differences(array)
 
     def concentrated(point) -> tuple[float, float, float, bool]:
         z, sigma = point
-        # the shape enters only through sigma_z of a reference profile
-        stack[0] = shape_matrix(SourceProfile(shape, 0.0, abs(float(sigma)), 1.0), array)
+        stack[0] = shape_characteristic(shape, abs(float(sigma)), differences)
         y, Y = fit_terms(stack, steering_vector(array, z), W, WRW)
         (Y11, Y12), (_, Y22) = Y.tolist()
         return _concentrate_pair(*y.tolist(), Y11, Y12, Y22)

@@ -5,7 +5,10 @@ The quadrature oracles integrate the reflectivity density directly with
 terms from full M x M matrix products, so the closed forms and contractions
 in the package can be checked against slower but assumption-free
 computations.  The Nelder-Mead oracle is ``scipy.optimize.minimize``, the
-implementation :func:`tomoments.fitting.nelder_mead` ports bit for bit.
+implementation :func:`tomoments.fitting.nelder_mead` ports bit for bit, and
+the batched solve's oracle is the eigenvalue screen that
+:func:`tomoments.fitting.solve_quadratic` certifies with a Cholesky
+factorization.
 """
 
 import math
@@ -94,3 +97,27 @@ def nelder_mead_scipy(f, simplex, bounds, xatol, fatol, maxiter, maxfev):
     simplex = np.array(simplex, dtype=float)
     options = {"initial_simplex": simplex, "xatol": xatol, "fatol": fatol, "maxiter": maxiter, "maxfev": maxfev}
     return minimize(f, simplex[0], method="Nelder-Mead", bounds=bounds, options=options)
+
+
+def solve_quadratic_eigvalsh_oracle(y, Y):
+    """:func:`tomoments.fitting.solve_quadratic` on a batch, screened by eigenvalues only.
+
+    Every equilibrated system whose smallest eigenvalue is at most 1e-12 of
+    its largest takes the pseudo-inverse; the rest are solved together.
+    Returns ``(alpha, objective, used_pinv)``.
+    """
+    diag = np.einsum("zkk->zk", Y)
+    scale = np.sqrt(np.where(np.isfinite(diag) & (diag > 0.0), diag, 1.0))
+    Ys = Y / (scale[:, :, None] * scale[:, None, :])
+    ys = y / scale
+    eigenvalues = np.linalg.eigvalsh(Ys)
+    bad = (eigenvalues[:, 0] <= eigenvalues[:, -1] * 1e-12) | ~np.all(np.isfinite(eigenvalues), axis=-1)
+    beta = np.empty_like(ys)
+    good = ~bad
+    if np.any(good):
+        beta[good] = np.linalg.solve(Ys[good], ys[good][..., None])[..., 0]
+    for (i,) in np.argwhere(bad):
+        beta[i] = np.linalg.pinv(Ys[i], rcond=1e-12) @ ys[i]
+    alpha = beta / scale
+    objective = np.clip(np.einsum("zk,zk->z", ys, beta), 0.0, None)
+    return alpha, objective, bool(np.any(bad))

@@ -207,6 +207,34 @@ def test_run_all_pins_blas_threads_unless_set(preset):
     assert probe.stdout.strip() == str([preset or "1", "1", "1"])
 
 
+def test_bench_pairs_gain_rule():
+    # wins count strict improvements in the metric's direction, ties for
+    # neither side; a gain needs 9 of 10 wins and a median gap above the
+    # parent's interquartile range, taken with perfbench's spread (the
+    # exclusive quartile method); the bound caps how much worse a median is
+    spec = importlib.util.spec_from_file_location("bench_pairs", RUN_ALL.parent / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    lower, higher = {"better": "lower", "bound": 0.2}, {"better": "higher", "bound": 0.2}
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    row = bench_pairs.summary(lower, parent, [p - 5.0 for p in parent])
+    assert row["parent"] == [10.75, 12.0, 13.25]
+    assert (row["wins"], row["gain"], row["within_bound"]) == (10, True, True)
+    assert bench_pairs.summary(lower, parent, [p - 0.5 for p in parent])["gain"] is False
+    # a 2.2 gap clears the inclusive IQR of 2 but not the exclusive one of 2.5
+    assert bench_pairs.summary(lower, parent, [p - 2.2 for p in parent])["gain"] is False
+    tied = [p - 5.0 for p in parent[:9]] + [parent[9]]
+    assert bench_pairs.summary(lower, parent, tied)["wins"] == 9
+    assert bench_pairs.summary(lower, parent, tied)["gain"] is True
+    assert bench_pairs.summary(lower, parent, [p - 5.0 for p in parent[:8]] + parent[8:])["gain"] is False
+    assert bench_pairs.summary(higher, parent, [p - 5.0 for p in parent])["wins"] == 0
+    slower = bench_pairs.summary(lower, parent, [p * 1.1 for p in parent])
+    assert (slower["worse"], slower["within_bound"]) == (pytest.approx(0.1), True)
+    assert bench_pairs.summary(lower, parent, [p * 1.25 for p in parent])["within_bound"] is False
+    fewer = bench_pairs.summary(higher, parent, [p * 0.75 for p in parent])
+    assert (fewer["worse"], fewer["within_bound"]) == (pytest.approx(0.25), False)
+
+
 def test_run_all_passes_its_flags_to_each_subcommand(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)

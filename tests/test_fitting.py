@@ -1,9 +1,14 @@
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import tomoments
 from tomoments import (
     ArrayConfig,
     DegenerateCovarianceError,
@@ -33,10 +38,15 @@ from tomoments.fitting import (
     solve_quadratic,
     weighting,
 )
-from tomoments.moments import _basis_response, _basis_stack
+from tomoments.moments import _basis_response, _basis_stack, _moment_plan
 
 from .conftest import IRREGULAR_STACKS
-from .oracles import fit_terms_trace_oracle, nelder_mead_scipy, random_psd_covariance
+from .oracles import (
+    fit_terms_trace_oracle,
+    nelder_mead_scipy,
+    random_psd_covariance,
+    solve_quadratic_eigvalsh_oracle,
+)
 
 
 def _random_hermitian_stack(rng, K, M):
@@ -335,6 +345,117 @@ def test_solve_quadratic_singular_falls_back_to_pinv():
     assert used_pinv
     assert np.all(np.isfinite(alpha))
     assert objective >= 0.0
+
+
+def _system(rng, K, kind):
+    """One system ``(y, Y)`` of a kind the batched screen must sort like the eigenvalue screen.
+
+    Every kind but ``"nonpositive"`` is built as ``D C D`` from a unit-diagonal
+    ``C`` and random column scales ``D``, so that equilibration recovers ``C``
+    to rounding: ``"good"`` is well conditioned, ``"deficient"`` has rank
+    ``K - 1``, and ``"ratio:<r>"`` has ``lambda_min / lambda_max`` about ``r``.
+    ``"nonpositive"`` has a zero or negative diagonal entry.
+    """
+    V = rng.standard_normal((K, K - 1))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    B = V @ V.T  # unit diagonal, rank K - 1
+    if kind == "good":
+        C = 0.5 * B + 0.5 * np.eye(K)
+    elif kind == "deficient":
+        C = B
+    elif kind.startswith("ratio:"):
+        shift = float(kind[len("ratio:") :]) * np.linalg.eigvalsh(B)[-1]
+        C = (B + shift * np.eye(K)) / (1.0 + shift)
+    else:
+        C = 0.5 * B + 0.5 * np.eye(K)
+        C[K - 1, K - 1] = rng.choice([0.0, -0.3])
+    d = np.exp(rng.uniform(-5.0, 5.0, K))
+    return 3.0 * rng.standard_normal(K), d[:, None] * C * d[None, :]
+
+
+def test_solve_quadratic_certified_screen_matches_eigenvalue_screen(rng):
+    # the Cholesky certificate against the eigenvalue screen it replaces on a
+    # certified batch: the same alpha and objective bits and the same flag, on
+    # all-good batches (certified) and on batches with one system of every
+    # other kind, including equilibrated ratios on either side of the 1e-12
+    # cutoff, which must fall back to the screen
+    kinds = ["deficient", "ratio:1e-11", "ratio:1e-13", "nonpositive"]
+    for K in range(2, 8):
+        for size in range(1, 13):
+            for mixed in (None, *kinds):
+                systems = [_system(rng, K, "good") for _ in range(size)]
+                if mixed is not None:
+                    systems[int(rng.integers(size))] = _system(rng, K, mixed)
+                y, Y = (np.stack(column) for column in zip(*systems))
+                expected = solve_quadratic_eigvalsh_oracle(y, Y)
+                with mock.patch("numpy.linalg.eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+                    alpha, objective, used_pinv = solve_quadratic(y, Y)
+                assert alpha.tobytes() == expected[0].tobytes()
+                assert objective.tobytes() == expected[1].tobytes()
+                assert used_pinv is expected[2]
+                assert used_pinv is (mixed not in (None, "ratio:1e-11"))
+                assert eigvalsh.call_count == (0 if mixed is None else 1)
+
+
+def test_certified_moment_grid_computes_no_eigenvalues(reference_covariance, reference_array, monkeypatch):
+    # the whole D = 4 grid on the reference covariance is certified by one
+    # Cholesky factorization: no eigvalsh call, no pseudo-inverse
+    config = MomentEstimatorConfig(D=4)
+    W = weighting(reference_covariance, "inverse_sample")
+    terms = harmonic_terms(reference_array, W, W @ reference_covariance.matrix @ W)
+    y, Y = fit_terms_grid(_moment_plan(config, reference_array).weighted, terms)
+    expected = solve_quadratic_eigvalsh_oracle(y, Y)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    alpha, objective, used_pinv = solve_quadratic(y, Y)
+    assert calls == []
+    assert not used_pinv
+    assert alpha.tobytes() == expected[0].tobytes()
+    assert objective.tobytes() == expected[1].tobytes()
+
+
+_NON_FINITE_PROBE = textwrap.dedent(
+    """
+    import numpy as np
+    from tomoments.fitting import solve_quadratic
+
+    def refused(y, Y):
+        try:
+            solve_quadratic(y, Y)
+        except ValueError as error:
+            return str(error)
+        return "solved"
+
+    batch = np.tile(np.eye(3), (4, 1, 1))
+    batch[2, 0, 0] = np.inf
+    single = np.eye(3)
+    single[2, 0] = single[0, 2] = np.inf
+    nan = np.eye(3)
+    nan[1, 2] = nan[2, 1] = np.nan
+    print(refused(np.ones((4, 3)), batch))
+    print(refused(np.ones(3), single))
+    print(refused(np.ones(3), nan))
+    print(refused(np.array([1.0, np.nan, 1.0]), np.eye(3)))
+    print(refused(np.ones((4, 3)), np.tile(nan, (4, 1, 1))))
+    """
+)
+
+
+def test_solve_quadratic_refuses_non_finite_systems():
+    # a non-finite system used to reach the pseudo-inverse, whose SVD can
+    # run forever on an infinite entry; run in a child process so that a
+    # hang fails this test instead of stopping the suite
+    src = Path(tomoments.__file__).resolve().parents[1]
+    code = f"import sys; sys.path.insert(0, {str(src)!r})\n" + _NON_FINITE_PROBE
+    probe = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    assert probe.stdout.splitlines() == [
+        "system 2 of the batch has a non-finite entry",
+        "the system has a non-finite entry",
+        "the system has a non-finite entry",
+        "the system has a non-finite entry",
+        "system 0 of the batch has a non-finite entry",
+    ]
 
 
 def test_cost_constant_is_squared_norm(rng):

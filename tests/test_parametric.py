@@ -251,22 +251,41 @@ def test_concentrate_pair_is_bit_identical_to_the_array_form(rng):
     assert np.signbit(q[9])
 
 
-@pytest.mark.parametrize("shape", ["uniform", "gaussian"])
-def test_point_evaluator_matches_array_concentration(rng, reference_array, shape):
-    # the polish evaluator against a fresh (shape, identity) stack and the
-    # array concentrator, bit for bit, at random points including negative
-    # and zero spreads; the reused stack carries nothing between calls
-    R_bar = random_psd_covariance(rng, reference_array.M, scale=50.0)
+# the point evaluator's arrays: the reference stack, the irregular stacks and
+# a uniform stack of another size and ambiguity, each with its height interval
+POINT_ARRAYS = {
+    "reference": (make_uniform_array(7, 100.0), 100.0),
+    **{name: (ArrayConfig(kz=np.array(kz)), z_max) for name, (kz, z_max) in IRREGULAR_STACKS.items()},
+    "uniform-M9": (make_uniform_array(9, 73.0), 73.0),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, name",
+    [
+        pytest.param(shape, name, id=shape if name == "reference" else f"{shape}-{name}")
+        for shape in ("uniform", "gaussian")
+        for name in POINT_ARRAYS
+    ],
+)
+def test_point_evaluator_matches_array_concentration(rng, shape, name):
+    # the polish evaluator against a fresh (shape, identity) stack built by
+    # shape_matrix and the array concentrator, bit for bit, at random points
+    # including negative and zero spreads: the evaluator's difference table
+    # follows its array, its shape column skips shape_matrix's Hermitian
+    # average, and the reused stack carries nothing between calls
+    array, z_max = POINT_ARRAYS[name]
+    R_bar = random_psd_covariance(rng, array.M, scale=50.0)
     W = weighting(CovarianceModel(R_bar, "sample"), "inverse_sample")
     WRW = W @ R_bar @ W
-    evaluate = _point_evaluator(shape, reference_array, W, WRW)
-    sigmas = np.concatenate([[0.0, -0.0, -7.5, 7.5], rng.uniform(-30.0, 30.0, 16)])
+    evaluate = _point_evaluator(shape, array, W, WRW)
+    sigmas = np.concatenate([[0.0, -0.0, -7.5, 7.5], rng.uniform(-0.3, 0.3, 496) * z_max])
     for sigma in sigmas:
-        z = rng.uniform(-20.0, 120.0)
+        z = rng.uniform(-0.2, 1.2) * z_max
         profile = SourceProfile(shape, 0.0, abs(float(sigma)), 1.0)
-        stack = np.stack([shape_matrix(profile, reference_array), np.eye(reference_array.M)])
+        stack = np.stack([shape_matrix(profile, array), np.eye(array.M)])
         P_array, noise_array, q, degenerate = _concentrate_terms(
-            *_terms(*fit_terms(stack, steering_vector(reference_array, z), W, WRW))
+            *_terms(*fit_terms(stack, steering_vector(array, z), W, WRW))
         )
         P, noise, q_point, d_point = evaluate(np.array([z, sigma]))
         assert _bits(P, noise, q_point) == _bits(P_array, noise_array, q)
