@@ -28,7 +28,7 @@ from .experiments import (
     run_spectrum_dump,
     wrap_height_error,
 )
-from .fitting import DegenerateCovarianceError, weighting
+from .fitting import DegenerateCovarianceError, PreparedCovariance, weighting
 from .geometry import (
     ArrayConfig,
     baseline_differences,

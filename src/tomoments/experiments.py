@@ -15,7 +15,9 @@ at each sweep point it builds the truth and its exact covariance, takes a
 ``asymptotic_bias_vs_sigma``) and computes every result row with the same
 statistics.  What differs between the two kinds is data: the sweep values
 and truths, the CRB column, the extra table and the rule for the ``mean``
-cell.
+cell.  Every covariance a run fits is prepared once per weighting
+(:class:`~tomoments.fitting.PreparedCovariance`) and shared by the
+estimators with that weighting, one estimator call per fit.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 
 from ._fields import choice, count, flag, from_json, items, real, to_json
 from .crb import SingularFimError, crb_stddev, fisher_information
+from .fitting import PreparedCovariance
 from .geometry import ArrayConfig, baseline_differences, fourier_resolution, make_uniform_array
 from .moments import MomentEstimatorConfig, _moment_plan, estimate, model_power_spectrum
 from .parametric import ParametricEstimatorConfig, _parametric_plan, estimate_parametric
@@ -237,16 +240,22 @@ def _require_kind(spec: ExperimentSpec, kind: str) -> None:
         raise ValueError(f"spec kind is {spec.kind!r}, expected {kind!r}")
 
 
-def _run_estimator(entry: EstimatorSpec, R_bar: CovarianceModel, array: ArrayConfig):
+def _run_estimator(entry: EstimatorSpec, R_bar: CovarianceModel, array: ArrayConfig, prepared: dict):
+    """``entry``'s fit of ``R_bar``, which is prepared once per weighting in ``prepared``
+    and shared by the estimators with that weighting.  A preparation that
+    fails is not stored, so every estimator with its weighting fails alike."""
+    weighting = entry.config.weighting
+    if weighting not in prepared:
+        prepared[weighting] = PreparedCovariance(R_bar, array, weighting)
     if entry.method == "moments":
-        return estimate(R_bar, entry.config, array)
-    return estimate_parametric(R_bar, entry.config, array)
+        return estimate(prepared[weighting], entry.config, array)
+    return estimate_parametric(prepared[weighting], entry.config, array)
 
 
-def _fit_or_none(entry: EstimatorSpec, R_bar: CovarianceModel, array: ArrayConfig):
+def _fit_or_none(entry: EstimatorSpec, R_bar: CovarianceModel, array: ArrayConfig, prepared: dict):
     """The fit, or None when it failed with a numerical error (a failed trial)."""
     try:
-        return _run_estimator(entry, R_bar, array)
+        return _run_estimator(entry, R_bar, array, prepared)
     except (ValueError, np.linalg.LinAlgError):
         return None
 
@@ -262,7 +271,8 @@ def _run_trial(spec: ExperimentSpec, sweep_index: int, N: int, R_true: Covarianc
     """Every estimator's estimates on one seeded sample covariance."""
     seed = derive_seed(spec.master_seed, _KIND_STREAM[spec.kind], sweep_index, trial)
     R_bar = sample_covariance(sample_snapshots(R_true, N, seed))
-    return [_estimates(_fit_or_none(entry, R_bar, spec.array)) for entry in spec.estimators]
+    prepared = {}
+    return [_estimates(_fit_or_none(entry, R_bar, spec.array, prepared)) for entry in spec.estimators]
 
 
 def _collect_trials(spec: ExperimentSpec, sweep_index: int, N: int, R_true: CovarianceModel) -> np.ndarray:
@@ -479,9 +489,9 @@ def run_asymptotic_bias_vs_sigma(spec: ExperimentSpec) -> ExperimentResult:
 
     def exact_fit(sweep_index, sigma, profile, R):
         true_spectrum = profile.P * np.real(characteristic_function(profile, xi))
-        estimates, interpolation_rows = [], []
+        estimates, interpolation_rows, prepared = [], [], {}
         for entry in spec.estimators:
-            fit = _fit_or_none(entry, R, spec.array)
+            fit = _fit_or_none(entry, R, spec.array, prepared)
             if fit is not None and entry.method == "moments":
                 interpolation_rows += _interpolation_rows(entry.label, fit, xi, true_spectrum, sigma_z=sigma)
             estimates.append([_estimates(fit)])
@@ -540,9 +550,10 @@ def run_spectrum_dump(spec: ExperimentSpec) -> ExperimentResult:
     interpolation_rows = []
     R = true_covariance(profile, spec.array, spec.sigma_eps2)
     true_spectrum = profile.P * np.real(characteristic_function(profile, xi))
+    prepared = {}
     for entry in spec.estimators:
         if entry.method == "moments":
-            fit = _run_estimator(entry, R, spec.array)
+            fit = _run_estimator(entry, R, spec.array, prepared)
             interpolation_rows += _interpolation_rows(entry.label, fit, xi, true_spectrum)
 
     return _write_result(

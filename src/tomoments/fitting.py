@@ -14,7 +14,9 @@ M^2 x M^2 Kronecker forms are never materialized.
 
 - Points (refinement and the final coefficients): :func:`fit_terms` builds
   the terms from M x M products, ``Y_ik = tr(C_i C_k)`` with
-  ``C_k = G H_k``, which holds only for a Hermitian basis.
+  ``C_k = G H_k``, which holds only for a Hermitian basis.  The
+  Nelder-Mead polish evaluates it from tables taken once per fit, with the
+  same bits (:func:`_point_terms`).
 - Grids: every basis matrix is a function of the baseline difference,
   ``H_k[m, n] = h_k(kz_m - kz_n)``, so :func:`harmonic_terms` computes
   coefficients over the array's distinct baseline frequencies once per
@@ -28,6 +30,10 @@ M^2 x M^2 Kronecker forms are never materialized.
 All return exactly real terms; on the same inputs they agree to rounding.
 Refinement stays on the product form: near a flat optimum a change of the
 objective at the rounding level moves the polished estimates measurably.
+What every fit needs of the covariance and its weighting alone (``W``,
+``W Rbar W``, the Gram matrix, the cost constant and the frequency
+coefficients) is computed once in a :class:`PreparedCovariance`, which the
+fits with that weighting share.
 The concentrated quadratic of one system, :func:`solve_quadratic` on a 1-d
 ``y``, takes a path without batch bookkeeping that is bit-identical to a row
 of the batched solve.  The batched solve screens a grid's systems for the
@@ -64,13 +70,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _fields
-from .geometry import ArrayConfig, baseline_differences, fourier_resolution
+from .geometry import ArrayConfig, _finite_height, baseline_differences, fourier_resolution
 from .profiles import CovarianceModel
 
 __all__ = [
     "WEIGHTINGS",
     "DegenerateCovarianceError",
     "weighting",
+    "PreparedCovariance",
     "fit_terms",
     "HarmonicTerms",
     "harmonic_terms",
@@ -267,13 +274,37 @@ def fit_terms(
     holds only because every ``H_k`` of the stack ``(K, M, M)`` is Hermitian.
     ``WRW`` is ``W Rbar W``.  Both outputs are real floats.
     """
+    y, Y = _product_terms(stack, stack.conj(), a, W, WRW)
+    return y.copy(), Y
+
+
+def _product_terms(stack, conj_stack, a, W, WRW):
+    """:func:`fit_terms` given ``conj_stack = stack.conj()``; y is a view of a complex array."""
     ac = a.conj()
     G = ac[:, None] * W * a[None, :]
     T = ac[:, None] * WRW * a[None, :]
-    y = np.einsum("kmn,mn->k", stack.conj(), T).real
+    y = np.einsum("kmn,mn->k", conj_stack, T).real
     C = G @ stack
     Y = np.einsum("imn,knm->ik", C, C).real
-    return y.copy(), 0.5 * (Y + Y.T)
+    return y, 0.5 * (Y + Y.T)
+
+
+def _point_terms(stack: np.ndarray, conj_stack: np.ndarray, array: ArrayConfig, W: np.ndarray, WRW: np.ndarray):
+    """``fit_terms(stack, steering_vector(array, z), W, WRW)`` as a function of z, bit for bit.
+
+    The Nelder-Mead polish evaluates its points through it.  Its tables are
+    taken once per fit: the conjugated stack ``conj_stack``, which the caller
+    passes and keeps equal to ``stack.conj()`` when it rewrites a row of
+    ``stack`` between points, and ``1j * kz``, so that a point pays only for
+    its own steering vector and products.  A non-finite z raises
+    :func:`~tomoments.geometry.steering_vector`'s ``ValueError``.
+    """
+    jkz = 1j * array.kz
+
+    def terms(z) -> tuple[np.ndarray, np.ndarray]:
+        return _product_terms(stack, conj_stack, np.exp(jkz * _finite_height(z)), W, WRW)
+
+    return terms
 
 
 class HarmonicTerms(NamedTuple):
@@ -304,12 +335,81 @@ def harmonic_terms(array: ArrayConfig, W: np.ndarray, WRW: np.ndarray) -> Harmon
     :func:`~tomoments.geometry.make_uniform_array` has 25 rather than 13, as
     its wavenumber differences disagree in the last bit.
     """
+    return HarmonicTerms(_frequency_groups(array)[0], _data_coefficients(array, WRW), _gram(array, W))
+
+
+def _data_coefficients(array: ArrayConfig, WRW: np.ndarray) -> np.ndarray:
+    """``HarmonicTerms.c`` of the data matrix (or stack of them) ``WRW``."""
+    members = _frequency_groups(array)[1]
+    data = np.swapaxes(WRW, -1, -2).reshape(WRW.shape[:-2] + (-1,))
+    return np.moveaxis(data @ members.T, -1, 0)
+
+
+def _gram(array: ArrayConfig, W: np.ndarray) -> np.ndarray:
+    """``HarmonicTerms.Q`` of the weighting ``W``."""
     frequencies, members = _frequency_groups(array)
     L = np.linalg.cholesky(W)
-    data = np.swapaxes(WRW, -1, -2).reshape(WRW.shape[:-2] + (-1,))
-    c = np.moveaxis(data @ members.T, -1, 0)
     Gamma = members @ np.kron(L.conj(), L)
-    return HarmonicTerms(frequencies, c, Gamma[frequencies.size // 2 :].conj() @ Gamma.T)
+    return Gamma[frequencies.size // 2 :].conj() @ Gamma.T
+
+
+class PreparedCovariance:
+    """A covariance made ready for weighted fits on one array under one weighting.
+
+    What a fit needs of the covariance and the weighting alone, computed once
+    so that every estimator with that weighting shares it: the checked matrix
+    ``R``, the weighting ``W`` and whether it was diagonally ``loaded``,
+    ``WRW = W R W``, the rows ``f >= 0`` of the Gram matrix ``Q`` of
+    :func:`harmonic_terms` and ``cost_constant``, ``tr(R W R W)``.  Two
+    coefficient tables are filled on first use, each shared by the fits that
+    need it: ``terms``, the :class:`HarmonicTerms` of ``WRW`` (the moment
+    fits), and ``noise_terms``, those of the data stack ``(WRW, W W)`` with
+    the stack's traces (the parametric fits, whose basis holds the identity).
+    :func:`~tomoments.moments.estimate` and
+    :func:`~tomoments.parametric.estimate_parametric` take it in place of the
+    covariance and give the same bits as on the covariance itself.  A
+    covariance they would refuse is refused here, with the same errors: a
+    ``ValueError`` when it does not match the array or has a non-finite
+    entry, :class:`DegenerateCovarianceError` when it is numerically zero or
+    cannot be weighted, ``numpy.linalg.LinAlgError`` when a factorization
+    fails.  Its arrays are read-only.
+    """
+
+    def __init__(self, R_bar: CovarianceModel, array: ArrayConfig, weighting: str) -> None:
+        self.array = array
+        self.weighting = weighting
+        self.R = _checked_covariance(R_bar, array)
+        W, self.loaded = _weighting_flagged(R_bar, weighting)
+        self.W = _read_only(W)
+        self.WRW = _read_only(W @ self.R @ W)
+        self.Q = _read_only(_gram(array, W))
+        self.cost_constant = cost_constant(self.R, W)
+
+    @functools.cached_property
+    def terms(self) -> HarmonicTerms:
+        c = _read_only(_data_coefficients(self.array, self.WRW))
+        return HarmonicTerms(_frequency_groups(self.array)[0], c, self.Q)
+
+    @functools.cached_property
+    def noise_terms(self) -> tuple[HarmonicTerms, float, float]:
+        data = np.stack([self.WRW, self.W @ self.W])
+        trace_data, trace_noise = np.trace(data, axis1=-2, axis2=-1).real
+        c = _read_only(_data_coefficients(self.array, data))
+        terms = HarmonicTerms(_frequency_groups(self.array)[0], c, self.Q)
+        return terms, trace_data, trace_noise
+
+
+def _prepared(R_bar, array: ArrayConfig, weighting: str) -> PreparedCovariance:
+    """``R_bar`` ready for a fit under ``weighting`` on ``array``: a
+    :class:`~tomoments.profiles.CovarianceModel` is prepared here, a
+    :class:`PreparedCovariance` must have been prepared for both."""
+    if not isinstance(R_bar, PreparedCovariance):
+        return PreparedCovariance(R_bar, array, weighting)
+    if R_bar.weighting != weighting:
+        raise ValueError(f"covariance prepared for weighting {R_bar.weighting!r}, the fit uses {weighting!r}")
+    if R_bar.array != array:
+        raise ValueError("covariance prepared for another array")
+    return R_bar
 
 
 def _half_weights(frequencies: np.ndarray) -> np.ndarray:

@@ -151,10 +151,15 @@ def coarse_resolution(config: ArrayConfig) -> float:
 
 def steering_vector(config: ArrayConfig, z: float) -> np.ndarray:
     """Complex steering vector ``exp(j kz_n z)`` at height z (m)."""
+    return np.exp(1j * config.kz * _finite_height(z))
+
+
+def _finite_height(z) -> float:
+    """The height z as a float, refused with ``ValueError`` when it is not finite."""
     z = float(z)
     if not math.isfinite(z):
         raise ValueError("z must be finite")
-    return np.exp(1j * config.kz * z)
+    return z
 
 
 def baseline_differences(config: ArrayConfig) -> np.ndarray:

@@ -12,7 +12,10 @@ refinement and the final coefficients use the product form
 :func:`~tomoments.fitting.fit_terms`.  What the search needs of the config
 and the array alone (the grid, the basis stack, the basis responses times
 the grid's phase table, the identifiability check) is built once per
-(config, array) by :func:`_moment_plan` and cached.
+(config, array) by :func:`_moment_plan` and cached; what it needs of the
+covariance alone (the weighting, ``W Rbar W``, the frequency coefficients,
+the cost constant), once per covariance and weighting by a
+:class:`~tomoments.fitting.PreparedCovariance`.
 """
 
 from __future__ import annotations
@@ -29,18 +32,17 @@ from .fitting import (
     _GRID_PER_CHANNEL,
     _PLAN_CACHE_SIZE,
     _SearchPlan,
+    PreparedCovariance,
     _check_search_options,
-    _checked_covariance,
+    _prepared,
     _read_only,
     _search_plan,
-    _weighting_flagged,
-    cost_constant,
     fit_terms,
     fit_terms_grid,
     golden_section_max,
-    harmonic_terms,
     solve_quadratic,
 )
+from .fitting import _weighting_flagged, cost_constant  # not called: perfbench/spans.py patches these names
 from .fitting import weighting  # re-exported; part of this module's surface
 from .geometry import (
     MAX_DIFFERENCE_ORDER,
@@ -221,7 +223,7 @@ def _moment_plan(config: MomentEstimatorConfig, array: ArrayConfig) -> _MomentPl
 
 
 def estimate(
-    R_bar: CovarianceModel,
+    R_bar: CovarianceModel | PreparedCovariance,
     config: MomentEstimatorConfig,
     array: ArrayConfig,
 ) -> MomentEstimate:
@@ -233,19 +235,21 @@ def estimate(
 
     Parameters
     ----------
-    R_bar : CovarianceModel
-        Sample covariance (or exact covariance, for asymptotic studies).
+    R_bar : CovarianceModel or PreparedCovariance
+        Sample covariance (or exact covariance, for asymptotic studies), or
+        the same prepared once for the config's weighting on ``array`` by
+        :class:`~tomoments.fitting.PreparedCovariance` and shared with other
+        fits; both give the same bits.
     config : MomentEstimatorConfig
     array : ArrayConfig
         Geometry; must match the covariance dimension.
     """
-    R = _checked_covariance(R_bar, array)
+    covariance = _prepared(R_bar, array, config.weighting)
     plan = _moment_plan(config, array)
     search, stack = plan.search, plan.stack
+    W, WRW = covariance.W, covariance.WRW
 
-    W, loaded = _weighting_flagged(R_bar, config.weighting)
-    WRW = W @ R @ W
-    y, Y = fit_terms_grid(plan.weighted, harmonic_terms(array, W, WRW))
+    y, Y = fit_terms_grid(plan.weighted, covariance.terms)
     _, objective, pinv_used = solve_quadratic(y, Y)
     best = int(np.argmax(objective))
 
@@ -263,7 +267,7 @@ def estimate(
 
     y1, Y1 = fit_terms(stack, steering_vector(array, z0_hat), W, WRW)
     alpha, q_final, pinv_final = solve_quadratic(y1, Y1)
-    cost = max(cost_constant(R, W) - q_final, 0.0)
+    cost = max(covariance.cost_constant - q_final, 0.0)
 
     P_hat = float(alpha[0])
     orders = moment_orders(config)
@@ -284,7 +288,7 @@ def estimate(
         diagnostics=MomentDiagnostics(
             clamped_sigma=clamped,
             grid_resolution_used=float(search.step),
-            weighting_loaded=loaded,
+            weighting_loaded=covariance.loaded,
             pinv_used=bool(pinv_used or pinv_final),
             negative_power=P_hat <= 0.0,
         ),

@@ -16,17 +16,24 @@ nonnegativity constraint; the remaining 2-d search runs on a coarse
   one real product.  The identity terms are constants computed once per
   covariance, and the grid's 2x2 systems concentrate in one broadcast call
   of the nonnegative closed form, :func:`_concentrate_terms`.
-- Polish and final coefficients: the exact M x M product form
-  :func:`~tomoments.fitting.fit_terms` at each point, concentrated on Python
+- Polish and final coefficients: the terms of the exact M x M product form
+  :func:`~tomoments.fitting.fit_terms` at each point, taken with the same
+  bits from per-fit tables (:func:`~tomoments.fitting._point_terms`: the
+  basis stack, its conjugate and ``1j * kz``), concentrated on Python
   floats by :func:`_concentrate_pair`, the same closed form in the same
   order, so bit-identical to the array form without its per-call overhead.
-  The shape column comes from a per-fit table: the array's baseline
+  The shape column comes from a per-fit table too: the array's baseline
   differences are taken once per fit and each point evaluates the shape's
   characteristic function on them, the entries of
   :func:`~tomoments.profiles.shape_matrix` without its profile, its
   recomputed differences or its Hermitian average (:func:`_point_evaluator`).
   The polish is the package's own Nelder-Mead on Python floats,
   :func:`~tomoments.fitting.nelder_mead`.
+
+What the fit needs of the covariance alone (the weighting, the Gram matrix,
+the identity's constant terms, the cost constant) comes from a
+:class:`~tomoments.fitting.PreparedCovariance`, built once per covariance
+and weighting and shared by the fits that use them.
 
 On uniformly spaced arrays the unconstrained fit is ambiguous: a
 uniform shape evaluated only at harmonic baselines admits exact twins
@@ -48,19 +55,18 @@ from ._fields import choice, count, from_json, real, to_json
 from .fitting import (
     _PLAN_CACHE_SIZE,
     _SearchPlan,
+    PreparedCovariance,
     _check_search_options,
-    _checked_covariance,
+    _point_terms,
     _positive_part,
+    _prepared,
     _read_only,
     _search_plan,
-    _weighting_flagged,
-    cost_constant,
-    fit_terms,
-    harmonic_terms,
     shape_terms_grid,
 )
+from .fitting import _weighting_flagged, cost_constant, fit_terms  # not called: perfbench/spans.py patches these names
 from .fitting import nelder_mead as minimize  # the polish's name: perfbench/spans.py times it
-from .geometry import ArrayConfig, baseline_differences, steering_vector
+from .geometry import ArrayConfig, baseline_differences
 from .profiles import CovarianceModel, shape_characteristic
 from .profiles import shape_matrix  # not called: perfbench/spans.py patches this name
 
@@ -197,24 +203,30 @@ def _point_evaluator(shape: str, array: ArrayConfig, W: np.ndarray, WRW: np.ndar
     """The concentrated criterion at one ``(z0, sigma_z)`` point, exact.
 
     Returns a function of ``(z, sigma)`` giving ``(P, sigma_eps2, objective,
-    degenerate)``: the product form :func:`~tomoments.fitting.fit_terms` on the
-    (shape, identity) basis, concentrated by :func:`_concentrate_pair`, so
-    bit-identical to :func:`_concentrate_terms` on the same terms.  The
-    basis lives in one preallocated stack whose identity is written once;
-    the array's baseline differences are computed once too, and each point
-    writes the shape's characteristic function at them, the entries of
-    :func:`~tomoments.profiles.shape_matrix` of a profile with that spread.
-    Its Hermitian average changes no bit here: the differences are exactly
-    antisymmetric and both assumed shapes exactly even.
+    degenerate)``: the terms of ``fit_terms(stack, steering_vector(array, z),
+    W, WRW)`` on the (shape, identity) basis, concentrated by
+    :func:`_concentrate_pair`, so bit-identical to :func:`_concentrate_terms`
+    on the same terms.  The terms come from the per-fit tables of
+    :func:`~tomoments.fitting._point_terms`: the basis lives in one
+    preallocated stack, and its conjugate in another, whose identity rows
+    are written once.  The array's baseline differences are computed once
+    too, and each point writes the shape's characteristic function at them,
+    the entries of :func:`~tomoments.profiles.shape_matrix` of a profile with
+    that spread, into both.  Its Hermitian average changes no bit here: the
+    differences are exactly antisymmetric and both assumed shapes exactly
+    even.
     """
-    stack = np.empty((2, array.M, array.M), dtype=complex)
+    stack = np.zeros((2, array.M, array.M), dtype=complex)
     stack[1] = np.eye(array.M)
+    conj_stack = stack.conj()
     differences = baseline_differences(array)
+    terms = _point_terms(stack, conj_stack, array, W, WRW)
 
     def concentrated(point) -> tuple[float, float, float, bool]:
         z, sigma = point
         stack[0] = shape_characteristic(shape, abs(float(sigma)), differences)
-        y, Y = fit_terms(stack, steering_vector(array, z), W, WRW)
+        np.conjugate(stack[0], out=conj_stack[0])
+        y, Y = terms(z)
         (Y11, Y12), (_, Y22) = Y.tolist()
         return _concentrate_pair(*y.tolist(), Y11, Y12, Y22)
 
@@ -243,7 +255,7 @@ def _parametric_plan(config: ParametricEstimatorConfig, array: ArrayConfig) -> _
 
 
 def estimate_parametric(
-    R_bar: CovarianceModel,
+    R_bar: CovarianceModel | PreparedCovariance,
     config: ParametricEstimatorConfig,
     array: ArrayConfig,
 ) -> ParametricEstimate:
@@ -254,28 +266,25 @@ def estimate_parametric(
     Nelder-Mead on the concentrated criterion.  The fitted coherence is even
     in sigma_z, so sigma_z runs unconstrained and its sign is dropped.  The
     height runs free and wraps when ``z0_max`` is a period of the array, and
-    is bounded to ``[0, z0_max)`` otherwise.
+    is bounded to ``[0, z0_max)`` otherwise.  ``R_bar`` is a covariance or,
+    giving the same bits, the same prepared once for the config's weighting
+    on ``array`` by :class:`~tomoments.fitting.PreparedCovariance`.
     """
-    R = _checked_covariance(R_bar, array)
+    covariance = _prepared(R_bar, array, config.weighting)
     plan = _parametric_plan(config, array)
     search, sigma_values = plan.search, plan.sigma_values
-
-    W, loaded = _weighting_flagged(R_bar, config.weighting)
-    WRW = W @ R @ W
 
     # concentrated objective on the (z0, sigma) grid, restricted to nonnegative
     # power and noise.  The identity does not move with z0: its own terms are
     # the constants tr(W Rbar W) and tr(W W), and its cross term with the shape
     # is the shape's data term against W I W, the second data column.
-    data = np.stack([WRW, W @ W])
-    terms = harmonic_terms(array, W, data)
-    noise_y, noise_Y = np.trace(data, axis1=-2, axis2=-1).real
+    terms, noise_y, noise_Y = covariance.noise_terms
     y_shape, Y11 = shape_terms_grid(plan.phi, search.phase, terms)
     objective = _concentrate_terms(y_shape[..., 0], noise_y, Y11, y_shape[..., 1], noise_Y)[2]
 
     best_z, best_s = np.unravel_index(int(np.argmax(objective)), objective.shape)
     flags = {"pinv": False}
-    concentrated = _point_evaluator(config.assumed_shape, array, W, WRW)
+    concentrated = _point_evaluator(config.assumed_shape, array, covariance.W, covariance.WRW)
 
     def negated(point) -> float:
         _, _, q, degenerate = concentrated(point)
@@ -308,7 +317,7 @@ def estimate_parametric(
         P0, noise0, q0, pinv0 = concentrated([z0_hat, 0.0])
         if q0 >= q_final - 1e-10 * (1.0 + abs(q_final)):
             sigma_z_hat, P_hat, noise_hat, q_final, pinv_final = 0.0, P0, noise0, q0, pinv0
-    cost = max(cost_constant(R, W) - q_final, 0.0)
+    cost = max(covariance.cost_constant - q_final, 0.0)
 
     return ParametricEstimate(
         z0_hat=z0_hat,
@@ -317,7 +326,7 @@ def estimate_parametric(
         sigma_eps2_hat=noise_hat,
         cost=float(cost),
         diagnostics=ParametricDiagnostics(
-            weighting_loaded=loaded,
+            weighting_loaded=covariance.loaded,
             pinv_used=bool(flags["pinv"] or pinv_final),
         ),
     )
