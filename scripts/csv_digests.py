@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the 22 CSVs that show whether a change moved any output.
+"""Print the SHA-256 of the 26 CSVs that show whether a change moved any output.
 
 - 16 from the benchmark workloads: every variant of every workload in
   ``perfbench/workloads.py``, run through ``tomoments.cli.main`` (read only;
   nothing under ``perfbench/`` changes);
 - 4 from ``tomoments spectrum``;
-- 2 from ``tomoments rmse --trials 6 --workers 2 --dump-trials``.
+- 2 from ``tomoments rmse --trials 6 --workers 2 --dump-trials``;
+- 4 from ``tomoments rmse --trials 6 --dump-trials`` on the paths those
+  miss (:data:`EXTRA_SPECS`): the identity weighting with a full moment fit
+  at D = 6, and a parametric fit bounded by ``z0_max`` on a sparse stack.
 
 Every run omits the timestamp header.  Run it in two checkouts and compare
 the listings: equal lines mean byte-identical CSVs.
@@ -16,6 +19,8 @@ the listings: equal lines mean byte-identical CSVs.
 import argparse
 import contextlib
 import hashlib
+import json
+import math
 import os
 import sys
 import tempfile
@@ -30,6 +35,30 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import workloads  # noqa: E402
 from tomoments.cli import main as cli_main  # noqa: E402
+
+# the reference scenario of the workloads, on two paths they do not take
+_SCENARIO = {
+    "kind": "rmse_vs_N",
+    "profile": {"shape": "uniform", "z0": 10.0, "sigma_z": 5.0, "P": 100.0},
+    "sigma_eps2": 10.0,
+    "N_list": [100, 1000],
+}
+EXTRA_SPECS = {
+    "identity-D6": {
+        **_SCENARIO,
+        "array": {"M": 7, "z_amb": 100.0},
+        "estimators": [{"label": "moments-id-full6", "method": "moments", "D": 6, "symmetric": False,
+                        "weighting": "identity"}],
+    },
+    # lags 0, 1, 3 and 7 of a 100 m ambiguity; 80 m is not a period, so the
+    # polish stays inside [0, 80)
+    "sparse-z0max": {
+        **_SCENARIO,
+        "array": {"kz": [2.0 * math.pi / 100.0 * lag for lag in (0, 1, 3, 7)], "ambiguity": 100.0},
+        "estimators": [{"label": "parametric-uniform-z80", "method": "parametric", "assumed_shape": "uniform",
+                        "weighting": "inverse_sample", "z0_max": 80.0}],
+    },
+}
 
 
 def _run(argv) -> None:
@@ -48,6 +77,11 @@ def digests(out: Path) -> list:
     _run(
         ["rmse", "--trials", "6", "--workers", "2", "--dump-trials", "--no-timestamp", "--out", str(out / "rmse")]
     )
+    for name, spec in EXTRA_SPECS.items():
+        config = out / f"{name}.json"
+        config.write_text(json.dumps(spec))
+        _run(["rmse", "--config", str(config), "--trials", "6", "--dump-trials", "--no-timestamp",
+              "--out", str(out / name)])
     paths = sorted(out.rglob("*.csv"))
     return [(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out).as_posix()) for path in paths]
 

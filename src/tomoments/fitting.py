@@ -14,9 +14,7 @@ M^2 x M^2 Kronecker forms are never materialized.
 
 - Points (refinement and the final coefficients): :func:`fit_terms` builds
   the terms from M x M products, ``Y_ik = tr(C_i C_k)`` with
-  ``C_k = G H_k``, which holds only for a Hermitian basis.  The
-  Nelder-Mead polish evaluates it from tables taken once per fit, with the
-  same bits (:func:`_point_terms`).
+  ``C_k = G H_k``, which holds only for a Hermitian basis.
 - Grids: every basis matrix is a function of the baseline difference,
   ``H_k[m, n] = h_k(kz_m - kz_n)``, so :func:`harmonic_terms` computes
   coefficients over the array's distinct baseline frequencies once per
@@ -31,18 +29,18 @@ All return exactly real terms; on the same inputs they agree to rounding.
 Refinement stays on the product form: near a flat optimum a change of the
 objective at the rounding level moves the polished estimates measurably.
 What every fit needs of the covariance and its weighting alone (``W``,
-``W Rbar W``, the Gram matrix, the cost constant and the frequency
-coefficients) is computed once in a :class:`PreparedCovariance`, which the
-fits with that weighting share.
+``W Rbar W``, the cost constant and one :class:`HarmonicTerms` table) is
+computed once in a :class:`PreparedCovariance`, which the fits with that
+weighting share.
 The concentrated quadratic of one system, :func:`solve_quadratic` on a 1-d
-``y``, takes a path without batch bookkeeping that is bit-identical to a row
-of the batched solve.  The batched solve screens a grid's systems for the
-pseudo-inverse fallback with one Cholesky factorization of the whole
-equilibrated stack, shifted so that its success proves that the eigenvalue
-screen would pass every system; only a stack that fails it (a rank-deficient
-or nearly singular system in it) computes eigenvalues.  Both paths refuse a
-system with a non-finite entry with a ``ValueError``; none reaches the
-pseudo-inverse, whose SVD may not return on one.
+``y``, screens it for the pseudo-inverse fallback by its eigenvalues.  The
+batched solve proves that no system of a grid needs the fallback with one
+Cholesky factorization of the whole equilibrated stack, shifted so that its
+success implies that the eigenvalue screen would pass every system; a stack
+that fails it (a rank-deficient or nearly singular system in it) is solved
+system by system on the single-system path, with the same bits.  Both
+refuse a system with a non-finite entry with a ``ValueError``; none reaches
+the pseudo-inverse, whose SVD may not return on one.
 
 The height search both estimators run has its defaults and checks here too:
 the searched interval ``[0, z0_max)`` and the bounds a refined height keeps
@@ -70,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _fields
-from .geometry import ArrayConfig, _finite_height, baseline_differences, fourier_resolution
+from .geometry import ArrayConfig, baseline_differences, fourier_resolution
 from .profiles import CovarianceModel
 
 __all__ = [
@@ -289,24 +287,6 @@ def _product_terms(stack, conj_stack, a, W, WRW):
     return y, 0.5 * (Y + Y.T)
 
 
-def _point_terms(stack: np.ndarray, conj_stack: np.ndarray, array: ArrayConfig, W: np.ndarray, WRW: np.ndarray):
-    """``fit_terms(stack, steering_vector(array, z), W, WRW)`` as a function of z, bit for bit.
-
-    The Nelder-Mead polish evaluates its points through it.  Its tables are
-    taken once per fit: the conjugated stack ``conj_stack``, which the caller
-    passes and keeps equal to ``stack.conj()`` when it rewrites a row of
-    ``stack`` between points, and ``1j * kz``, so that a point pays only for
-    its own steering vector and products.  A non-finite z raises
-    :func:`~tomoments.geometry.steering_vector`'s ``ValueError``.
-    """
-    jkz = 1j * array.kz
-
-    def terms(z) -> tuple[np.ndarray, np.ndarray]:
-        return _product_terms(stack, conj_stack, np.exp(jkz * _finite_height(z)), W, WRW)
-
-    return terms
-
-
 class HarmonicTerms(NamedTuple):
     """Coefficients of the concentration terms of one covariance, by baseline frequency.
 
@@ -335,22 +315,12 @@ def harmonic_terms(array: ArrayConfig, W: np.ndarray, WRW: np.ndarray) -> Harmon
     :func:`~tomoments.geometry.make_uniform_array` has 25 rather than 13, as
     its wavenumber differences disagree in the last bit.
     """
-    return HarmonicTerms(_frequency_groups(array)[0], _data_coefficients(array, WRW), _gram(array, W))
-
-
-def _data_coefficients(array: ArrayConfig, WRW: np.ndarray) -> np.ndarray:
-    """``HarmonicTerms.c`` of the data matrix (or stack of them) ``WRW``."""
-    members = _frequency_groups(array)[1]
-    data = np.swapaxes(WRW, -1, -2).reshape(WRW.shape[:-2] + (-1,))
-    return np.moveaxis(data @ members.T, -1, 0)
-
-
-def _gram(array: ArrayConfig, W: np.ndarray) -> np.ndarray:
-    """``HarmonicTerms.Q`` of the weighting ``W``."""
     frequencies, members = _frequency_groups(array)
+    data = np.swapaxes(WRW, -1, -2).reshape(WRW.shape[:-2] + (-1,))
     L = np.linalg.cholesky(W)
     Gamma = members @ np.kron(L.conj(), L)
-    return Gamma[frequencies.size // 2 :].conj() @ Gamma.T
+    Q = Gamma[frequencies.size // 2 :].conj() @ Gamma.T
+    return HarmonicTerms(frequencies, np.moveaxis(data @ members.T, -1, 0), Q)
 
 
 class PreparedCovariance:
@@ -359,12 +329,11 @@ class PreparedCovariance:
     What a fit needs of the covariance and the weighting alone, computed once
     so that every estimator with that weighting shares it: the checked matrix
     ``R``, the weighting ``W`` and whether it was diagonally ``loaded``,
-    ``WRW = W R W``, the rows ``f >= 0`` of the Gram matrix ``Q`` of
-    :func:`harmonic_terms` and ``cost_constant``, ``tr(R W R W)``.  Two
-    coefficient tables are filled on first use, each shared by the fits that
-    need it: ``terms``, the :class:`HarmonicTerms` of ``WRW`` (the moment
-    fits), and ``noise_terms``, those of the data stack ``(WRW, W W)`` with
-    the stack's traces (the parametric fits, whose basis holds the identity).
+    ``WRW = W R W``, ``cost_constant``, ``tr(R W R W)``, and one coefficient
+    table, ``terms``, the :class:`HarmonicTerms` of the data stack
+    ``(WRW, W W)`` with its ``traces``.  The moment fits read its column 0,
+    the coefficients of ``WRW``; the parametric fits, whose basis holds the
+    identity, read both columns and the traces.
     :func:`~tomoments.moments.estimate` and
     :func:`~tomoments.parametric.estimate_parametric` take it in place of the
     covariance and give the same bits as on the covariance itself.  A
@@ -382,21 +351,11 @@ class PreparedCovariance:
         W, self.loaded = _weighting_flagged(R_bar, weighting)
         self.W = _read_only(W)
         self.WRW = _read_only(W @ self.R @ W)
-        self.Q = _read_only(_gram(array, W))
+        data = np.stack([self.WRW, W @ W])
+        self.traces = _read_only(np.trace(data, axis1=-2, axis2=-1).real)
+        terms = harmonic_terms(array, W, data)
+        self.terms = terms._replace(c=_read_only(terms.c), Q=_read_only(terms.Q))
         self.cost_constant = cost_constant(self.R, W)
-
-    @functools.cached_property
-    def terms(self) -> HarmonicTerms:
-        c = _read_only(_data_coefficients(self.array, self.WRW))
-        return HarmonicTerms(_frequency_groups(self.array)[0], c, self.Q)
-
-    @functools.cached_property
-    def noise_terms(self) -> tuple[HarmonicTerms, float, float]:
-        data = np.stack([self.WRW, self.W @ self.W])
-        trace_data, trace_noise = np.trace(data, axis1=-2, axis2=-1).real
-        c = _read_only(_data_coefficients(self.array, data))
-        terms = HarmonicTerms(_frequency_groups(self.array)[0], c, self.Q)
-        return terms, trace_data, trace_noise
 
 
 def _prepared(R_bar, array: ArrayConfig, weighting: str) -> PreparedCovariance:
@@ -483,11 +442,13 @@ def solve_quadratic(y: np.ndarray, Y: np.ndarray):
     scale; high-order regressor columns are orders of magnitude smaller
     than the leading ones.  Systems whose smallest equilibrated
     eigenvalue falls below 1e-12 of the largest fall back to a
-    pseudo-inverse and are flagged.  A batch first tries to certify that
-    no system falls back with one Cholesky factorization of the whole
-    equilibrated stack, shifted by 1e-10: if it succeeds, the stack is
-    solved at once and no eigenvalue is computed; if any system fails it,
-    every system takes the eigenvalue screen.  Returns ``(alpha,
+    pseudo-inverse and are flagged.  A batch of K <= 13 unknowns first
+    tries to certify that no system falls back with one Cholesky
+    factorization of the whole equilibrated stack, shifted by 1e-10: if it
+    succeeds, the stack is solved at once and no eigenvalue is computed.
+    A stack that fails it, or has more unknowns, is solved system by system
+    on the single-system path, the one place the eigenvalue screen and the
+    pseudo-inverse live.  Returns ``(alpha,
     objective, used_pinv)`` with the objective ``y^T alpha`` clipped at
     zero.  A system with a non-finite entry in ``y``, ``Y`` or the
     equilibrated ``Y`` is refused with a ``ValueError``; a batch names its
@@ -520,14 +481,13 @@ def solve_quadratic(y: np.ndarray, Y: np.ndarray):
         # eigvalsh is accurate to about K eps ||Ys||_2 <= K^2 eps.  At K <= 13
         # both errors are below 3e-14, so eigvalsh's smallest eigenvalue is at
         # least 1e-10 - 6e-14, about 8 times the largest possible cutoff
-        # 1e-12 * lambda_max <= 1.3e-11: the screen below would pass every
-        # system of a certified stack.  tau stays far below the conditioning
-        # of the estimators' grids: the smallest equilibrated ratio measured
-        # is 1.3e-7 (moment basis, D = 8, reference stack).  Every grid
-        # measured passes: 360 at D = 2..8 on the reference stack, 560 at
-        # D = 10 and 12 on uniform stacks of M = 8..10.  A stack that fails
-        # pays this factorization on top of the eigenvalue screen, about a
-        # sixth of the screen's cost.
+        # 1e-12 * lambda_max <= 1.3e-11: the screen of _solve_single would
+        # pass every system of a certified stack.  tau stays far below the
+        # conditioning of the estimators' grids: the smallest equilibrated
+        # ratio measured is 1.3e-7 (moment basis, D = 8, reference stack).
+        # Every grid measured passes: 360 at D = 2..8 on the reference stack,
+        # 560 at D = 10 and 12 on uniform stacks of M = 8..10, and all 1276
+        # moment grids of the benchmark's workloads.
         try:
             np.linalg.cholesky(Ys - _CERTIFY_SHIFT * np.eye(K))
         except np.linalg.LinAlgError:
@@ -535,28 +495,20 @@ def solve_quadratic(y: np.ndarray, Y: np.ndarray):
         else:
             beta = np.linalg.solve(Ys, ys[..., None])[..., 0]
             return beta / scale, np.clip(np.einsum("zk,zk->z", ys, beta), 0.0, None), False
-    eigenvalues = np.linalg.eigvalsh(Ys)
-    bad = (eigenvalues[:, 0] <= eigenvalues[:, -1] * _PINV_CUTOFF) | ~np.all(
-        np.isfinite(eigenvalues), axis=-1
-    )
-    beta = np.empty_like(ys)
-    good = ~bad
-    if np.any(good):
-        beta[good] = np.linalg.solve(Ys[good], ys[good][..., None])[..., 0]
-    for (i,) in np.argwhere(bad):
-        beta[i] = np.linalg.pinv(Ys[i], rcond=_PINV_CUTOFF) @ ys[i]
-    alpha = beta / scale
-    objective = np.clip(np.einsum("zk,zk->z", ys, beta), 0.0, None)
-    return alpha, objective, bool(np.any(bad))
+    alpha, objective, used_pinv = np.empty_like(ys), np.empty(ys.shape[0]), False
+    for i in range(ys.shape[0]):
+        alpha[i], objective[i], bad = _solve_single(y[i], Y[i])
+        used_pinv = used_pinv or bad
+    return alpha, objective, used_pinv
 
 
 def _solve_single(y: np.ndarray, Y: np.ndarray):
-    """:func:`solve_quadratic` on one system, bit-identical to a row of a batch.
+    """:func:`solve_quadratic` on one system, bit-identical to a row of a certified batch.
 
-    The same equilibration, screen and LAPACK routines on 2-d inputs,
-    without the batch bookkeeping; the golden section calls it per point.
-    The eigenvalue screen stays: on one system a Cholesky certificate
-    costs as much as ``eigvalsh``.
+    The same equilibration and LAPACK routines on 2-d inputs, without the
+    batch bookkeeping, and the eigenvalue screen: on one system a Cholesky
+    certificate costs as much as ``eigvalsh``.  The golden section calls it
+    per point, and a batch that is not certified calls it per system.
     """
     diag = np.einsum("kk->k", Y)
     scale = np.sqrt(np.where(np.isfinite(diag) & (diag > 0.0), diag, 1.0))

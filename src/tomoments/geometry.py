@@ -48,9 +48,11 @@ class ArrayConfig:
         Interferometric vertical wavenumbers in rad/m, strictly increasing,
         at least two of them.
     ambiguity : float, optional
-        Common vertical period of all steering vectors, in m.  Derived
-        automatically for uniformly spaced arrays; ``None`` when the array
-        has no known period.
+        Common vertical period of all steering vectors, in m: every lag
+        ``(kz - kz[0]) * ambiguity / 2 pi`` must be a whole number (to a
+        relative 1e-9, the tolerance of uniform spacing), or the array is
+        refused.  Derived automatically for uniformly spaced arrays;
+        ``None`` when the array has no known period.
     """
 
     kz: np.ndarray
@@ -67,6 +69,9 @@ class ArrayConfig:
         kz.setflags(write=False)
         object.__setattr__(self, "kz", kz)
         amb = _uniform_period(kz) if self.ambiguity is None else real(self.ambiguity, "ambiguity", above=0.0)
+        lags = (kz - kz[0]) * (amb / _TWO_PI) if self.ambiguity is not None else 0.0
+        if not np.allclose(lags, np.rint(lags), rtol=1e-9, atol=0.0):
+            raise ValueError(f"ambiguity {amb} m is not a period: (kz - kz[0]) * ambiguity / 2 pi must be integral")
         object.__setattr__(self, "ambiguity", amb)
 
     def _key(self) -> tuple:

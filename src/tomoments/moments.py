@@ -13,8 +13,9 @@ refinement and the final coefficients use the product form
 and the array alone (the grid, the basis stack, the basis responses times
 the grid's phase table, the identifiability check) is built once per
 (config, array) by :func:`_moment_plan` and cached; what it needs of the
-covariance alone (the weighting, ``W Rbar W``, the frequency coefficients,
-the cost constant), once per covariance and weighting by a
+covariance alone (the weighting, ``W Rbar W``, the cost constant and the
+frequency coefficients of ``W Rbar W``, column 0 of the prepared table),
+once per covariance and weighting by a
 :class:`~tomoments.fitting.PreparedCovariance`.
 """
 
@@ -249,7 +250,8 @@ def estimate(
     search, stack = plan.search, plan.stack
     W, WRW = covariance.W, covariance.WRW
 
-    y, Y = fit_terms_grid(plan.weighted, covariance.terms)
+    terms = covariance.terms
+    y, Y = fit_terms_grid(plan.weighted, terms._replace(c=terms.c[:, 0]))
     _, objective, pinv_used = solve_quadratic(y, Y)
     best = int(np.argmax(objective))
 

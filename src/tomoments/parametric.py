@@ -18,22 +18,21 @@ nonnegativity constraint; the remaining 2-d search runs on a coarse
   of the nonnegative closed form, :func:`_concentrate_terms`.
 - Polish and final coefficients: the terms of the exact M x M product form
   :func:`~tomoments.fitting.fit_terms` at each point, taken with the same
-  bits from per-fit tables (:func:`~tomoments.fitting._point_terms`: the
-  basis stack, its conjugate and ``1j * kz``), concentrated on Python
-  floats by :func:`_concentrate_pair`, the same closed form in the same
-  order, so bit-identical to the array form without its per-call overhead.
-  The shape column comes from a per-fit table too: the array's baseline
-  differences are taken once per fit and each point evaluates the shape's
-  characteristic function on them, the entries of
+  bits from per-fit tables (the basis stack, its conjugate, ``1j * kz`` and
+  the array's baseline differences), concentrated on Python floats by
+  :func:`_concentrate_pair`, the same closed form in the same order, so
+  bit-identical to the array form without its per-call overhead.  Each
+  point writes the shape's characteristic function at the differences into
+  the stack and its conjugate, the entries of
   :func:`~tomoments.profiles.shape_matrix` without its profile, its
   recomputed differences or its Hermitian average (:func:`_point_evaluator`).
   The polish is the package's own Nelder-Mead on Python floats,
   :func:`~tomoments.fitting.nelder_mead`.
 
-What the fit needs of the covariance alone (the weighting, the Gram matrix,
-the identity's constant terms, the cost constant) comes from a
-:class:`~tomoments.fitting.PreparedCovariance`, built once per covariance
-and weighting and shared by the fits that use them.
+What the fit needs of the covariance alone (the weighting, the coefficient
+table of the data stack ``(W Rbar W, W W)``, its traces, which are the
+identity's constant terms, and the cost constant) comes from a
+:class:`~tomoments.fitting.PreparedCovariance`, shared by the fits on it.
 
 On uniformly spaced arrays the unconstrained fit is ambiguous: a
 uniform shape evaluated only at harmonic baselines admits exact twins
@@ -57,16 +56,16 @@ from .fitting import (
     _SearchPlan,
     PreparedCovariance,
     _check_search_options,
-    _point_terms,
     _positive_part,
     _prepared,
+    _product_terms,
     _read_only,
     _search_plan,
     shape_terms_grid,
 )
 from .fitting import _weighting_flagged, cost_constant, fit_terms  # not called: perfbench/spans.py patches these names
 from .fitting import nelder_mead as minimize  # the polish's name: perfbench/spans.py times it
-from .geometry import ArrayConfig, baseline_differences
+from .geometry import ArrayConfig, _finite_height, baseline_differences
 from .profiles import CovarianceModel, shape_characteristic
 from .profiles import shape_matrix  # not called: perfbench/spans.py patches this name
 
@@ -206,27 +205,27 @@ def _point_evaluator(shape: str, array: ArrayConfig, W: np.ndarray, WRW: np.ndar
     degenerate)``: the terms of ``fit_terms(stack, steering_vector(array, z),
     W, WRW)`` on the (shape, identity) basis, concentrated by
     :func:`_concentrate_pair`, so bit-identical to :func:`_concentrate_terms`
-    on the same terms.  The terms come from the per-fit tables of
-    :func:`~tomoments.fitting._point_terms`: the basis lives in one
-    preallocated stack, and its conjugate in another, whose identity rows
-    are written once.  The array's baseline differences are computed once
-    too, and each point writes the shape's characteristic function at them,
-    the entries of :func:`~tomoments.profiles.shape_matrix` of a profile with
-    that spread, into both.  Its Hermitian average changes no bit here: the
-    differences are exactly antisymmetric and both assumed shapes exactly
-    even.
+    on the same terms.  The terms come from tables taken once per fit: the
+    basis lives in one preallocated stack, and its conjugate in another,
+    whose identity rows are written once, ``1j * kz`` and the array's
+    baseline differences.  Each point writes the shape's characteristic
+    function at them, the entries of :func:`~tomoments.profiles.shape_matrix`
+    of a profile with that spread, into both stacks.  Its Hermitian average
+    changes no bit here: the differences are exactly antisymmetric and both
+    assumed shapes exactly even.  A non-finite height raises
+    :func:`~tomoments.geometry.steering_vector`'s ``ValueError``.
     """
     stack = np.zeros((2, array.M, array.M), dtype=complex)
     stack[1] = np.eye(array.M)
     conj_stack = stack.conj()
     differences = baseline_differences(array)
-    terms = _point_terms(stack, conj_stack, array, W, WRW)
+    jkz = 1j * array.kz
 
     def concentrated(point) -> tuple[float, float, float, bool]:
         z, sigma = point
         stack[0] = shape_characteristic(shape, abs(float(sigma)), differences)
         np.conjugate(stack[0], out=conj_stack[0])
-        y, Y = terms(z)
+        y, Y = _product_terms(stack, conj_stack, np.exp(jkz * _finite_height(z)), W, WRW)
         (Y11, Y12), (_, Y22) = Y.tolist()
         return _concentrate_pair(*y.tolist(), Y11, Y12, Y22)
 
@@ -278,8 +277,8 @@ def estimate_parametric(
     # power and noise.  The identity does not move with z0: its own terms are
     # the constants tr(W Rbar W) and tr(W W), and its cross term with the shape
     # is the shape's data term against W I W, the second data column.
-    terms, noise_y, noise_Y = covariance.noise_terms
-    y_shape, Y11 = shape_terms_grid(plan.phi, search.phase, terms)
+    noise_y, noise_Y = covariance.traces
+    y_shape, Y11 = shape_terms_grid(plan.phi, search.phase, covariance.terms)
     objective = _concentrate_terms(y_shape[..., 0], noise_y, Y11, y_shape[..., 1], noise_Y)[2]
 
     best_z, best_s = np.unravel_index(int(np.argmax(objective)), objective.shape)

@@ -378,9 +378,10 @@ def test_solve_quadratic_certified_screen_matches_eigenvalue_screen(rng):
     # certified batch: the same alpha and objective bits and the same flag, on
     # all-good batches (certified) and on batches with one system of every
     # other kind, including equilibrated ratios on either side of the 1e-12
-    # cutoff, which must fall back to the screen
+    # cutoff, which must fall back to the screen, system by system.  Batches of
+    # K = 14 and 16 unknowns, past the certificate's proof, always take it.
     kinds = ["deficient", "ratio:1e-11", "ratio:1e-13", "nonpositive"]
-    for K in range(2, 8):
+    for K in (*range(2, 8), 14, 16):
         for size in range(1, 13):
             for mixed in (None, *kinds):
                 systems = [_system(rng, K, "good") for _ in range(size)]
@@ -394,7 +395,7 @@ def test_solve_quadratic_certified_screen_matches_eigenvalue_screen(rng):
                 assert objective.tobytes() == expected[1].tobytes()
                 assert used_pinv is expected[2]
                 assert used_pinv is (mixed not in (None, "ratio:1e-11"))
-                assert eigvalsh.call_count == (0 if mixed is None else 1)
+                assert eigvalsh.call_count == (0 if mixed is None and K <= 13 else size)
 
 
 def test_certified_moment_grid_computes_no_eigenvalues(reference_covariance, reference_array, monkeypatch):

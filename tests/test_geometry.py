@@ -60,6 +60,21 @@ def test_ambiguity_derived_only_for_uniform_spacing():
     assert ragged.ambiguity is None
 
 
+def test_ambiguity_must_be_a_period_of_the_array():
+    # lags 0.30, 0.74, 0.97 and 1.81 of a 60 m "ambiguity": no period, so refused
+    # by name rather than left to round into a misleading identifiability error
+    with pytest.raises(ValueError, match="ambiguity 60.0 m is not a period"):
+        ArrayConfig(kz=[0.0, 0.031, 0.077, 0.102, 0.19], ambiguity=60.0)
+    # whole lags are kept within a relative 1e-9, the tolerance of uniform spacing
+    period = 2.0 * np.pi / 0.1
+    for ambiguity in (period, period * (1.0 + 1e-10), 3.0 * period):
+        assert ArrayConfig(kz=[0.0, 0.1, 0.2, 0.3], ambiguity=ambiguity).ambiguity == ambiguity
+    with pytest.raises(ValueError, match="is not a period"):
+        ArrayConfig(kz=[0.0, 0.1, 0.2, 0.3], ambiguity=period * (1.0 + 1e-8))
+    with pytest.raises(ValueError, match="ambiguity"):
+        ArrayConfig.from_json({"kz": [0.0, 0.031, 0.077], "ambiguity": 60.0})
+
+
 def test_kz_array_is_read_only():
     array = make_uniform_array(3, 50.0)
     with pytest.raises(ValueError):
@@ -83,7 +98,8 @@ def test_arrays_differing_in_kz_or_ambiguity_are_unequal():
     assert array != ArrayConfig(kz=array.kz, ambiguity=2.0 * array.ambiguity)
     assert array != ArrayConfig(kz=np.nextafter(array.kz, 1.0), ambiguity=array.ambiguity)
     ragged = ArrayConfig(kz=np.array([0.0, 0.1, 0.25]))
-    assert ragged != ArrayConfig(kz=ragged.kz, ambiguity=50.0)
+    # lags 0, 2 and 5 of a 40 pi m period
+    assert ragged != ArrayConfig(kz=ragged.kz, ambiguity=40.0 * np.pi)
     assert array != array.to_json()
 
 

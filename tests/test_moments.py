@@ -30,7 +30,7 @@ from tomoments.fitting import (
     solve_quadratic,
     weighting,
 )
-from tomoments.moments import _basis_stack, _moment_plan, moment_orders
+from tomoments.moments import _basis_stack, _check_identifiable, _moment_plan, moment_orders
 
 from .conftest import IRREGULAR_STACKS
 from .oracles import random_psd_covariance
@@ -408,6 +408,41 @@ def test_identifiability_guard_skips_arrays_without_ambiguity():
     array = ArrayConfig(kz=np.array(kz))
     R = true_covariance(SourceProfile("point", 30.0, 0.0, 100.0), array, 10.0)
     estimate(R, MomentEstimatorConfig(D=12, z0_max=z0_max), array)
+
+
+# relative singular-value cutoff of the span test below; the smallest relative
+# singular value of any matrix it ranks is about 1.5e-5, far above it
+_SPAN_RANK_TOL = 1e-9
+
+
+def _rank(columns) -> int:
+    """Rank of the column-normalized matrix, with singular values below
+    ``_SPAN_RANK_TOL`` of the largest counted as zero."""
+    A = np.column_stack(columns)
+    singular = np.linalg.svd(A / np.linalg.norm(A, axis=0), compute_uv=False)
+    return int(np.count_nonzero(singular > _SPAN_RANK_TOL * singular[0]))
+
+
+@pytest.mark.parametrize("lags", [(0, 1, 3, 7), (0, 2, 3, 8, 11)])
+def test_lag_rule_refuses_exactly_when_the_twin_lies_in_the_even_span(lags):
+    # the half-ambiguity twin multiplies the covariance at lag l by (-1)^l; the
+    # even-order responses f^(2k), k = 0..D // 2, fit it exactly (the noise
+    # absorbs lag 0) when that sign pattern over the distinct nonzero lags lies
+    # in their span, which the lag rule must decide on sparse stacks too
+    array = ArrayConfig(2.0 * np.pi / 100.0 * np.array(lags), ambiguity=100.0)
+    distinct = np.unique(np.abs(np.subtract.outer(lags, lags)))[1:].astype(float)
+    twin = (-1.0) ** distinct
+    for D in range(2, 13):
+        # f = 2 pi l / 100: scaling a column by (2 pi / 100)^(2k) keeps the span
+        responses = [distinct ** (2 * k) for k in range(D // 2 + 1)]
+        in_span = _rank([*responses, twin]) == _rank(responses)
+        for symmetric in (True, False):
+            config = MomentEstimatorConfig(D=D, symmetric=symmetric)
+            if in_span:
+                with pytest.raises(ValueError, match="not identifiable"):
+                    _check_identifiable(config, array)
+            else:
+                _check_identifiable(config, array)
 
 
 # (z0, sigma_z, P, sigma_eps2) on the exact reference covariance, unchanged by

@@ -39,8 +39,8 @@ from tomoments import (
     true_covariance,
 )
 from tomoments.experiments import _KIND_STREAM, PARAM_NAMES, _run_trial
-from tomoments.fitting import _point_terms, fit_terms, weighting
-from tomoments.moments import _basis_stack
+from tomoments.fitting import _product_terms, fit_terms, fit_terms_grid, harmonic_terms, weighting
+from tomoments.moments import _basis_stack, _moment_plan
 from tomoments.parametric import _concentrate_pair, _point_evaluator
 from tomoments.sampling import derive_seed
 
@@ -137,8 +137,27 @@ def test_prepared_covariance_refuses_another_weighting_or_array(reference_covari
         estimate(reference_covariance, config, REFERENCE)
     )
     # the tables every fit on it shares
-    tables = [prepared.W, prepared.WRW, prepared.Q, prepared.terms.c, prepared.noise_terms[0].c]
+    tables = [prepared.W, prepared.WRW, prepared.traces, prepared.terms.c, prepared.terms.Q]
     assert not any(table.flags.writeable for table in tables)
+
+
+@pytest.mark.parametrize("weighting_choice", ["inverse_sample", "identity"])
+@pytest.mark.parametrize("case", list(COVARIANCES))
+def test_prepared_column_zero_gives_the_moment_grid(case, weighting_choice):
+    # the moment fits read column 0 of the one table, the coefficients of W R W,
+    # and get the grid terms of harmonic_terms on W R W alone, bit for bit
+    build, array, z0_max = COVARIANCES[case]
+    prepared = PreparedCovariance(build(), array, weighting_choice)
+    terms = prepared.terms
+    column = terms._replace(c=terms.c[:, 0])
+    alone = harmonic_terms(array, prepared.W, prepared.WRW)
+    assert column.c.tobytes() == alone.c.tobytes()
+    assert column.Q.tobytes() == alone.Q.tobytes()
+    for D, symmetric in [(2, True), (4, False), (6, True)]:
+        config = MomentEstimatorConfig(D=D, symmetric=symmetric, weighting=weighting_choice, z0_max=z0_max)
+        weighted = _moment_plan(config, array).weighted
+        got, expected = fit_terms_grid(weighted, column), fit_terms_grid(weighted, alone)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in expected], config
 
 
 MIXED = default_estimators("uniform") + (
@@ -301,34 +320,31 @@ def test_polish_points_match_fit_terms_points(rng, shape, name):
 
 @pytest.mark.parametrize("name", list(POINT_ARRAYS))
 def test_point_terms_match_fit_terms(rng, name):
-    # real and complex stacks of K = 2..13 Hermitian matrices, an exactly
-    # symmetric Y, and the conjugate kept up to date as one row is rewritten
+    # the polish's point terms: real and complex stacks of K = 2..13 Hermitian
+    # matrices, a conjugate stack kept up to date as one row is rewritten and the
+    # steering vector from 1j * kz give fit_terms' bits and an exactly symmetric Y
     array, z_max = POINT_ARRAYS[name]
     W, WRW = _weights(rng, array.M)
+    jkz = 1j * array.kz
     for K in range(2, 14):
         stack = np.array([random_psd_covariance(rng, array.M, scale=1.0) for _ in range(K)])
         if K % 2:
             stack = stack.real.astype(complex)
         conj_stack = stack.conj()
-        terms = _point_terms(stack, conj_stack, array, W, WRW)
         for z in np.concatenate([[0.0, -0.0], rng.uniform(-0.5, 1.5, 5) * z_max]):
             stack[0] = random_psd_covariance(rng, array.M, scale=1.0)
             np.conjugate(stack[0], out=conj_stack[0])
             expected = fit_terms(stack, steering_vector(array, z), W, WRW)
-            got = terms(z)
+            got = _product_terms(stack, conj_stack, np.exp(jkz * z), W, WRW)
             assert [np.asarray(v).tobytes() for v in got] == [v.tobytes() for v in expected], (K, z)
             assert np.array_equal(got[1], got[1].T)
 
 
 def test_point_terms_refuse_a_non_finite_height(rng):
     W, WRW = _weights(rng, 7)
-    stack = _basis_stack(MomentEstimatorConfig(), REFERENCE)
-    terms = _point_terms(stack, stack.conj(), REFERENCE, W, WRW)
     evaluate = _point_evaluator("uniform", REFERENCE, W, WRW)
     for z in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="z must be finite") as raised:
             steering_vector(REFERENCE, z)
-        with pytest.raises(ValueError, match=str(raised.value)):
-            terms(z)
         with pytest.raises(ValueError, match=str(raised.value)):
             evaluate((z, 5.0))
