@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the 26 CSVs that show whether a change moved any output.
+"""Print the SHA-256 of the 30 CSVs that show whether a change moved any output.
 
 - 16 from the benchmark workloads: every variant of every workload in
   ``perfbench/workloads.py``, run through ``tomoments.cli.main`` (read only;
   nothing under ``perfbench/`` changes);
 - 4 from ``tomoments spectrum``;
 - 2 from ``tomoments rmse --trials 6 --workers 2 --dump-trials``;
-- 4 from ``tomoments rmse --trials 6 --dump-trials`` on the paths those
+- 8 from ``tomoments rmse --trials 6 --dump-trials`` on the paths those
   miss (:data:`EXTRA_SPECS`): the identity weighting with a full moment fit
-  at D = 6, and a parametric fit bounded by ``z0_max`` on a sparse stack.
+  at D = 6, a parametric fit bounded by ``z0_max`` on a sparse stack, and
+  a full D = 4 moment fit bounded the same way with its source 0.3 m inside
+  either edge, where the refinement's bracket is clipped to the bounds.
 
 Every run omits the timestamp header.  Run it in two checkouts and compare
 the listings: equal lines mean byte-identical CSVs.
@@ -36,13 +38,18 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perfbench import workloads  # noqa: E402
 from tomoments.cli import main as cli_main  # noqa: E402
 
-# the reference scenario of the workloads, on two paths they do not take
+# the reference scenario of the workloads, on paths they do not take
 _SCENARIO = {
     "kind": "rmse_vs_N",
     "profile": {"shape": "uniform", "z0": 10.0, "sigma_z": 5.0, "P": 100.0},
     "sigma_eps2": 10.0,
     "N_list": [100, 1000],
 }
+# lags 0, 1, 3 and 7 of a 100 m ambiguity; 80 m is not a period, so the
+# refined height stays inside [0, 80)
+_SPARSE_ARRAY = {"kz": [2.0 * math.pi / 100.0 * lag for lag in (0, 1, 3, 7)], "ambiguity": 100.0}
+_SPARSE_MOMENTS = {"label": "moments-full4-z80", "method": "moments", "D": 4, "symmetric": False,
+                   "weighting": "inverse_sample", "z0_max": 80.0}
 EXTRA_SPECS = {
     "identity-D6": {
         **_SCENARIO,
@@ -50,13 +57,18 @@ EXTRA_SPECS = {
         "estimators": [{"label": "moments-id-full6", "method": "moments", "D": 6, "symmetric": False,
                         "weighting": "identity"}],
     },
-    # lags 0, 1, 3 and 7 of a 100 m ambiguity; 80 m is not a period, so the
-    # polish stays inside [0, 80)
     "sparse-z0max": {
         **_SCENARIO,
-        "array": {"kz": [2.0 * math.pi / 100.0 * lag for lag in (0, 1, 3, 7)], "ambiguity": 100.0},
+        "array": _SPARSE_ARRAY,
         "estimators": [{"label": "parametric-uniform-z80", "method": "parametric", "assumed_shape": "uniform",
                         "weighting": "inverse_sample", "z0_max": 80.0}],
+    },
+    # a source 0.3 m inside either edge of [0, 80): the moment fit's bracket
+    # around its best grid node is clipped to 0 or to the largest float below 80
+    **{
+        name: {**_SCENARIO, "profile": {**_SCENARIO["profile"], "z0": z0}, "array": _SPARSE_ARRAY,
+               "estimators": [_SPARSE_MOMENTS]}
+        for name, z0 in (("sparse-moments-low", 0.3), ("sparse-moments-high", 79.7))
     },
 }
 

@@ -31,7 +31,7 @@ objective at the rounding level moves the polished estimates measurably.
 What every fit needs of the covariance and its weighting alone (``W``,
 ``W Rbar W``, the cost constant and one :class:`HarmonicTerms` table) is
 computed once in a :class:`PreparedCovariance`, which the fits with that
-weighting share.
+weighting share and which runs the covariance's checks itself.
 The concentrated quadratic of one system, :func:`solve_quadratic` on a 1-d
 ``y``, screens it for the pseudo-inverse fallback by its eigenvalues.  The
 batched solve proves that no system of a grid needs the fallback with one
@@ -42,16 +42,14 @@ system by system on the single-system path, with the same bits.  Both
 refuse a system with a non-finite entry with a ``ValueError``; none reaches
 the pseudo-inverse, whose SVD may not return on one.
 
-The height search both estimators run has its defaults and checks here too:
-the searched interval ``[0, z0_max)`` and the bounds a refined height keeps
-when ``z0_max`` is not a period of the array, the coarse grid size, the
-refinement tolerance, the validation of those config fields (by the rules
-of :mod:`tomoments._fields`) and the screen that rejects non-finite or
-zero covariances.  What a search needs of the config and the array
-alone is built once and cached, read-only: the frequency grouping per array
-(:func:`_frequency_groups`), and the grid with its phase table per (config,
-array) (:func:`_search_plan`, inside each estimator's cached plan).  Each
-cache keeps the :data:`_PLAN_CACHE_SIZE` latest entries.
+The height search both estimators run is settled here too, in the
+:class:`_SearchPlan` of :func:`_search_plan`: the interval ``[0, z0_max)``,
+the grid, the refinement tolerance, the bracket of a grid node and the
+ambiguity rule that bounds or wraps a refined height.  What a search needs
+of the config and the array alone is built once and cached, read-only: the
+frequency grouping per array (:func:`_frequency_groups`), and the plan per
+(config, array), inside each estimator's cached plan.  Each cache keeps the
+:data:`_PLAN_CACHE_SIZE` latest entries.
 
 The two derivative-free refinements live here too: the moment fit's
 golden section, :func:`golden_section_max`, and the parametric fit's
@@ -133,14 +131,14 @@ def _weighting_flagged(R_bar: CovarianceModel, choice: str) -> tuple[np.ndarray,
     if choice == "identity":
         return np.eye(M), False
     R = np.asarray(R_bar.matrix)
-    eigenvalues = np.linalg.eigvalsh(R)
+    # the screen reads the decomposition the inverse needs; only a loaded matrix takes a second
+    eigenvalues, vectors = np.linalg.eigh(R)
     loaded = bool(eigenvalues[0] <= 0.0 or eigenvalues[-1] / eigenvalues[0] > _CONDITION_LIMIT)
     if loaded:
         trace = float(np.real(np.trace(R)))
         if trace <= 0.0:
             raise DegenerateCovarianceError("covariance has nonpositive trace; cannot weight")
-        R = R + (_LOADING_FACTOR * trace / M) * np.eye(M)
-    eigenvalues, vectors = np.linalg.eigh(R)
+        eigenvalues, vectors = np.linalg.eigh(R + (_LOADING_FACTOR * trace / M) * np.eye(M))
     if eigenvalues[0] <= 0.0:
         raise DegenerateCovarianceError("covariance is singular even after diagonal loading")
     W = (vectors / eigenvalues) @ vectors.conj().T
@@ -159,50 +157,6 @@ def _check_search_options(config, grid_name: str) -> None:
     for name in ("refine_tol", "z0_max"):
         if getattr(config, name) is not None:
             object.__setattr__(config, name, _fields.real(getattr(config, name), name, above=0.0))
-
-
-def _checked_covariance(R_bar: CovarianceModel, array: ArrayConfig) -> np.ndarray:
-    """The covariance matrix, once it matches the array and is finite and nonzero."""
-    if R_bar.M != array.M:
-        raise ValueError("covariance and array dimensions disagree")
-    R = np.asarray(R_bar.matrix)
-    if not np.all(np.isfinite(R)):
-        raise ValueError("covariance contains non-finite entries")
-    if np.linalg.norm(R) < 1e-30:
-        raise DegenerateCovarianceError("covariance is numerically zero")
-    return R
-
-
-def _search_domain(config, array: ArrayConfig) -> float:
-    if config.z0_max is not None:
-        return config.z0_max
-    if array.ambiguity is None:
-        raise ValueError("array has no known ambiguity; set z0_max on the config")
-    return float(array.ambiguity)
-
-
-def _height_bounds(array: ArrayConfig, z_amb: float) -> tuple[float, float] | None:
-    """Bounds on a refined height, or None when the search wraps.
-
-    When ``z_amb`` is a whole number of the array's ambiguities the steering
-    vectors repeat every ``z_amb``, so refinement runs free and the height
-    wraps back into ``[0, z_amb)``.  Otherwise (a non-uniform stack, or a
-    domain that is not a period) wrapping would move the fit to a height
-    with a different model, so refinement stays inside ``[0, z_amb)``: the
-    bounds are 0 and the largest float below ``z_amb``.
-    """
-    if array.ambiguity is not None and float(z_amb / array.ambiguity).is_integer():
-        return None
-    return 0.0, math.nextafter(z_amb, 0.0)
-
-
-def _default_grid_points(array: ArrayConfig, z_amb: float) -> int:
-    per_resolution = math.ceil(z_amb / (fourier_resolution(array) / _GRID_PER_RESOLUTION))
-    return max(_GRID_PER_CHANNEL * array.M, per_resolution)
-
-
-def _refine_tol(config, z_amb: float) -> float:
-    return config.refine_tol if config.refine_tol is not None else _REFINE_TOL_REL * z_amb
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -224,9 +178,10 @@ class _SearchPlan(NamedTuple):
     """The height-search tables that depend only on the config and the array.
 
     ``z_amb`` is the searched interval's upper edge, ``z_grid (Z,)`` the
-    coarse grid with spacing ``step``, ``bounds`` those of
-    :func:`_height_bounds`, ``frequencies (F,)`` the array's distinct
-    baseline frequencies and ``phase (Z, F)`` the table ``exp(j z f)``.
+    coarse grid with spacing ``step``, ``bounds`` those of a refined height
+    (None when it wraps), ``refine_tol`` the refinement's tolerance,
+    ``frequencies (F,)`` the array's distinct baseline frequencies and
+    ``phase (Z, F)`` the table ``exp(j z f)``.
     """
 
     z_amb: float
@@ -237,23 +192,55 @@ class _SearchPlan(NamedTuple):
     frequencies: np.ndarray
     phase: np.ndarray
 
+    def bracket(self, index: int) -> tuple[float, float]:
+        """The refinement interval of grid node ``index``: one step on either side, within the bounds."""
+        lo, hi = self.z_grid[index] - self.step, self.z_grid[index] + self.step
+        if self.bounds is not None:
+            lo, hi = max(lo, self.bounds[0]), min(hi, self.bounds[1])
+        return lo, hi
+
+    def wrap(self, z: float) -> float:
+        """``z`` folded into ``[0, z_amb)`` when the search wraps (a ``z`` just below 0 to 0.0, not
+        to the ``z_amb`` it rounds to); ``z`` itself otherwise."""
+        if self.bounds is not None:
+            return z
+        z = z % self.z_amb
+        return z if z < self.z_amb else 0.0
+
+    def polish_bounds(self) -> list | None:
+        """:func:`nelder_mead` bounds of a polish over the height and one free coordinate."""
+        return None if self.bounds is None else [self.bounds, (-math.inf, math.inf)]
+
 
 def _search_plan(config, array: ArrayConfig, grid_points: int | None) -> _SearchPlan:
     """The :class:`_SearchPlan` of a config whose coarse grid field holds ``grid_points``.
 
-    Each estimator caches its own plan, which holds this one, per (config, array).
+    ``z0_max`` defaults to the array's ambiguity, the grid to ``max(8 M,
+    ceil(z_amb / (fourier_resolution / 16)))`` points, the tolerance to
+    ``1e-4 * z_amb``.  When ``z_amb`` is a whole number of ambiguities the
+    steering vectors repeat every ``z_amb`` (Reigber & Moreira, IEEE TGRS
+    2000), so a refined height runs free and wraps; otherwise wrapping would
+    change the model, so it stays between 0 and the largest float below ``z_amb``.
     """
-    z_amb = _search_domain(config, array)
-    points = grid_points or _default_grid_points(array, z_amb)
+    if config.z0_max is not None:
+        z_amb = config.z0_max
+    elif array.ambiguity is None:
+        raise ValueError("array has no known ambiguity; set z0_max on the config")
+    else:
+        z_amb = float(array.ambiguity)
+    points = grid_points or max(
+        _GRID_PER_CHANNEL * array.M, math.ceil(z_amb / (fourier_resolution(array) / _GRID_PER_RESOLUTION))
+    )
     step = z_amb / points
     z_grid = step * np.arange(points)
     frequencies = _frequency_groups(array)[0]
+    periodic = array.ambiguity is not None and float(z_amb / array.ambiguity).is_integer()
     return _SearchPlan(
         z_amb=z_amb,
         step=step,
         z_grid=_read_only(z_grid),
-        bounds=_height_bounds(array, z_amb),
-        refine_tol=_refine_tol(config, z_amb),
+        bounds=None if periodic else (0.0, math.nextafter(z_amb, 0.0)),
+        refine_tol=config.refine_tol if config.refine_tol is not None else _REFINE_TOL_REL * z_amb,
         frequencies=frequencies,
         phase=_read_only(np.exp(1j * np.multiply.outer(z_grid, frequencies))),
     )
@@ -347,7 +334,13 @@ class PreparedCovariance:
     def __init__(self, R_bar: CovarianceModel, array: ArrayConfig, weighting: str) -> None:
         self.array = array
         self.weighting = weighting
-        self.R = _checked_covariance(R_bar, array)
+        if R_bar.M != array.M:
+            raise ValueError("covariance and array dimensions disagree")
+        self.R = np.asarray(R_bar.matrix)
+        if not np.all(np.isfinite(self.R)):
+            raise ValueError("covariance contains non-finite entries")
+        if np.linalg.norm(self.R) < 1e-30:
+            raise DegenerateCovarianceError("covariance is numerically zero")
         W, self.loaded = _weighting_flagged(R_bar, weighting)
         self.W = _read_only(W)
         self.WRW = _read_only(W @ self.R @ W)

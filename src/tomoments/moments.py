@@ -8,7 +8,8 @@ nu_2, ..., nu_D)`` at fixed height, so the fit reduces to a 1-d search over
 z0 of a concentrated weighted least-squares criterion.  Every basis matrix
 is a function of the baseline difference, so the coarse z0 grid runs on the
 Gram form :func:`~tomoments.fitting.fit_terms_grid`; the golden-section
-refinement and the final coefficients use the product form
+refinement, on the search plan's bracket and with its height bounded or
+wrapped by the plan, and the final coefficients use the product form
 :func:`~tomoments.fitting.fit_terms`.  What the search needs of the config
 and the array alone (the grid, the basis stack, the basis responses times
 the grid's phase table, the identifiability check) is built once per
@@ -118,7 +119,9 @@ class MomentDiagnostics:
 
     ``clamped_sigma`` is set when the spread was clamped to zero (a
     nonpositive fitted curvature or power), ``negative_power`` when the
-    fitted power itself is nonpositive, the mark of a twin-like fit.
+    fitted power itself is nonpositive, the mark of a twin-like fit, and
+    ``pinv_used`` when a solve of the grid, the refinement or the final
+    coefficients fell back to the pseudo-inverse.
     """
 
     clamped_sigma: bool
@@ -231,8 +234,9 @@ def estimate(
     """Fit height, power, noise and profile moments to a covariance.
 
     Runs the concentrated criterion over a uniform z0 grid on
-    ``[0, z0_max)``, refines the best cell by golden section, then recovers
-    the linear coefficients at the refined height.
+    ``[0, z0_max)``, refines the best cell by golden section (the height
+    wraps when ``z0_max`` is a period of the array and is bounded to the
+    interval otherwise), then recovers the linear coefficients there.
 
     Parameters
     ----------
@@ -256,16 +260,13 @@ def estimate(
     best = int(np.argmax(objective))
 
     def at(z: float) -> float:
+        nonlocal pinv_used
         y1, Y1 = fit_terms(stack, steering_vector(array, z), W, WRW)
-        _, q, _ = solve_quadratic(y1, Y1)
+        _, q, pinv = solve_quadratic(y1, Y1)
+        pinv_used = pinv_used or pinv
         return q
 
-    lo, hi = search.z_grid[best] - search.step, search.z_grid[best] + search.step
-    if search.bounds is not None:
-        lo, hi = max(lo, search.bounds[0]), min(hi, search.bounds[1])
-    z0_hat = golden_section_max(at, lo, hi, search.refine_tol)
-    if search.bounds is None:
-        z0_hat %= search.z_amb
+    z0_hat = search.wrap(golden_section_max(at, *search.bracket(best), search.refine_tol))
 
     y1, Y1 = fit_terms(stack, steering_vector(array, z0_hat), W, WRW)
     alpha, q_final, pinv_final = solve_quadratic(y1, Y1)

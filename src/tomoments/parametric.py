@@ -5,7 +5,8 @@ moment fit, but with the coherence shape pinned to an assumed family
 (uniform or gaussian) so the free parameters are ``(z0, sigma_z, P,
 sigma_eps2)``.  Power and noise concentrate linearly under a
 nonnegativity constraint; the remaining 2-d search runs on a coarse
-(z0, sigma_z) grid followed by a Nelder-Mead polish.
+(z0, sigma_z) grid followed by a Nelder-Mead polish, whose height the
+search plan bounds or wraps.
 
 - Grid: the shape characteristic function of all sigma values is evaluated
   at the array's distinct baseline frequencies once per (config, array)
@@ -44,7 +45,6 @@ sigma_eps2 >= 0 removes both.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -294,19 +294,16 @@ def estimate_parametric(
     sigma_step = float(sigma_values[1] - sigma_values[0])
     simplex = [(z, sigma), (z + 0.5 * search.step, sigma), (z, sigma + 0.5 * sigma_step)]
     q_start = float(objective[best_z, best_s])
-    bounds = search.bounds
     result = minimize(
         negated,
         simplex,
-        bounds=None if bounds is None else [bounds, (-math.inf, math.inf)],
+        bounds=search.polish_bounds(),
         xatol=search.refine_tol,
         fatol=1e-9 * (1.0 + abs(q_start)),
         maxiter=4000,
         maxfev=8000,
     )
-    z0_hat, sigma_z_hat = result.x[0], abs(result.x[1])
-    if bounds is None:
-        z0_hat %= search.z_amb
+    z0_hat, sigma_z_hat = search.wrap(result.x[0]), abs(result.x[1])
 
     P_hat, noise_hat, q_final, pinv_final = concentrated([z0_hat, sigma_z_hat])
     # the objective is quartically flat in sigma near a point source, so the

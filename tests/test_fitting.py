@@ -17,6 +17,7 @@ from tomoments import (
     ParametricEstimatorConfig,
     SourceProfile,
     baseline_differences,
+    estimate,
     estimate_parametric,
     make_uniform_array,
     sample_covariance,
@@ -27,6 +28,7 @@ from tomoments import (
     true_covariance,
 )
 from tomoments.fitting import (
+    _search_plan,
     _weighting_flagged,
     cost_constant,
     fit_terms,
@@ -597,3 +599,57 @@ def test_polish_matches_scipy_on_irregular_stacks(stack, z0_frac):
         R_bar = sample_covariance(sample_snapshots(R, 1000, seed=seed))
         [(f, simplex, options)] = _polish_searches(R_bar, config, array)
         _same_search_as_scipy(f, simplex, **options)
+
+
+def test_search_plan_wraps_on_a_period(reference_array):
+    # 100 m is the reference stack's ambiguity: the bracket runs a step past
+    # either end of the grid, and every refined height folds into [0, 100)
+    plan = _search_plan(MomentEstimatorConfig(), reference_array, None)
+    assert plan.bounds is None and plan.polish_bounds() is None
+    assert plan.bracket(0) == (-plan.step, plan.step)
+    last = plan.z_grid[-1]
+    assert plan.bracket(plan.z_grid.size - 1) == (last - plan.step, last + plan.step)
+    for z, folded in [(-0.5, 99.5), (-250.0, 50.0), (-1e-20, 0.0), (0.0, 0.0), (42.0, 42.0), (100.0, 0.0),
+                      (100.25, 0.25), (312.5, 12.5)]:
+        wrapped = plan.wrap(z)
+        assert 0.0 <= wrapped < plan.z_amb
+        assert wrapped == pytest.approx(folded, abs=1e-12), z
+
+
+BOUNDED_SEARCHES = {
+    # lags 0, 1, 3 and 7 of a 100 m ambiguity, searched on [0, 80): not a period
+    "sparse": (ArrayConfig(2.0 * np.pi / 100.0 * np.array([0, 1, 3, 7]), ambiguity=100.0), 80.0),
+    **{name: (ArrayConfig(kz=np.array(kz)), z0_max) for name, (kz, z0_max) in IRREGULAR_STACKS.items()},
+}
+
+
+@pytest.mark.parametrize("name", list(BOUNDED_SEARCHES))
+def test_search_plan_bounds_a_search_without_period(name):
+    # the brackets of the first and last nodes are clipped to the bounds, and
+    # no refined height is moved
+    array, z0_max = BOUNDED_SEARCHES[name]
+    plan = _search_plan(MomentEstimatorConfig(z0_max=z0_max), array, None)
+    top = math.nextafter(z0_max, 0.0)
+    assert plan.bounds == (0.0, top)
+    assert plan.polish_bounds() == [(0.0, top), (-math.inf, math.inf)]
+    assert plan.bracket(0) == (0.0, plan.step)
+    assert plan.bracket(plan.z_grid.size - 1) == (plan.z_grid[-1] - plan.step, top)
+    for z in (-3.0, -1e-20, 0.0, 0.5 * z0_max, z0_max, z0_max + 7.0):
+        assert plan.wrap(z) is z
+
+
+@pytest.mark.parametrize("edge", ["low", "high"])
+@pytest.mark.parametrize("stack", list(IRREGULAR_STACKS))
+def test_fits_near_either_edge_stay_in_the_interval(stack, edge):
+    # a source 0.3 m inside [0, z0_max): the best grid node is an end node,
+    # whose bracket and polish are clipped, and both fits stay inside
+    kz, z0_max = IRREGULAR_STACKS[stack]
+    array = ArrayConfig(kz=np.array(kz))
+    z0 = 0.3 if edge == "low" else z0_max - 0.3
+    R = true_covariance(SourceProfile("gaussian", z0, 4.0, 100.0), array, 10.0)
+    for fit in (
+        estimate(R, MomentEstimatorConfig(z0_max=z0_max), array),
+        estimate_parametric(R, ParametricEstimatorConfig(assumed_shape="gaussian", z0_max=z0_max), array),
+    ):
+        assert 0.0 <= fit.z0_hat < z0_max
+        assert abs(fit.z0_hat - z0) < 1.0

@@ -22,10 +22,10 @@ from tomoments import (
     true_covariance,
 )
 from tomoments.fitting import (
-    _default_grid_points,
     cost_constant,
     fit_terms,
     fit_terms_grid,
+    golden_section_max,
     harmonic_terms,
     solve_quadratic,
     weighting,
@@ -334,7 +334,40 @@ def test_reconstruct_covariance_point_fit(point_profile, reference_array):
 
 
 def test_default_grid_is_dense_enough(reference_array):
-    assert _default_grid_points(reference_array, 100.0) >= 8 * reference_array.M
+    assert _moment_plan(MomentEstimatorConfig(), reference_array).search.z_grid.size >= 8 * reference_array.M
+
+
+def test_refinement_pinv_fallback_is_reported(reference_covariance, reference_array, monkeypatch):
+    # every single-system solve inside the golden section reports the
+    # pseudo-inverse fallback, the final coefficients' solve does not: the
+    # flag reaches the diagnostics, and nothing else of the estimate moves
+    R_bar = sample_covariance(sample_snapshots(reference_covariance, 1000, seed=7))
+    config = MomentEstimatorConfig()
+    plain = estimate(R_bar, config, reference_array)
+    assert not plain.diagnostics.pinv_used
+    refining, flagged = [False], []
+
+    def golden(*args):
+        refining[0] = True
+        try:
+            return golden_section_max(*args)
+        finally:
+            refining[0] = False
+
+    def solve(y, Y):
+        alpha, q, used_pinv = solve_quadratic(y, Y)
+        if np.ndim(y) == 1 and refining[0]:
+            flagged.append(None)
+            used_pinv = True
+        return alpha, q, used_pinv
+
+    monkeypatch.setattr("tomoments.moments.golden_section_max", golden)
+    monkeypatch.setattr("tomoments.moments.solve_quadratic", solve)
+    fit = estimate(R_bar, config, reference_array)
+    assert flagged
+    assert fit.diagnostics == dataclasses.replace(plain.diagnostics, pinv_used=True)
+    for name in ("z0_hat", "P_hat", "sigma_eps2_hat", "nu", "sigma_z_hat", "cost"):
+        assert np.asarray(getattr(fit, name)).tobytes() == np.asarray(getattr(plain, name)).tobytes(), name
 
 
 def test_degenerate_input_raises(reference_array):

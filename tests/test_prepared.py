@@ -18,6 +18,7 @@ import pytest
 from tomoments import (
     ArrayConfig,
     CovarianceModel,
+    DegenerateCovarianceError,
     EstimatorSpec,
     ExperimentError,
     MomentEstimatorConfig,
@@ -39,7 +40,7 @@ from tomoments import (
     true_covariance,
 )
 from tomoments.experiments import _KIND_STREAM, PARAM_NAMES, _run_trial
-from tomoments.fitting import _product_terms, fit_terms, fit_terms_grid, harmonic_terms, weighting
+from tomoments.fitting import _product_terms, _weighting_flagged, fit_terms, fit_terms_grid, harmonic_terms, weighting
 from tomoments.moments import _basis_stack, _moment_plan
 from tomoments.parametric import _concentrate_pair, _point_evaluator
 from tomoments.sampling import derive_seed
@@ -202,6 +203,49 @@ FAILING = {
     # nonpositive trace: the identity weighting fits it, the inverse one is refused
     "negative": CovarianceModel(-np.eye(7), "reconstructed"),
 }
+
+
+def _with_nan(M: int) -> CovarianceModel:
+    """An otherwise zero M x M covariance with one non-finite entry."""
+    matrix = np.zeros((M, M), dtype=complex)
+    matrix[1, 0] = np.nan
+    return _unchecked(matrix)
+
+
+# the mismatched covariance is non-finite too, so the dimensions are checked
+# first; the non-finite and the zero ones are refused before the weighting,
+# which would fail on the first and refuse the second's trace
+REFUSALS = {
+    "dimensions": (_with_nan(5), ValueError, "dimensions disagree"),
+    "non-finite": (_with_nan(7), ValueError, "non-finite entries"),
+    "zero": (CovarianceModel(np.zeros((7, 7)), "sample"), DegenerateCovarianceError, "numerically zero"),
+}
+
+
+@pytest.mark.parametrize("weighting_choice", ["inverse_sample", "identity"])
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_prepared_covariance_refusals_and_their_order(name, weighting_choice):
+    R_bar, error, message = REFUSALS[name]
+    with pytest.raises(ValueError, match=message) as raised:
+        PreparedCovariance(R_bar, REFERENCE, weighting_choice)
+    assert type(raised.value) is error
+
+
+@pytest.mark.parametrize("condition, loaded", [(1e11, False), (1e12, False), (1e13, True)])
+def test_loading_screen_reads_the_weighting_eigh(condition, loaded):
+    # diagonal covariances, whose eigenvalues eigh returns exactly: loading
+    # starts above a condition number of 1e12.  The screen reads the one eigh
+    # the weighting needs; a loaded covariance takes a second one
+    R_bar = CovarianceModel(np.diag([1.0] * 6 + [condition]), "sample")
+    with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh, mock.patch(
+        "numpy.linalg.eigvalsh", side_effect=AssertionError("eigvalsh called")
+    ):
+        W, flagged = _weighting_flagged(R_bar, "inverse_sample")
+    assert flagged is loaded
+    assert eigh.call_count == 1 + loaded
+    assert PreparedCovariance(R_bar, REFERENCE, "inverse_sample").loaded is loaded
+    if not loaded:
+        np.testing.assert_allclose(W, np.diag(1.0 / np.diag(R_bar.matrix)), rtol=1e-15, atol=0.0)
 
 
 def _failed(R, entry, array) -> bool:
