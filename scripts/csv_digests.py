@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the 30 CSVs that show whether a change moved any output.
+"""Print the SHA-256 of the 34 CSVs that show whether a change moved any output.
 
 - 16 from the benchmark workloads: every variant of every workload in
   ``perfbench/workloads.py``, run through ``tomoments.cli.main`` (read only;
   nothing under ``perfbench/`` changes);
 - 4 from ``tomoments spectrum``;
+- 4 from ``tomoments spectrum --config`` on a point profile
+  (:data:`POINT_SPECTRUM`): a header-only density table, the point family's
+  curves and measurements, and the interpolation rows of the default moment
+  fits and an identity-weighted full D = 6 moment fit; the parametric
+  estimator in the spec has no moment polynomial and is skipped;
 - 2 from ``tomoments rmse --trials 6 --workers 2 --dump-trials``;
 - 8 from ``tomoments rmse --trials 6 --dump-trials`` on the paths those
   miss (:data:`EXTRA_SPECS`): the identity weighting with a full moment fit
@@ -50,6 +55,18 @@ _SCENARIO = {
 _SPARSE_ARRAY = {"kz": [2.0 * math.pi / 100.0 * lag for lag in (0, 1, 3, 7)], "ambiguity": 100.0}
 _SPARSE_MOMENTS = {"label": "moments-full4-z80", "method": "moments", "D": 4, "symmetric": False,
                    "weighting": "inverse_sample", "z0_max": 80.0}
+POINT_SPECTRUM = {
+    "kind": "spectrum_dump",
+    "profile": {"shape": "point", "z0": 10.0, "sigma_z": 0.0, "P": 100.0},
+    "array": {"M": 7, "z_amb": 100.0},
+    "sigma_eps2": 10.0,
+    "estimators": [
+        {"label": "moments-full", "method": "moments", "D": 4, "symmetric": False},
+        {"label": "moments-sym", "method": "moments", "D": 4, "symmetric": True},
+        {"label": "moments-id-full6", "method": "moments", "D": 6, "symmetric": False, "weighting": "identity"},
+        {"label": "parametric-uniform", "method": "parametric", "assumed_shape": "uniform"},
+    ],
+}
 EXTRA_SPECS = {
     "identity-D6": {
         **_SCENARIO,
@@ -86,6 +103,9 @@ def digests(out: Path) -> list:
         for sweep in workloads.build_all(workload, out / workload):
             _run(sweep.argv)
     _run(["spectrum", "--no-timestamp", "--out", str(out / "spectrum")])
+    config = out / "spectrum-point.json"
+    config.write_text(json.dumps(POINT_SPECTRUM))
+    _run(["spectrum", "--config", str(config), "--no-timestamp", "--out", str(out / "spectrum-point")])
     _run(
         ["rmse", "--trials", "6", "--workers", "2", "--dump-trials", "--no-timestamp", "--out", str(out / "rmse")]
     )

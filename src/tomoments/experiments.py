@@ -15,9 +15,9 @@ at each sweep point it builds the truth and its exact covariance, takes a
 ``asymptotic_bias_vs_sigma``) and computes every result row with the same
 statistics.  What differs between the two kinds is data: the sweep values
 and truths, the CRB column, the extra table and the rule for the ``mean``
-cell.  Every covariance a run fits is prepared once per weighting
-(:class:`~tomoments.fitting.PreparedCovariance`) and shared by the
-estimators with that weighting, one estimator call per fit.
+cell.  Every covariance a sweep fits goes through ``_fits``: it is prepared
+once per weighting (:class:`~tomoments.fitting.PreparedCovariance`) and
+shared by the estimators with that weighting, one estimator call per fit.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import itertools
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -103,6 +102,7 @@ _RESULT_COLUMNS = (
 )
 _HAT_COLUMNS = tuple(f"{name}_hat" for name in PARAM_NAMES)
 _TRIAL_COLUMNS = ("estimator", "sweep_value", "trial", "failed") + _HAT_COLUMNS
+_BOOLS = (bool, np.bool_)
 
 
 class ExperimentError(RuntimeError):
@@ -199,8 +199,8 @@ class ExperimentResult:
     files: dict = field(default_factory=dict)
 
     def select(self, **criteria) -> list:
-        """Rows whose columns match all the given values."""
-        return [row for row in self.rows if all(row.get(k) == v for k, v in criteria.items())]
+        """Rows whose columns match all the given values; a name that is not a column raises ``KeyError``."""
+        return [row for row in self.rows if all(row[k] == v for k, v in criteria.items())]
 
 
 def default_estimators(truth_shape: str = "uniform") -> tuple[EstimatorSpec, ...]:
@@ -240,24 +240,24 @@ def _require_kind(spec: ExperimentSpec, kind: str) -> None:
         raise ValueError(f"spec kind is {spec.kind!r}, expected {kind!r}")
 
 
-def _run_estimator(entry: EstimatorSpec, R_bar: CovarianceModel, array: ArrayConfig, prepared: dict):
-    """``entry``'s fit of ``R_bar``, which is prepared once per weighting in ``prepared``
-    and shared by the estimators with that weighting.  A preparation that
-    fails is not stored, so every estimator with its weighting fails alike."""
-    weighting = entry.config.weighting
-    if weighting not in prepared:
-        prepared[weighting] = PreparedCovariance(R_bar, array, weighting)
-    if entry.method == "moments":
-        return estimate(prepared[weighting], entry.config, array)
-    return estimate_parametric(prepared[weighting], entry.config, array)
-
-
-def _fit_or_none(entry: EstimatorSpec, R_bar: CovarianceModel, array: ArrayConfig, prepared: dict):
-    """The fit, or None when it failed with a numerical error (a failed trial)."""
-    try:
-        return _run_estimator(entry, R_bar, array, prepared)
-    except (ValueError, np.linalg.LinAlgError):
-        return None
+def _fits(spec: ExperimentSpec, R_bar: CovarianceModel) -> list:
+    """Each estimator's fit of ``R_bar``, or None where it failed with a numerical
+    error (a failed trial).  ``R_bar`` is prepared once per weighting and shared
+    by the estimators with that weighting; a preparation that fails is not
+    kept, so every estimator with its weighting fails alike."""
+    prepared = {}
+    fits = []
+    for entry in spec.estimators:
+        weighting = entry.config.weighting
+        try:
+            if weighting not in prepared:
+                prepared[weighting] = PreparedCovariance(R_bar, spec.array, weighting)
+            run = estimate if entry.method == "moments" else estimate_parametric
+            fit = run(prepared[weighting], entry.config, spec.array)
+        except (ValueError, np.linalg.LinAlgError):
+            fit = None
+        fits.append(fit)
+    return fits
 
 
 def _estimates(fit) -> tuple:
@@ -271,8 +271,7 @@ def _run_trial(spec: ExperimentSpec, sweep_index: int, N: int, R_true: Covarianc
     """Every estimator's estimates on one seeded sample covariance."""
     seed = derive_seed(spec.master_seed, _KIND_STREAM[spec.kind], sweep_index, trial)
     R_bar = sample_covariance(sample_snapshots(R_true, N, seed))
-    prepared = {}
-    return [_estimates(_fit_or_none(entry, R_bar, spec.array, prepared)) for entry in spec.estimators]
+    return [_estimates(fit) for fit in _fits(spec, R_bar)]
 
 
 def _collect_trials(spec: ExperimentSpec, sweep_index: int, N: int, R_true: CovarianceModel) -> np.ndarray:
@@ -315,48 +314,31 @@ def _interpolation_rows(label: str, fit, xi: np.ndarray, true_spectrum: np.ndarr
 
 
 def _format_cell(value):
-    """One value as the cell ``csv`` writes.
-
-    None and NaN give an empty cell, booleans ``true``/``false`` and integers
-    their digits; other floats pass through as floats, whose repr ``csv``
-    writes.  The common exact types come first: a sweep writes tens of
-    thousands of cells.
-    """
-    kind = type(value)
-    if kind is float:
-        return "" if value != value else value
-    if kind is str or kind is int:
-        return value
-    if value is None:
+    """One value as the cell ``csv`` writes: NaN gives an empty cell and a
+    boolean ``true``/``false``.  Anything else passes through: ``csv`` writes
+    None as an empty cell, str and int as text and any float by its repr."""
+    if value != value:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if type(value) in _BOOLS:  # bool has no subclasses, and isinstance on numpy.bool_ costs several times more
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return "" if math.isnan(value) else value
-    return str(value)
-
-
-def _write_csv(path: Path, columns, rows, timestamp_header: bool) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
-        if timestamp_header:
-            stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-            handle.write(f"# generated {stamp}\n")
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(column)) for column in columns])
+    return value
 
 
 def _write_result(spec: ExperimentSpec, rows: list, tables) -> ExperimentResult:
-    """Write each ``(name, columns, rows)`` table to ``<output_dir>/<name>.csv``."""
+    """Write each ``(name, columns, rows)`` table to ``<output_dir>/<name>.csv``;
+    a row that lacks one of the columns raises ``KeyError``."""
     result = ExperimentResult(spec=spec, rows=rows)
+    output_dir = Path(spec.output_dir)
+    output_dir.mkdir(parents=True, exist_ok=True)
     for name, columns, table in tables:
-        path = Path(spec.output_dir) / f"{name}.csv"
-        _write_csv(path, columns, table, spec.timestamp_header)
+        path = output_dir / f"{name}.csv"
+        with open(path, "w", newline="") as handle:
+            if spec.timestamp_header:
+                stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+                handle.write(f"# generated {stamp}\n")
+            writer = csv.writer(handle)
+            writer.writerow(columns)
+            writer.writerows([_format_cell(row[column]) for column in columns] for row in table)
         result.files[name] = str(path)
     return result
 
@@ -489,13 +471,11 @@ def run_asymptotic_bias_vs_sigma(spec: ExperimentSpec) -> ExperimentResult:
 
     def exact_fit(sweep_index, sigma, profile, R):
         true_spectrum = profile.P * np.real(characteristic_function(profile, xi))
-        estimates, interpolation_rows, prepared = [], [], {}
-        for entry in spec.estimators:
-            fit = _fit_or_none(entry, R, spec.array, prepared)
+        fits, interpolation_rows = _fits(spec, R), []
+        for entry, fit in zip(spec.estimators, fits):
             if fit is not None and entry.method == "moments":
                 interpolation_rows += _interpolation_rows(entry.label, fit, xi, true_spectrum, sigma_z=sigma)
-            estimates.append([_estimates(fit)])
-        return np.array(estimates, dtype=float), interpolation_rows
+        return np.array([[_estimates(fit)] for fit in fits], dtype=float), interpolation_rows
 
     return _run_sweep(
         spec,
@@ -526,34 +506,26 @@ def run_spectrum_dump(spec: ExperimentSpec) -> ExperimentResult:
         families = [dataclasses.replace(profile, shape="point")]
     xi = _spectrum_xi_grid(spec.array)
 
-    density_rows = []
+    baselines = np.unique(np.abs(baseline_differences(spec.array)))
+    noise = np.where(baselines == 0.0, spec.sigma_eps2, 0.0)  # adding 0.0 keeps every other value's bits
+    density_rows, curve_rows, measurement_rows = [], [], []
     for member in families:
         if member.shape != "point":
             half_span = 4.5 * member.sigma_z
             z_grid = np.linspace(member.z0 - half_span, member.z0 + half_span, 401)
             density_rows += _rows(shape=member.shape, z=z_grid, density=density(member, z_grid))
-
-    curve_rows = []
-    for member in families:
-        spectrum = member.P * np.real(characteristic_function(member, xi))
-        curve_rows += _rows(curve=member.shape, xi=xi, value=spectrum)
+        curve_rows += _rows(curve=member.shape, xi=xi, value=member.P * np.real(characteristic_function(member, xi)))
+        spectrum = member.P * np.real(characteristic_function(member, baselines))
+        measurement_rows += _rows(shape=member.shape, xi=baselines, spectrum=spectrum, observed=spectrum + noise)
     parabola = profile.P * (1.0 - 0.5 * (profile.sigma_z * xi) ** 2)
     curve_rows += _rows(curve="parabola", xi=xi, value=parabola)
 
-    baselines = np.unique(np.abs(baseline_differences(spec.array)))
-    noise = np.where(baselines == 0.0, spec.sigma_eps2, 0.0)  # adding 0.0 keeps every other value's bits
-    measurement_rows = []
-    for member in families:
-        spectrum = member.P * np.real(characteristic_function(member, baselines))
-        measurement_rows += _rows(shape=member.shape, xi=baselines, spectrum=spectrum, observed=spectrum + noise)
-
-    interpolation_rows = []
     R = true_covariance(profile, spec.array, spec.sigma_eps2)
     true_spectrum = profile.P * np.real(characteristic_function(profile, xi))
-    prepared = {}
+    interpolation_rows = []
     for entry in spec.estimators:
         if entry.method == "moments":
-            fit = _run_estimator(entry, R, spec.array, prepared)
+            fit = estimate(R, entry.config, spec.array)
             interpolation_rows += _interpolation_rows(entry.label, fit, xi, true_spectrum)
 
     return _write_result(

@@ -9,8 +9,9 @@ The linear coefficients concentrate in closed form through the quantities
     y_i(z) = tr(H_i^H Phi^H W Rbar W Phi)      (weighted data correlations)
     Y_ik(z) = tr(H_i^H G H_k G), G = Phi^H W Phi
 
-with a point evaluator and grid evaluators shared by both estimators; the
-M^2 x M^2 Kronecker forms are never materialized.
+with a point evaluator and grid evaluators shared by both estimators.  The
+cost's M^2 x M^2 Kronecker form is never formed; the one M^2 x M^2 matrix is
+``kron(conj L, L)``, W = L L^H, built once per prepared covariance.
 
 - Points (refinement and the final coefficients): :func:`fit_terms` builds
   the terms from M x M products, ``Y_ik = tr(C_i C_k)`` with

@@ -28,7 +28,7 @@ from tomoments import (
     true_covariance,
     wrap_height_error,
 )
-from tomoments.experiments import PARAM_NAMES, _format_cell
+from tomoments.experiments import PARAM_NAMES, _format_cell, _write_result
 
 MOMENTS_SYM = EstimatorSpec("moments-sym", "moments", MomentEstimatorConfig(D=4, symmetric=True))
 
@@ -162,6 +162,23 @@ def test_format_cell(value, text):
     buffer = io.StringIO()
     csv.writer(buffer).writerow([_format_cell(value), "end"])
     assert buffer.getvalue() == f"{text},end\r\n"
+
+
+def test_select_refuses_a_name_that_is_not_a_column(tmp_path):
+    spec = default_spec("asymptotic_bias_vs_sigma", sigma_list=(5.0,), output_dir=str(tmp_path))
+    result = run_asymptotic_bias_vs_sigma(spec)
+    assert len(result.select(parameter="z0")) == 4
+    with pytest.raises(KeyError, match="paramter"):
+        result.select(paramter="z0")
+
+
+def test_a_row_without_a_header_column_is_refused(tmp_path):
+    # every cell is the row's value for its column: a row that lacks one raises,
+    # naming the column, rather than writing an empty cell
+    spec = default_spec("spectrum_dump", output_dir=str(tmp_path), timestamp_header=False)
+    table = ("partial", ("xi", "value"), [{"xi": 0.0, "value": 1.0}, {"xi": 1.0}])
+    with pytest.raises(KeyError, match="value"):
+        _write_result(spec, [], [table])
 
 
 def test_wrap_height_error():

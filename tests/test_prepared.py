@@ -137,8 +137,9 @@ def test_prepared_covariance_refuses_another_weighting_or_array(reference_covari
     assert _bits(estimate(prepared, config, make_uniform_array(7, 100.0))) == _bits(
         estimate(reference_covariance, config, REFERENCE)
     )
-    # the tables every fit on it shares
-    tables = [prepared.W, prepared.WRW, prepared.traces, prepared.terms.c, prepared.terms.Q]
+    # the tables every fit on it shares; R is the covariance's own read-only matrix
+    assert prepared.R is reference_covariance.matrix
+    tables = [prepared.R, prepared.W, prepared.WRW, prepared.traces, prepared.terms.c, prepared.terms.Q]
     assert not any(table.flags.writeable for table in tables)
 
 
