@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the 34 CSVs that show whether a change moved any output.
+"""Print the SHA-256 of the 36 CSVs that show whether a change moved any output.
 
 - 16 from the benchmark workloads: every variant of every workload in
   ``perfbench/workloads.py``, run through ``tomoments.cli.main`` (read only;
@@ -11,11 +11,13 @@
   fits and an identity-weighted full D = 6 moment fit; the parametric
   estimator in the spec has no moment polynomial and is skipped;
 - 2 from ``tomoments rmse --trials 6 --workers 2 --dump-trials``;
-- 8 from ``tomoments rmse --trials 6 --dump-trials`` on the paths those
+- 10 from ``tomoments rmse --trials 6 --dump-trials`` on the paths those
   miss (:data:`EXTRA_SPECS`): the identity weighting with a full moment fit
-  at D = 6, a parametric fit bounded by ``z0_max`` on a sparse stack, and
-  a full D = 4 moment fit bounded the same way with its source 0.3 m inside
-  either edge, where the refinement's bracket is clipped to the bounds.
+  at D = 6, a parametric fit bounded by ``z0_max`` on a sparse stack, a
+  full D = 4 moment fit bounded the same way with its source 0.3 m inside
+  either edge, where the refinement's bracket is clipped to the bounds, and
+  estimator labels that hold a comma and a double quote, so that their
+  cells are quoted with the quotes doubled.
 
 Every run omits the timestamp header.  Run it in two checkouts and compare
 the listings: equal lines mean byte-identical CSVs.
@@ -86,6 +88,14 @@ EXTRA_SPECS = {
         name: {**_SCENARIO, "profile": {**_SCENARIO["profile"], "z0": z0}, "array": _SPARSE_ARRAY,
                "estimators": [_SPARSE_MOMENTS]}
         for name, z0 in (("sparse-moments-low", 0.3), ("sparse-moments-high", 79.7))
+    },
+    "quoted-labels": {
+        **_SCENARIO,
+        "array": {"M": 7, "z_amb": 100.0},
+        "estimators": [
+            {"label": 'moments "sym", D=4', "method": "moments", "D": 4, "symmetric": True},
+            {"label": 'parametric "gaussian", mismatched', "method": "parametric", "assumed_shape": "gaussian"},
+        ],
     },
 }
 

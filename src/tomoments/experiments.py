@@ -18,13 +18,21 @@ and truths, the CRB column, the extra table and the rule for the ``mean``
 cell.  Every covariance a sweep fits goes through ``_fits``: it is prepared
 once per weighting (:class:`~tomoments.fitting.PreparedCovariance`) and
 shared by the estimators with that weighting, one estimator call per fit.
+
+Every table is a sequence of column blocks: a block maps each column to a
+scalar or to a 1-d array, and the arrays of one block share their length,
+so a row dict is a block of scalars and an array block is one row per
+element.  ``_write_result`` formats each block itself, in ``csv``'s default
+dialect, and writes it as soon as it is formatted; an array that the
+previous block also holds (the xi grid, a true spectrum shared by two fits)
+is formatted once.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import itertools
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -103,6 +111,8 @@ _RESULT_COLUMNS = (
 _HAT_COLUMNS = tuple(f"{name}_hat" for name in PARAM_NAMES)
 _TRIAL_COLUMNS = ("estimator", "sweep_value", "trial", "failed") + _HAT_COLUMNS
 _BOOLS = (bool, np.bool_)
+# a field holding one of these is quoted in csv's default dialect
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 class ExperimentError(RuntimeError):
@@ -301,22 +311,16 @@ def _errors(parameter: str, estimates: np.ndarray, truth: float, period: float |
     return estimates - truth
 
 
-def _rows(**columns) -> list:
-    """Row dicts from equal-length array columns, as Python scalars; str and scalar columns repeat on every row."""
-    values = [np.asarray(v).tolist() if np.ndim(v) else itertools.repeat(v) for v in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*values)]
-
-
-def _interpolation_rows(label: str, fit, xi: np.ndarray, true_spectrum: np.ndarray, **keys) -> list:
-    """Fitted moment spectrum against the true one on ``xi``, one row per point."""
+def _interpolation_block(label: str, fit, xi: np.ndarray, true_spectrum: np.ndarray, **keys) -> dict:
+    """Fitted moment spectrum against the true one on ``xi``: one block, a row per point."""
     model = np.real(model_power_spectrum(fit.P_hat, fit.nu, xi))
-    return _rows(estimator=label, **keys, xi=xi, model_spectrum=model, true_spectrum=true_spectrum)
+    return {"estimator": label, **keys, "xi": xi, "model_spectrum": model, "true_spectrum": true_spectrum}
 
 
 def _format_cell(value):
     """One value as the cell ``csv`` writes: NaN gives an empty cell and a
     boolean ``true``/``false``.  Anything else passes through: ``csv`` writes
-    None as an empty cell, str and int as text and any float by its repr."""
+    None as an empty cell and any other value by its ``str``."""
     if value != value:
         return ""
     if type(value) in _BOOLS:  # bool has no subclasses, and isinstance on numpy.bool_ costs several times more
@@ -324,21 +328,69 @@ def _format_cell(value):
     return value
 
 
+def _field(value) -> str:
+    """The field ``csv``'s default dialect writes for one value: the ``str`` of
+    its cell (None: empty), quoted with its quotes doubled when it holds ``,``, ``"``, CR or LF."""
+    cell = _format_cell(value)
+    text = "" if cell is None else str(cell)
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
+def _array_fields(values: np.ndarray) -> list:
+    """The fields of a 1-d array column, those of its ``tolist()`` elements, one per row."""
+    if values.dtype.kind != "f":
+        return list(map(_field, values.tolist()))
+    fields = list(map(str, values.tolist()))  # a float's str needs no quotes
+    for index in np.flatnonzero(np.isnan(values)).tolist():
+        fields[index] = ""
+    return fields
+
+
+def _table_text(columns, blocks):
+    """A table's CSV text in ``csv``'s default dialect, one string per block:
+    fields joined by commas, each row ended by CR LF.  The header is a first
+    block of the column names.  A block that lacks a column raises
+    ``KeyError``; one whose arrays are not 1-d or differ in length raises
+    ``ValueError`` naming the column."""
+    held = {}  # id -> (array, fields) of the previous block's arrays; holding each array keeps its id unique
+    for block in itertools.chain([dict(zip(columns, columns))], blocks):
+        fields, rows, current = [], None, {}
+        for column in columns:
+            value = block[column]
+            if not isinstance(value, np.ndarray):
+                fields.append(_field(value))
+                continue
+            if value.ndim != 1:
+                raise ValueError(f"column {column!r} holds a {value.ndim}-d array; a block's arrays are 1-d")
+            if rows is None:
+                rows = value.size
+            elif value.size != rows:
+                raise ValueError(f"column {column!r} has {value.size} rows where the block's other arrays have {rows}")
+            key = id(value)
+            current[key] = current.get(key) or held.get(key) or (value, _array_fields(value))
+            fields.append(current[key][1])
+        held = current
+        rows = 1 if rows is None else rows
+        if rows:
+            lines = map(",".join, zip(*(f if isinstance(f, list) else itertools.repeat(f, rows) for f in fields)))
+            if len(columns) == 1:  # csv quotes a row's lone empty field, which would otherwise read as no field
+                lines = (line or '""' for line in lines)
+            yield "\r\n".join(lines) + "\r\n"
+
+
 def _write_result(spec: ExperimentSpec, rows: list, tables) -> ExperimentResult:
-    """Write each ``(name, columns, rows)`` table to ``<output_dir>/<name>.csv``;
-    a row that lacks one of the columns raises ``KeyError``."""
+    """Write each ``(name, columns, blocks)`` table to ``<output_dir>/<name>.csv``,
+    a block at a time (see ``_table_text``); ``rows`` are the main table's row dicts."""
     result = ExperimentResult(spec=spec, rows=rows)
     output_dir = Path(spec.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    for name, columns, table in tables:
+    for name, columns, blocks in tables:
         path = output_dir / f"{name}.csv"
         with open(path, "w", newline="") as handle:
             if spec.timestamp_header:
                 stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
                 handle.write(f"# generated {stamp}\n")
-            writer = csv.writer(handle)
-            writer.writerow(columns)
-            writer.writerows([_format_cell(row[column]) for column in columns] for row in table)
+            handle.writelines(_table_text(columns, blocks))
         result.files[name] = str(path)
     return result
 
@@ -360,7 +412,7 @@ def _run_sweep(spec: ExperimentSpec, points, fit_point, extra_table, *, crb_at=N
     ``points`` holds ``(sweep_value, truth profile)`` pairs.  At each one,
     ``fit_point(sweep_index, sweep_value, profile, R)`` gets the exact
     covariance ``R`` and returns the (estimators, trials, 4) estimates, NaN
-    rows for failed fits, plus its rows of ``extra_table = (name, columns)``
+    rows for failed fits, plus its blocks of ``extra_table = (name, columns)``
     (None: no extra table).  Every parameter row takes
     ``rmse = sqrt(mean(e**2))`` and ``bias = mean(e)`` over the successful
     trials; ``mean`` is truth + bias, or the mean of the fitted values when
@@ -371,11 +423,11 @@ def _run_sweep(spec: ExperimentSpec, points, fit_point, extra_table, *, crb_at=N
     # heights do not repeat, so an error across the searched interval is a large one
     period = spec.array.ambiguity
     normalizers = _normalizers(spec)
-    rows, extra_rows = [], []
+    rows, extra_blocks = [], []
     for sweep_index, (sweep_value, profile) in enumerate(points):
         R = true_covariance(profile, spec.array, spec.sigma_eps2)
         estimates, extra = fit_point(sweep_index, sweep_value, profile, R)
-        extra_rows += extra
+        extra_blocks += extra
         crb = crb_at(sweep_value) if crb_at else None
         truths = dict(zip(PARAM_NAMES, (profile.z0, profile.sigma_z, profile.P, spec.sigma_eps2)))
         for entry, values in zip(spec.estimators, estimates):
@@ -408,7 +460,7 @@ def _run_sweep(spec: ExperimentSpec, points, fit_point, extra_table, *, crb_at=N
 
     tables = [(spec.kind, _RESULT_COLUMNS, rows)]
     if extra_table is not None:
-        tables.append((*extra_table, extra_rows))
+        tables.append((*extra_table, extra_blocks))
     result = _write_result(spec, rows, tables)
     _check_failure_rates(rows)
     return result
@@ -431,11 +483,12 @@ def run_rmse_vs_N(spec: ExperimentSpec) -> ExperimentResult:
 
     def trials(sweep_index, N, profile, R_true):
         estimates = _collect_trials(spec, sweep_index, N, R_true)
-        dump = []
-        for entry, values in zip(spec.estimators, estimates if spec.dump_trials else ()):
-            failed = np.isnan(values[:, 0])
-            hats = dict(zip(_HAT_COLUMNS, values.T))
-            dump += _rows(estimator=entry.label, sweep_value=N, trial=np.arange(failed.size), failed=failed, **hats)
+        trial = np.arange(spec.trials)
+        dump = [
+            {"estimator": entry.label, "sweep_value": N, "trial": trial, "failed": np.isnan(values[:, 0]),
+             **dict(zip(_HAT_COLUMNS, values.T))}
+            for entry, values in zip(spec.estimators, estimates if spec.dump_trials else ())
+        ]
         return estimates, dump
 
     return _run_sweep(
@@ -471,11 +524,13 @@ def run_asymptotic_bias_vs_sigma(spec: ExperimentSpec) -> ExperimentResult:
 
     def exact_fit(sweep_index, sigma, profile, R):
         true_spectrum = profile.P * np.real(characteristic_function(profile, xi))
-        fits, interpolation_rows = _fits(spec, R), []
-        for entry, fit in zip(spec.estimators, fits):
-            if fit is not None and entry.method == "moments":
-                interpolation_rows += _interpolation_rows(entry.label, fit, xi, true_spectrum, sigma_z=sigma)
-        return np.array([[_estimates(fit)] for fit in fits], dtype=float), interpolation_rows
+        fits = _fits(spec, R)
+        interpolation = [
+            _interpolation_block(entry.label, fit, xi, true_spectrum, sigma_z=sigma)
+            for entry, fit in zip(spec.estimators, fits)
+            if fit is not None and entry.method == "moments"
+        ]
+        return np.array([[_estimates(fit)] for fit in fits], dtype=float), interpolation
 
     return _run_sweep(
         spec,
@@ -508,34 +563,36 @@ def run_spectrum_dump(spec: ExperimentSpec) -> ExperimentResult:
 
     baselines = np.unique(np.abs(baseline_differences(spec.array)))
     noise = np.where(baselines == 0.0, spec.sigma_eps2, 0.0)  # adding 0.0 keeps every other value's bits
-    density_rows, curve_rows, measurement_rows = [], [], []
+    densities, curves, measurements = [], [], []
     for member in families:
         if member.shape != "point":
             half_span = 4.5 * member.sigma_z
             z_grid = np.linspace(member.z0 - half_span, member.z0 + half_span, 401)
-            density_rows += _rows(shape=member.shape, z=z_grid, density=density(member, z_grid))
-        curve_rows += _rows(curve=member.shape, xi=xi, value=member.P * np.real(characteristic_function(member, xi)))
+            densities.append({"shape": member.shape, "z": z_grid, "density": density(member, z_grid)})
+        curve = member.P * np.real(characteristic_function(member, xi))
+        curves.append({"curve": member.shape, "xi": xi, "value": curve})
         spectrum = member.P * np.real(characteristic_function(member, baselines))
-        measurement_rows += _rows(shape=member.shape, xi=baselines, spectrum=spectrum, observed=spectrum + noise)
+        observed = spectrum + noise
+        measurements.append({"shape": member.shape, "xi": baselines, "spectrum": spectrum, "observed": observed})
     parabola = profile.P * (1.0 - 0.5 * (profile.sigma_z * xi) ** 2)
-    curve_rows += _rows(curve="parabola", xi=xi, value=parabola)
+    curves.append({"curve": "parabola", "xi": xi, "value": parabola})
 
     R = true_covariance(profile, spec.array, spec.sigma_eps2)
     true_spectrum = profile.P * np.real(characteristic_function(profile, xi))
-    interpolation_rows = []
-    for entry in spec.estimators:
-        if entry.method == "moments":
-            fit = estimate(R, entry.config, spec.array)
-            interpolation_rows += _interpolation_rows(entry.label, fit, xi, true_spectrum)
+    interpolation = [
+        _interpolation_block(entry.label, estimate(R, entry.config, spec.array), xi, true_spectrum)
+        for entry in spec.estimators
+        if entry.method == "moments"
+    ]
 
     return _write_result(
         spec,
         [],
         (
-            ("spectrum_densities", ("shape", "z", "density"), density_rows),
-            ("spectrum_curves", ("curve", "xi", "value"), curve_rows),
-            ("spectrum_measurements", ("shape", "xi", "spectrum", "observed"), measurement_rows),
-            ("spectrum_interpolation", ("estimator", "xi", "model_spectrum", "true_spectrum"), interpolation_rows),
+            ("spectrum_densities", ("shape", "z", "density"), densities),
+            ("spectrum_curves", ("curve", "xi", "value"), curves),
+            ("spectrum_measurements", ("shape", "xi", "spectrum", "observed"), measurements),
+            ("spectrum_interpolation", ("estimator", "xi", "model_spectrum", "true_spectrum"), interpolation),
         ),
     )
 

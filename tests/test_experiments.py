@@ -3,9 +3,14 @@ import dataclasses
 import io
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tomoments import (
     ArrayConfig,
@@ -179,6 +184,109 @@ def test_a_row_without_a_header_column_is_refused(tmp_path):
     table = ("partial", ("xi", "value"), [{"xi": 0.0, "value": 1.0}, {"xi": 1.0}])
     with pytest.raises(KeyError, match="value"):
         _write_result(spec, [], [table])
+
+
+@pytest.mark.parametrize(
+    "block, column",
+    [
+        ({"xi": np.zeros(3), "value": np.zeros(2)}, "value"),
+        ({"xi": np.zeros(3), "value": np.zeros((3, 1))}, "value"),
+        ({"xi": np.array(1.0), "value": 1.0}, "xi"),
+    ],
+    ids=["lengths-differ", "2-d", "0-d"],
+)
+def test_a_block_of_unequal_or_not_1d_arrays_is_refused(tmp_path, block, column):
+    # a block is one row per array element: arrays of unequal length used to be
+    # cut to the shortest, and a 2-d one written as rows of lists
+    spec = default_spec("spectrum_dump", output_dir=str(tmp_path), timestamp_header=False)
+    with pytest.raises(ValueError, match=f"column '{column}'"):
+        _write_result(spec, [], [("blocks", ("xi", "value"), [block])])
+
+
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.1])
+_FLOATS = st.one_of(_SPECIAL_FLOATS, st.floats())
+_FLOAT32S = st.one_of(_SPECIAL_FLOATS, st.floats(width=32))
+_INT64S = st.integers(-(2**63), 2**63 - 1)
+# a comma, a quote, CR or LF make csv quote a field; the empty text is an empty field
+_TEXT = st.text(alphabet='a ,"\r\n', max_size=4)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    _INT64S.map(np.int64),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    _FLOAT32S.map(np.float32),  # str reads a float32 scalar by its own shortest digits: 0.1, not 0.10000000149011612
+    _TEXT,
+)
+
+
+def _arrays(rows):
+    def of(elements, dtype):
+        return st.lists(elements, min_size=rows, max_size=rows).map(lambda values: np.array(values, dtype=dtype))
+
+    return st.one_of(
+        of(_FLOATS, np.float64),
+        of(_FLOAT32S, np.float32),
+        of(_INT64S, np.int64),
+        of(st.booleans(), bool),
+        of(_TEXT, str),
+    )
+
+
+@st.composite
+def _tables(draw):
+    """Column names and blocks of scalars, new arrays and arrays an earlier block or column holds."""
+    columns = tuple(draw(st.lists(_TEXT, min_size=1, max_size=3, unique=True)))
+    pool, blocks = {}, []  # the arrays drawn so far, by length
+    for _ in range(draw(st.integers(0, 4))):
+        rows = draw(st.integers(0, 3))
+        arrays = pool.setdefault(rows, [])
+        block = {}
+        for column in columns:
+            kind = draw(st.sampled_from(("scalar", "array", "shared")))
+            if kind == "scalar":
+                block[column] = draw(_SCALARS)
+            elif kind == "shared" and arrays:
+                block[column] = draw(st.sampled_from(arrays))
+            else:
+                arrays.append(draw(_arrays(rows)))
+                block[column] = arrays[-1]
+        blocks.append(block)
+    return columns, blocks
+
+
+def _csv_module_text(columns, blocks) -> str:
+    """The reference: each block expanded into row lists and written by ``csv.writer``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    for block in blocks:
+        sizes = [value.size for value in block.values() if isinstance(value, np.ndarray)]
+        rows = sizes[0] if sizes else 1
+        cells = {c: v.tolist() if isinstance(v, np.ndarray) else [v] * rows for c, v in block.items()}
+        writer.writerows([_format_cell(cells[column][row]) for column in columns] for row in range(rows))
+    return buffer.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables(), timestamp=st.booleans(), fresh=st.booleans())
+def test_written_bytes_are_those_of_the_csv_module(table, timestamp, fresh):
+    columns, blocks = table
+    expected = _csv_module_text(columns, blocks)
+    if fresh:
+        # a new copy of every array in every block, which only the writer refers to
+        # once yielded: a freed array's id comes back, and must not bring back its cells
+        blocks = ({c: v.copy() if isinstance(v, np.ndarray) else v for c, v in block.items()} for block in blocks)
+    with tempfile.TemporaryDirectory() as out:
+        spec = default_spec("spectrum_dump", output_dir=out, timestamp_header=timestamp)
+        _write_result(spec, [], [("table", columns, blocks)])
+        written = (Path(out) / "table.csv").read_bytes().decode("ascii")
+    if timestamp:
+        stamp, written = written.split("\n", 1)
+        assert re.fullmatch(r"# generated \d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp)
+    assert written == expected
 
 
 def test_wrap_height_error():
