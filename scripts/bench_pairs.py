@@ -10,9 +10,17 @@ failed fits stops the comparison.  For every end-to-end metric of that file
 it prints each side's median and quartiles (``perfbench.spread.spread``, the
 benchmark's own spread), the number of pairs the change wins (ties count for
 neither side), how much worse the change's median is than the parent's as a
-share of the parent's, whether that stays within the metric's ``bound``, and
+share of the parent's, the metric's status against its ``bound``, and
 whether the gain rule holds: the change wins at least nine tenths of the
 pairs, and the medians differ by more than the parent's interquartile range.
+The status is one of
+
+- ``exceeded``: the change's median is worse by more than the bound;
+- ``unresolved``: not exceeded, but the parent's interquartile range, as a
+  share of its median, is wider than the bound, so the runs cannot show a
+  move of the bound's size, and not every run of the change reads better
+  than every run of the parent;
+- ``within``: otherwise.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload mc-reference \\
         --pairs 10 --seed-base 1000 [--json BENCH.json]
@@ -59,19 +67,30 @@ def summary(metric: dict, parent: list, change: list) -> dict:
 
     Each side's ``[q1, median, q3]``, the change's wins, ``worse``: how much
     worse the change's median is as a share of the parent's (negative when
-    better), whether that stays within the metric's ``bound``, and the gain rule.
+    better), whether that stays within the metric's ``bound``, the status
+    (see the module docstring) and the gain rule.
     """
     lower = metric["better"] == "lower"
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-    parent_q, change_q = ([row["q1"], row["median"], row["q3"]] for row in (spread(parent), spread(change)))
+    parent_spread = spread(parent)
+    parent_q, change_q = ([row["q1"], row["median"], row["q3"]] for row in (parent_spread, spread(change)))
     gap = (parent_q[1] - change_q[1]) if lower else (change_q[1] - parent_q[1])
     worse = -gap / parent_q[1] if parent_q[1] else 0.0
+    within_bound = worse <= metric["bound"]
+    better_in_every_run = max(change) < min(parent) if lower else min(change) > max(parent)
+    if not within_bound:
+        status = "exceeded"
+    elif parent_spread["iqr_share"] > metric["bound"] and not better_in_every_run:
+        status = "unresolved"
+    else:
+        status = "within"
     return {
         "parent": parent_q,
         "change": change_q,
         "wins": wins,
         "worse": worse,
-        "within_bound": worse <= metric["bound"],
+        "within_bound": within_bound,
+        "status": status,
         "gain": 10 * wins >= 9 * len(parent) and gap > parent_q[2] - parent_q[0],
     }
 
@@ -103,14 +122,13 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}: {args.pairs} pairs, seeds {seeds[0]}-{seeds[-1]}, {seconds:g} s per run")
     print(f"{'metric':<12} {'parent q1/median/q3':>28} {'change q1/median/q3':>28} {'wins':>6}  "
-          f"{'worse by':>8}  {'bound':>5}  gain")
+          f"{'worse by':>8}  {'status':>10}  gain")
     for metric in metrics:
         name = metric["name"]
         row = summary(metric, runs["parent"][name], runs["change"][name])
         parent, change = ("/".join(f"{v:.4g}" for v in row[side]) for side in SIDES)
-        bound = f"{metric['bound']:g}" + ("" if row["within_bound"] else " exceeded")
         print(f"{name:<12} {parent:>28} {change:>28} {row['wins']:>3}/{args.pairs:<2}  {row['worse']:>+8.3f}  "
-              f"{bound:>5}  {'yes' if row['gain'] else 'no'}")
+              f"{row['status']:>10}  {'yes' if row['gain'] else 'no'}")
 
     if args.json:
         record = json.loads(args.json.read_text()) if args.json.exists() else {}

@@ -9,7 +9,6 @@ Monte Carlo benchmark CLI.
 
 from .crb import (
     PARAMETERS,
-    CrbResult,
     SingularFimError,
     covariance_derivatives,
     crb_stddev,
@@ -64,7 +63,6 @@ from .profiles import (
     true_covariance,
 )
 from .sampling import (
-    SnapshotStack,
     covariance_factor,
     derive_seed,
     sample_covariance,

@@ -7,8 +7,6 @@ vector ``theta = (z0, sigma_z, P, sigma_eps2)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._fields import count, real
@@ -23,7 +21,6 @@ from .profiles import (
 __all__ = [
     "PARAMETERS",
     "SingularFimError",
-    "CrbResult",
     "covariance_derivatives",
     "fisher_information",
     "crb_stddev",
@@ -36,23 +33,6 @@ _CONDITION_LIMIT = 1e12
 
 class SingularFimError(ValueError):
     """Raised when the Fisher information is singular (parameter not identifiable)."""
-
-
-@dataclass(frozen=True)
-class CrbResult:
-    """Standard-deviation bounds keyed by parameter name."""
-
-    bounds: dict
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bounds", dict(self.bounds))
-
-    @property
-    def parameters(self) -> tuple:
-        return tuple(self.bounds)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.bounds[name] for name in PARAMETERS])
 
 
 def covariance_derivatives(
@@ -109,8 +89,9 @@ def fisher_information(
     return fim
 
 
-def crb_stddev(fim: np.ndarray, n_scale: float = 1.0) -> CrbResult:
-    """Standard-deviation bounds ``sqrt(diag(FIM^{-1}) / n_scale)``.
+def crb_stddev(fim: np.ndarray, n_scale: float = 1.0) -> dict:
+    """Standard-deviation bounds ``sqrt(diag(FIM^{-1}) / n_scale)``, keyed by
+    parameter name in ``PARAMETERS`` order.
 
     ``n_scale`` rescales the snapshot count the information was computed at
     (bounds fall as ``1/sqrt(N)``), so one information matrix serves a whole
@@ -125,4 +106,4 @@ def crb_stddev(fim: np.ndarray, n_scale: float = 1.0) -> CrbResult:
         raise SingularFimError("Fisher information is singular or too ill-conditioned to invert")
     inverse = np.linalg.inv(fim)
     bounds = np.sqrt(np.diag(inverse) / n_scale)
-    return CrbResult({name: float(b) for name, b in zip(PARAMETERS, bounds)})
+    return {name: float(b) for name, b in zip(PARAMETERS, bounds)}

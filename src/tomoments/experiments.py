@@ -6,7 +6,8 @@ serializable field by field; its values are checked by the rules of
 not ``true``, ``"100"`` or ``Infinity``) and writes deterministic
 long-format CSV files.  Trials are seeded individually from the master
 seed, so results are independent of the execution order and of the worker
-count.
+count.  An estimator entry is a label and a config; the config's class
+decides which estimator runs, and its JSON ``"method"`` names that class.
 
 The RMSE and bias experiments run through one sweep runner, ``_run_sweep``:
 at each sweep point it builds the truth and its exact covariance, takes a
@@ -91,8 +92,8 @@ _SIGMA_SWEEP_CAP = 0.35
 _FAILURE_RATE_LIMIT = 0.01
 
 _CONFIG_TYPES = {"moments": MomentEstimatorConfig, "parametric": ParametricEstimatorConfig}
-# the cached search plan of each method; building it refuses a config its array cannot run
-_PLANS = {"moments": _moment_plan, "parametric": _parametric_plan}
+# the cached search plan of each config class; building it refuses a config its array cannot run
+_PLANS = {MomentEstimatorConfig: _moment_plan, ParametricEstimatorConfig: _parametric_plan}
 _SWEEP_NAMES = {"rmse_vs_N": "N", "asymptotic_bias_vs_sigma": "sigma_z"}
 _RESULT_COLUMNS = (
     "experiment",
@@ -121,18 +122,16 @@ class ExperimentError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """A labeled estimator entry of an experiment."""
+    """A labeled estimator entry of an experiment; the config's class is the estimator."""
 
     label: str
-    method: str
     config: MomentEstimatorConfig | ParametricEstimatorConfig
 
     def __post_init__(self) -> None:
         if not (isinstance(self.label, str) and self.label):
             raise ValueError(f"estimator label must be a non-empty string, got {self.label!r}")
-        expected = _CONFIG_TYPES[choice(self.method, tuple(_CONFIG_TYPES), "method")]
-        if not isinstance(self.config, expected):
-            raise ValueError(f"method {self.method!r} needs a {expected.__name__}")
+        if type(self.config) not in _PLANS:
+            raise ValueError(f"estimator config must be a moment or parametric estimator config, got {self.config!r}")
 
     def to_json(self) -> dict:
         return {"label": self.label, **self.config.to_json()}
@@ -142,7 +141,7 @@ class EstimatorSpec:
         if not (isinstance(obj, dict) and "label" in obj):
             raise ValueError(f"estimator JSON must be an object with a 'label', got {obj!r}")
         method = choice(obj.get("method"), tuple(_CONFIG_TYPES), "method")
-        return cls(label=obj["label"], method=method, config=_CONFIG_TYPES[method].from_json(obj))
+        return cls(label=obj["label"], config=_CONFIG_TYPES[method].from_json(obj))
 
 
 @dataclass(frozen=True)
@@ -175,14 +174,18 @@ class ExperimentSpec:
             raise ValueError("estimator labels must be unique")
         object.__setattr__(self, "estimators", estimators)
         for entry in estimators:
-            _PLANS[entry.method](entry.config, self.array)
+            _PLANS[type(entry.config)](entry.config, self.array)
         for name, check in (("N_list", partial(count, least=1)), ("sigma_list", partial(real, least=0.0))):
             values = tuple(check(value, name) for value in items(getattr(self, name), name))
+            if not values:
+                raise ValueError(f"{name} must hold at least one value")
             if list(values) != sorted(set(values)):
                 raise ValueError(f"{name} must be strictly increasing")
             object.__setattr__(self, name, values)
         for name, least in (("trials", 1), ("master_seed", 0), ("workers", 1)):
             object.__setattr__(self, name, count(getattr(self, name), name, least=least))
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         flag(self.timestamp_header, "timestamp_header")
         flag(self.dump_trials, "dump_trials")
 
@@ -217,12 +220,10 @@ def default_estimators(truth_shape: str = "uniform") -> tuple[EstimatorSpec, ...
     """Benchmark set: both moment variants plus matched and mismatched shapes."""
     other = "gaussian" if truth_shape == "uniform" else "uniform"
     return (
-        EstimatorSpec("moments-full", "moments", MomentEstimatorConfig(D=4, symmetric=False)),
-        EstimatorSpec("moments-sym", "moments", MomentEstimatorConfig(D=4, symmetric=True)),
-        EstimatorSpec(
-            f"parametric-{truth_shape}", "parametric", ParametricEstimatorConfig(assumed_shape=truth_shape)
-        ),
-        EstimatorSpec(f"parametric-{other}", "parametric", ParametricEstimatorConfig(assumed_shape=other)),
+        EstimatorSpec("moments-full", MomentEstimatorConfig(D=4, symmetric=False)),
+        EstimatorSpec("moments-sym", MomentEstimatorConfig(D=4, symmetric=True)),
+        EstimatorSpec(f"parametric-{truth_shape}", ParametricEstimatorConfig(assumed_shape=truth_shape)),
+        EstimatorSpec(f"parametric-{other}", ParametricEstimatorConfig(assumed_shape=other)),
     )
 
 
@@ -262,7 +263,7 @@ def _fits(spec: ExperimentSpec, R_bar: CovarianceModel) -> list:
         try:
             if weighting not in prepared:
                 prepared[weighting] = PreparedCovariance(R_bar, spec.array, weighting)
-            run = estimate if entry.method == "moments" else estimate_parametric
+            run = estimate if isinstance(entry.config, MomentEstimatorConfig) else estimate_parametric
             fit = run(prepared[weighting], entry.config, spec.array)
         except (ValueError, np.linalg.LinAlgError):
             fit = None
@@ -496,7 +497,7 @@ def run_rmse_vs_N(spec: ExperimentSpec) -> ExperimentResult:
         [(N, spec.profile) for N in spec.N_list],
         trials,
         ("rmse_vs_N_trials", _TRIAL_COLUMNS) if spec.dump_trials else None,
-        crb_at=None if fim_unit is None else lambda N: crb_stddev(fim_unit, n_scale=N).bounds,
+        crb_at=None if fim_unit is None else lambda N: crb_stddev(fim_unit, n_scale=N),
     )
 
 
@@ -528,7 +529,7 @@ def run_asymptotic_bias_vs_sigma(spec: ExperimentSpec) -> ExperimentResult:
         interpolation = [
             _interpolation_block(entry.label, fit, xi, true_spectrum, sigma_z=sigma)
             for entry, fit in zip(spec.estimators, fits)
-            if fit is not None and entry.method == "moments"
+            if fit is not None and isinstance(entry.config, MomentEstimatorConfig)
         ]
         return np.array([[_estimates(fit)] for fit in fits], dtype=float), interpolation
 
@@ -582,7 +583,7 @@ def run_spectrum_dump(spec: ExperimentSpec) -> ExperimentResult:
     interpolation = [
         _interpolation_block(entry.label, estimate(R, entry.config, spec.array), xi, true_spectrum)
         for entry in spec.estimators
-        if entry.method == "moments"
+        if isinstance(entry.config, MomentEstimatorConfig)
     ]
 
     return _write_result(

@@ -115,17 +115,17 @@ class MomentEstimatorConfig:
 
 @dataclass(frozen=True)
 class MomentDiagnostics:
-    """Solver events recorded during an estimate.
+    """Solver events recorded during an estimate, each a flag.
 
     ``clamped_sigma`` is set when the spread was clamped to zero (a
     nonpositive fitted curvature or power), ``negative_power`` when the
-    fitted power itself is nonpositive, the mark of a twin-like fit, and
+    fitted power itself is nonpositive, the mark of a twin-like fit,
+    ``weighting_loaded`` when the weighting was diagonally loaded, and
     ``pinv_used`` when a solve of the grid, the refinement or the final
     coefficients fell back to the pseudo-inverse.
     """
 
     clamped_sigma: bool
-    grid_resolution_used: float
     weighting_loaded: bool = False
     pinv_used: bool = False
     negative_power: bool = False
@@ -290,7 +290,6 @@ def estimate(
         cost=float(cost),
         diagnostics=MomentDiagnostics(
             clamped_sigma=clamped,
-            grid_resolution_used=float(search.step),
             weighting_loaded=covariance.loaded,
             pinv_used=bool(pinv_used or pinv_final),
             negative_power=P_hat <= 0.0,

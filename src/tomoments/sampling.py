@@ -1,11 +1,13 @@
-"""Circular complex Gaussian snapshot simulation and sample covariances."""
+"""Circular complex Gaussian snapshot simulation and sample covariances.
+
+A snapshot stack is a complex ``(N, M)`` array, one snapshot per row.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +15,6 @@ from ._fields import count
 from .profiles import CovarianceModel
 
 __all__ = [
-    "SnapshotStack",
     "derive_seed",
     "covariance_factor",
     "sample_snapshots",
@@ -24,30 +25,6 @@ __all__ = [
 # Cholesky factorization, relative to the mean diagonal power.
 _CHOLESKY_JITTER = 1e-12
 _PSD_WARN_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SnapshotStack:
-    """N complex snapshots of an M-channel stack, one snapshot per row."""
-
-    data: np.ndarray
-    seed: int
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=complex)
-        if data.ndim != 2:
-            raise ValueError("snapshot data must be a 2-d (N, M) array")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "seed", int(self.seed))
-
-    @property
-    def N(self) -> int:
-        return int(self.data.shape[0])
-
-    @property
-    def M(self) -> int:
-        return int(self.data.shape[1])
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -93,8 +70,9 @@ def covariance_factor(matrix: np.ndarray) -> np.ndarray:
     return vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
 
 
-def sample_snapshots(R: CovarianceModel, N: int, seed: int) -> SnapshotStack:
-    """Draw N zero-mean circular complex Gaussian snapshots with covariance R.
+def sample_snapshots(R: CovarianceModel, N: int, seed: int) -> np.ndarray:
+    """Draw N zero-mean circular complex Gaussian snapshots with covariance R,
+    the rows of a complex ``(N, M)`` array.
 
     Snapshots are ``y = L w`` where ``L L^H = R`` and w has i.i.d. entries
     with independent real and imaginary parts of variance 1/2.  The stream
@@ -107,12 +85,12 @@ def sample_snapshots(R: CovarianceModel, N: int, seed: int) -> SnapshotStack:
     rng = np.random.Generator(np.random.Philox(int(seed)))
     shape = (N, R.M)
     w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    return SnapshotStack(w @ L.T, int(seed))
+    return w @ L.T
 
 
-def sample_covariance(stack: SnapshotStack) -> CovarianceModel:
-    """Sample covariance ``(1/N) sum y y^H``, symmetrized to exact Hermitian."""
-    data = stack.data
-    R = data.T @ data.conj() / stack.N
+def sample_covariance(snapshots: np.ndarray) -> CovarianceModel:
+    """Sample covariance ``(1/N) sum y y^H`` of the rows of a complex ``(N, M)``
+    array, symmetrized to exact Hermitian."""
+    R = snapshots.T @ snapshots.conj() / snapshots.shape[0]
     R = 0.5 * (R + R.conj().T)
     return CovarianceModel(R, "sample")

@@ -235,6 +235,34 @@ def test_bench_pairs_gain_rule():
     assert (fewer["worse"], fewer["within_bound"]) == (pytest.approx(0.25), False)
 
 
+
+def test_bench_pairs_status():
+    # exceeded: the median is worse by more than the bound; unresolved: within
+    # it, but the parent's IQR share is wider than the bound and the change does
+    # not read better than the parent in every run; within: otherwise
+    spec = importlib.util.spec_from_file_location("bench_pairs", RUN_ALL.parent / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    lower, higher = {"better": "lower", "bound": 0.05}, {"better": "higher", "bound": 0.05}
+    steady = [10.0, 10.1, 10.2, 10.0, 10.1, 10.2, 10.0, 10.1, 10.2, 10.1]
+    noisy = [8.0, 12.0, 9.0, 11.0, 10.0, 8.0, 12.0, 9.0, 11.0, 10.0]  # IQR share 0.3
+
+    def status(metric, parent, change):
+        return bench_pairs.summary(metric, parent, change)["status"]
+
+    assert status(lower, steady, [v * 1.02 for v in steady]) == "within"
+    assert status(lower, steady, [v * 1.1 for v in steady]) == "exceeded"
+    assert status(higher, steady, [v * 0.9 for v in steady]) == "exceeded"
+    assert status(lower, noisy, [v * 1.1 for v in noisy]) == "exceeded"
+    assert status(lower, noisy, [v * 1.02 for v in noisy]) == "unresolved"
+    # better in every pair but not than every parent run: still unresolved
+    assert status(lower, noisy, [v * 0.98 for v in noisy]) == "unresolved"
+    assert status(lower, noisy, [v - 5.0 for v in noisy]) == "within"
+    assert status(higher, noisy, [v + 5.0 for v in noisy]) == "within"
+    assert status(higher, noisy, [v - 5.0 for v in noisy]) == "exceeded"
+    assert status(higher, noisy, [v + 0.1 for v in noisy]) == "unresolved"
+
+
 def test_run_all_passes_its_flags_to_each_subcommand(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)

@@ -35,7 +35,7 @@ from tomoments import (
 )
 from tomoments.experiments import PARAM_NAMES, _format_cell, _write_result
 
-MOMENTS_SYM = EstimatorSpec("moments-sym", "moments", MomentEstimatorConfig(D=4, symmetric=True))
+MOMENTS_SYM = EstimatorSpec("moments-sym", MomentEstimatorConfig(D=4, symmetric=True))
 
 
 def _read_csv(path):
@@ -48,20 +48,25 @@ def test_default_estimators_labels():
     assert labels == ["moments-full", "moments-sym", "parametric-uniform", "parametric-gaussian"]
     labels = [e.label for e in default_estimators("gaussian")]
     assert labels == ["moments-full", "moments-sym", "parametric-gaussian", "parametric-uniform"]
-    for entry in default_estimators("uniform"):
-        if entry.method == "moments":
-            assert isinstance(entry.config, MomentEstimatorConfig)
-        else:
-            assert isinstance(entry.config, ParametricEstimatorConfig)
+    # the config's class is the estimator, and the JSON names it by "method"
+    config_types = {"moments": MomentEstimatorConfig, "parametric": ParametricEstimatorConfig}
+    for entry in default_estimators("uniform") + default_estimators("gaussian"):
+        method = entry.label.split("-")[0]
+        assert type(entry.config) is config_types[method]
+        obj = entry.to_json()
+        assert obj["method"] == method
+        assert EstimatorSpec.from_json(obj) == entry
+        with pytest.raises(ValueError, match="method"):
+            EstimatorSpec.from_json({**obj, "method": "other"})
 
 
 def test_estimator_spec_validation():
     with pytest.raises(ValueError):
-        EstimatorSpec("", "moments", MomentEstimatorConfig())
-    with pytest.raises(ValueError):
-        EstimatorSpec("x", "other", MomentEstimatorConfig())
-    with pytest.raises(ValueError):
-        EstimatorSpec("x", "moments", ParametricEstimatorConfig())
+        EstimatorSpec("", MomentEstimatorConfig())
+    # a value that is not an estimator config names no estimator
+    for config in (None, "moments", {"method": "moments"}, SourceProfile("uniform", 10.0, 5.0, 100.0)):
+        with pytest.raises(ValueError, match="estimator config must be"):
+            EstimatorSpec("x", config)
 
 
 def test_noise_power_is_not_a_boolean():
@@ -110,6 +115,25 @@ def test_experiment_spec_validation():
         obj[name] = "no"
         with pytest.raises(ValueError):
             ExperimentSpec.from_json(obj)
+
+
+@pytest.mark.parametrize("name", ["N_list", "sigma_list"])
+def test_an_empty_sweep_is_refused_when_the_spec_is_built(name):
+    # an empty sweep has no point to run: the bias scan would fail in max() and
+    # an rmse run would write a table of its header alone
+    with pytest.raises(ValueError, match=name):
+        default_spec("asymptotic_bias_vs_sigma", **{name: ()})
+    with pytest.raises(ValueError, match=name):
+        ExperimentSpec.from_json({**default_spec("rmse_vs_N").to_json(), name: []})
+
+
+@pytest.mark.parametrize("value", [None, 5])
+def test_output_dir_must_be_a_string(value):
+    # refused before the sweep runs, not when its CSVs are written
+    with pytest.raises(ValueError, match="output_dir"):
+        default_spec("rmse_vs_N", output_dir=value)
+    with pytest.raises(ValueError, match="output_dir"):
+        ExperimentSpec.from_json({**default_spec("rmse_vs_N").to_json(), "output_dir": value})
 
 
 def test_spec_json_round_trip():
@@ -302,7 +326,7 @@ def test_height_errors_are_not_folded_without_an_ambiguity():
 
     # heights on a non-uniform stack do not repeat, so an estimate at the far
     # edge of the searched interval is a large error, not a small one
-    estimators = (EstimatorSpec("moments", "moments", MomentEstimatorConfig(z0_max=80.0)),)
+    estimators = (EstimatorSpec("moments", MomentEstimatorConfig(z0_max=80.0)),)
     irregular = ArrayConfig(kz=np.array([0.0, 0.05, 0.17]))
     spec = default_spec("rmse_vs_N", array=irregular, estimators=estimators)
     assert spec.array.ambiguity is None
@@ -375,7 +399,7 @@ def test_asymptotic_bias(tmp_path):
         sigma_list=(0.0, 5.0),
         estimators=(
             MOMENTS_SYM,
-            EstimatorSpec("parametric-uniform", "parametric", ParametricEstimatorConfig()),
+            EstimatorSpec("parametric-uniform", ParametricEstimatorConfig()),
         ),
         output_dir=str(tmp_path),
         timestamp_header=False,
@@ -422,7 +446,8 @@ def test_bias_rows_are_the_exact_fits(tmp_path):
         R = true_covariance(profile, spec.array, spec.sigma_eps2)
         truths = (profile.z0, profile.sigma_z, profile.P, spec.sigma_eps2)
         for entry in spec.estimators:
-            fit = (estimate if entry.method == "moments" else estimate_parametric)(R, entry.config, spec.array)
+            run = estimate if isinstance(entry.config, MomentEstimatorConfig) else estimate_parametric
+            fit = run(R, entry.config, spec.array)
             fitted = (fit.z0_hat, fit.sigma_z_hat, fit.P_hat, fit.sigma_eps2_hat)
             for parameter, value, truth in zip(PARAM_NAMES, fitted, truths):
                 (row,) = result.select(estimator=entry.label, sweep_value=sigma, parameter=parameter)
@@ -447,7 +472,7 @@ def test_rmse_rows_recomputed_from_the_trial_dump(tmp_path, monkeypatch):
         return estimate(*args, **kwargs)
 
     monkeypatch.setattr("tomoments.experiments.estimate", flaky)
-    full = EstimatorSpec("moments-full", "moments", MomentEstimatorConfig(D=4, symmetric=False))
+    full = EstimatorSpec("moments-full", MomentEstimatorConfig(D=4, symmetric=False))
     spec = default_spec(
         "rmse_vs_N",
         N_list=(50, 200),
@@ -563,7 +588,7 @@ def test_rmse_workers_match_serial(tmp_path):
             trials=4,
             estimators=(
                 MOMENTS_SYM,
-                EstimatorSpec("parametric-uniform", "parametric", ParametricEstimatorConfig()),
+                EstimatorSpec("parametric-uniform", ParametricEstimatorConfig()),
             ),
             output_dir=str(tmp_path / f"w{workers}"),
             timestamp_header=False,
@@ -667,13 +692,13 @@ def test_height_period_needs_ambiguity():
 
 def test_spec_refuses_an_estimator_its_array_cannot_run():
     # the estimator's own plan decides, when the spec is built, not after every trial failed
-    coarse = EstimatorSpec("m", "moments", MomentEstimatorConfig(grid_points=10))
+    coarse = EstimatorSpec("m", MomentEstimatorConfig(grid_points=10))
     with pytest.raises(ValueError, match="grid_points"):
         default_spec("rmse_vs_N", estimators=(coarse,))
     with pytest.raises(ValueError, match="not identifiable"):
-        default_spec("rmse_vs_N", estimators=(EstimatorSpec("m", "moments", MomentEstimatorConfig(D=12)),))
+        default_spec("rmse_vs_N", estimators=(EstimatorSpec("m", MomentEstimatorConfig(D=12)),))
     irregular = ArrayConfig(kz=np.array([0.0, 0.05, 0.17]))
-    parametric = EstimatorSpec("p", "parametric", ParametricEstimatorConfig())
+    parametric = EstimatorSpec("p", ParametricEstimatorConfig())
     with pytest.raises(ValueError, match="z0_max"):
         default_spec("spectrum_dump", array=irregular, estimators=(parametric,))
 
@@ -700,7 +725,7 @@ def test_estimator_json_needs_a_string_label():
     with pytest.raises(ValueError, match="label"):
         EstimatorSpec.from_json({**entry, "label": 5})
     with pytest.raises(ValueError, match="label"):
-        EstimatorSpec(None, "moments", MomentEstimatorConfig())
+        EstimatorSpec(None, MomentEstimatorConfig())
 
 
 def test_run_experiment_dispatch(tmp_path):

@@ -433,7 +433,7 @@ def test_unidentifiable_configurations_raise(M, first_rejected):
             with pytest.raises(ValueError, match=message):
                 estimate(R, config, array)
             with pytest.raises(ValueError, match=message):
-                default_spec("rmse_vs_N", array=array, estimators=(EstimatorSpec("m", "moments", config),))
+                default_spec("rmse_vs_N", array=array, estimators=(EstimatorSpec("m", config),))
 
 
 def test_identifiability_guard_skips_arrays_without_ambiguity():

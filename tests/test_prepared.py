@@ -163,9 +163,9 @@ def test_prepared_column_zero_gives_the_moment_grid(case, weighting_choice):
 
 
 MIXED = default_estimators("uniform") + (
-    EstimatorSpec("moments-id", "moments", MomentEstimatorConfig(D=6, symmetric=False, weighting="identity")),
+    EstimatorSpec("moments-id", MomentEstimatorConfig(D=6, symmetric=False, weighting="identity")),
     EstimatorSpec(
-        "parametric-id", "parametric", ParametricEstimatorConfig(assumed_shape="gaussian", weighting="identity")
+        "parametric-id", ParametricEstimatorConfig(assumed_shape="gaussian", weighting="identity")
     ),
 )
 

@@ -52,10 +52,9 @@ def test_sample_snapshots_deterministic(reference_covariance):
     a = sample_snapshots(reference_covariance, 64, seed=123)
     b = sample_snapshots(reference_covariance, 64, seed=123)
     c = sample_snapshots(reference_covariance, 64, seed=124)
-    np.testing.assert_array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, c.data)
-    assert a.data.shape == (64, 7)
-    assert a.N == 64 and a.M == 7
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert type(a) is np.ndarray and a.dtype == complex and a.shape == (64, 7)
 
 
 def test_sample_covariance_shape_and_kind(reference_covariance):
@@ -89,7 +88,7 @@ def test_snapshot_unit_variance_convention(reference_covariance):
     # w = (x + jy)/sqrt(2) gives E|w|^2 = 1 per channel: check the white stage
     R = CovarianceModel(matrix=np.eye(2, dtype=complex), kind="true")
     stack = sample_snapshots(R, 200_000, seed=7)
-    power = np.mean(np.abs(stack.data) ** 2, axis=0)
+    power = np.mean(np.abs(stack) ** 2, axis=0)
     np.testing.assert_allclose(power, 1.0, atol=8e-3)
 
 
