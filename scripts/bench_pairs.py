@@ -23,19 +23,28 @@ The status is one of
 - ``within``: otherwise.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload mc-reference \\
-        --pairs 10 --seed-base 1000 [--json BENCH.json]
+        --pairs 10 --seed-base 1000 [--traced K] [--json BENCH.json]
+
+With ``--traced K``, K alternating ``--trace 1`` runs per side follow the
+pairs, on the seeds after theirs (``B+N+1`` to ``B+N+K``), and the median of
+each per-layer metric of ``BENCHMARK.json`` is printed per side: one traced
+run per side cannot resolve a layer, as the same layer reads up to a third
+apart between runs.
 
 With ``--json OUT`` the runs are stored under ``end_to_end.<workload>`` of
-OUT (``seeds`` and, per side, one list per metric in seed order), the layout
-of the committed ``BENCH_<n>.json`` records; other keys of an existing OUT
-are kept.  Nothing in either checkout is edited; ``perfbench/run.py``
-writes its scratch output to the checkout's ``.bench_out/``.
+OUT (``seeds`` and, per side, one list per metric in seed order) and the
+traced runs under ``trace.<workload>`` (``seeds`` and, per side, one
+``{metric: value}`` per run in seed order), the layout of the committed
+``BENCH_<n>.json`` records; other keys of an existing OUT are kept.  Nothing
+in either checkout is edited; ``perfbench/run.py`` writes its scratch output
+to the checkout's ``.bench_out/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -48,10 +57,10 @@ from perfbench.spread import spread  # noqa: E402
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metrics of one ``--trace 0`` run, ``{name: value}``; refuses a faulty run."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The metrics of one ``--trace`` run, ``{name: value}``; refuses a faulty run."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = done.stdout.strip().splitlines()
     if not lines:
@@ -95,6 +104,29 @@ def summary(metric: dict, parent: list, change: list) -> dict:
     }
 
 
+def trace_medians(metrics: list, parent: list, change: list) -> list:
+    """``(name, parent median, change median)`` of each per-layer metric, in
+    the order of ``metrics``, from each side's traced runs (one ``{name: value}`` per run)."""
+    return [
+        (metric["name"], *(statistics.median(run[metric["name"]] for run in runs) for runs in (parent, change)))
+        for metric in metrics
+    ]
+
+
+def alternating(checkouts: dict, seeds: list, run, shown=()) -> dict:
+    """``run(checkout, seed)`` on both sides for each seed, the parent first
+    on the odd ones, each run's ``shown`` metrics printed to stderr;
+    ``{side: [result per seed]}``."""
+    results = {side: [] for side in SIDES}
+    for index, seed in enumerate(seeds, start=1):
+        for side in SIDES if index % 2 else SIDES[::-1]:
+            values = run(checkouts[side], seed)
+            results[side].append(values)
+            print(f"run {index} seed {seed} {side}: " + "  ".join(f"{name} {values[name]:.4g}" for name in shown),
+                  file=sys.stderr, flush=True)
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -102,23 +134,22 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, required=True, help="pair i runs seed B + i")
+    parser.add_argument("--traced", type=int, default=0, help="--trace 1 runs per side after the pairs")
     parser.add_argument("--json", type=Path, help="file whose end_to_end.<workload> receives the runs")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    if args.traced < 0:
+        parser.error("--traced must not be negative")
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seeds = [args.seed_base + i for i in range(1, args.pairs + 1)]
-    runs = {side: {metric["name"]: [] for metric in metrics} for side in SIDES}
-    for pair, seed in enumerate(seeds, start=1):
-        for side in SIDES if pair % 2 else SIDES[::-1]:
-            values = run_once(checkouts[side], args.workload, seed, seconds)
-            for name, column in runs[side].items():
-                column.append(values[name])
-            shown = "  ".join(f"{name} {values[name]:.4g}" for name in runs[side])
-            print(f"pair {pair} seed {seed} {side}: {shown}", file=sys.stderr, flush=True)
+    pairs = alternating(checkouts, seeds, lambda checkout, seed: run_once(checkout, args.workload, seed, seconds),
+                        [metric["name"] for metric in metrics])
+    runs = {side: {metric["name"]: [values[metric["name"]] for values in pairs[side]] for metric in metrics}
+            for side in SIDES}
 
     print(f"{args.workload}: {args.pairs} pairs, seeds {seeds[0]}-{seeds[-1]}, {seconds:g} s per run")
     print(f"{'metric':<12} {'parent q1/median/q3':>28} {'change q1/median/q3':>28} {'wins':>6}  "
@@ -130,9 +161,20 @@ def main(argv=None) -> int:
         print(f"{name:<12} {parent:>28} {change:>28} {row['wins']:>3}/{args.pairs:<2}  {row['worse']:>+8.3f}  "
               f"{row['status']:>10}  {'yes' if row['gain'] else 'no'}")
 
+    trace_seeds = [seeds[-1] + i for i in range(1, args.traced + 1)]
+    traced = alternating(checkouts, trace_seeds,
+                         lambda checkout, seed: run_once(checkout, args.workload, seed, seconds, trace=1))
+    if trace_seeds:
+        print(f"{args.workload}: {args.traced} traced runs per side, seeds {trace_seeds[0]}-{trace_seeds[-1]}")
+        print(f"{'per-layer metric':<40} {'parent median':>14} {'change median':>14}")
+        for name, parent, change in trace_medians(benchmark["per_layer"], traced["parent"], traced["change"]):
+            print(f"{name:<40} {parent:>14.4g} {change:>14.4g}")
+
     if args.json:
         record = json.loads(args.json.read_text()) if args.json.exists() else {}
         record.setdefault("end_to_end", {})[args.workload] = {"seeds": seeds, **runs}
+        if trace_seeds:
+            record.setdefault("trace", {})[args.workload] = {"seeds": trace_seeds, **traced}
         args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -286,11 +286,16 @@ def _run_trial(spec: ExperimentSpec, sweep_index: int, N: int, R_true: Covarianc
 
 
 def _collect_trials(spec: ExperimentSpec, sweep_index: int, N: int, R_true: CovarianceModel) -> np.ndarray:
-    """(estimators, trials, 4) estimates, NaN rows for failures."""
+    """(estimators, trials, 4) estimates, NaN rows for failures.
+
+    The pool has at most one process per trial: under the ``fork`` start
+    method it starts all ``max_workers`` processes with the first task.
+    """
     run = partial(_run_trial, spec, sweep_index, N, R_true)
-    if spec.workers > 1:
-        chunksize = max(1, spec.trials // (8 * spec.workers))
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    workers = min(spec.workers, spec.trials)
+    if workers > 1:
+        chunksize = max(1, spec.trials // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(run, range(spec.trials), chunksize=chunksize))
     else:
         outputs = list(map(run, range(spec.trials)))

@@ -13,9 +13,10 @@ with a point evaluator and grid evaluators shared by both estimators.  The
 cost's M^2 x M^2 Kronecker form is never formed; the one M^2 x M^2 matrix is
 ``kron(conj L, L)``, W = L L^H, built once per prepared covariance.
 
-- Points (refinement and the final coefficients): :func:`fit_terms` builds
-  the terms from M x M products, ``Y_ik = tr(C_i C_k)`` with
-  ``C_k = G H_k``, which holds only for a Hermitian basis.
+- Points (the parametric polish, the moment fit's near-ties and both
+  fits' final coefficients): :func:`fit_terms` builds the terms from M x M
+  products, ``Y_ik = tr(C_i C_k)`` with ``C_k = G H_k``, which holds only
+  for a Hermitian basis.
 - Grids: every basis matrix is a function of the baseline difference,
   ``H_k[m, n] = h_k(kz_m - kz_n)``, so :func:`harmonic_terms` computes
   coefficients over the array's distinct baseline frequencies once per
@@ -25,10 +26,17 @@ cost's M^2 x M^2 Kronecker form is never formed; the one M^2 x M^2 matrix is
   quadratic form in the responses with ``Q``; :func:`shape_terms_grid` does
   the same for a single real, even response per system (the parametric
   shapes over a sigma grid).
+- The moment fit's golden-section points: :func:`_point_objective` takes
+  :func:`fit_terms_grid`'s Gram form at one height and solves the system
+  with one bordered Cholesky factorization.
 
 All return exactly real terms; on the same inputs they agree to rounding.
-Refinement stays on the product form: near a flat optimum a change of the
-objective at the rounding level moves the polished estimates measurably.
+Near a flat optimum a change of the objective at the rounding level moves
+the refined estimates measurably, so the final coefficients and the
+Nelder-Mead polish stay on the product form, and the golden section
+compares two fast values within a relative ``1e-10`` of each other by their
+product-form values: it returns the point of the search on the product form
+alone, and every estimate keeps its bits.
 What every fit needs of the covariance and its weighting alone (``W``,
 ``W Rbar W``, the cost constant and one :class:`HarmonicTerms` table) is
 computed once in a :class:`PreparedCovariance`, which the fits with that
@@ -67,7 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _fields
-from .geometry import ArrayConfig, baseline_differences, fourier_resolution
+from .geometry import ArrayConfig, _finite_height, baseline_differences, fourier_resolution
 from .profiles import CovarianceModel
 
 __all__ = [
@@ -96,6 +104,11 @@ _PINV_CUTOFF = 1e-12
 # it is proven for (the moment basis at D = 12 has K = 13); see solve_quadratic
 _CERTIFY_SHIFT = 1e-10
 _CERTIFY_MAX_K = 13
+# relative gap within which the golden section compares two values by the
+# product form (a near-tie): the fast point form's largest gap from it over
+# 35,784 refinement points, D = 2..8 on five stacks, is 9.4e-14, and
+# tests/test_moments.py holds it to a tenth of the band
+_TIE_BAND = 1e-10
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Height-grid default: at least 8 points per acquisition and 16 per resolution cell.
 _GRID_PER_CHANNEL = 8
@@ -401,6 +414,62 @@ def fit_terms_grid(hz: np.ndarray, terms: HarmonicTerms):
     return y, (U @ np.swapaxes(V, -1, -2)).real
 
 
+def _point_objective(h: np.ndarray, terms: HarmonicTerms, bound: float):
+    """The concentrated objective at one height at a time, from harmonic coefficients.
+
+    ``h (K, F)`` holds the basis responses at ``terms.frequencies`` (Hermitian,
+    as for :func:`fit_terms_grid`), ``terms.c`` one column ``(F,)`` and
+    ``bound`` is positive and at least the objective at every height (the
+    cost constant is).  Returns a function ``z -> (objective, used_pinv)``;
+    a non-finite ``z`` is refused with ``ValueError``.
+
+    Y is :func:`fit_terms_grid`'s Gram form at one height, and so is y, over
+    the rows ``f >= 0`` as ``c_{-f} = conj(c_f)``.  The system is bordered,
+    ``B = [[Y, y], [y^T, 4 bound]]``, and equilibrated as in
+    :func:`solve_quadratic`, which makes the corner 1 and scales the border
+    to ``ys / sqrt(4 bound)``.  One Cholesky factorization of the stack
+    ``(B - 1e-10 I_K, B)``, the batch path's certificate shift on the leading
+    block only, then proves that :func:`_solve_single`'s eigenvalue screen
+    would pass the system and gives, in the second factor's last row,
+    ``L^-1 ys / sqrt(4 bound)``, so that the objective ``||L^-1 ys||^2`` is
+    ``4 bound`` times its squared norm (the corner pivot, one minus that
+    norm, stays above 3/4).  A system with a non-finite entry or a
+    nonpositive diagonal, or one the factorization refuses, goes to
+    :func:`_solve_single`, with its screen, pseudo-inverse fallback and
+    ``ValueError``.  The objective agrees with :func:`fit_terms` +
+    :func:`solve_quadratic` to rounding, not to the bit.
+    """
+    K, F = h.shape
+    half = F // 2
+    weights = _half_weights(terms.frequencies)
+    gram = terms.Q.conj().T * weights
+    data = weights * terms.c[half:]
+    frequencies = terms.frequencies
+    system = np.zeros((K + 1, K + 1))
+    system[K, K] = 4.0 * bound
+    shifts = np.zeros((2, K + 1, K + 1))
+    shifts[0, range(K), range(K)] = _CERTIFY_SHIFT
+
+    def at(z: float):
+        hz = h * np.exp(1j * _finite_height(z) * frequencies)
+        nonnegative = hz[:, half:]
+        system[:K, :K] = (nonnegative @ (hz.conj() @ gram).T).real
+        system[K, :K] = system[:K, K] = (nonnegative @ data).real
+        diag = system.diagonal()
+        if np.isfinite(system).all() and diag.min() > 0.0:
+            scale = np.sqrt(diag)
+            try:
+                factors = np.linalg.cholesky(system / np.multiply.outer(scale, scale) - shifts)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                border = factors[1, K, :K]
+                return float(border @ border) * system[K, K], False
+        return _solve_single(system[K, :K].copy(), system[:K, :K].copy())[1:]
+
+    return at
+
+
 def shape_terms_grid(phi: np.ndarray, phase: np.ndarray, terms: HarmonicTerms):
     """Terms of a one-matrix basis with a real, even response, on a (height, response) grid.
 
@@ -501,8 +570,11 @@ def _solve_single(y: np.ndarray, Y: np.ndarray):
 
     The same equilibration and LAPACK routines on 2-d inputs, without the
     batch bookkeeping, and the eigenvalue screen: on one system a Cholesky
-    certificate costs as much as ``eigvalsh``.  The golden section calls it
-    per point, and a batch that is not certified calls it per system.
+    certificate costs as much as ``eigvalsh``.  The moment fit calls it for
+    its final coefficients, for the product-form points of the golden
+    section's near-ties and for a fast golden-section point whose
+    certificate refuses it; a batch that is not certified calls it per
+    system.
     """
     diag = np.einsum("kk->k", Y)
     scale = np.sqrt(np.where(np.isfinite(diag) & (diag > 0.0), diag, 1.0))
@@ -546,13 +618,31 @@ def cost_constant(R: np.ndarray, W: np.ndarray) -> float:
     return float(np.real(np.einsum("nm,mn->", X, X)))
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer of a unimodal function on [lo, hi]."""
+def golden_section_max(f, lo: float, hi: float, tol: float, exact=None) -> float:
+    """Golden-section maximizer of a unimodal function on [lo, hi].
+
+    The search returns a point that depends only on the outcomes of its
+    comparisons.  With ``exact``, ``f`` is a fast form of it: two values of
+    ``f`` within ``_TIE_BAND`` of the larger magnitude (or a NaN) are
+    compared by their ``exact`` values instead, each point's computed at
+    most once.  Where ``f`` is within a relative half of the band of
+    ``exact``, the search returns the point of the search on ``exact`` alone.
+    """
+    exact_at = {}
+
+    def larger(c, fc, d, fd) -> bool:
+        if exact is None or abs(fc - fd) > _TIE_BAND * max(abs(fc), abs(fd)):
+            return fc > fd
+        for z in (c, d):
+            if z not in exact_at:
+                exact_at[z] = exact(z)
+        return exact_at[c] > exact_at[d]
+
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
     while hi - lo > tol:
-        if fc > fd:
+        if larger(c, fc, d, fd):
             hi, d, fd = d, c, fc
             c = hi - _INV_PHI * (hi - lo)
             fc = f(c)

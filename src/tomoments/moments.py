@@ -7,13 +7,17 @@ variables ``nu = P mu`` the model is linear in ``alpha = (P, sigma_eps2,
 nu_2, ..., nu_D)`` at fixed height, so the fit reduces to a 1-d search over
 z0 of a concentrated weighted least-squares criterion.  Every basis matrix
 is a function of the baseline difference, so the coarse z0 grid runs on the
-Gram form :func:`~tomoments.fitting.fit_terms_grid`; the golden-section
+Gram form :func:`~tomoments.fitting.fit_terms_grid`.  The golden-section
 refinement, on the search plan's bracket and with its height bounded or
-wrapped by the plan, and the final coefficients use the product form
-:func:`~tomoments.fitting.fit_terms`.  What the search needs of the config
-and the array alone (the grid, the basis stack, the basis responses times
-the grid's phase table, the identifiability check) is built once per
-(config, array) by :func:`_moment_plan` and cached; what it needs of the
+wrapped by the plan, evaluates its points in the same Gram form, one height
+at a time (:func:`~tomoments.fitting._point_objective`), and compares two
+values within a relative ``1e-10`` of each other by the product form
+:func:`~tomoments.fitting.fit_terms` instead, so it returns the height of
+the search on the product form alone; the final coefficients use the
+product form.  What the search needs of the config and the array alone (the
+grid, the basis stack, the basis responses and those times the grid's phase
+table, the identifiability check) is built once per (config, array) by
+:func:`_moment_plan` and cached; what it needs of the
 covariance alone (the weighting, ``W Rbar W``, the cost constant and the
 frequency coefficients of ``W Rbar W``, column 0 of the prepared table),
 once per covariance and weighting by a
@@ -36,6 +40,7 @@ from .fitting import (
     _SearchPlan,
     PreparedCovariance,
     _check_search_options,
+    _point_objective,
     _prepared,
     _read_only,
     _search_plan,
@@ -200,14 +205,15 @@ def _check_identifiable(config: MomentEstimatorConfig, array: ArrayConfig) -> No
 class _MomentPlan(NamedTuple):
     """The tables of a moment fit that depend only on the config and the array.
 
-    ``search`` holds the grid, ``stack (K, M, M)`` the basis matrices and
-    ``weighted (Z, K, F)`` the basis responses at the array's baseline
-    frequencies times the grid's phase table, the input of
-    :func:`~tomoments.fitting.fit_terms_grid`.
+    ``search`` holds the grid, ``stack (K, M, M)`` the basis matrices,
+    ``response (K, F)`` the basis responses at the array's baseline
+    frequencies and ``weighted (Z, K, F)`` those times the grid's phase
+    table, the input of :func:`~tomoments.fitting.fit_terms_grid`.
     """
 
     search: _SearchPlan
     stack: np.ndarray
+    response: np.ndarray
     weighted: np.ndarray
 
 
@@ -222,8 +228,9 @@ def _moment_plan(config: MomentEstimatorConfig, array: ArrayConfig) -> _MomentPl
     search = _search_plan(config, array, config.grid_points)
     if search.z_grid.size < _GRID_PER_CHANNEL * array.M:
         raise ValueError(f"grid_points must be at least {_GRID_PER_CHANNEL}*M")
-    weighted = _basis_response(config, search.frequencies) * search.phase[:, None, :]
-    return _MomentPlan(search, _read_only(_basis_stack(config, array)), _read_only(weighted))
+    response = _basis_response(config, search.frequencies)
+    weighted = response * search.phase[:, None, :]
+    return _MomentPlan(search, *map(_read_only, (_basis_stack(config, array), response, weighted)))
 
 
 def estimate(
@@ -254,19 +261,25 @@ def estimate(
     search, stack = plan.search, plan.stack
     W, WRW = covariance.W, covariance.WRW
 
-    terms = covariance.terms
-    y, Y = fit_terms_grid(plan.weighted, terms._replace(c=terms.c[:, 0]))
+    terms = covariance.terms._replace(c=covariance.terms.c[:, 0])
+    y, Y = fit_terms_grid(plan.weighted, terms)
     _, objective, pinv_used = solve_quadratic(y, Y)
     best = int(np.argmax(objective))
 
-    def at(z: float) -> float:
+    def flagged(q: float, pinv: bool) -> float:
         nonlocal pinv_used
-        y1, Y1 = fit_terms(stack, steering_vector(array, z), W, WRW)
-        _, q, pinv = solve_quadratic(y1, Y1)
         pinv_used = pinv_used or pinv
         return q
 
-    z0_hat = search.wrap(golden_section_max(at, *search.bracket(best), search.refine_tol))
+    point = _point_objective(plan.response, terms, covariance.cost_constant)
+
+    def at(z: float) -> float:
+        return flagged(*point(z))
+
+    def exact(z: float) -> float:
+        return flagged(*solve_quadratic(*fit_terms(stack, steering_vector(array, z), W, WRW))[1:])
+
+    z0_hat = search.wrap(golden_section_max(at, *search.bracket(best), search.refine_tol, exact=exact))
 
     y1, Y1 = fit_terms(stack, steering_vector(array, z0_hat), W, WRW)
     alpha, q_final, pinv_final = solve_quadratic(y1, Y1)

@@ -8,7 +8,9 @@ computations.  The Nelder-Mead oracle is ``scipy.optimize.minimize``, the
 implementation :func:`tomoments.fitting.nelder_mead` ports bit for bit, and
 the batched solve's oracle is the eigenvalue screen that
 :func:`tomoments.fitting.solve_quadratic` certifies with a Cholesky
-factorization.
+factorization.  The moment fit's refinement has as its oracle the golden
+section it ran before the fast point form: product-form values at every
+point, no near-tie rule.
 """
 
 import math
@@ -121,3 +123,26 @@ def solve_quadratic_eigvalsh_oracle(y, Y):
     alpha = beta / scale
     objective = np.clip(np.einsum("zk,zk->z", ys, beta), 0.0, None)
     return alpha, objective, bool(np.any(bad))
+
+
+def golden_section_oracle(f, lo, hi, tol):
+    """Golden-section maximizer of ``f`` on [lo, hi], every comparison on ``f``'s values.
+
+    The moment fit's refinement with ``f`` its product-form objective, as
+    :func:`tomoments.moments.estimate` ran it before its points took the
+    fast form.
+    """
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - inv_phi * (hi - lo)
+    d = lo + inv_phi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)

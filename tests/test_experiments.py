@@ -603,6 +603,41 @@ def test_rmse_workers_match_serial(tmp_path):
     assert files[1] == files[2]
 
 
+def test_pool_has_at_most_one_process_per_trial(tmp_path, monkeypatch):
+    # a recording stand-in for the process pool, which starts no process:
+    # each N opens a pool of min(workers, trials) processes, and one trial
+    # runs without a pool
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, function, iterable, chunksize=1):
+            return map(function, iterable)
+
+    monkeypatch.setattr("tomoments.experiments.ProcessPoolExecutor", RecordingPool)
+    for workers, trials, pools in ((64, 6, [6, 6]), (3, 6, [3, 3]), (64, 1, [])):
+        opened.clear()
+        spec = default_spec(
+            "rmse_vs_N",
+            N_list=(25, 50),
+            trials=trials,
+            estimators=(MOMENTS_SYM,),
+            output_dir=str(tmp_path / f"w{workers}-t{trials}"),
+            timestamp_header=False,
+            workers=workers,
+        )
+        run_rmse_vs_N(spec)
+        assert opened == pools
+
+
 def test_rmse_seed_changes_results(tmp_path):
     values = {}
     for seed in (0, 1):

@@ -27,7 +27,10 @@ from tomoments import (
     steering_vector,
     true_covariance,
 )
+from tomoments import fitting
 from tomoments.fitting import (
+    _TIE_BAND,
+    _point_objective,
     _search_plan,
     _weighting_flagged,
     cost_constant,
@@ -474,6 +477,92 @@ def test_cost_constant_is_squared_norm(rng):
 def test_golden_section_max_quadratic():
     x_star = golden_section_max(lambda x: -((x - 2.3) ** 2), 0.0, 5.0, tol=1e-9)
     assert x_star == pytest.approx(2.3, abs=1e-8)
+
+
+def test_golden_section_max_compares_near_ties_exactly():
+    # a fast form off by less than half the band returns the point of the
+    # search on the exact function, although on its own it goes elsewhere:
+    # this maximum is so flat that rounding-size differences decide the end
+    def exact(x):
+        return 1.0 - 1e-12 * (x - 2.3) ** 2
+
+    def fast(x):
+        return exact(x) * (1.0 + 0.45 * _TIE_BAND * math.sin(1e7 * x))
+
+    x_star = golden_section_max(exact, 0.0, 5.0, 1e-9)
+    assert golden_section_max(fast, 0.0, 5.0, 1e-9) != x_star
+    assert golden_section_max(fast, 0.0, 5.0, 1e-9, exact=exact) == x_star
+
+
+def test_golden_section_max_calls_exact_only_on_near_ties():
+    # values far apart are compared as they are; a tie of the fast form
+    # evaluates each of its two points exactly once
+    def f(x):
+        return -((x - 2.3) ** 2)
+
+    def refuse(x):
+        raise AssertionError(f"exact value asked at {x}")
+
+    assert golden_section_max(f, 0.0, 5.0, 1e-2, exact=refuse) == golden_section_max(f, 0.0, 5.0, 1e-2)
+    asked = []
+
+    def exact(x):
+        asked.append(x)
+        return -abs(x - 2.3)
+
+    golden_section_max(lambda x: 0.0, 0.0, 5.0, 1e-3, exact=exact)
+    assert len(asked) == len(set(asked)) > 2
+
+
+def _point_setup(rng, array, h):
+    """A random covariance's ``_point_objective`` for the responses h and its Gram-form terms."""
+    R = random_psd_covariance(rng, array.M, scale=3.0)
+    W = random_psd_covariance(rng, array.M)
+    terms = harmonic_terms(array, W, W @ R @ W)
+    return _point_objective(h, terms, cost_constant(R, W)), terms
+
+
+@pytest.mark.parametrize("D, symmetric", [(2, True), (4, True), (4, False), (8, False)])
+def test_point_objective_matches_the_grid_solve(rng, reference_array, D, symmetric):
+    # the fast point form agrees with the certified batch solve of the Gram
+    # form on the same heights to rounding, and reports no fallback
+    config = MomentEstimatorConfig(D=D, symmetric=symmetric)
+    plan = _moment_plan(config, reference_array)
+    point, terms = _point_setup(rng, reference_array, plan.response)
+    z = rng.uniform(0.0, 100.0, 16)
+    objective = solve_quadratic(*fit_terms_grid(_phase_weighted(plan.response, z, terms), terms))[1]
+    values = [point(float(height)) for height in z]
+    assert not any(pinv for _, pinv in values)
+    np.testing.assert_allclose([q for q, _ in values], objective, rtol=1e-11)
+
+
+def test_point_objective_sends_a_refused_system_to_the_single_solve(rng, reference_array, monkeypatch):
+    # two equal basis responses make every system singular: the certificate
+    # refuses it, and the single-system solve's objective and pseudo-inverse
+    # flag come back unchanged
+    h = np.ones((2, _moment_plan(MomentEstimatorConfig(), reference_array).response.shape[1]), dtype=complex)
+    point, terms = _point_setup(rng, reference_array, h)
+    single, calls = fitting._solve_single, []
+
+    def recording(y, Y):
+        calls.append(single(y, Y))
+        return calls[-1]
+
+    monkeypatch.setattr(fitting, "_solve_single", recording)
+    q, pinv = point(12.5)
+    assert len(calls) == 1 and (q, pinv) == calls[0][1:]
+    assert pinv
+
+
+def test_point_objective_refuses_non_finite_input(rng, reference_array):
+    h = _moment_plan(MomentEstimatorConfig(), reference_array).response
+    point, terms = _point_setup(rng, reference_array, h)
+    for z in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="z must be finite"):
+            point(z)
+    broken = _point_objective(h, terms._replace(c=np.where(terms.frequencies == 0.0, np.nan, terms.c)), 1.0)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        broken(12.5)
 
 
 def _same_search_as_scipy(f, simplex, **options):

@@ -21,7 +21,9 @@ from tomoments import (
     steering_vector,
     true_covariance,
 )
+from tomoments import fitting
 from tomoments.fitting import (
+    _TIE_BAND,
     cost_constant,
     fit_terms,
     fit_terms_grid,
@@ -33,7 +35,7 @@ from tomoments.fitting import (
 from tomoments.moments import _basis_stack, _check_identifiable, _moment_plan, moment_orders
 
 from .conftest import IRREGULAR_STACKS
-from .oracles import random_psd_covariance
+from .oracles import golden_section_oracle, random_psd_covariance
 
 # linear coefficients at the true height on the exact reference covariance
 # (uniform truth z0=10, sigma_z=5, P=100, noise 10, M=7, z_amb=100), frozen
@@ -338,33 +340,46 @@ def test_default_grid_is_dense_enough(reference_array):
 
 
 def test_refinement_pinv_fallback_is_reported(reference_covariance, reference_array, monkeypatch):
-    # every single-system solve inside the golden section reports the
-    # pseudo-inverse fallback, the final coefficients' solve does not: the
-    # flag reaches the diagnostics, and nothing else of the estimate moves
+    # the certificate refuses every system of the golden section's fast point
+    # form, each goes to the single-system solve, and that solve reports the
+    # pseudo-inverse fallback there, not for the grid or the final
+    # coefficients: the flag reaches the diagnostics, and nothing else of the
+    # estimate moves
     R_bar = sample_covariance(sample_snapshots(reference_covariance, 1000, seed=7))
     config = MomentEstimatorConfig()
     plain = estimate(R_bar, config, reference_array)
     assert not plain.diagnostics.pinv_used
-    refining, flagged = [False], []
+    refining, refused, flagged = [False], [], []
 
-    def golden(*args):
+    def golden(*args, **kwargs):
         refining[0] = True
         try:
-            return golden_section_max(*args)
+            return golden_section_max(*args, **kwargs)
         finally:
             refining[0] = False
 
-    def solve(y, Y):
-        alpha, q, used_pinv = solve_quadratic(y, Y)
-        if np.ndim(y) == 1 and refining[0]:
+    cholesky = np.linalg.cholesky
+
+    def certificate(a):
+        if refining[0]:
+            refused.append(None)
+            raise np.linalg.LinAlgError("refused")
+        return cholesky(a)
+
+    single = fitting._solve_single
+
+    def solve_single(y, Y):
+        alpha, q, used_pinv = single(y, Y)
+        if refining[0]:
             flagged.append(None)
             used_pinv = True
         return alpha, q, used_pinv
 
     monkeypatch.setattr("tomoments.moments.golden_section_max", golden)
-    monkeypatch.setattr("tomoments.moments.solve_quadratic", solve)
+    monkeypatch.setattr(np.linalg, "cholesky", certificate)
+    monkeypatch.setattr(fitting, "_solve_single", solve_single)
     fit = estimate(R_bar, config, reference_array)
-    assert flagged
+    assert refused and len(flagged) >= len(refused)
     assert fit.diagnostics == dataclasses.replace(plain.diagnostics, pinv_used=True)
     for name in ("z0_hat", "P_hat", "sigma_eps2_hat", "nu", "sigma_z_hat", "cost"):
         assert np.asarray(getattr(fit, name)).tobytes() == np.asarray(getattr(plain, name)).tobytes(), name
@@ -597,3 +612,81 @@ def test_cached_plan_arrays_are_read_only(reference_array):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 0.0
+
+
+REFINEMENT_ARRAYS = {
+    "reference": (make_uniform_array(7, 100.0), None),
+    "M9": (make_uniform_array(9, 73.0), None),
+    **{name: (ArrayConfig(kz=np.array(kz)), z0_max) for name, (kz, z0_max) in IRREGULAR_STACKS.items()},
+}
+
+
+def _refinement_cases(name, weighting_name):
+    """``(config, covariance)`` pairs on one array: every identifiable config
+    at D = 2..8, full and symmetric, with ``refine_tol`` at its default, 1e-6
+    and 1e-9 of the interval, on the exact covariance of a uniform source, a
+    sampled one (N = 1000) and the exact covariance of a point source."""
+    array, z0_max = REFINEMENT_ARRAYS[name]
+    z_amb = z0_max or array.ambiguity
+    uniform = true_covariance(SourceProfile("uniform", 0.3 * z_amb, 0.05 * z_amb, 100.0), array, 10.0)
+    point = true_covariance(SourceProfile("point", 0.37 * z_amb, 0.0, 100.0), array, 10.0)
+    covariances = (uniform, sample_covariance(sample_snapshots(uniform, 1000, seed=5)), point)
+    for D in range(2, 9):
+        for symmetric in (True, False):
+            for refine_tol in (None, 1e-6, 1e-9 * z_amb):
+                config = MomentEstimatorConfig(
+                    D=D, symmetric=symmetric, weighting=weighting_name, refine_tol=refine_tol, z0_max=z0_max
+                )
+                try:
+                    _moment_plan(config, array)
+                except ValueError:  # not identifiable on this array
+                    continue
+                for R_bar in covariances:
+                    yield config, R_bar
+
+
+def _same_bits(a, b) -> bool:
+    """Two moment estimates with the same diagnostics and the same bits in every number."""
+    return a.diagnostics == b.diagnostics and all(
+        np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
+        for name in ("z0_hat", "P_hat", "sigma_eps2_hat", "nu", "sigma_z_hat", "cost")
+    )
+
+
+@pytest.mark.parametrize("weighting_name", ["identity", "inverse_sample"])
+@pytest.mark.parametrize("name", list(REFINEMENT_ARRAYS))
+def test_estimate_equals_the_product_form_refinement(name, weighting_name, monkeypatch):
+    # the golden section on the fast point form, near-ties compared on the
+    # product form, returns the fit of the golden section on the product form
+    # alone, in every field and bit
+    array = REFINEMENT_ARRAYS[name][0]
+    cases = list(_refinement_cases(name, weighting_name))
+    fits = [estimate(R_bar, config, array) for config, R_bar in cases]
+    monkeypatch.setattr(
+        "tomoments.moments.golden_section_max", lambda f, lo, hi, tol, exact: golden_section_oracle(exact, lo, hi, tol)
+    )
+    for (config, R_bar), fit in zip(cases, fits):
+        assert _same_bits(fit, estimate(R_bar, config, array)), (config, R_bar.kind)
+
+
+@pytest.mark.parametrize("weighting_name", ["identity", "inverse_sample"])
+@pytest.mark.parametrize("name", list(REFINEMENT_ARRAYS))
+def test_fast_point_form_is_within_a_tenth_of_the_tie_band(name, weighting_name, monkeypatch):
+    # the premise of the near-tie rule: at every height the product-form
+    # refinement visits, the fast form is within a tenth of the band of it
+    array = REFINEMENT_ARRAYS[name][0]
+    gaps = []
+
+    def recording(f, lo, hi, tol, exact):
+        def both(z):
+            fast, product = f(z), exact(z)
+            gaps.append(abs(fast - product) / abs(product))
+            return product
+
+        return golden_section_oracle(both, lo, hi, tol)
+
+    monkeypatch.setattr("tomoments.moments.golden_section_max", recording)
+    for config, R_bar in _refinement_cases(name, weighting_name):
+        estimate(R_bar, config, array)
+    assert len(gaps) > 1000
+    assert max(gaps) <= _TIE_BAND / 10
