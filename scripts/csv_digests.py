@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the 36 CSVs that show whether a change moved any output.
+"""Print the SHA-256 of the 40 CSVs that show whether a change moved any output.
 
 - 16 from the benchmark workloads: every variant of every workload in
   ``perfbench/workloads.py``, run through ``tomoments.cli.main`` (read only;
@@ -11,13 +11,17 @@
   fits and an identity-weighted full D = 6 moment fit; the parametric
   estimator in the spec has no moment polynomial and is skipped;
 - 2 from ``tomoments rmse --trials 6 --workers 2 --dump-trials``;
-- 10 from ``tomoments rmse --trials 6 --dump-trials`` on the paths those
-  miss (:data:`EXTRA_SPECS`): the identity weighting with a full moment fit
-  at D = 6, a parametric fit bounded by ``z0_max`` on a sparse stack, a
-  full D = 4 moment fit bounded the same way with its source 0.3 m inside
-  either edge, where the refinement's bracket is clipped to the bounds, and
-  estimator labels that hold a comma and a double quote, so that their
-  cells are quoted with the quotes doubled.
+- 14 from ``tomoments rmse`` or ``tomoments bias``, by the spec's kind,
+  with ``--trials 6 --dump-trials`` on the paths those miss
+  (:data:`EXTRA_SPECS`): the identity weighting with a full moment fit at
+  D = 6 and with both parametric fits, a parametric fit bounded by
+  ``z0_max`` on a sparse stack, a full D = 4 moment fit bounded the same
+  way with its source 0.3 m inside either edge, where the refinement's
+  bracket is clipped to the bounds, estimator labels that hold a comma and
+  a double quote, so that their cells are quoted with the quotes doubled,
+  and a bias scan of the default estimators on noiseless exact
+  covariances, whose weightings are ill-conditioned (every other scenario
+  has ``sigma_eps2 = 10``).
 
 Every run omits the timestamp header.  Run it in two checkouts and compare
 the listings: equal lines mean byte-identical CSVs.
@@ -44,6 +48,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import workloads  # noqa: E402
 from tomoments.cli import main as cli_main  # noqa: E402
+from tomoments.experiments import default_estimators  # noqa: E402
 
 # the reference scenario of the workloads, on paths they do not take
 _SCENARIO = {
@@ -89,6 +94,20 @@ EXTRA_SPECS = {
                "estimators": [_SPARSE_MOMENTS]}
         for name, z0 in (("sparse-moments-low", 0.3), ("sparse-moments-high", 79.7))
     },
+    "identity-parametric": {
+        **_SCENARIO,
+        "array": {"M": 7, "z_amb": 100.0},
+        "estimators": [{"label": f"parametric-{shape}-id", "method": "parametric", "assumed_shape": shape,
+                        "weighting": "identity"} for shape in ("uniform", "gaussian")],
+    },
+    "noiseless-bias": {
+        "kind": "asymptotic_bias_vs_sigma",
+        "profile": _SCENARIO["profile"],
+        "array": {"M": 7, "z_amb": 100.0},
+        "sigma_eps2": 0.0,
+        "sigma_list": [0.0, 2.0, 5.0, 10.0, 20.0],
+        "estimators": [entry.to_json() for entry in default_estimators()],
+    },
     "quoted-labels": {
         **_SCENARIO,
         "array": {"M": 7, "z_amb": 100.0},
@@ -98,6 +117,9 @@ EXTRA_SPECS = {
         ],
     },
 }
+
+# the subcommand that runs a spec of each kind
+_SUBCOMMANDS = {"rmse_vs_N": "rmse", "asymptotic_bias_vs_sigma": "bias"}
 
 
 def _run(argv) -> None:
@@ -122,8 +144,8 @@ def digests(out: Path) -> list:
     for name, spec in EXTRA_SPECS.items():
         config = out / f"{name}.json"
         config.write_text(json.dumps(spec))
-        _run(["rmse", "--config", str(config), "--trials", "6", "--dump-trials", "--no-timestamp",
-              "--out", str(out / name)])
+        _run([_SUBCOMMANDS[spec["kind"]], "--config", str(config), "--trials", "6", "--dump-trials",
+              "--no-timestamp", "--out", str(out / name)])
     paths = sorted(out.rglob("*.csv"))
     return [(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out).as_posix()) for path in paths]
 

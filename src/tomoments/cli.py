@@ -16,9 +16,9 @@ from .experiments import (
 )
 
 _COMMANDS = {
-    "spectrum": "spectrum_dump",
-    "rmse": "rmse_vs_N",
-    "bias": "asymptotic_bias_vs_sigma",
+    "spectrum": ("spectrum_dump", "dump density, spectrum and fitted-polynomial curves"),
+    "rmse": ("rmse_vs_N", "Monte Carlo RMSE versus snapshot count, with CRB columns"),
+    "bias": ("asymptotic_bias_vs_sigma", "deterministic asymptotic bias versus profile spread"),
 }
 
 
@@ -39,13 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Covariance-matching benchmarks for diffuse vertical scatterers.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "spectrum": "dump density, spectrum and fitted-polynomial curves",
-        "rmse": "Monte Carlo RMSE versus snapshot count, with CRB columns",
-        "bias": "deterministic asymptotic bias versus profile spread",
-    }
-    for command, kind in _COMMANDS.items():
-        sub = subparsers.add_parser(command, help=helps[command])
+    for command, (kind, help_text) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=help_text)
         _add_common_arguments(sub)
         sub.set_defaults(kind=kind)
     return parser

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from ._fields import choice, count, flag, from_json, items, real, to_json
-from .crb import SingularFimError, crb_stddev, fisher_information
+from .crb import PARAMETERS, SingularFimError, crb_stddev, fisher_information
 from .fitting import PreparedCovariance
 from .geometry import ArrayConfig, baseline_differences, fourier_resolution, make_uniform_array
 from .moments import MomentEstimatorConfig, _moment_plan, estimate, model_power_spectrum
@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 KINDS = ("spectrum_dump", "rmse_vs_N", "asymptotic_bias_vs_sigma")
-PARAM_NAMES = ("z0", "sigma_z", "P", "sigma_eps2")
+PARAM_NAMES = PARAMETERS  # the CRB's order, which the CSV columns follow
 
 # Snapshot-count sweep covering the asymptotic regime at desk scale.
 N_LIST_DEFAULT = (25, 50, 100, 250, 500, 1000, 2500, 5000, 10000)

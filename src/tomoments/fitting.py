@@ -14,9 +14,9 @@ cost's M^2 x M^2 Kronecker form is never formed; the one M^2 x M^2 matrix is
 ``kron(conj L, L)``, W = L L^H, built once per prepared covariance.
 
 - Points (the parametric polish, the moment fit's near-ties and both
-  fits' final coefficients): :func:`fit_terms` builds the terms from M x M
-  products, ``Y_ik = tr(C_i C_k)`` with ``C_k = G H_k``, which holds only
-  for a Hermitian basis.
+  fits' final coefficients): :func:`fit_terms`, the one product-form point
+  function, builds the terms from M x M products, ``Y_ik = tr(C_i C_k)``
+  with ``C_k = G H_k``, which holds only for a Hermitian basis.
 - Grids: every basis matrix is a function of the baseline difference,
   ``H_k[m, n] = h_k(kz_m - kz_n)``, so :func:`harmonic_terms` computes
   coefficients over the array's distinct baseline frequencies once per
@@ -36,7 +36,9 @@ the refined estimates measurably, so the final coefficients and the
 Nelder-Mead polish stay on the product form, and the golden section
 compares two fast values within a relative ``1e-10`` of each other by their
 product-form values: it returns the point of the search on the product form
-alone, and every estimate keeps its bits.
+alone, and every estimate keeps its bits, wherever the fast form is within
+half that band of the product form (not on a noiseless covariance, whose
+weighting is ill-conditioned).
 What every fit needs of the covariance and its weighting alone (``W``,
 ``W Rbar W``, the cost constant and one :class:`HarmonicTerms` table) is
 computed once in a :class:`PreparedCovariance`, which the fits with that
@@ -271,18 +273,14 @@ def fit_terms(
     Product form: ``y_i = tr(H_i^H T)`` with ``T = Phi^H (W Rbar W) Phi``, and
     ``Y_ik = tr(C_i C_k)`` with ``C_k = G H_k`` and ``G = Phi^H W Phi``, which
     holds only because every ``H_k`` of the stack ``(K, M, M)`` is Hermitian.
-    ``WRW`` is ``W Rbar W``.  Both outputs are real floats.
+    ``WRW`` is ``W Rbar W``.  y takes ``Re sum H_i conj(T)``, which has the
+    bits of ``Re sum conj(H_i) T`` for any stack, so only ``T`` is conjugated.
+    Both outputs are real floats; y is a view of a complex array.
     """
-    y, Y = _product_terms(stack, stack.conj(), a, W, WRW)
-    return y.copy(), Y
-
-
-def _product_terms(stack, conj_stack, a, W, WRW):
-    """:func:`fit_terms` given ``conj_stack = stack.conj()``; y is a view of a complex array."""
     ac = a.conj()
     G = ac[:, None] * W * a[None, :]
     T = ac[:, None] * WRW * a[None, :]
-    y = np.einsum("kmn,mn->k", conj_stack, T).real
+    y = np.einsum("kmn,mn->k", stack, T.conj()).real
     C = G @ stack
     Y = np.einsum("imn,knm->ik", C, C).real
     return y, 0.5 * (Y + Y.T)

@@ -13,11 +13,13 @@ wrapped by the plan, evaluates its points in the same Gram form, one height
 at a time (:func:`~tomoments.fitting._point_objective`), and compares two
 values within a relative ``1e-10`` of each other by the product form
 :func:`~tomoments.fitting.fit_terms` instead, so it returns the height of
-the search on the product form alone; the final coefficients use the
-product form.  What the search needs of the config and the array alone (the
-grid, the basis stack, the basis responses and those times the grid's phase
-table, the identifiability check) is built once per (config, array) by
-:func:`_moment_plan` and cached; what it needs of the
+the search on the product form alone wherever the fast form is within half
+that band of the product form (not so on a noiseless covariance, whose
+weighting is ill-conditioned); the near-ties and the final coefficients
+share one product-form evaluator.  What the search needs of the config and
+the array alone (the grid, the basis stack, the basis responses and those
+times the grid's phase table, the identifiability check) is built once per
+(config, array) by :func:`_moment_plan` and cached; what it needs of the
 covariance alone (the weighting, ``W Rbar W``, the cost constant and the
 frequency coefficients of ``W Rbar W``, column 0 of the prepared table),
 once per covariance and weighting by a
@@ -276,13 +278,15 @@ def estimate(
     def at(z: float) -> float:
         return flagged(*point(z))
 
+    def product_form(z: float):
+        return solve_quadratic(*fit_terms(stack, steering_vector(array, z), W, WRW))
+
     def exact(z: float) -> float:
-        return flagged(*solve_quadratic(*fit_terms(stack, steering_vector(array, z), W, WRW))[1:])
+        return flagged(*product_form(z)[1:])
 
     z0_hat = search.wrap(golden_section_max(at, *search.bracket(best), search.refine_tol, exact=exact))
 
-    y1, Y1 = fit_terms(stack, steering_vector(array, z0_hat), W, WRW)
-    alpha, q_final, pinv_final = solve_quadratic(y1, Y1)
+    alpha, q_final, pinv_final = product_form(z0_hat)
     cost = max(covariance.cost_constant - q_final, 0.0)
 
     P_hat = float(alpha[0])

@@ -18,15 +18,15 @@ search plan bounds or wraps.
   covariance, and the grid's 2x2 systems concentrate in one broadcast call
   of the nonnegative closed form, :func:`_concentrate_terms`.
 - Polish and final coefficients: the terms of the exact M x M product form
-  :func:`~tomoments.fitting.fit_terms` at each point, taken with the same
-  bits from per-fit tables (the basis stack, its conjugate, ``1j * kz`` and
-  the array's baseline differences), concentrated on Python floats by
+  :func:`~tomoments.fitting.fit_terms` at each point, called on per-fit
+  tables (the basis stack, ``1j * kz`` and the array's baseline
+  differences) and concentrated on Python floats by
   :func:`_concentrate_pair`, the same closed form in the same order, so
   bit-identical to the array form without its per-call overhead.  Each
   point writes the shape's characteristic function at the differences into
-  the stack and its conjugate, the entries of
-  :func:`~tomoments.profiles.shape_matrix` without its profile, its
-  recomputed differences or its Hermitian average (:func:`_point_evaluator`).
+  the stack, the entries of :func:`~tomoments.profiles.shape_matrix`
+  without its profile, its recomputed differences or its Hermitian average
+  (:func:`_point_evaluator`).
   The polish is the package's own Nelder-Mead on Python floats,
   :func:`~tomoments.fitting.nelder_mead`.
 
@@ -58,12 +58,12 @@ from .fitting import (
     _check_search_options,
     _positive_part,
     _prepared,
-    _product_terms,
     _read_only,
     _search_plan,
+    fit_terms,
     shape_terms_grid,
 )
-from .fitting import _weighting_flagged, cost_constant, fit_terms  # not called: perfbench/spans.py patches these names
+from .fitting import _weighting_flagged, cost_constant  # not called: perfbench/spans.py patches these names
 from .fitting import nelder_mead as minimize  # the polish's name: perfbench/spans.py times it
 from .geometry import ArrayConfig, _finite_height, baseline_differences
 from .profiles import CovarianceModel, shape_characteristic
@@ -205,27 +205,26 @@ def _point_evaluator(shape: str, array: ArrayConfig, W: np.ndarray, WRW: np.ndar
     degenerate)``: the terms of ``fit_terms(stack, steering_vector(array, z),
     W, WRW)`` on the (shape, identity) basis, concentrated by
     :func:`_concentrate_pair`, so bit-identical to :func:`_concentrate_terms`
-    on the same terms.  The terms come from tables taken once per fit: the
-    basis lives in one preallocated stack, and its conjugate in another,
-    whose identity rows are written once, ``1j * kz`` and the array's
-    baseline differences.  Each point writes the shape's characteristic
-    function at them, the entries of :func:`~tomoments.profiles.shape_matrix`
-    of a profile with that spread, into both stacks.  Its Hermitian average
-    changes no bit here: the differences are exactly antisymmetric and both
-    assumed shapes exactly even.  A non-finite height raises
+    on the same terms.  The tables are taken once per fit: the basis lives
+    in one preallocated stack, whose identity row is written once,
+    ``1j * kz`` and the array's baseline differences.  Each point writes the
+    shape's characteristic function at them, the entries of
+    :func:`~tomoments.profiles.shape_matrix` of a profile with that spread,
+    into the stack and calls this module's ``fit_terms``, the name a tracer
+    patches.  Its Hermitian average changes no bit here: the differences
+    are exactly antisymmetric and both assumed shapes exactly even.  A
+    non-finite height raises
     :func:`~tomoments.geometry.steering_vector`'s ``ValueError``.
     """
     stack = np.zeros((2, array.M, array.M), dtype=complex)
     stack[1] = np.eye(array.M)
-    conj_stack = stack.conj()
     differences = baseline_differences(array)
     jkz = 1j * array.kz
 
     def concentrated(point) -> tuple[float, float, float, bool]:
         z, sigma = point
         stack[0] = shape_characteristic(shape, abs(float(sigma)), differences)
-        np.conjugate(stack[0], out=conj_stack[0])
-        y, Y = _product_terms(stack, conj_stack, np.exp(jkz * _finite_height(z)), W, WRW)
+        y, Y = fit_terms(stack, np.exp(jkz * _finite_height(z)), W, WRW)
         (Y11, Y12), (_, Y22) = Y.tolist()
         return _concentrate_pair(*y.tolist(), Y11, Y12, Y22)
 
@@ -249,6 +248,9 @@ def _parametric_plan(config: ParametricEstimatorConfig, array: ArrayConfig) -> _
     grid = config.sigma_grid
     sigma_max = grid.max if grid.max is not None else _SIGMA_MAX_REL * search.z_amb
     sigma_values = np.linspace(grid.min, sigma_max, grid.points)
+    if not (np.diff(sigma_values) > 0.0).all():  # the polish's simplex steps by the grid's spacing
+        message = f"sigma_grid.min must leave {grid.points} spreads below the maximum {sigma_max!r}, got {grid.min!r}"
+        raise ValueError(message)
     phi = shape_characteristic(config.assumed_shape, sigma_values[:, None], search.frequencies)
     return _ParametricPlan(search, _read_only(sigma_values), _read_only(phi))
 

@@ -19,10 +19,12 @@ from tomoments import (
     steering_vector,
     true_covariance,
 )
+from tomoments.experiments import ExperimentSpec, default_spec
 from tomoments.fitting import (
     cost_constant,
     fit_terms,
     harmonic_terms,
+    nelder_mead,
     shape_terms_grid,
     weighting,
 )
@@ -293,6 +295,33 @@ def test_point_evaluator_matches_array_concentration(rng, shape, name):
         assert type(q_point) is float
 
 
+@pytest.mark.parametrize("profile", ["uniform_profile", "point_profile"])
+@pytest.mark.parametrize("shape", ["uniform", "gaussian"])
+def test_polish_points_go_through_fit_terms(request, reference_array, profile, shape, monkeypatch):
+    # every Nelder-Mead evaluation, the final point and, when the polish ends
+    # off zero spread, the zero-spread point each make one call of the module
+    # global tomoments.parametric.fit_terms, the name a tracer patches to time them
+    R = true_covariance(request.getfixturevalue(profile), reference_array, 10.0)
+    config = ParametricEstimatorConfig(assumed_shape=shape)
+    calls, polished = [], []
+
+    def counting(*args):
+        calls.append(args)
+        return fit_terms(*args)
+
+    def polish(*args, **kwargs):
+        polished.append(nelder_mead(*args, **kwargs))
+        return polished[-1]
+
+    monkeypatch.setattr("tomoments.parametric.fit_terms", counting)
+    monkeypatch.setattr("tomoments.parametric.minimize", polish)
+    result = estimate_parametric(R, config, reference_array)
+    (search,) = polished
+    assert len(calls) == search.nfev + 1 + (abs(search.x[1]) > 0.0)
+    monkeypatch.undo()
+    assert result == estimate_parametric(R, config, reference_array)
+
+
 @pytest.mark.parametrize("shape", ["uniform", "gaussian"])
 def test_grid_argmax_matches_product_form(reference_covariance, reference_array, shape):
     # the parametric grid from the Gram form picks the same node as the
@@ -364,6 +393,21 @@ def test_sigma_grid_validation():
         SigmaGrid(min=5.0, max=4.0)
     with pytest.raises(ValueError):
         SigmaGrid(points=1)
+
+
+@pytest.mark.parametrize("sigma_min", [30.0, 29.999999999999996, 40.0])
+def test_sigma_grid_min_at_or_above_the_default_maximum_is_refused(reference_covariance, reference_array, sigma_min):
+    # the unset maximum resolves to 0.3 * z_amb = 30 m: a minimum at it gave a
+    # grid of copies of one spread and the polish a zero spread step, one just
+    # below it a grid of two values, one above it a decreasing grid
+    config = ParametricEstimatorConfig(sigma_grid=SigmaGrid(min=sigma_min))
+    message = rf"sigma_grid\.min must leave 64 spreads below the maximum 30\.0, got {sigma_min!r}"
+    with pytest.raises(ValueError, match=message):
+        estimate_parametric(reference_covariance, config, reference_array)
+    spec = default_spec("rmse_vs_N").to_json()
+    spec["estimators"].append({"label": "parametric-narrow", **config.to_json()})
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec.from_json(spec)
 
 
 def test_config_validation():

@@ -40,7 +40,7 @@ from tomoments import (
     true_covariance,
 )
 from tomoments.experiments import _KIND_STREAM, PARAM_NAMES, _run_trial
-from tomoments.fitting import _product_terms, _weighting_flagged, fit_terms, fit_terms_grid, harmonic_terms, weighting
+from tomoments.fitting import _weighting_flagged, fit_terms, fit_terms_grid, harmonic_terms, weighting
 from tomoments.moments import _basis_stack, _moment_plan
 from tomoments.parametric import _concentrate_pair, _point_evaluator
 from tomoments.sampling import derive_seed
@@ -366,8 +366,8 @@ def test_polish_points_match_fit_terms_points(rng, shape, name):
 @pytest.mark.parametrize("name", list(POINT_ARRAYS))
 def test_point_terms_match_fit_terms(rng, name):
     # the polish's point terms: real and complex stacks of K = 2..13 Hermitian
-    # matrices, a conjugate stack kept up to date as one row is rewritten and the
-    # steering vector from 1j * kz give fit_terms' bits and an exactly symmetric Y
+    # matrices, one row rewritten in place between points, and the steering
+    # vector from 1j * kz give fit_terms' bits and an exactly symmetric Y
     array, z_max = POINT_ARRAYS[name]
     W, WRW = _weights(rng, array.M)
     jkz = 1j * array.kz
@@ -375,12 +375,10 @@ def test_point_terms_match_fit_terms(rng, name):
         stack = np.array([random_psd_covariance(rng, array.M, scale=1.0) for _ in range(K)])
         if K % 2:
             stack = stack.real.astype(complex)
-        conj_stack = stack.conj()
         for z in np.concatenate([[0.0, -0.0], rng.uniform(-0.5, 1.5, 5) * z_max]):
             stack[0] = random_psd_covariance(rng, array.M, scale=1.0)
-            np.conjugate(stack[0], out=conj_stack[0])
             expected = fit_terms(stack, steering_vector(array, z), W, WRW)
-            got = _product_terms(stack, conj_stack, np.exp(jkz * z), W, WRW)
+            got = fit_terms(stack, np.exp(jkz * z), W, WRW)
             assert [np.asarray(v).tobytes() for v in got] == [v.tobytes() for v in expected], (K, z)
             assert np.array_equal(got[1], got[1].T)
 
