@@ -27,12 +27,10 @@ from .experiments import (
     run_spectrum_dump,
     wrap_height_error,
 )
-from .fitting import DegenerateCovarianceError, PreparedCovariance, weighting
+from .fitting import DegenerateCovarianceError, PreparedCovariance
 from .geometry import (
     ArrayConfig,
     baseline_differences,
-    coarse_resolution,
-    difference_power_matrix,
     fourier_resolution,
     make_uniform_array,
     steering_vector,
@@ -44,7 +42,6 @@ from .moments import (
     estimate,
     model_power_spectrum,
     moment_orders,
-    reconstruct_covariance,
 )
 from .parametric import (
     ParametricEstimate,

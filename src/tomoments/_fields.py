@@ -95,17 +95,21 @@ def _json_value(value):
     return value.to_json() if dataclasses.is_dataclass(value) else value
 
 
-def from_json(cls, obj, **nested):
+def from_json(cls, obj, *, accept: tuple = (), **nested):
     """Dataclass ``cls`` from the JSON object ``obj``.
 
     Each field's value passes to the constructor untouched, so its checks
-    see it, or through ``nested[name]`` for a nested object.  Other keys are
-    ignored; a missing field without a default is a :class:`ValueError`.
+    see it, or through ``nested[name]`` for a nested object.  A key that
+    names no field and is not in ``accept`` (keys the caller reads itself)
+    and a missing field without a default are each a :class:`ValueError`.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{cls.__name__} JSON must be an object, got {obj!r}")
+    fields = dataclasses.fields(cls)
+    for key in obj.keys() - {f.name for f in fields} - set(accept):
+        raise ValueError(f"{cls.__name__} JSON has no field {key!r}")
     kwargs = {}
-    for f in dataclasses.fields(cls):
+    for f in fields:
         if f.name in obj:
             kwargs[f.name] = nested[f.name](obj[f.name]) if f.name in nested else obj[f.name]
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -141,7 +142,8 @@ class EstimatorSpec:
         if not (isinstance(obj, dict) and "label" in obj):
             raise ValueError(f"estimator JSON must be an object with a 'label', got {obj!r}")
         method = choice(obj.get("method"), tuple(_CONFIG_TYPES), "method")
-        return cls(label=obj["label"], config=_CONFIG_TYPES[method].from_json(obj))
+        config = dict(obj)
+        return cls(label=config.pop("label"), config=_CONFIG_TYPES[method].from_json(config))
 
 
 @dataclass(frozen=True)
@@ -165,16 +167,21 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         choice(self.kind, KINDS, "kind")
+        for name, cls in (("profile", SourceProfile), ("array", ArrayConfig)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         object.__setattr__(self, "sigma_eps2", real(self.sigma_eps2, "sigma_eps2", least=0.0))
         estimators = items(self.estimators, "estimators")
         if not estimators:
             raise ValueError("at least one estimator is required")
+        for entry in estimators:
+            if not isinstance(entry, EstimatorSpec):
+                raise ValueError(f"estimators must hold EstimatorSpec entries, got {entry!r}")
+            _PLANS[type(entry.config)](entry.config, self.array)
         labels = [e.label for e in estimators]
         if len(set(labels)) != len(labels):
             raise ValueError("estimator labels must be unique")
         object.__setattr__(self, "estimators", estimators)
-        for entry in estimators:
-            _PLANS[type(entry.config)](entry.config, self.array)
         for name, check in (("N_list", partial(count, least=1)), ("sigma_list", partial(real, least=0.0))):
             values = tuple(check(value, name) for value in items(getattr(self, name), name))
             if not values:
@@ -288,11 +295,12 @@ def _run_trial(spec: ExperimentSpec, sweep_index: int, N: int, R_true: Covarianc
 def _collect_trials(spec: ExperimentSpec, sweep_index: int, N: int, R_true: CovarianceModel) -> np.ndarray:
     """(estimators, trials, 4) estimates, NaN rows for failures.
 
-    The pool has at most one process per trial: under the ``fork`` start
-    method it starts all ``max_workers`` processes with the first task.
+    The pool has at most one process per trial and per CPU the process may
+    use (``os.process_cpu_count``, else ``os.cpu_count``): under ``fork`` it
+    starts all ``max_workers`` processes with the first task.
     """
     run = partial(_run_trial, spec, sweep_index, N, R_true)
-    workers = min(spec.workers, spec.trials)
+    workers = min(spec.workers, spec.trials, getattr(os, "process_cpu_count", os.cpu_count)() or 1)
     if workers > 1:
         chunksize = max(1, spec.trials // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:

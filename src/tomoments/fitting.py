@@ -83,7 +83,6 @@ from .profiles import CovarianceModel
 __all__ = [
     "WEIGHTINGS",
     "DegenerateCovarianceError",
-    "weighting",
     "PreparedCovariance",
     "fit_terms",
     "HarmonicTerms",
@@ -130,18 +129,9 @@ class DegenerateCovarianceError(ValueError):
     """Raised when a covariance input is numerically zero or unusable."""
 
 
-def weighting(R_bar: CovarianceModel, choice: str) -> np.ndarray:
-    """Weighting matrix for the covariance-matching cost.
-
-    ``"identity"`` returns I; ``"inverse_sample"`` returns the inverse of
-    ``R_bar``, applying diagonal loading first when the matrix is singular
-    or has a 2-norm condition number above 1e12.
-    """
-    W, _ = _weighting_flagged(R_bar, choice)
-    return W
-
-
 def _weighting_flagged(R_bar: CovarianceModel, choice: str) -> tuple[np.ndarray, bool]:
+    """The weighting matrix and whether it was loaded: I for ``"identity"``; for ``"inverse_sample"``
+    the inverse of ``R_bar``, diagonally loaded first when singular or of 2-norm condition above 1e12."""
     _fields.choice(choice, WEIGHTINGS, "weighting")
     M = R_bar.M
     if choice == "identity":

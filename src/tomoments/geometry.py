@@ -17,10 +17,8 @@ __all__ = [
     "ArrayConfig",
     "make_uniform_array",
     "fourier_resolution",
-    "coarse_resolution",
     "steering_vector",
     "baseline_differences",
-    "difference_power_matrix",
 ]
 
 # (delta kz)^d loses all precision well before d reaches this for realistic
@@ -109,14 +107,15 @@ class ArrayConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ArrayConfig":
-        """Accepts ``{"kz": [...]}``, optionally with ``"ambiguity"``, or ``{"M": int, "z_amb": float}``."""
+        """Accepts ``{"kz": [...]}``, optionally with ``"ambiguity"``, or ``{"M": int, "z_amb": float}``,
+        and no other key."""
         if not isinstance(obj, dict):
             raise ValueError(f"array config must be an object, got {obj!r}")
-        if "kz" in obj:
+        if obj.keys() in ({"kz"}, {"kz", "ambiguity"}):
             return cls([real(k, "kz") for k in items(obj["kz"], "kz")], obj.get("ambiguity"))
-        if "M" in obj and "z_amb" in obj:
+        if obj.keys() == {"M", "z_amb"}:
             return make_uniform_array(obj["M"], obj["z_amb"])
-        raise ValueError("array config needs either 'kz' or both 'M' and 'z_amb'")
+        raise ValueError(f"array config needs 'kz' (and 'ambiguity') or 'M' and 'z_amb' alone, got keys {sorted(obj)}")
 
 
 def make_uniform_array(M: int, z_amb: float) -> ArrayConfig:
@@ -143,17 +142,6 @@ def fourier_resolution(config: ArrayConfig) -> float:
     return float(_TWO_PI / (config.kz[-1] - config.kz[0]))
 
 
-def coarse_resolution(config: ArrayConfig) -> float:
-    """Ambiguity height divided by the acquisition count.
-
-    Convenience convention for quasi-uniform stacks (``z_amb`` is then about
-    M times the resolution cell).  Requires a known ambiguity.
-    """
-    if config.ambiguity is None:
-        raise ValueError("coarse_resolution needs an array with a known ambiguity")
-    return float(config.ambiguity) / config.M
-
-
 def steering_vector(config: ArrayConfig, z: float) -> np.ndarray:
     """Complex steering vector ``exp(j kz_n z)`` at height z (m)."""
     return np.exp(1j * config.kz * _finite_height(z))
@@ -171,12 +159,3 @@ def baseline_differences(config: ArrayConfig) -> np.ndarray:
     """Matrix of wavenumber differences ``kz_n - kz_m`` (row n, column m)."""
     kz = config.kz
     return kz[:, None] - kz[None, :]
-
-
-def difference_power_matrix(config: ArrayConfig, d: int) -> np.ndarray:
-    """Elementwise power of the wavenumber differences, ``(kz_n - kz_m)**d``.
-
-    ``d = 0`` gives the all-ones matrix.  Even orders are symmetric, odd
-    orders antisymmetric.  Orders above ``MAX_DIFFERENCE_ORDER`` are refused.
-    """
-    return baseline_differences(config) ** count(d, "d", most=MAX_DIFFERENCE_ORDER)

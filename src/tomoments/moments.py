@@ -52,7 +52,6 @@ from .fitting import (
     solve_quadratic,
 )
 from .fitting import _weighting_flagged, cost_constant  # not called: perfbench/spans.py patches these names
-from .fitting import weighting  # re-exported; part of this module's surface
 from .geometry import (
     MAX_DIFFERENCE_ORDER,
     ArrayConfig,
@@ -66,9 +65,7 @@ __all__ = [
     "MomentDiagnostics",
     "MomentEstimate",
     "moment_orders",
-    "weighting",
     "estimate",
-    "reconstruct_covariance",
     "model_power_spectrum",
 ]
 
@@ -117,7 +114,7 @@ class MomentEstimatorConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MomentEstimatorConfig":
-        return from_json(cls, obj)
+        return from_json(cls, obj, accept=("method",))
 
 
 @dataclass(frozen=True)
@@ -312,23 +309,6 @@ def estimate(
             negative_power=P_hat <= 0.0,
         ),
     )
-
-
-def reconstruct_covariance(
-    z0: float,
-    alpha: np.ndarray,
-    config: MomentEstimatorConfig,
-    array: ArrayConfig,
-) -> CovarianceModel:
-    """Model covariance at given height and linear coefficients."""
-    stack = _basis_stack(config, array)
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (stack.shape[0],):
-        raise ValueError("alpha length must match the basis size")
-    inner = np.tensordot(alpha, stack, axes=1)
-    a = steering_vector(array, z0)
-    R = a[:, None] * inner * a.conj()[None, :]
-    return CovarianceModel(0.5 * (R + R.conj().T), "reconstructed")
 
 
 def model_power_spectrum(P: float, nu: np.ndarray, xi) -> np.ndarray:

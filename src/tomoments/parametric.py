@@ -129,7 +129,7 @@ class ParametricEstimatorConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ParametricEstimatorConfig":
-        return from_json(cls, obj, sigma_grid=lambda grid: from_json(SigmaGrid, grid))
+        return from_json(cls, obj, accept=("method",), sigma_grid=lambda grid: from_json(SigmaGrid, grid))
 
 
 @dataclass(frozen=True)

@@ -188,25 +188,22 @@ def true_covariance(profile: SourceProfile, config: ArrayConfig, sigma_eps2: flo
     B = shape_matrix(profile, config)
     R = profile.P * np.outer(a, a.conj()) * B + sigma_eps2 * np.eye(config.M)
     R = 0.5 * (R + R.conj().T)
-    return CovarianceModel(R, "true")
+    return CovarianceModel(R)
 
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """A covariance matrix tagged with its provenance.
+    """A checked covariance matrix, stored read-only as complex.
 
-    ``kind`` is ``"true"`` (exact model), ``"sample"`` (empirical average) or
-    ``"reconstructed"`` (model evaluated at estimated parameters).  The matrix
-    must be Hermitian; true and sample matrices must also be positive
-    semidefinite within tolerance.
+    The matrix must be square and finite, Hermitian to a relative 1e-10 of
+    its Frobenius norm, and positive semidefinite: its smallest eigenvalue
+    is at least ``-1e-10 * max(trace, 0)``.  Each check refuses with a
+    ``ValueError``.
     """
 
     matrix: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in ("true", "sample", "reconstructed"):
-            raise ValueError("kind must be 'true', 'sample' or 'reconstructed'")
         R = np.array(self.matrix, dtype=complex, copy=True)
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise ValueError("covariance matrix must be square")
@@ -215,11 +212,10 @@ class CovarianceModel:
         scale = float(np.linalg.norm(R))
         if np.linalg.norm(R - R.conj().T) > _HERMITIAN_RTOL * max(scale, 1e-300):
             raise ValueError("covariance matrix must be Hermitian")
-        if self.kind in ("true", "sample"):
-            trace = float(np.real(np.trace(R)))
-            min_eig = float(np.linalg.eigvalsh(R)[0]) if scale > 0.0 else 0.0
-            if min_eig < -_PSD_RTOL * max(trace, 0.0):
-                raise ValueError("covariance matrix must be positive semidefinite")
+        trace = float(np.real(np.trace(R)))
+        min_eig = float(np.linalg.eigvalsh(R)[0]) if scale > 0.0 else 0.0
+        if min_eig < -_PSD_RTOL * max(trace, 0.0):
+            raise ValueError("covariance matrix must be positive semidefinite")
         R.setflags(write=False)
         object.__setattr__(self, "matrix", R)
 

@@ -93,4 +93,4 @@ def sample_covariance(snapshots: np.ndarray) -> CovarianceModel:
     array, symmetrized to exact Hermitian."""
     R = snapshots.T @ snapshots.conj() / snapshots.shape[0]
     R = 0.5 * (R + R.conj().T)
-    return CovarianceModel(R, "sample")
+    return CovarianceModel(R)

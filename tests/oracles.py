@@ -10,7 +10,9 @@ the batched solve's oracle is the eigenvalue screen that
 :func:`tomoments.fitting.solve_quadratic` certifies with a Cholesky
 factorization.  The moment fit's refinement has as its oracle the golden
 section it ran before the fast point form: product-form values at every
-point, no near-tie rule.
+point, no near-tie rule.  :func:`weighting` and
+:func:`moment_model_covariance` give the weighting matrix and the moment
+model's covariance at a fitted point, which tests compare against.
 """
 
 import math
@@ -20,7 +22,9 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import minimize
 
-from tomoments import SourceProfile, density
+from tomoments import SourceProfile, density, steering_vector
+from tomoments.fitting import _weighting_flagged
+from tomoments.moments import _basis_stack
 
 
 def _support(profile: SourceProfile) -> tuple[float, float, tuple[float, ...]]:
@@ -146,3 +150,17 @@ def golden_section_oracle(f, lo, hi, tol):
             d = lo + inv_phi * (hi - lo)
             fd = f(d)
     return 0.5 * (lo + hi)
+
+
+def weighting(R_bar, choice: str) -> np.ndarray:
+    """The weighting matrix the fits use for ``choice``, without its loading flag."""
+    return _weighting_flagged(R_bar, choice)[0]
+
+
+def moment_model_covariance(z0, alpha, config, array) -> np.ndarray:
+    """The moment model's covariance ``Phi(z0) (sum_i alpha_i H_i) Phi(z0)^H``
+    on the basis stack of ``config``, symmetrized to exact Hermitian."""
+    inner = np.tensordot(np.asarray(alpha, dtype=float), _basis_stack(config, array), axes=1)
+    a = steering_vector(array, z0)
+    R = a[:, None] * inner * a.conj()[None, :]
+    return 0.5 * (R + R.conj().T)

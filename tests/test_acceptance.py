@@ -27,10 +27,10 @@ from tomoments import (
     steering_vector,
     true_covariance,
 )
-from tomoments.fitting import cost_constant, fit_terms, weighting
+from tomoments.fitting import cost_constant, fit_terms
 from tomoments.moments import _basis_stack
 
-from .oracles import fit_terms_trace_oracle, random_psd_covariance
+from .oracles import fit_terms_trace_oracle, random_psd_covariance, weighting
 from .test_moments import _direct_cost
 
 ARRAY = make_uniform_array(7, 100.0)
@@ -321,7 +321,7 @@ def test_criterion_6_numerical_identities():
         (worst_fd <= 1e-6, f"derivative finite-difference error {worst_fd:.2e} > 1e-6")
     )
 
-    identity = CovarianceModel(matrix=np.eye(7, dtype=complex), kind="true")
+    identity = CovarianceModel(matrix=np.eye(7, dtype=complex))
     R_bar = sample_covariance(sample_snapshots(identity, 1_000_000, seed=2026))
     lln_error = float(np.max(np.abs(np.asarray(R_bar.matrix) - np.eye(7))))
     checks.append(

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -134,6 +135,23 @@ def test_output_dir_must_be_a_string(value):
         default_spec("rmse_vs_N", output_dir=value)
     with pytest.raises(ValueError, match="output_dir"):
         ExperimentSpec.from_json({**default_spec("rmse_vs_N").to_json(), "output_dir": value})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("profile", {"shape": "uniform", "z0": 10.0, "sigma_z": 5.0, "P": 100.0}),
+        ("array", {"M": 7, "z_amb": 100.0}),
+        ("estimators", ({"label": "moments-sym", "method": "moments"},)),
+        ("estimators", (MOMENTS_SYM, MomentEstimatorConfig(D=2))),
+    ],
+    ids=["profile-dict", "array-dict", "estimator-dict", "estimator-config"],
+)
+def test_a_part_of_the_wrong_type_is_refused_when_the_spec_is_built(name, value):
+    # each of these used to build and fail only at run time, on an attribute
+    # or on hashing the array for the plan cache
+    with pytest.raises(ValueError, match=name):
+        default_spec("rmse_vs_N", **{name: value})
 
 
 def test_spec_json_round_trip():
@@ -605,9 +623,11 @@ def test_rmse_workers_match_serial(tmp_path):
 
 def test_pool_has_at_most_one_process_per_trial(tmp_path, monkeypatch):
     # a recording stand-in for the process pool, which starts no process:
-    # each N opens a pool of min(workers, trials) processes, and one trial
-    # runs without a pool
+    # each N opens a pool of min(workers, trials, CPUs) processes, where the
+    # CPUs are os.process_cpu_count() if it exists, else os.cpu_count(), and
+    # one trial or one CPU (or an unknown count) runs without a pool
     opened = []
+    missing = object()
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -623,19 +643,32 @@ def test_pool_has_at_most_one_process_per_trial(tmp_path, monkeypatch):
             return map(function, iterable)
 
     monkeypatch.setattr("tomoments.experiments.ProcessPoolExecutor", RecordingPool)
-    for workers, trials, pools in ((64, 6, [6, 6]), (3, 6, [3, 3]), (64, 1, [])):
+    for workers, trials, process_cpus, cpus, pools in (
+        (64, 6, 8, 8, [6, 6]),
+        (3, 6, 8, 8, [3, 3]),
+        (64, 1, 8, 8, []),
+        (5000, 12, 4, 8, [4, 4]),
+        (5000, 12, missing, 5, [5, 5]),
+        (5000, 12, missing, None, []),
+        (5000, 12, 1, 8, []),
+    ):
+        if process_cpus is missing:
+            monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        else:
+            monkeypatch.setattr(os, "process_cpu_count", lambda: process_cpus, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         opened.clear()
         spec = default_spec(
             "rmse_vs_N",
             N_list=(25, 50),
             trials=trials,
             estimators=(MOMENTS_SYM,),
-            output_dir=str(tmp_path / f"w{workers}-t{trials}"),
+            output_dir=str(tmp_path / f"w{workers}-t{trials}-c{process_cpus}-{cpus}"),
             timestamp_header=False,
             workers=workers,
         )
         run_rmse_vs_N(spec)
-        assert opened == pools
+        assert opened == pools, (workers, trials, process_cpus, cpus)
 
 
 def test_rmse_seed_changes_results(tmp_path):

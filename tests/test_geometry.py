@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from tomoments import (
     ArrayConfig,
     baseline_differences,
-    coarse_resolution,
-    difference_power_matrix,
     fourier_resolution,
     make_uniform_array,
     steering_vector,
@@ -107,7 +105,6 @@ def test_resolution_conventions():
     array = make_uniform_array(7, 100.0)
     # span of 6 spacings: 2*pi / (6 * 2*pi/100) = 100/6
     assert fourier_resolution(array) == pytest.approx(100.0 / 6.0, rel=1e-12)
-    assert coarse_resolution(array) == pytest.approx(100.0 / 7.0, rel=1e-12)
 
 
 def test_steering_vector_reference_values():
@@ -132,21 +129,13 @@ def test_baseline_differences_antisymmetric():
     np.testing.assert_allclose(np.diag(diff), 0.0, atol=0)
 
 
-def test_difference_power_matrix_hand_values():
-    # unit spacing: entries of the d=2 matrix are (n - m)^2
+def test_baseline_differences_hand_values():
+    # unit spacing: entries are n - m, and their squares (n - m)^2
     array = make_uniform_array(3, 2.0 * np.pi)
-    U2 = difference_power_matrix(array, 2)
+    diff = baseline_differences(array)
     n = np.arange(3)
-    np.testing.assert_allclose(U2, (n[:, None] - n[None, :]) ** 2.0, rtol=1e-12)
-
-
-def test_difference_power_matrix_orders():
-    array = make_uniform_array(3, 50.0)
-    np.testing.assert_allclose(difference_power_matrix(array, 0), np.ones((3, 3)), rtol=0)
-    with pytest.raises(ValueError):
-        difference_power_matrix(array, -1)
-    with pytest.raises(ValueError):
-        difference_power_matrix(array, 13)
+    np.testing.assert_allclose(diff, n[:, None] - n[None, :], rtol=1e-12)
+    np.testing.assert_allclose(diff**2, (n[:, None] - n[None, :]) ** 2.0, rtol=1e-12)
 
 
 def test_json_round_trip_uniform():
@@ -185,10 +174,3 @@ def test_steering_vector_unit_modulus(M, z_amb, z):
     assert a.shape == (M,)
     np.testing.assert_allclose(np.abs(a), 1.0, rtol=1e-9)
 
-
-@settings(max_examples=30)
-@given(M=st.integers(min_value=2, max_value=10), d=st.integers(min_value=0, max_value=12))
-def test_difference_powers_match_baselines(M, d):
-    array = make_uniform_array(M, 75.0)
-    U = difference_power_matrix(array, d)
-    np.testing.assert_allclose(U, baseline_differences(array) ** d, rtol=1e-12, atol=1e-300)

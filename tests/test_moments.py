@@ -15,7 +15,6 @@ from tomoments import (
     estimate,
     make_uniform_array,
     model_power_spectrum,
-    reconstruct_covariance,
     sample_covariance,
     sample_snapshots,
     steering_vector,
@@ -30,12 +29,11 @@ from tomoments.fitting import (
     golden_section_max,
     harmonic_terms,
     solve_quadratic,
-    weighting,
 )
 from tomoments.moments import _basis_stack, _check_identifiable, _moment_plan, moment_orders
 
 from .conftest import IRREGULAR_STACKS
-from .oracles import golden_section_oracle, random_psd_covariance
+from .oracles import golden_section_oracle, moment_model_covariance, random_psd_covariance, weighting
 
 # linear coefficients at the true height on the exact reference covariance
 # (uniform truth z0=10, sigma_z=5, P=100, noise 10, M=7, z_amb=100), frozen
@@ -165,7 +163,7 @@ def test_cost_identity_against_direct_residual(rng, reference_array):
     config = MomentEstimatorConfig(D=4, symmetric=False)
     stack = _basis_stack(config, reference_array)
     R = random_psd_covariance(rng, reference_array.M, scale=50.0)
-    R_model = CovarianceModel(matrix=R, kind="sample")
+    R_model = CovarianceModel(matrix=R)
     W = random_psd_covariance(rng, reference_array.M)
     WRW = W @ R @ W
     C = cost_constant(R, W)
@@ -278,7 +276,7 @@ def test_estimate_wraps_height(reference_array, uniform_profile):
 def test_estimate_scale_equivariant(reference_covariance, reference_array):
     config = MomentEstimatorConfig(weighting="identity")
     base = estimate(reference_covariance, config, reference_array)
-    scaled_R = CovarianceModel(matrix=3.7 * reference_covariance.matrix, kind="true")
+    scaled_R = CovarianceModel(matrix=3.7 * reference_covariance.matrix)
     scaled = estimate(scaled_R, config, reference_array)
     assert scaled.z0_hat == pytest.approx(base.z0_hat, abs=1e-9)
     assert scaled.sigma_z_hat == pytest.approx(base.sigma_z_hat, rel=1e-9)
@@ -329,9 +327,8 @@ def test_reconstruct_covariance_point_fit(point_profile, reference_array):
     # nu spans d = 2..D with zeros at skipped orders; keep the fitted ones
     fitted = [result.nu[d - 2] for d in moment_orders(config)]
     alpha = np.concatenate(([result.P_hat, result.sigma_eps2_hat], fitted))
-    R_hat = reconstruct_covariance(result.z0_hat, alpha, config, reference_array)
-    assert R_hat.kind == "reconstructed"
-    rel = np.linalg.norm(R_hat.matrix - R.matrix) / np.linalg.norm(R.matrix)
+    R_hat = moment_model_covariance(result.z0_hat, alpha, config, reference_array)
+    rel = np.linalg.norm(R_hat - R.matrix) / np.linalg.norm(R.matrix)
     assert rel < 1e-8
 
 
@@ -386,7 +383,7 @@ def test_refinement_pinv_fallback_is_reported(reference_covariance, reference_ar
 
 
 def test_degenerate_input_raises(reference_array):
-    zero = CovarianceModel(matrix=np.zeros((7, 7), dtype=complex), kind="reconstructed")
+    zero = CovarianceModel(matrix=np.zeros((7, 7), dtype=complex))
     with pytest.raises(ValueError):
         estimate(zero, MomentEstimatorConfig(weighting="identity"), reference_array)
 
@@ -396,7 +393,7 @@ def test_degenerate_input_raises(reference_array):
 def test_estimate_outputs_well_formed(seed):
     array = make_uniform_array(5, 60.0)
     rng = np.random.default_rng(seed)
-    R_bar = CovarianceModel(matrix=random_psd_covariance(rng, 5, scale=20.0), kind="sample")
+    R_bar = CovarianceModel(matrix=random_psd_covariance(rng, 5, scale=20.0))
     result = estimate(R_bar, MomentEstimatorConfig(), array)
     assert 0.0 <= result.z0_hat < 60.0
     assert result.sigma_z_hat >= 0.0
@@ -665,8 +662,8 @@ def test_estimate_equals_the_product_form_refinement(name, weighting_name, monke
     monkeypatch.setattr(
         "tomoments.moments.golden_section_max", lambda f, lo, hi, tol, exact: golden_section_oracle(exact, lo, hi, tol)
     )
-    for (config, R_bar), fit in zip(cases, fits):
-        assert _same_bits(fit, estimate(R_bar, config, array)), (config, R_bar.kind)
+    for index, ((config, R_bar), fit) in enumerate(zip(cases, fits)):
+        assert _same_bits(fit, estimate(R_bar, config, array)), (index, config)
 
 
 @pytest.mark.parametrize("weighting_name", ["identity", "inverse_sample"])

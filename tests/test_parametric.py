@@ -26,13 +26,12 @@ from tomoments.fitting import (
     harmonic_terms,
     nelder_mead,
     shape_terms_grid,
-    weighting,
 )
 from tomoments.parametric import _concentrate_pair, _concentrate_terms, _parametric_plan, _point_evaluator
 from tomoments.profiles import shape_characteristic, shape_matrix
 
 from .conftest import IRREGULAR_STACKS
-from .oracles import random_psd_covariance
+from .oracles import random_psd_covariance, weighting
 
 TIGHT = ParametricEstimatorConfig(refine_tol=1e-9 * 100.0)
 
@@ -278,7 +277,7 @@ def test_point_evaluator_matches_array_concentration(rng, shape, name):
     # average, and the reused stack carries nothing between calls
     array, z_max = POINT_ARRAYS[name]
     R_bar = random_psd_covariance(rng, array.M, scale=50.0)
-    W = weighting(CovarianceModel(R_bar, "sample"), "inverse_sample")
+    W = weighting(CovarianceModel(R_bar), "inverse_sample")
     WRW = W @ R_bar @ W
     evaluate = _point_evaluator(shape, array, W, WRW)
     sigmas = np.concatenate([[0.0, -0.0, -7.5, 7.5], rng.uniform(-0.3, 0.3, 496) * z_max])
@@ -357,7 +356,7 @@ def test_grid_argmax_matches_product_form(reference_covariance, reference_array,
 
 def test_scale_equivariance(reference_covariance, reference_array):
     base = estimate_parametric(reference_covariance, TIGHT, reference_array)
-    scaled_R = CovarianceModel(matrix=2.5 * reference_covariance.matrix, kind="true")
+    scaled_R = CovarianceModel(matrix=2.5 * reference_covariance.matrix)
     scaled = estimate_parametric(scaled_R, TIGHT, reference_array)
     assert scaled.z0_hat == pytest.approx(base.z0_hat, abs=1e-6)
     assert scaled.sigma_z_hat == pytest.approx(base.sigma_z_hat, rel=1e-6)
@@ -454,7 +453,7 @@ def test_dimension_mismatch_raises(reference_covariance):
 
 def test_ragged_array_needs_explicit_domain(rng):
     array = ArrayConfig(kz=np.array([0.0, 0.063, 0.21]))
-    R = CovarianceModel(matrix=random_psd_covariance(rng, 3, scale=5.0), kind="sample")
+    R = CovarianceModel(matrix=random_psd_covariance(rng, 3, scale=5.0))
     with pytest.raises(ValueError):
         estimate_parametric(R, ParametricEstimatorConfig(), array)
     result = estimate_parametric(
@@ -471,7 +470,7 @@ def test_ragged_array_needs_explicit_domain(rng):
 def test_estimates_respect_sign_constraints(seed, shape):
     array = make_uniform_array(5, 60.0)
     rng = np.random.default_rng(seed)
-    R_bar = CovarianceModel(matrix=random_psd_covariance(rng, 5, scale=30.0), kind="sample")
+    R_bar = CovarianceModel(matrix=random_psd_covariance(rng, 5, scale=30.0))
     config = ParametricEstimatorConfig(assumed_shape=shape)
     result = estimate_parametric(R_bar, config, array)
     assert result.P_hat >= 0.0

@@ -40,13 +40,13 @@ from tomoments import (
     true_covariance,
 )
 from tomoments.experiments import _KIND_STREAM, PARAM_NAMES, _run_trial
-from tomoments.fitting import _weighting_flagged, fit_terms, fit_terms_grid, harmonic_terms, weighting
+from tomoments.fitting import _weighting_flagged, fit_terms, fit_terms_grid, harmonic_terms
 from tomoments.moments import _basis_stack, _moment_plan
 from tomoments.parametric import _concentrate_pair, _point_evaluator
 from tomoments.sampling import derive_seed
 
 from .conftest import IRREGULAR_STACKS, REFERENCE_NOISE
-from .oracles import random_psd_covariance
+from .oracles import random_psd_covariance, weighting
 
 REFERENCE = make_uniform_array(7, 100.0)
 # integer lags 1, 2, 3, 4, 6 and 7 of a 100 m ambiguity, unevenly spaced
@@ -192,7 +192,6 @@ def _unchecked(matrix) -> CovarianceModel:
     """A covariance that skips the model's own checks, as a faulty sampler could return."""
     model = object.__new__(CovarianceModel)
     object.__setattr__(model, "matrix", np.asarray(matrix, dtype=complex))
-    object.__setattr__(model, "kind", "sample")
     return model
 
 
@@ -200,9 +199,9 @@ NON_FINITE = np.eye(7, dtype=complex)
 NON_FINITE[2, 3] = np.nan
 FAILING = {
     "non-finite": _unchecked(NON_FINITE),
-    "zero": CovarianceModel(np.zeros((7, 7)), "sample"),
+    "zero": CovarianceModel(np.zeros((7, 7))),
     # nonpositive trace: the identity weighting fits it, the inverse one is refused
-    "negative": CovarianceModel(-np.eye(7), "reconstructed"),
+    "negative": _unchecked(-np.eye(7)),
 }
 
 
@@ -219,7 +218,7 @@ def _with_nan(M: int) -> CovarianceModel:
 REFUSALS = {
     "dimensions": (_with_nan(5), ValueError, "dimensions disagree"),
     "non-finite": (_with_nan(7), ValueError, "non-finite entries"),
-    "zero": (CovarianceModel(np.zeros((7, 7)), "sample"), DegenerateCovarianceError, "numerically zero"),
+    "zero": (CovarianceModel(np.zeros((7, 7))), DegenerateCovarianceError, "numerically zero"),
 }
 
 
@@ -237,7 +236,7 @@ def test_loading_screen_reads_the_weighting_eigh(condition, loaded):
     # diagonal covariances, whose eigenvalues eigh returns exactly: loading
     # starts above a condition number of 1e12.  The screen reads the one eigh
     # the weighting needs; a loaded covariance takes a second one
-    R_bar = CovarianceModel(np.diag([1.0] * 6 + [condition]), "sample")
+    R_bar = CovarianceModel(np.diag([1.0] * 6 + [condition]))
     with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh, mock.patch(
         "numpy.linalg.eigvalsh", side_effect=AssertionError("eigvalsh called")
     ):
@@ -317,7 +316,7 @@ def test_failed_preparation_fails_each_fit_in_the_bias_scan(name, tmp_path, monk
 
 def _weights(rng, M):
     R_bar = random_psd_covariance(rng, M, scale=50.0)
-    W = weighting(CovarianceModel(R_bar, "sample"), "inverse_sample")
+    W = weighting(CovarianceModel(R_bar), "inverse_sample")
     return W, W @ R_bar @ W
 
 

@@ -167,18 +167,17 @@ def test_true_covariance_entries(uniform_profile, reference_array):
 def test_true_covariance_is_psd(gaussian_profile, reference_array):
     R = true_covariance(gaussian_profile, reference_array, 0.0)
     assert np.linalg.eigvalsh(R.matrix).min() > -1e-8
-    assert R.kind == "true"
 
 
 def test_covariance_model_validation():
     bad = np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
-        CovarianceModel(matrix=bad, kind="true")
+        CovarianceModel(matrix=bad)
     indefinite = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        CovarianceModel(matrix=indefinite, kind="sample")
-    # reconstructed fits are allowed to dip indefinite
-    CovarianceModel(matrix=indefinite, kind="reconstructed")
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        CovarianceModel(matrix=indefinite)
+    # the zero matrix is positive semidefinite
+    CovarianceModel(matrix=np.zeros((2, 2)))
 
 
 def test_sigma_derivative_matches_finite_difference():

@@ -61,7 +61,6 @@ def test_sample_covariance_shape_and_kind(reference_covariance):
     stack = sample_snapshots(reference_covariance, 50, seed=9)
     R_bar = sample_covariance(stack)
     assert isinstance(R_bar, CovarianceModel)
-    assert R_bar.kind == "sample"
     np.testing.assert_allclose(R_bar.matrix, R_bar.matrix.conj().T, rtol=0, atol=1e-12)
     assert np.linalg.eigvalsh(R_bar.matrix).min() >= -1e-10
 
@@ -78,7 +77,7 @@ def test_sample_covariance_unbiased(reference_covariance):
 
 
 def test_identity_covariance_law_of_large_numbers():
-    R = CovarianceModel(matrix=np.eye(3, dtype=complex), kind="true")
+    R = CovarianceModel(matrix=np.eye(3, dtype=complex))
     stack = sample_snapshots(R, 1_000_000, seed=2024)
     R_bar = sample_covariance(stack).matrix
     assert np.abs(R_bar - np.eye(3)).max() < 5e-3
@@ -86,7 +85,7 @@ def test_identity_covariance_law_of_large_numbers():
 
 def test_snapshot_unit_variance_convention(reference_covariance):
     # w = (x + jy)/sqrt(2) gives E|w|^2 = 1 per channel: check the white stage
-    R = CovarianceModel(matrix=np.eye(2, dtype=complex), kind="true")
+    R = CovarianceModel(matrix=np.eye(2, dtype=complex))
     stack = sample_snapshots(R, 200_000, seed=7)
     power = np.mean(np.abs(stack) ** 2, axis=0)
     np.testing.assert_allclose(power, 1.0, atol=8e-3)
