@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the 40 CSVs that show whether a change moved any output.
+"""Print the SHA-256 of the 42 CSVs that show whether a change moved any output.
 
 - 16 from the benchmark workloads: every variant of every workload in
   ``perfbench/workloads.py``, run through ``tomoments.cli.main`` (read only;
@@ -11,17 +11,19 @@
   fits and an identity-weighted full D = 6 moment fit; the parametric
   estimator in the spec has no moment polynomial and is skipped;
 - 2 from ``tomoments rmse --trials 6 --workers 2 --dump-trials``;
-- 14 from ``tomoments rmse`` or ``tomoments bias``, by the spec's kind,
-  with ``--trials 6 --dump-trials`` on the paths those miss
-  (:data:`EXTRA_SPECS`): the identity weighting with a full moment fit at
-  D = 6 and with both parametric fits, a parametric fit bounded by
-  ``z0_max`` on a sparse stack, a full D = 4 moment fit bounded the same
-  way with its source 0.3 m inside either edge, where the refinement's
-  bracket is clipped to the bounds, estimator labels that hold a comma and
-  a double quote, so that their cells are quoted with the quotes doubled,
-  and a bias scan of the default estimators on noiseless exact
-  covariances, whose weightings are ill-conditioned (every other scenario
-  has ``sigma_eps2 = 10``).
+- 16 from ``tomoments rmse`` or ``tomoments bias``, by the spec's kind,
+  with ``--trials 6 --dump-trials`` (20 trials where :data:`_TRIALS` says
+  so) on the paths those miss (:data:`EXTRA_SPECS`): the identity
+  weighting with a full moment fit at D = 6 and with both parametric fits,
+  a parametric fit bounded by ``z0_max`` on a sparse stack, a full D = 4
+  moment fit bounded the same way with its source 0.3 m inside either
+  edge, where the refinement's bracket is clipped to the bounds, both
+  parametric fits at N = 6, 8 and 10, whose inverse-sample weightings
+  straddle the condition limit of the polish's fast points, estimator
+  labels that hold a comma and a double quote, so that their cells are
+  quoted with the quotes doubled, and a bias scan of the default
+  estimators on noiseless exact covariances, whose weightings are
+  ill-conditioned (every other scenario has ``sigma_eps2 = 10``).
 
 Every run omits the timestamp header.  Run it in two checkouts and compare
 the listings: equal lines mean byte-identical CSVs.
@@ -108,6 +110,16 @@ EXTRA_SPECS = {
         "sigma_list": [0.0, 2.0, 5.0, 10.0, 20.0],
         "estimators": [entry.to_json() for entry in default_estimators()],
     },
+    # both parametric fits on inverse-sample weightings either side of the
+    # condition limit of the polish's fast points (median cond(W) 5e8 at
+    # N = 6, 1.0e3 at N = 8), 20 trials
+    "condition-straddle": {
+        **_SCENARIO,
+        "N_list": [6, 8, 10],
+        "array": {"M": 7, "z_amb": 100.0},
+        "estimators": [{"label": f"parametric-{shape}", "method": "parametric", "assumed_shape": shape}
+                       for shape in ("uniform", "gaussian")],
+    },
     "quoted-labels": {
         **_SCENARIO,
         "array": {"M": 7, "z_amb": 100.0},
@@ -120,6 +132,8 @@ EXTRA_SPECS = {
 
 # the subcommand that runs a spec of each kind
 _SUBCOMMANDS = {"rmse_vs_N": "rmse", "asymptotic_bias_vs_sigma": "bias"}
+# trials of an extra spec, 6 unless named here
+_TRIALS = {"condition-straddle": 20}
 
 
 def _run(argv) -> None:
@@ -144,8 +158,8 @@ def digests(out: Path) -> list:
     for name, spec in EXTRA_SPECS.items():
         config = out / f"{name}.json"
         config.write_text(json.dumps(spec))
-        _run([_SUBCOMMANDS[spec["kind"]], "--config", str(config), "--trials", "6", "--dump-trials",
-              "--no-timestamp", "--out", str(out / name)])
+        _run([_SUBCOMMANDS[spec["kind"]], "--config", str(config), "--trials", str(_TRIALS.get(name, 6)),
+              "--dump-trials", "--no-timestamp", "--out", str(out / name)])
     paths = sorted(out.rglob("*.csv"))
     return [(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out).as_posix()) for path in paths]
 

@@ -95,19 +95,25 @@ def _json_value(value):
     return value.to_json() if dataclasses.is_dataclass(value) else value
 
 
-def from_json(cls, obj, *, accept: tuple = (), **nested):
+def from_json(cls, obj, *, fixed=None, **nested):
     """Dataclass ``cls`` from the JSON object ``obj``.
 
     Each field's value passes to the constructor untouched, so its checks
-    see it, or through ``nested[name]`` for a nested object.  A key that
-    names no field and is not in ``accept`` (keys the caller reads itself)
-    and a missing field without a default are each a :class:`ValueError`.
+    see it, or through ``nested[name]`` for a nested object.  ``fixed`` maps
+    keys that name no field to the one value each may hold (the
+    ``"method"`` a config's JSON names itself by).  A key that names no
+    field and is not in ``fixed``, a ``fixed`` key of another value and a
+    missing field without a default are each a :class:`ValueError`.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{cls.__name__} JSON must be an object, got {obj!r}")
+    fixed = fixed or {}
     fields = dataclasses.fields(cls)
-    for key in obj.keys() - {f.name for f in fields} - set(accept):
+    for key in obj.keys() - {f.name for f in fields} - fixed.keys():
         raise ValueError(f"{cls.__name__} JSON has no field {key!r}")
+    for key, value in fixed.items():
+        if key in obj and obj[key] != value:
+            raise ValueError(f"{cls.__name__} JSON must have {key!r} {value!r}, got {obj[key]!r}")
     kwargs = {}
     for f in fields:
         if f.name in obj:

@@ -13,10 +13,11 @@ with a point evaluator and grid evaluators shared by both estimators.  The
 cost's M^2 x M^2 Kronecker form is never formed; the one M^2 x M^2 matrix is
 ``kron(conj L, L)``, W = L L^H, built once per prepared covariance.
 
-- Points (the parametric polish, the moment fit's near-ties and both
-  fits' final coefficients): :func:`fit_terms`, the one product-form point
-  function, builds the terms from M x M products, ``Y_ik = tr(C_i C_k)``
-  with ``C_k = G H_k``, which holds only for a Hermitian basis.
+- Exact points (the near-ties of both refinements, both fits' final
+  coefficients and every polish point on an ill-conditioned weighting):
+  :func:`fit_terms`, the one product-form point function, builds the terms
+  from M x M products, ``Y_ik = tr(C_i C_k)`` with ``C_k = G H_k``, which
+  holds only for a Hermitian basis.
 - Grids: every basis matrix is a function of the baseline difference,
   ``H_k[m, n] = h_k(kz_m - kz_n)``, so :func:`harmonic_terms` computes
   coefficients over the array's distinct baseline frequencies once per
@@ -29,16 +30,22 @@ cost's M^2 x M^2 Kronecker form is never formed; the one M^2 x M^2 matrix is
 - The moment fit's golden-section points: :func:`_point_objective` takes
   :func:`fit_terms_grid`'s Gram form at one height and solves the system
   with one bordered Cholesky factorization.
+- The parametric polish's points: :func:`_shape_point_terms` takes
+  :func:`shape_terms_grid`'s Gram form at one (height, spread) point, on a
+  weighting of condition number at most ``_FAST_CONDITION_LIMIT`` (1e3),
+  which :class:`PreparedCovariance` records.
 
 All return exactly real terms; on the same inputs they agree to rounding.
 Near a flat optimum a change of the objective at the rounding level moves
-the refined estimates measurably, so the final coefficients and the
-Nelder-Mead polish stay on the product form, and the golden section
-compares two fast values within a relative ``1e-10`` of each other by their
-product-form values: it returns the point of the search on the product form
-alone, and every estimate keeps its bits, wherever the fast form is within
-half that band of the product form (not on a noiseless covariance, whose
-weighting is ill-conditioned).
+the refined estimates measurably, so the final coefficients stay on the
+product form, and both refinements, the golden section and the Nelder-Mead
+polish, decide a test whose fast values are within a relative ``1e-10`` of
+each other (a near-tie, :func:`_decided`) on their product-form values: each
+returns the point of its search on the product form alone, and every
+estimate keeps its bits, wherever the fast form is within half that band of
+the product form.  The golden section's fast form is not on a noiseless
+covariance, whose weighting is ill-conditioned; the polish takes no fast
+point there.
 What every fit needs of the covariance and its weighting alone (``W``,
 ``W Rbar W``, the cost constant and one :class:`HarmonicTerms` table) is
 computed once in a :class:`PreparedCovariance`, which the fits with that
@@ -62,9 +69,10 @@ frequency grouping per array (:func:`_frequency_groups`), and the plan per
 (config, array), inside each estimator's cached plan.  Each cache keeps the
 :data:`_PLAN_CACHE_SIZE` latest entries.
 
-The two derivative-free refinements live here too: the moment fit's
-golden section, :func:`golden_section_max`, and the parametric fit's
-bounded Nelder-Mead polish, :func:`nelder_mead`, both on Python floats.
+The two derivative-free refinements live here too, with the tie rule they
+share: the moment fit's golden section, :func:`golden_section_max`, and the
+parametric fit's bounded Nelder-Mead polish, :func:`nelder_mead`, both on
+Python floats.
 """
 
 from __future__ import annotations
@@ -105,11 +113,21 @@ _PINV_CUTOFF = 1e-12
 # it is proven for (the moment basis at D = 12 has K = 13); see solve_quadratic
 _CERTIFY_SHIFT = 1e-10
 _CERTIFY_MAX_K = 13
-# relative gap within which the golden section compares two values by the
-# product form (a near-tie): the fast point form's largest gap from it over
-# 35,784 refinement points, D = 2..8 on five stacks, is 9.4e-14, and
-# tests/test_moments.py holds it to a tenth of the band
+# relative gap within which the two refinements, the moment fit's golden
+# section and the parametric fit's Nelder-Mead polish, decide a test on the
+# product-form values rather than the fast ones (a near-tie; see _decided):
+# the golden section's fast point form's largest gap from the product form
+# over 35,784 refinement points, D = 2..8 on five stacks, is 9.4e-14, and
+# tests/test_moments.py holds it to a tenth of the band; tests/test_parametric.py
+# does the same for the polish's fast points
 _TIE_BAND = 1e-10
+# the largest 2-norm condition number of the weighting on which the polish
+# takes Gram-form points.  Forming a Gram matrix squares the condition
+# (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996): up to
+# this limit the polish's points stay within 4.5e-13 of the product form
+# (tests/test_parametric.py), the benchmark's weightings reach 92, and the
+# noiseless bias scan's, far above it, move its parametric rows without it
+_FAST_CONDITION_LIMIT = 1e3
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Height-grid default: at least 8 points per acquisition and 16 per resolution cell.
 _GRID_PER_CHANNEL = 8
@@ -129,13 +147,14 @@ class DegenerateCovarianceError(ValueError):
     """Raised when a covariance input is numerically zero or unusable."""
 
 
-def _weighting_flagged(R_bar: CovarianceModel, choice: str) -> tuple[np.ndarray, bool]:
-    """The weighting matrix and whether it was loaded: I for ``"identity"``; for ``"inverse_sample"``
-    the inverse of ``R_bar``, diagonally loaded first when singular or of 2-norm condition above 1e12."""
+def _weighting_flagged(R_bar: CovarianceModel, choice: str) -> tuple[np.ndarray, bool, float]:
+    """The weighting matrix, whether it was loaded and its 2-norm condition number: I and 1 for
+    ``"identity"``; for ``"inverse_sample"`` the inverse of ``R_bar``, diagonally loaded first when
+    singular or of condition above 1e12, and the condition of the matrix it inverts."""
     _fields.choice(choice, WEIGHTINGS, "weighting")
     M = R_bar.M
     if choice == "identity":
-        return np.eye(M), False
+        return np.eye(M), False, 1.0
     R = np.asarray(R_bar.matrix)
     # the screen reads the decomposition the inverse needs; only a loaded matrix takes a second
     eigenvalues, vectors = np.linalg.eigh(R)
@@ -148,7 +167,7 @@ def _weighting_flagged(R_bar: CovarianceModel, choice: str) -> tuple[np.ndarray,
     if eigenvalues[0] <= 0.0:
         raise DegenerateCovarianceError("covariance is singular even after diagonal loading")
     W = (vectors / eigenvalues) @ vectors.conj().T
-    return 0.5 * (W + W.conj().T), loaded
+    return 0.5 * (W + W.conj().T), loaded, float(eigenvalues[-1] / eigenvalues[0])
 
 
 def _check_search_options(config, grid_name: str) -> None:
@@ -317,7 +336,8 @@ class PreparedCovariance:
 
     What a fit needs of the covariance and the weighting alone, computed once
     so that every estimator with that weighting shares it: the checked matrix
-    ``R``, the weighting ``W`` and whether it was diagonally ``loaded``,
+    ``R``, the weighting ``W``, whether it was diagonally ``loaded`` and its
+    2-norm ``condition`` number (1 for the identity),
     ``WRW = W R W``, ``cost_constant``, ``tr(R W R W)``, and one coefficient
     table, ``terms``, the :class:`HarmonicTerms` of the data stack
     ``(WRW, W W)`` with its ``traces``.  The moment fits read its column 0,
@@ -343,7 +363,7 @@ class PreparedCovariance:
             raise ValueError("covariance contains non-finite entries")
         if np.linalg.norm(self.R) < 1e-30:
             raise DegenerateCovarianceError("covariance is numerically zero")
-        W, self.loaded = _weighting_flagged(R_bar, weighting)
+        W, self.loaded, self.condition = _weighting_flagged(R_bar, weighting)
         self.W = _read_only(W)
         self.WRW = _read_only(W @ self.R @ W)
         data = np.stack([self.WRW, W @ W])
@@ -483,6 +503,34 @@ def shape_terms_grid(phi: np.ndarray, phase: np.ndarray, terms: HarmonicTerms):
     return y, Y
 
 
+def _shape_point_terms(terms: HarmonicTerms):
+    """:func:`shape_terms_grid`'s Gram form at one ``(height, response)`` point at a time.
+
+    Returns a function ``(z, phi) -> (y, Y)`` of a height and a real, even
+    response ``phi`` sampled at the frequencies ``f >= 0`` of ``terms``;
+    those of ``f < 0`` mirror it.  With ``v = e_f phi_f`` on ``f >= 0``
+    (and ``conj(v)`` mirrored on ``f < 0``), ``y = Re(v @ (w c))`` over the
+    rows ``f >= 0``, as ``c_{-f} = conj(c_f)``, and
+    ``Y = Re(conj(v) @ Q^H (w v))`` over all rows of ``v``, the conjugate of
+    :func:`fit_terms_grid`'s Gram form, with ``w`` 1 at ``f = 0`` and 2
+    above.  ``y`` is a list of one float per data column of ``terms.c``, ``Y``
+    a float; both agree with :func:`fit_terms` to rounding, not to the bit.
+    A non-finite ``z`` is refused with ``ValueError``.
+    """
+    half = terms.frequencies.size // 2
+    weights = _half_weights(terms.frequencies)
+    gram = terms.Q.conj().T * weights
+    data = weights[:, None] * terms.c[half:]
+    rate = 1j * terms.frequencies[half:]
+
+    def at(z: float, phi: np.ndarray):
+        v = np.exp(rate * _finite_height(z)) * phi
+        full = np.concatenate((v[:0:-1].conj(), v))
+        return (v @ data).real.tolist(), float(np.vdot(full, gram @ v).real)
+
+    return at
+
+
 def solve_quadratic(y: np.ndarray, Y: np.ndarray):
     """Solve ``Y alpha = y`` and evaluate the concentrated quadratic form.
 
@@ -606,20 +654,33 @@ def cost_constant(R: np.ndarray, W: np.ndarray) -> float:
     return float(np.real(np.einsum("nm,mn->", X, X)))
 
 
+def _decided(gap: float, a: float, b: float) -> bool:
+    """Whether the fast values ``a`` and ``b`` settle a test that turns on the sign of ``gap``.
+
+    The tie rule of both refinements: they do when ``gap`` is beyond
+    ``_TIE_BAND`` of the larger magnitude, and never when it is a NaN; else
+    the test runs on the exact values.  Where each fast value is within a
+    relative half of the band of its exact value, the two settle it alike.
+    """
+    gap = abs(gap)
+    return gap > _TIE_BAND * abs(a) and gap > _TIE_BAND * abs(b)
+
+
 def golden_section_max(f, lo: float, hi: float, tol: float, exact=None) -> float:
     """Golden-section maximizer of a unimodal function on [lo, hi].
 
     The search returns a point that depends only on the outcomes of its
     comparisons.  With ``exact``, ``f`` is a fast form of it: two values of
-    ``f`` within ``_TIE_BAND`` of the larger magnitude (or a NaN) are
-    compared by their ``exact`` values instead, each point's computed at
-    most once.  Where ``f`` is within a relative half of the band of
-    ``exact``, the search returns the point of the search on ``exact`` alone.
+    ``f`` that :func:`_decided` leaves open (within ``_TIE_BAND`` of the
+    larger magnitude, or a NaN) are compared by their ``exact`` values
+    instead, each point's computed at most once.  Where ``f`` is within a
+    relative half of the band of ``exact``, the search returns the point of
+    the search on ``exact`` alone.
     """
     exact_at = {}
 
     def larger(c, fc, d, fd) -> bool:
-        if exact is None or abs(fc - fd) > _TIE_BAND * max(abs(fc), abs(fd)):
+        if exact is None or _decided(fc - fd, fc, fd):
             return fc > fd
         for z in (c, d):
             if z not in exact_at:
@@ -662,10 +723,9 @@ def _clip(x: float, lo: float, hi: float) -> float:
     return x if x < hi else hi
 
 
-def _sorted(sim: list, fsim: list) -> tuple[list, list]:
-    """Vertices and values by value, stable and NaN last, as ``numpy.argsort`` orders a simplex."""
-    order = sorted(range(len(fsim)), key=lambda k: (fsim[k] != fsim[k], fsim[k]))
-    return [sim[k] for k in order], [fsim[k] for k in order]
+def _nan_last_less(u: float, v: float) -> bool:
+    """Whether value ``u`` sorts before ``v`` in a simplex: by value, NaN last, as ``numpy.argsort``."""
+    return u < v or (v != v and u == u)
 
 
 def _line(a: float, u, b: float, v) -> tuple[float, ...]:
@@ -673,7 +733,9 @@ def _line(a: float, u, b: float, v) -> tuple[float, ...]:
     return tuple(a * x + b * y for x, y in zip(u, v))
 
 
-def nelder_mead(f, simplex, bounds, xatol: float, fatol: float, maxiter: int, maxfev: int) -> NelderMeadResult:
+def nelder_mead(
+    f, simplex, bounds, xatol: float, fatol: float, maxiter: int, maxfev: int, exact=None
+) -> NelderMeadResult:
     """Minimize ``f`` by the Nelder-Mead simplex method from the given simplex.
 
     The method of Nelder & Mead (Comput. J. 1965) with the fixed
@@ -692,6 +754,16 @@ def nelder_mead(f, simplex, bounds, xatol: float, fatol: float, maxiter: int, ma
     each coordinate and within ``fatol`` of its value, or when ``maxiter``
     iterations or ``maxfev`` evaluations are spent, the last possibly in the
     middle of an iteration.
+
+    With ``exact``, ``f`` is a fast form of it, and every test of values
+    runs under the tie rule of :func:`_decided`: the comparisons of the
+    trial points, the stable, NaN-last order of the simplex and the
+    ``fatol`` test, which turns on the sign of ``|f0 - fk| - fatol``.  A
+    test the fast values leave open runs on the ``exact`` values of the
+    same points, each taken at most once and not counted in ``nfev``.
+    Where ``f`` is within a relative half of the band of ``exact``, the
+    search returns the vertex, counts and verdict of the search on
+    ``exact`` alone.
     """
     n = len(simplex) - 1
     sim = [tuple(map(float, v)) for v in simplex]
@@ -706,51 +778,79 @@ def nelder_mead(f, simplex, bounds, xatol: float, fatol: float, maxiter: int, ma
 
     nfev = 0
 
-    def evaluate(v):
+    # a value is [fast value, the point it was taken at, exact value or None
+    # until a test needs it]; a shrink cut short by the budget moves a vertex
+    # and leaves it the value of its old point
+    def evaluate(v) -> list:
         nonlocal nfev
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return f(v)
+        return [f(v), v, None]
 
-    fsim = [math.inf] * (n + 1)
+    def exact_value(value) -> float:
+        if value[2] is None:
+            value[2] = exact(value[1])
+        return value[2]
+
+    def holds(test, a, b, gap: float) -> bool:
+        """``test`` on the values a and b, where ``gap`` of their fast values decides it."""
+        if exact is None or _decided(gap, a[0], b[0]):
+            return test(a[0], b[0])
+        return test(exact_value(a), exact_value(b))
+
+    def less(a, b) -> bool:
+        return holds(operator.lt, a, b, a[0] - b[0])
+
+    def within_fatol(u: float, v: float) -> bool:
+        return abs(u - v) <= fatol
+
+    def order() -> None:
+        """Sort the simplex in place, stable and NaN last (an insertion sort)."""
+        for k in range(1, n + 1):
+            while k and holds(_nan_last_less, fsim[k], fsim[k - 1], fsim[k][0] - fsim[k - 1][0]):
+                sim[k - 1], sim[k], fsim[k - 1], fsim[k] = sim[k], sim[k - 1], fsim[k], fsim[k - 1]
+                k -= 1
+
+    # a vertex the budget leaves unevaluated keeps an infinite value, exact too
+    fsim = [[math.inf, v, math.inf] for v in sim]
     try:
         for k in range(n + 1):
             fsim[k] = evaluate(sim[k])
     except _BudgetSpent:
         pass
-    sim, fsim = _sorted(sim, fsim)
+    order()
 
     nit = 1
     while nfev < maxfev and nit < maxiter:
         try:
             best, worst = sim[0], sim[-1]
             if all(abs(x - b) <= xatol for v in sim[1:] for x, b in zip(v, best)) and all(
-                abs(fsim[0] - fv) <= fatol for fv in fsim[1:]
+                holds(within_fatol, fsim[0], value, abs(fsim[0][0] - value[0]) - fatol) for value in fsim[1:]
             ):
                 break
             # the centroid of all but the worst vertex, summed in order as numpy
             # reduces rows (sum() would start at 0 and, from Python 3.12, compensate)
             xbar = [functools.reduce(operator.add, column) / n for column in zip(*sim[:-1])]
             xr = clip(_line(2, xbar, -1, worst))  # reflection
-            fxr = evaluate(xr)
-            if fxr < fsim[0]:
+            r = evaluate(xr)
+            if less(r, fsim[0]):
                 xe = clip(_line(3, xbar, -2, worst))  # expansion
-                fxe = evaluate(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+                e = evaluate(xe)
+                sim[-1], fsim[-1] = (xe, e) if less(e, r) else (xr, r)
+            elif less(r, fsim[-2]):
+                sim[-1], fsim[-1] = xr, r
             else:
-                if fxr < fsim[-1]:
+                if less(r, fsim[-1]):
                     xc = clip(_line(1.5, xbar, -0.5, worst))  # outside contraction
-                    fxc = evaluate(xc)
-                    shrink = not fxc <= fxr
+                    c = evaluate(xc)
+                    shrink = not holds(operator.le, c, r, c[0] - r[0])
                 else:
                     xc = clip(_line(0.5, xbar, 0.5, worst))  # inside contraction
-                    fxc = evaluate(xc)
-                    shrink = not fxc < fsim[-1]
+                    c = evaluate(xc)
+                    shrink = not less(c, fsim[-1])
                 if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
+                    sim[-1], fsim[-1] = xc, c
                 else:
                     for j in range(1, n + 1):
                         sim[j] = clip(tuple(b + 0.5 * (x - b) for x, b in zip(sim[j], best)))
@@ -758,6 +858,6 @@ def nelder_mead(f, simplex, bounds, xatol: float, fatol: float, maxiter: int, ma
             nit += 1
         except _BudgetSpent:
             pass
-        sim, fsim = _sorted(sim, fsim)
+        order()
 
     return NelderMeadResult(sim[0], nfev, nit, nfev < maxfev and nit < maxiter)

@@ -114,7 +114,7 @@ class MomentEstimatorConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MomentEstimatorConfig":
-        return from_json(cls, obj, accept=("method",))
+        return from_json(cls, obj, fixed={"method": "moments"})
 
 
 @dataclass(frozen=True)

@@ -17,22 +17,31 @@ search plan bounds or wraps.
   one real product.  The identity terms are constants computed once per
   covariance, and the grid's 2x2 systems concentrate in one broadcast call
   of the nonnegative closed form, :func:`_concentrate_terms`.
-- Polish and final coefficients: the terms of the exact M x M product form
-  :func:`~tomoments.fitting.fit_terms` at each point, called on per-fit
-  tables (the basis stack, ``1j * kz`` and the array's baseline
-  differences) and concentrated on Python floats by
-  :func:`_concentrate_pair`, the same closed form in the same order, so
-  bit-identical to the array form without its per-call overhead.  Each
-  point writes the shape's characteristic function at the differences into
-  the stack, the entries of :func:`~tomoments.profiles.shape_matrix`
-  without its profile, its recomputed differences or its Hermitian average
-  (:func:`_point_evaluator`).
-  The polish is the package's own Nelder-Mead on Python floats,
-  :func:`~tomoments.fitting.nelder_mead`.
+- Exact points: the terms of the M x M product form
+  :func:`~tomoments.fitting.fit_terms`, called on per-fit tables (the basis
+  stack, ``1j * kz`` and the array's baseline differences) and concentrated
+  on Python floats by :func:`_concentrate_pair`, the same closed form in
+  the same order, so bit-identical to the array form without its per-call
+  overhead.  Each point writes the shape's characteristic function at the
+  differences into the stack, the entries of
+  :func:`~tomoments.profiles.shape_matrix` without its profile, its
+  recomputed differences or its Hermitian average (:func:`_point_evaluator`).
+  They give the final coefficients and the zero-spread comparison.
+- Polish: the package's own Nelder-Mead on Python floats,
+  :func:`~tomoments.fitting.nelder_mead`.  On a weighting of condition
+  number at most 1e3 its points take the Gram form of the prepared table
+  at one point, :func:`~tomoments.fitting._shape_point_terms`, about half
+  the cost of an exact point (:func:`_gram_point_evaluator`), and every
+  test of two values within a relative 1e-10 of each other (a near-tie)
+  runs on their exact values; a point near the 2x2 determinant screen
+  takes the exact form.  The polish then returns the search on exact
+  points alone, vertex, counts and diagnostics.  On a worse-conditioned
+  weighting, where the Gram form is not that close, every point is exact.
 
-What the fit needs of the covariance alone (the weighting, the coefficient
-table of the data stack ``(W Rbar W, W W)``, its traces, which are the
-identity's constant terms, and the cost constant) comes from a
+What the fit needs of the covariance alone (the weighting and its
+condition number, the coefficient table of the data stack
+``(W Rbar W, W W)``, its traces, which are the identity's constant terms,
+and the cost constant) comes from a
 :class:`~tomoments.fitting.PreparedCovariance`, shared by the fits on it.
 
 On uniformly spaced arrays the unconstrained fit is ambiguous: a
@@ -52,6 +61,7 @@ import numpy as np
 
 from ._fields import choice, count, from_json, real, to_json
 from .fitting import (
+    _FAST_CONDITION_LIMIT,
     _PLAN_CACHE_SIZE,
     _SearchPlan,
     PreparedCovariance,
@@ -60,6 +70,7 @@ from .fitting import (
     _prepared,
     _read_only,
     _search_plan,
+    _shape_point_terms,
     fit_terms,
     shape_terms_grid,
 )
@@ -82,6 +93,14 @@ ASSUMED_SHAPES = ("uniform", "gaussian")
 
 _SIGMA_MAX_REL = 0.3
 _TINY = float(np.finfo(float).tiny)
+# the 2x2 determinant, relative to Y11 Y22, at or below which a polish point
+# takes the product form rather than the Gram form: the objective and the
+# pinv flag jump at _concentrate_pair's screen (1e-12), and a small
+# determinant amplifies the Gram terms' rounding in the interior solution, to
+# a gap of 8e-11 from the product form at 4e-6 on the reference stack
+# (tests/test_parametric.py); no benchmark point falls below 1e-4, one
+# bias-scan point below 1e-3
+_FAST_DET_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -129,7 +148,7 @@ class ParametricEstimatorConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ParametricEstimatorConfig":
-        return from_json(cls, obj, accept=("method",), sigma_grid=lambda grid: from_json(SigmaGrid, grid))
+        return from_json(cls, obj, fixed={"method": "parametric"}, sigma_grid=lambda grid: from_json(SigmaGrid, grid))
 
 
 @dataclass(frozen=True)
@@ -231,6 +250,33 @@ def _point_evaluator(shape: str, array: ArrayConfig, W: np.ndarray, WRW: np.ndar
     return concentrated
 
 
+def _gram_point_evaluator(shape: str, covariance: PreparedCovariance, product_form):
+    """:func:`_point_evaluator`'s criterion in the Gram form of the prepared table.
+
+    The same ``(z, sigma) -> (P, sigma_eps2, objective, degenerate)``, from
+    :func:`~tomoments.fitting._shape_point_terms` on ``covariance.terms``
+    with the shape's characteristic function at the frequencies ``f >= 0``,
+    and the ``covariance.traces`` as the identity's terms, concentrated by
+    :func:`_concentrate_pair`.  It agrees to rounding with ``product_form``,
+    the :func:`_point_evaluator` of the same fit, and returns its values at
+    every point whose determinant is at most ``_FAST_DET_MIN`` of
+    ``Y11 Y22``, where the screen or the rounding would set the two apart.
+    """
+    terms = covariance.terms
+    frequencies = terms.frequencies[terms.frequencies.size // 2 :]
+    terms_at = _shape_point_terms(terms)
+    noise_y, noise_Y = covariance.traces.tolist()
+
+    def concentrated(point) -> tuple[float, float, float, bool]:
+        z, sigma = point
+        (y1, Y12), Y11 = terms_at(z, shape_characteristic(shape, abs(float(sigma)), frequencies))
+        if not Y11 * noise_Y - Y12 * Y12 > _FAST_DET_MIN * Y11 * noise_Y:
+            return product_form(point)
+        return _concentrate_pair(y1, noise_y, Y11, Y12, noise_Y)
+
+    return concentrated
+
+
 class _ParametricPlan(NamedTuple):
     """The tables of a parametric fit that depend only on the config and the array:
     the height ``search``, the ``sigma_values (S,)`` of the spread grid and the
@@ -286,9 +332,17 @@ def estimate_parametric(
     best_z, best_s = np.unravel_index(int(np.argmax(objective)), objective.shape)
     flags = {"pinv": False}
     concentrated = _point_evaluator(config.assumed_shape, array, covariance.W, covariance.WRW)
+    point, exact = concentrated, None
+    if covariance.condition <= _FAST_CONDITION_LIMIT:
+        # the polish's points in the Gram form, its near-ties in the product
+        # form: the weighting is well enough conditioned for the two to agree
+        point = _gram_point_evaluator(config.assumed_shape, covariance, concentrated)
 
-    def negated(point) -> float:
-        _, _, q, degenerate = concentrated(point)
+        def exact(at) -> float:
+            return -concentrated(at)[2]
+
+    def negated(at) -> float:
+        _, _, q, degenerate = point(at)
         flags["pinv"] = flags["pinv"] or degenerate
         return -q
 
@@ -304,6 +358,7 @@ def estimate_parametric(
         fatol=1e-9 * (1.0 + abs(q_start)),
         maxiter=4000,
         maxfev=8000,
+        exact=exact,
     )
     z0_hat, sigma_z_hat = search.wrap(result.x[0]), abs(result.x[1])
 

@@ -130,6 +130,18 @@ def test_from_json_refuses_a_key_that_names_no_field(read, key):
         read()
 
 
+@pytest.mark.parametrize(
+    "config, method",
+    [(MomentEstimatorConfig, "parametric"), (ParametricEstimatorConfig, "moments"), (MomentEstimatorConfig, "moment")],
+)
+def test_a_config_refuses_a_method_that_is_not_its_own(config, method):
+    # a config read on its own used to build itself whatever estimator its
+    # "method" named; its own method is still read
+    with pytest.raises(ValueError, match="'method'"):
+        config.from_json({"method": method})
+    assert config.from_json(config().to_json()) == config()
+
+
 def test_from_json_names_a_missing_field():
     obj = PROFILE.to_json()
     del obj["P"]

@@ -1,3 +1,4 @@
+import collections
 import math
 import subprocess
 import sys
@@ -74,9 +75,11 @@ def test_weighting_inverse_sample(reference_covariance):
 def test_weighting_rank_deficient_gets_loaded(reference_covariance):
     stack = sample_snapshots(reference_covariance, 3, seed=0)  # N < M: singular
     R_bar = sample_covariance(stack)
-    W, loaded = _weighting_flagged(R_bar, "inverse_sample")
+    W, loaded, condition = _weighting_flagged(R_bar, "inverse_sample")
     assert loaded
     assert np.all(np.isfinite(W))
+    # the condition is the loaded matrix's, below the 1e12 that triggers loading
+    assert condition == pytest.approx(np.linalg.cond(W), rel=1e-6) and condition < 1e12
 
 
 def test_weighting_degenerate_raises():
@@ -565,11 +568,12 @@ def test_point_objective_refuses_non_finite_input(rng, reference_array):
         broken(12.5)
 
 
-def _same_search_as_scipy(f, simplex, **options):
+def _same_search_as_scipy(f, simplex, exact=None, **options):
     """Run ``nelder_mead`` and scipy's Nelder-Mead; require the same bits of the
-    best vertex, the same evaluation and iteration counts and the same verdict."""
-    ours = nelder_mead(f, simplex, **options)
-    theirs = nelder_mead_scipy(f, simplex, **options)
+    best vertex, the same evaluation and iteration counts and the same verdict.
+    With ``exact``, ``f`` is its fast form: scipy runs on ``exact`` alone."""
+    ours = nelder_mead(f, simplex, exact=exact, **options)
+    theirs = nelder_mead_scipy(f if exact is None else exact, simplex, **options)
     assert np.array(ours.x, dtype=float).tobytes() == theirs.x.tobytes()
     assert (ours.nfev, ours.nit, ours.success) == (theirs.nfev, theirs.nit, theirs.success)
     return ours
@@ -648,8 +652,75 @@ def test_nelder_mead_iteration_cap_like_scipy(maxiter):
     assert not result.success
 
 
+def _within_half_the_band(f):
+    """A fast form of ``f``: off by a relative 0.45 of the tie band, in a sign that flips with ``x[0]``."""
+    def fast(x):
+        return f(x) * (1.0 + 0.45 * _TIE_BAND * math.sin(1e7 * x[0]))
+
+    return fast
+
+
+def _counted(f, calls):
+    def counting(x):
+        calls.append(x)
+        return f(x)
+
+    return counting
+
+
+def _same_result(a, b) -> bool:
+    return np.array(a.x).tobytes() == np.array(b.x).tobytes() and a[1:] == b[1:]
+
+
+@pytest.mark.parametrize("case", list(NELDER_MEAD_CASES))
+def test_nelder_mead_decides_near_ties_on_the_exact_values(case):
+    # a fast form within half the band of f returns the search on f alone,
+    # bits and counts, with ties, NaN and bounds; the exact values are not
+    # evaluations, and each point's is taken at most once
+    f, simplex, bounds = NELDER_MEAD_CASES[case]
+    options = dict(bounds=bounds, xatol=1e-8, fatol=1e-8, maxiter=4000, maxfev=8000)
+    evaluated, asked = [], []
+    result = nelder_mead(_counted(_within_half_the_band(f), evaluated), simplex, exact=_counted(f, asked), **options)
+    assert _same_result(result, nelder_mead(f, simplex, **options))
+    assert len(evaluated) == result.nfev
+    # a point evaluated k times (the search can return to one) has its exact value taken at most k times
+    points = collections.Counter(np.array(x).tobytes() for x in evaluated)
+    assert not collections.Counter(np.array(x).tobytes() for x in asked) - points
+
+
+def test_nelder_mead_fast_values_decide_what_they_settle():
+    # values far apart are compared as they are: this search meets no near-tie
+    def refuse(x):
+        raise AssertionError(f"exact value asked at {x}")
+
+    options = dict(bounds=None, xatol=1e-8, fatol=1e-8, maxiter=4000, maxfev=8000)
+    expected = nelder_mead(_rosenbrock, START, **options)
+    assert _same_result(nelder_mead(_rosenbrock, START, exact=refuse, **options), expected)
+
+
+# fatol a power of two and values on a grid of it: two vertices on adjacent
+# terraces differ by exactly fatol, which the stopping test accepts
+_FATOL = 2.0**-20
+
+
+def _fatol_terraces(x):
+    return 1.0 + _FATOL * math.floor(4.0 * (x[0] * x[0] + x[1] * x[1]))
+
+
+def test_nelder_mead_stopping_test_on_fatol_takes_the_exact_values():
+    # |f0 - fk| - fatol is 0 on the exact values and within the band on the
+    # fast ones: the fast values alone stop elsewhere, the tie rule where f does
+    options = dict(bounds=None, xatol=1.0, fatol=_FATOL, maxiter=4000, maxfev=8000)
+    simplex = ((0.9, 0.8), (1.3, -0.2), (-0.4, 1.1))
+    fast = _within_half_the_band(_fatol_terraces)
+    expected = nelder_mead(_fatol_terraces, simplex, **options)
+    assert not _same_result(nelder_mead(fast, simplex, **options), expected)
+    assert _same_result(nelder_mead(fast, simplex, exact=_fatol_terraces, **options), expected)
+
+
 def _polish_searches(R_bar, config, array):
-    """The ``(objective, simplex, options)`` of every polish one estimate runs."""
+    """The ``(objective, simplex, options)`` of every polish one estimate runs;
+    the options hold the product-form objective as ``exact`` when ``objective`` is its fast form."""
     searches = []
 
     def record(f, simplex, **options):
@@ -664,14 +735,16 @@ def _polish_searches(R_bar, config, array):
 @pytest.mark.parametrize("z0_max", [None, 37.0])
 @pytest.mark.parametrize("shape", ["uniform", "gaussian"])
 def test_polish_matches_scipy_on_the_reference_stack(reference_covariance, reference_array, shape, z0_max):
-    # the concentrated objective on sampled reference covariances; z0_max =
-    # 37 m is not a period of the stack, so the height is bounded
+    # the concentrated objective on sampled reference covariances, its fast
+    # points against scipy on the product form alone; z0_max = 37 m is not a
+    # period of the stack, so the height is bounded
     config = ParametricEstimatorConfig(assumed_shape=shape, z0_max=z0_max)
     for N in (100, 1000):
         for seed in range(5):
             R_bar = sample_covariance(sample_snapshots(reference_covariance, N, seed=seed))
             [(f, simplex, options)] = _polish_searches(R_bar, config, reference_array)
             assert (options["bounds"] is None) is (z0_max is None)
+            assert options["exact"] is not None
             _same_search_as_scipy(f, simplex, **options)
 
 
@@ -687,6 +760,7 @@ def test_polish_matches_scipy_on_irregular_stacks(stack, z0_frac):
     for seed in range(4):
         R_bar = sample_covariance(sample_snapshots(R, 1000, seed=seed))
         [(f, simplex, options)] = _polish_searches(R_bar, config, array)
+        assert options["exact"] is not None
         _same_search_as_scipy(f, simplex, **options)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,13 +22,22 @@ from tomoments import (
 )
 from tomoments.experiments import ExperimentSpec, default_spec
 from tomoments.fitting import (
+    _FAST_CONDITION_LIMIT,
+    _TIE_BAND,
+    PreparedCovariance,
     cost_constant,
     fit_terms,
     harmonic_terms,
     nelder_mead,
     shape_terms_grid,
 )
-from tomoments.parametric import _concentrate_pair, _concentrate_terms, _parametric_plan, _point_evaluator
+from tomoments.parametric import (
+    _concentrate_pair,
+    _concentrate_terms,
+    _gram_point_evaluator,
+    _parametric_plan,
+    _point_evaluator,
+)
 from tomoments.profiles import shape_characteristic, shape_matrix
 
 from .conftest import IRREGULAR_STACKS
@@ -297,30 +307,153 @@ def test_point_evaluator_matches_array_concentration(rng, shape, name):
 @pytest.mark.parametrize("profile", ["uniform_profile", "point_profile"])
 @pytest.mark.parametrize("shape", ["uniform", "gaussian"])
 def test_polish_points_go_through_fit_terms(request, reference_array, profile, shape, monkeypatch):
-    # every Nelder-Mead evaluation, the final point and, when the polish ends
-    # off zero spread, the zero-spread point each make one call of the module
-    # global tomoments.parametric.fit_terms, the name a tracer patches to time them
+    # the polish takes its points in the Gram form: the module global
+    # tomoments.parametric.fit_terms, the name a tracer patches to time the
+    # product form, is called once per near-tie point, for the final point and,
+    # when the polish ends off zero spread, for the zero-spread point; the
+    # estimate is the exact-only polish's in every field
     R = true_covariance(request.getfixturevalue(profile), reference_array, 10.0)
     config = ParametricEstimatorConfig(assumed_shape=shape)
-    calls, polished = [], []
+    calls, polished, near_ties = [], [], []
 
     def counting(*args):
         calls.append(args)
         return fit_terms(*args)
 
-    def polish(*args, **kwargs):
-        polished.append(nelder_mead(*args, **kwargs))
+    def polish(f, simplex, exact, **options):
+        polished.append(nelder_mead(f, simplex, exact=_counting(exact, near_ties), **options))
         return polished[-1]
 
     monkeypatch.setattr("tomoments.parametric.fit_terms", counting)
     monkeypatch.setattr("tomoments.parametric.minimize", polish)
     result = estimate_parametric(R, config, reference_array)
     (search,) = polished
-    assert len(calls) == search.nfev + 1 + (abs(search.x[1]) > 0.0)
+    assert len(calls) == len(near_ties) + 1 + (abs(search.x[1]) > 0.0) < search.nfev / 4
     monkeypatch.undo()
+    monkeypatch.setattr("tomoments.parametric._FAST_CONDITION_LIMIT", 0.0)
     assert result == estimate_parametric(R, config, reference_array)
 
 
+def _exact_only_cases(name):
+    """``(covariance, z0_max)`` pairs on one array of :data:`POINT_ARRAYS`: a
+    uniform source's exact covariance and its samples at N = 100, 1000 and
+    10000, and noiseless exact covariances of the bias scan's spreads, whose
+    weightings lie far above the condition limit."""
+    array, z_max = POINT_ARRAYS[name]
+    truth = true_covariance(SourceProfile("uniform", 0.1 * z_max, 0.05 * z_max, 100.0), array, 10.0)
+    yield truth
+    for N in (100, 1000, 10000):
+        for seed in range(2):
+            yield sample_covariance(sample_snapshots(truth, N, seed=seed))
+    for sigma_z in (0.0, 0.02, 0.05, 0.1, 0.2):
+        yield true_covariance(SourceProfile("uniform", 0.1 * z_max, sigma_z * z_max, 100.0), array, 0.0)
+
+
+def _polished(R_bar, config, array):
+    """The estimate and its polish's ``NelderMeadResult``, its vertex as bytes."""
+    results = []
+
+    def polish(*args, **kwargs):
+        results.append(nelder_mead(*args, **kwargs))
+        return results[-1]
+
+    with mock.patch("tomoments.parametric.minimize", polish):
+        estimate = estimate_parametric(R_bar, config, array)
+    (result,) = results
+    fields = dataclasses.astuple(estimate)
+    return _bits(*fields[:-1]), estimate.diagnostics, np.array(result.x).tobytes(), result[1:]
+
+
+@pytest.mark.parametrize(
+    "shape, name",
+    [
+        pytest.param(shape, name, id=shape if name == "reference" else f"{shape}-{name}")
+        for shape in ("uniform", "gaussian")
+        for name in ("reference", *IRREGULAR_STACKS)
+    ],
+)
+def test_estimate_equals_the_exact_only_polish(shape, name):
+    # the polish on fast points with near-ties on the product form returns
+    # the polish on the product form alone: every number's bits, the
+    # diagnostics, the polished vertex and nfev, nit and success
+    array, z_max = POINT_ARRAYS[name]
+    config = ParametricEstimatorConfig(assumed_shape=shape, z0_max=None if name == "reference" else z_max)
+    screened = 0
+    for index, R_bar in enumerate(_exact_only_cases(name)):
+        covariance = PreparedCovariance(R_bar, array, "inverse_sample")
+        screened += covariance.condition > _FAST_CONDITION_LIMIT
+        fast = _polished(covariance, config, array)
+        with mock.patch("tomoments.parametric._FAST_CONDITION_LIMIT", 0.0):
+            assert _polished(covariance, config, array) == fast, index
+    assert 0 < screened < index
+
+
+def _counting(f, calls):
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    return counted
+
+
+@pytest.mark.parametrize(
+    "shape, name",
+    [
+        pytest.param(shape, name, id=shape if name == "reference" else f"{shape}-{name}")
+        for shape in ("uniform", "gaussian")
+        for name in ("reference", *IRREGULAR_STACKS)
+    ],
+)
+def test_gram_points_are_within_a_tenth_of_the_tie_band(shape, name):
+    # the premise of the polish's near-tie rule: on weightings up to the
+    # screen's condition limit, a fast point's objective is within a tenth
+    # of the band of the product form's, at zero, negative-zero and random
+    # spreads up to 0.3 z_amb, and spreads within 1e-9..1e-1 of the one at
+    # which a uniform shape's characteristic function vanishes at every
+    # harmonic frequency (on the uniform stack the shape is the identity
+    # there, and the 2x2 systems near-singular).  The covariances are
+    # sampled at N = M..3M, each also stretched to just below the limit, and
+    # the exact covariance of a source of nearly that spread, whose systems
+    # there take the interior solution.  The points the fast form sends to
+    # the product form are left out: on the uniform stack, the last
+    # covariance's gap reaches 8e-11 at a relative determinant of 4e-6
+    array, z_max = POINT_ARRAYS[name]
+    truth = true_covariance(SourceProfile("uniform", 0.3 * z_max, 0.05 * z_max, 100.0), array, 10.0)
+    identity_spread = z_max / np.sqrt(12.0)
+    near_identity = SourceProfile("uniform", 0.3 * z_max, (1.0 - 1e-3) * identity_spread, 100.0)
+    rng = np.random.default_rng(7)
+    offsets = np.geomspace(1e-9, 1e-1, 20)
+    spreads = identity_spread * np.concatenate([1.0 + offsets, 1.0 - offsets])
+    gaps, conditions, sent = [], [], []
+    covariances = [true_covariance(near_identity, array, 10.0)]
+    for N in range(array.M, 3 * array.M):
+        R_bar = sample_covariance(sample_snapshots(truth, N, seed=N))
+        covariances += [R_bar, _with_condition(R_bar, 0.999 * _FAST_CONDITION_LIMIT)]
+    for R in covariances:
+        covariance = PreparedCovariance(R, array, "inverse_sample")
+        if covariance.condition > _FAST_CONDITION_LIMIT:
+            continue
+        conditions.append(covariance.condition)
+        exact = _point_evaluator(shape, array, covariance.W, covariance.WRW)
+        fast = _gram_point_evaluator(shape, covariance, _counting(exact, sent))
+        for sigma in [0.0, -0.0, *rng.uniform(-0.3, 0.3, 60) * z_max, *spreads]:
+            point = (rng.uniform(-0.2, 1.2) * z_max, sigma)
+            before = len(sent)
+            q_fast, q = fast(point)[2], exact(point)[2]
+            if len(sent) == before:
+                gaps.append(abs(q_fast - q) / abs(q))
+    assert len(gaps) > 1000 and max(conditions) > 0.99 * _FAST_CONDITION_LIMIT
+    assert max(gaps) <= _TIE_BAND / 10
+    if name == "reference" and shape == "uniform":
+        assert sent
+
+
+def _with_condition(R_bar, condition):
+    """``R_bar`` with its eigenvalues spread geometrically about the largest to the given condition number."""
+    values, vectors = np.linalg.eigh(R_bar.matrix)
+    stretched = values[-1] * (values / values[-1]) ** (np.log(condition) / np.log(values[-1] / values[0]))
+    R = (vectors * stretched) @ vectors.conj().T
+    return CovarianceModel(0.5 * (R + R.conj().T))
 @pytest.mark.parametrize("shape", ["uniform", "gaussian"])
 def test_grid_argmax_matches_product_form(reference_covariance, reference_array, shape):
     # the parametric grid from the Gram form picks the same node as the

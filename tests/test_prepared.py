@@ -240,12 +240,27 @@ def test_loading_screen_reads_the_weighting_eigh(condition, loaded):
     with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh, mock.patch(
         "numpy.linalg.eigvalsh", side_effect=AssertionError("eigvalsh called")
     ):
-        W, flagged = _weighting_flagged(R_bar, "inverse_sample")
+        W, flagged, measured = _weighting_flagged(R_bar, "inverse_sample")
     assert flagged is loaded
     assert eigh.call_count == 1 + loaded
-    assert PreparedCovariance(R_bar, REFERENCE, "inverse_sample").loaded is loaded
+    prepared = PreparedCovariance(R_bar, REFERENCE, "inverse_sample")
+    assert prepared.loaded is loaded and prepared.condition == measured
     if not loaded:
         np.testing.assert_allclose(W, np.diag(1.0 / np.diag(R_bar.matrix)), rtol=1e-15, atol=0.0)
+        assert measured == condition
+    else:
+        # the condition of the loaded matrix: 1e-8 of the mean eigenvalue on the diagonal
+        load = 1e-8 * (6.0 + condition) / 7.0
+        assert measured == pytest.approx((condition + load) / (1.0 + load), rel=1e-12)
+
+
+def test_condition_is_the_weightings():
+    # the identity's is 1; an inverse-sample weighting's is its 2-norm condition number
+    truth = true_covariance(SourceProfile("uniform", 10.0, 5.0, 100.0), REFERENCE, REFERENCE_NOISE)
+    R_bar = sample_covariance(sample_snapshots(truth, 100, seed=3))
+    assert PreparedCovariance(R_bar, REFERENCE, "identity").condition == 1.0
+    prepared = PreparedCovariance(R_bar, REFERENCE, "inverse_sample")
+    assert prepared.condition == pytest.approx(np.linalg.cond(prepared.W), rel=1e-10)
 
 
 def _failed(R, entry, array) -> bool:
