@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the 42 CSVs that show whether a change moved any output.
+"""Print the SHA-256 of the 44 CSVs that show whether a change moved any output.
 
 - 16 from the benchmark workloads: every variant of every workload in
   ``perfbench/workloads.py``, run through ``tomoments.cli.main`` (read only;
@@ -11,7 +11,7 @@
   fits and an identity-weighted full D = 6 moment fit; the parametric
   estimator in the spec has no moment polynomial and is skipped;
 - 2 from ``tomoments rmse --trials 6 --workers 2 --dump-trials``;
-- 16 from ``tomoments rmse`` or ``tomoments bias``, by the spec's kind,
+- 18 from ``tomoments rmse`` or ``tomoments bias``, by the spec's kind,
   with ``--trials 6 --dump-trials`` (20 trials where :data:`_TRIALS` says
   so) on the paths those miss (:data:`EXTRA_SPECS`): the identity
   weighting with a full moment fit at D = 6 and with both parametric fits,
@@ -19,11 +19,13 @@
   moment fit bounded the same way with its source 0.3 m inside either
   edge, where the refinement's bracket is clipped to the bounds, both
   parametric fits at N = 6, 8 and 10, whose inverse-sample weightings
-  straddle the condition limit of the polish's fast points, estimator
-  labels that hold a comma and a double quote, so that their cells are
-  quoted with the quotes doubled, and a bias scan of the default
-  estimators on noiseless exact covariances, whose weightings are
-  ill-conditioned (every other scenario has ``sigma_eps2 = 10``).
+  straddle the condition limit of the polish's fast points, both moment
+  fits at N = 4, 6 and 8, whose weightings straddle the same limit of the
+  moment grid's and refinement's fast forms, estimator labels that hold a
+  comma and a double quote, so that their cells are quoted with the quotes
+  doubled, and a bias scan of the default estimators on noiseless exact
+  covariances, whose weightings are ill-conditioned (every other scenario
+  has ``sigma_eps2 = 10``).
 
 Every run omits the timestamp header.  Run it in two checkouts and compare
 the listings: equal lines mean byte-identical CSVs.
@@ -120,6 +122,16 @@ EXTRA_SPECS = {
         "estimators": [{"label": f"parametric-{shape}", "method": "parametric", "assumed_shape": shape}
                        for shape in ("uniform", "gaussian")],
     },
+    # both moment fits on inverse-sample weightings at N = 4, 6 and 8, either
+    # side of the condition limit above which the moment grid and refinement
+    # run on the product form (median cond(W) 5e8 at N = 4 and 6, 1.2e3 at
+    # N = 8 on 40 seeds), 20 trials
+    "moments-small-N": {
+        **_SCENARIO,
+        "N_list": [4, 6, 8],
+        "array": {"M": 7, "z_amb": 100.0},
+        "estimators": [entry.to_json() for entry in default_estimators()[:2]],
+    },
     "quoted-labels": {
         **_SCENARIO,
         "array": {"M": 7, "z_amb": 100.0},
@@ -133,7 +145,7 @@ EXTRA_SPECS = {
 # the subcommand that runs a spec of each kind
 _SUBCOMMANDS = {"rmse_vs_N": "rmse", "asymptotic_bias_vs_sigma": "bias"}
 # trials of an extra spec, 6 unless named here
-_TRIALS = {"condition-straddle": 20}
+_TRIALS = {"condition-straddle": 20, "moments-small-N": 20}
 
 
 def _run(argv) -> None:

@@ -14,7 +14,8 @@ cost's M^2 x M^2 Kronecker form is never formed; the one M^2 x M^2 matrix is
 ``kron(conj L, L)``, W = L L^H, built once per prepared covariance.
 
 - Exact points (the near-ties of both refinements, both fits' final
-  coefficients and every polish point on an ill-conditioned weighting):
+  coefficients, and on an ill-conditioned weighting the moment grid and
+  every point of either refinement):
   :func:`fit_terms`, the one product-form point function, builds the terms
   from M x M products, ``Y_ik = tr(C_i C_k)`` with ``C_k = G H_k``, which
   holds only for a Hermitian basis.
@@ -27,13 +28,19 @@ cost's M^2 x M^2 Kronecker form is never formed; the one M^2 x M^2 matrix is
   quadratic form in the responses with ``Q``; :func:`shape_terms_grid` does
   the same for a single real, even response per system (the parametric
   shapes over a sigma grid).
-- The moment fit's golden-section points: :func:`_point_objective` takes
-  :func:`fit_terms_grid`'s Gram form at one height and solves the system
-  with one bordered Cholesky factorization.
+- The moment fit's golden section: on the bracket of its best grid node,
+  :func:`_objective_interpolant` solves :func:`fit_terms_grid`'s terms at
+  the bracket's 21 Chebyshev-Lobatto nodes (:func:`_interpolant_nodes`) as
+  one batch, and :func:`_chebyshev_interpolant` turns the values into a
+  Chebyshev series with one fixed DCT-I matrix and evaluates it by
+  Clenshaw's recurrence on Python floats.  It is refused when a node needs
+  the pseudo-inverse or the series' last two coefficients fail a tail test.
 - The parametric polish's points: :func:`_shape_point_terms` takes
-  :func:`shape_terms_grid`'s Gram form at one (height, spread) point, on a
+  :func:`shape_terms_grid`'s Gram form at one (height, spread) point.
+- Both fast forms of a refinement, and the moment grid, run only on a
   weighting of condition number at most ``_FAST_CONDITION_LIMIT`` (1e3),
-  which :class:`PreparedCovariance` records.
+  which :class:`PreparedCovariance` records: forming the Gram form squares
+  the condition.
 
 All return exactly real terms; on the same inputs they agree to rounding.
 Near a flat optimum a change of the objective at the rounding level moves
@@ -43,9 +50,10 @@ polish, decide a test whose fast values are within a relative ``1e-10`` of
 each other (a near-tie, :func:`_decided`) on their product-form values: each
 returns the point of its search on the product form alone, and every
 estimate keeps its bits, wherever the fast form is within half that band of
-the product form.  The golden section's fast form is not on a noiseless
-covariance, whose weighting is ill-conditioned; the polish takes no fast
-point there.
+the product form.  On an ill-conditioned weighting (a noiseless covariance,
+or one sampled from fewer snapshots than acquisitions) the moment grid, the
+golden section and the polish run on the product form alone; the parametric
+grid still takes the Gram form there.
 What every fit needs of the covariance and its weighting alone (``W``,
 ``W Rbar W``, the cost constant and one :class:`HarmonicTerms` table) is
 computed once in a :class:`PreparedCovariance`, which the fits with that
@@ -116,10 +124,10 @@ _CERTIFY_MAX_K = 13
 # relative gap within which the two refinements, the moment fit's golden
 # section and the parametric fit's Nelder-Mead polish, decide a test on the
 # product-form values rather than the fast ones (a near-tie; see _decided):
-# the golden section's fast point form's largest gap from the product form
-# over 35,784 refinement points, D = 2..8 on five stacks, is 9.4e-14, and
-# tests/test_moments.py holds it to a tenth of the band; tests/test_parametric.py
-# does the same for the polish's fast points
+# the golden section's interpolant stays within 1.5e-13 of the product form
+# (see _INTERPOLANT_NODES), and tests/test_moments.py holds it to a tenth of
+# the band on five stacks at D = 2..8; tests/test_parametric.py does the same
+# for the polish's fast points
 _TIE_BAND = 1e-10
 # the largest 2-norm condition number of the weighting on which the polish
 # takes Gram-form points.  Forming a Gram matrix squares the condition
@@ -128,6 +136,20 @@ _TIE_BAND = 1e-10
 # (tests/test_parametric.py), the benchmark's weightings reach 92, and the
 # noiseless bias scan's, far above it, move its parametric rows without it
 _FAST_CONDITION_LIMIT = 1e3
+# the moment fit's fast form on a bracket: the Chebyshev interpolant through
+# this many Chebyshev-Lobatto nodes, refused when either of its last two
+# coefficients exceeds _INTERPOLANT_TAIL of the largest node value (the tail
+# test of Battles & Trefethen, SIAM J. Sci. Comput. 2004).  On the reference
+# stack, D = 4, 6 and 8, full and symmetric, 15 sampled covariances at each of
+# N = 100, 1000 and 10000, its largest gap from the product form over 23
+# heights per bracket was 8.4e-14 at 21 nodes, 6.4e-12 at 17 and 2.7e-9 at 13;
+# at N = 20 the test refused 6 of 120 brackets, whose gaps reached 6.2e-12,
+# and the largest gap of an accepted one was 1.5e-13.  The default grid makes
+# a bracket at most 1/8 of a Fourier resolution cell, where the objective is
+# smooth; an exact point source under inverse-sample weighting peaks too
+# sharply there, and the test refuses its bracket
+_INTERPOLANT_NODES = 21
+_INTERPOLANT_TAIL = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Height-grid default: at least 8 points per acquisition and 16 per resolution cell.
 _GRID_PER_CHANNEL = 8
@@ -422,62 +444,6 @@ def fit_terms_grid(hz: np.ndarray, terms: HarmonicTerms):
     return y, (U @ np.swapaxes(V, -1, -2)).real
 
 
-def _point_objective(h: np.ndarray, terms: HarmonicTerms, bound: float):
-    """The concentrated objective at one height at a time, from harmonic coefficients.
-
-    ``h (K, F)`` holds the basis responses at ``terms.frequencies`` (Hermitian,
-    as for :func:`fit_terms_grid`), ``terms.c`` one column ``(F,)`` and
-    ``bound`` is positive and at least the objective at every height (the
-    cost constant is).  Returns a function ``z -> (objective, used_pinv)``;
-    a non-finite ``z`` is refused with ``ValueError``.
-
-    Y is :func:`fit_terms_grid`'s Gram form at one height, and so is y, over
-    the rows ``f >= 0`` as ``c_{-f} = conj(c_f)``.  The system is bordered,
-    ``B = [[Y, y], [y^T, 4 bound]]``, and equilibrated as in
-    :func:`solve_quadratic`, which makes the corner 1 and scales the border
-    to ``ys / sqrt(4 bound)``.  One Cholesky factorization of the stack
-    ``(B - 1e-10 I_K, B)``, the batch path's certificate shift on the leading
-    block only, then proves that :func:`_solve_single`'s eigenvalue screen
-    would pass the system and gives, in the second factor's last row,
-    ``L^-1 ys / sqrt(4 bound)``, so that the objective ``||L^-1 ys||^2`` is
-    ``4 bound`` times its squared norm (the corner pivot, one minus that
-    norm, stays above 3/4).  A system with a non-finite entry or a
-    nonpositive diagonal, or one the factorization refuses, goes to
-    :func:`_solve_single`, with its screen, pseudo-inverse fallback and
-    ``ValueError``.  The objective agrees with :func:`fit_terms` +
-    :func:`solve_quadratic` to rounding, not to the bit.
-    """
-    K, F = h.shape
-    half = F // 2
-    weights = _half_weights(terms.frequencies)
-    gram = terms.Q.conj().T * weights
-    data = weights * terms.c[half:]
-    frequencies = terms.frequencies
-    system = np.zeros((K + 1, K + 1))
-    system[K, K] = 4.0 * bound
-    shifts = np.zeros((2, K + 1, K + 1))
-    shifts[0, range(K), range(K)] = _CERTIFY_SHIFT
-
-    def at(z: float):
-        hz = h * np.exp(1j * _finite_height(z) * frequencies)
-        nonnegative = hz[:, half:]
-        system[:K, :K] = (nonnegative @ (hz.conj() @ gram).T).real
-        system[K, :K] = system[:K, K] = (nonnegative @ data).real
-        diag = system.diagonal()
-        if np.isfinite(system).all() and diag.min() > 0.0:
-            scale = np.sqrt(diag)
-            try:
-                factors = np.linalg.cholesky(system / np.multiply.outer(scale, scale) - shifts)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                border = factors[1, K, :K]
-                return float(border @ border) * system[K, K], False
-        return _solve_single(system[K, :K].copy(), system[:K, :K].copy())[1:]
-
-    return at
-
-
 def shape_terms_grid(phi: np.ndarray, phase: np.ndarray, terms: HarmonicTerms):
     """Terms of a one-matrix basis with a real, even response, on a (height, response) grid.
 
@@ -607,10 +573,8 @@ def _solve_single(y: np.ndarray, Y: np.ndarray):
     The same equilibration and LAPACK routines on 2-d inputs, without the
     batch bookkeeping, and the eigenvalue screen: on one system a Cholesky
     certificate costs as much as ``eigvalsh``.  The moment fit calls it for
-    its final coefficients, for the product-form points of the golden
-    section's near-ties and for a fast golden-section point whose
-    certificate refuses it; a batch that is not certified calls it per
-    system.
+    its final coefficients and for the product-form points of the golden
+    section; a batch that is not certified calls it per system.
     """
     diag = np.einsum("kk->k", Y)
     scale = np.sqrt(np.where(np.isfinite(diag) & (diag > 0.0), diag, 1.0))
@@ -664,6 +628,59 @@ def _decided(gap: float, a: float, b: float) -> bool:
     """
     gap = abs(gap)
     return gap > _TIE_BAND * abs(a) and gap > _TIE_BAND * abs(b)
+
+
+def _chebyshev_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n + 1 Chebyshev-Lobatto points ``x_j = cos(pi j / n)`` of [-1, 1], from 1 down to -1,
+    and the DCT-I matrix ``(n + 1, n + 1)`` that maps values at them to the coefficients of the
+    interpolating Chebyshev series (Trefethen, Approximation Theory and Approximation Practice,
+    SIAM 2013, ch. 3)."""
+    points = np.sin(0.5 * math.pi * (n - 2.0 * np.arange(n + 1)) / n)  # symmetric, 0 exactly at n / 2
+    dct = (2.0 / n) * np.cos(math.pi * (np.multiply.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)) / n)
+    dct[:, [0, n]] *= 0.5
+    dct[[0, n]] *= 0.5
+    return _read_only(points), _read_only(dct)
+
+
+_LOBATTO, _DCT_I = _chebyshev_tables(_INTERPOLANT_NODES - 1)
+
+
+def _interpolant_nodes(lo: float, hi: float) -> np.ndarray:
+    """The heights of :func:`_chebyshev_interpolant`'s nodes on the bracket ``[lo, hi]``, hi first."""
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * _LOBATTO
+
+
+def _chebyshev_interpolant(values: np.ndarray, lo: float, hi: float):
+    """The Chebyshev interpolant of ``values`` at :func:`_interpolant_nodes` of ``[lo, hi]``.
+
+    Returns a function of a height that evaluates the series by Clenshaw's
+    recurrence on Python floats, or None when the tail test refuses it:
+    when either of its last two coefficients exceeds ``_INTERPOLANT_TAIL``
+    of the largest ``|values|``, the function is not resolved on the bracket.
+    """
+    coefficients = _DCT_I @ values
+    if np.abs(coefficients[-2:]).max() > _INTERPOLANT_TAIL * np.abs(values).max():
+        return None
+    *series, first = coefficients[::-1].tolist()
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def at(z: float) -> float:
+        x = (z - mid) / half
+        two_x, b1, b2 = 2.0 * x, 0.0, 0.0
+        for c in series:
+            b1, b2 = c + two_x * b1 - b2, b1
+        return first + x * b1 - b2
+
+    return at
+
+
+def _objective_interpolant(y: np.ndarray, Y: np.ndarray, lo: float, hi: float):
+    """The concentrated objective's :func:`_chebyshev_interpolant` on ``[lo, hi]``, from its
+    terms ``y (n, K)`` and ``Y (n, K, K)`` at the n :func:`_interpolant_nodes`, solved as one
+    batch; None when a node needs the pseudo-inverse or the tail test refuses it.  A node with
+    a non-finite term is refused with the batch's ``ValueError``."""
+    _, values, used_pinv = solve_quadratic(y, Y)
+    return None if used_pinv else _chebyshev_interpolant(values, lo, hi)
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float, exact=None) -> float:

@@ -8,14 +8,22 @@ nu_2, ..., nu_D)`` at fixed height, so the fit reduces to a 1-d search over
 z0 of a concentrated weighted least-squares criterion.  Every basis matrix
 is a function of the baseline difference, so the coarse z0 grid runs on the
 Gram form :func:`~tomoments.fitting.fit_terms_grid`.  The golden-section
-refinement, on the search plan's bracket and with its height bounded or
-wrapped by the plan, evaluates its points in the same Gram form, one height
-at a time (:func:`~tomoments.fitting._point_objective`), and compares two
-values within a relative ``1e-10`` of each other by the product form
-:func:`~tomoments.fitting.fit_terms` instead, so it returns the height of
-the search on the product form alone wherever the fast form is within half
-that band of the product form (not so on a noiseless covariance, whose
-weighting is ill-conditioned); the near-ties and the final coefficients
+refinement runs on the search plan's bracket of the best grid node, with its
+height bounded or wrapped by the plan.  Its fast form is the Chebyshev
+interpolant of the objective through 21 Chebyshev-Lobatto nodes of the
+bracket, whose terms come from the same Gram form and are solved as one
+batch (:func:`~tomoments.fitting._objective_interpolant`); two values within
+a relative ``1e-10`` of each other are compared by the product form
+:func:`~tomoments.fitting.fit_terms` instead, so the search returns the
+height of the search on the product form alone wherever the interpolant is
+within half that band of the product form.  The bracket refines on the
+product form alone when the interpolant is refused (a node needs the
+pseudo-inverse, or the series' tail shows that 21 nodes do not resolve the
+objective there).  On a weighting of condition number above
+``_FAST_CONDITION_LIMIT`` (a noiseless covariance, or one of fewer snapshots
+than acquisitions), where the Gram form cancels, the grid takes its terms
+from the product form, height by height, and the bracket refines on the
+product form alone.  The near-ties, that grid and the final coefficients
 share one product-form evaluator.  What the search needs of the config and
 the array alone (the grid, the basis stack, the basis responses and those
 times the grid's phase table, the identifiability check) is built once per
@@ -37,12 +45,14 @@ import numpy as np
 
 from ._fields import count, flag, from_json, to_json
 from .fitting import (
+    _FAST_CONDITION_LIMIT,
     _GRID_PER_CHANNEL,
     _PLAN_CACHE_SIZE,
     _SearchPlan,
     PreparedCovariance,
     _check_search_options,
-    _point_objective,
+    _interpolant_nodes,
+    _objective_interpolant,
     _prepared,
     _read_only,
     _search_plan,
@@ -126,7 +136,10 @@ class MomentDiagnostics:
     fitted power itself is nonpositive, the mark of a twin-like fit,
     ``weighting_loaded`` when the weighting was diagonally loaded, and
     ``pinv_used`` when a solve of the grid, the refinement or the final
-    coefficients fell back to the pseudo-inverse.
+    coefficients fell back to the pseudo-inverse.  A node of the
+    refinement's interpolant that falls back is not reported: it refuses the
+    interpolant, whose values are dropped, and the bracket refines on the
+    product form, whose points report their own.
     """
 
     clamped_sigma: bool
@@ -260,28 +273,39 @@ def estimate(
     search, stack = plan.search, plan.stack
     W, WRW = covariance.W, covariance.WRW
 
-    terms = covariance.terms._replace(c=covariance.terms.c[:, 0])
-    y, Y = fit_terms_grid(plan.weighted, terms)
-    _, objective, pinv_used = solve_quadratic(y, Y)
-    best = int(np.argmax(objective))
+    def product_terms(z: float):
+        return fit_terms(stack, steering_vector(array, z), W, WRW)
 
-    def flagged(q: float, pinv: bool) -> float:
+    def product_form(z: float):
+        return solve_quadratic(*product_terms(z))
+
+    terms = covariance.terms._replace(c=covariance.terms.c[:, 0])
+    # the Gram form cancels on an ill-conditioned weighting: the grid and the
+    # refinement then run on the product form alone
+    gram = covariance.condition <= _FAST_CONDITION_LIMIT
+    if gram:
+        y, Y = fit_terms_grid(plan.weighted, terms)
+    else:
+        y, Y = map(np.stack, zip(*map(product_terms, search.z_grid)))
+    _, objective, pinv_used = solve_quadratic(y, Y)
+    lo, hi = search.bracket(int(np.argmax(objective)))
+
+    fast = None
+    if gram:
+        phase = np.exp(1j * np.multiply.outer(_interpolant_nodes(lo, hi), search.frequencies))
+        fast = _objective_interpolant(*fit_terms_grid(plan.response * phase[:, None, :], terms), lo, hi)
+
+    def exact(z: float) -> float:
         nonlocal pinv_used
+        _, q, pinv = product_form(z)
         pinv_used = pinv_used or pinv
         return q
 
-    point = _point_objective(plan.response, terms, covariance.cost_constant)
-
-    def at(z: float) -> float:
-        return flagged(*point(z))
-
-    def product_form(z: float):
-        return solve_quadratic(*fit_terms(stack, steering_vector(array, z), W, WRW))
-
-    def exact(z: float) -> float:
-        return flagged(*product_form(z)[1:])
-
-    z0_hat = search.wrap(golden_section_max(at, *search.bracket(best), search.refine_tol, exact=exact))
+    if fast is None:
+        z0_hat = golden_section_max(exact, lo, hi, search.refine_tol)
+    else:
+        z0_hat = golden_section_max(fast, lo, hi, search.refine_tol, exact=exact)
+    z0_hat = search.wrap(z0_hat)
 
     alpha, q_final, pinv_final = product_form(z0_hat)
     cost = max(covariance.cost_constant - q_final, 0.0)

@@ -84,13 +84,19 @@ def sample_snapshots(R: CovarianceModel, N: int, seed: int) -> np.ndarray:
     L = covariance_factor(R.matrix)
     rng = np.random.Generator(np.random.Philox(int(seed)))
     shape = (N, R.M)
-    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    # the bits of (a + 1j b) / sqrt(2), without its three complex temporaries
+    w = np.empty(shape, dtype=complex)
+    w.real = rng.standard_normal(shape)
+    w.imag = rng.standard_normal(shape)
+    w *= 1.0 / math.sqrt(2.0)
     return w @ L.T
 
 
 def sample_covariance(snapshots: np.ndarray) -> CovarianceModel:
     """Sample covariance ``(1/N) sum y y^H`` of the rows of a complex ``(N, M)``
     array, symmetrized to exact Hermitian."""
-    R = snapshots.T @ snapshots.conj() / snapshots.shape[0]
-    R = 0.5 * (R + R.conj().T)
+    R = snapshots.T @ snapshots.conj()
+    R /= snapshots.shape[0]
+    R += R.conj().T
+    R *= 0.5
     return CovarianceModel(R)

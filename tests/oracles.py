@@ -13,6 +13,8 @@ section it ran before the fast point form: product-form values at every
 point, no near-tie rule.  :func:`weighting` and
 :func:`moment_model_covariance` give the weighting matrix and the moment
 model's covariance at a fitted point, which tests compare against.
+:func:`sample_snapshots_formula` and :func:`sample_covariance_formula` are
+the sampling functions written as their formulas, with every temporary.
 """
 
 import math
@@ -22,7 +24,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import minimize
 
-from tomoments import SourceProfile, density, steering_vector
+from tomoments import CovarianceModel, SourceProfile, covariance_factor, density, steering_vector
 from tomoments.fitting import _weighting_flagged
 from tomoments.moments import _basis_stack
 
@@ -164,3 +166,18 @@ def moment_model_covariance(z0, alpha, config, array) -> np.ndarray:
     a = steering_vector(array, z0)
     R = a[:, None] * inner * a.conj()[None, :]
     return 0.5 * (R + R.conj().T)
+
+
+def sample_snapshots_formula(R, N: int, seed: int) -> np.ndarray:
+    """:func:`tomoments.sample_snapshots` as its formula ``y = L w``, with
+    ``w = (a + 1j b) / sqrt(2)`` of two standard normal draws a and b."""
+    rng = np.random.Generator(np.random.Philox(int(seed)))
+    shape = (N, R.M)
+    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    return w @ covariance_factor(R.matrix).T
+
+
+def sample_covariance_formula(snapshots: np.ndarray) -> CovarianceModel:
+    """:func:`tomoments.sample_covariance` as its formula ``(1/N) sum y y^H``, symmetrized."""
+    R = snapshots.T @ snapshots.conj() / snapshots.shape[0]
+    return CovarianceModel(0.5 * (R + R.conj().T))

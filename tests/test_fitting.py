@@ -31,7 +31,8 @@ from tomoments import (
 from tomoments import fitting
 from tomoments.fitting import (
     _TIE_BAND,
-    _point_objective,
+    _chebyshev_interpolant,
+    _interpolant_nodes,
     _search_plan,
     _weighting_flagged,
     cost_constant,
@@ -517,55 +518,124 @@ def test_golden_section_max_calls_exact_only_on_near_ties():
     assert len(asked) == len(set(asked)) > 2
 
 
-def _point_setup(rng, array, h):
-    """A random covariance's ``_point_objective`` for the responses h and its Gram-form terms."""
-    R = random_psd_covariance(rng, array.M, scale=3.0)
-    W = random_psd_covariance(rng, array.M)
-    terms = harmonic_terms(array, W, W @ R @ W)
-    return _point_objective(h, terms, cost_constant(R, W)), terms
+def _fit_bits(fit) -> tuple:
+    """The bytes of every number of a moment estimate."""
+    names = ("z0_hat", "P_hat", "sigma_eps2_hat", "nu", "sigma_z_hat", "cost")
+    return tuple(np.asarray(getattr(fit, name)).tobytes() for name in names)
+
+
+def _bracket_setup(reference_covariance, reference_array, config, N, seed):
+    """A sampled reference covariance prepared for inverse-sample weighting, the
+    bracket of its best grid node under ``config`` and the node values from
+    the batched grid solve."""
+    plan = _moment_plan(config, reference_array)
+    R_bar = sample_covariance(sample_snapshots(reference_covariance, N, seed=seed))
+    covariance = fitting.PreparedCovariance(R_bar, reference_array, "inverse_sample")
+    terms = covariance.terms._replace(c=covariance.terms.c[:, 0])
+    objective = solve_quadratic(*fit_terms_grid(plan.weighted, terms))[1]
+    lo, hi = plan.search.bracket(int(np.argmax(objective)))
+    nodes = _interpolant_nodes(lo, hi)
+    _, values, pinv = solve_quadratic(*fit_terms_grid(_phase_weighted(plan.response, nodes, terms), terms))
+    assert not pinv
+    return plan, covariance, (lo, hi), nodes, values
 
 
 @pytest.mark.parametrize("D, symmetric", [(2, True), (4, True), (4, False), (8, False)])
-def test_point_objective_matches_the_grid_solve(rng, reference_array, D, symmetric):
-    # the fast point form agrees with the certified batch solve of the Gram
-    # form on the same heights to rounding, and reports no fallback
+def test_interpolant_matches_the_grid_solve_and_the_product_form(reference_covariance, reference_array, D, symmetric):
+    # at its nodes the interpolant gives the certified batch solve's values to
+    # rounding; between them it is within a tenth of the tie band of the
+    # product form at 16 random heights of each bracket
+    rng = np.random.default_rng(D)
     config = MomentEstimatorConfig(D=D, symmetric=symmetric)
+    for N, seed in ((100, 1), (1000, 2), (10000, 3)):
+        plan, covariance, bracket, nodes, values = _bracket_setup(
+            reference_covariance, reference_array, config, N, seed
+        )
+        fast = _chebyshev_interpolant(values, *bracket)
+        assert fast is not None
+        np.testing.assert_allclose([fast(float(z)) for z in nodes], values, rtol=1e-11)
+        for z in rng.uniform(*bracket, 16):
+            a = steering_vector(reference_array, z)
+            product = solve_quadratic(*fit_terms(plan.stack, a, covariance.W, covariance.WRW))[1]
+            assert abs(fast(float(z)) - product) <= _TIE_BAND / 10 * abs(product)
+
+
+def test_interpolant_tail_test():
+    # a polynomial of degree below the last two coefficients is kept, and its
+    # interpolant is the polynomial; a kink, a peak narrower than the nodes
+    # resolve, or a tail in either of the last two coefficients is refused
+    nodes = _interpolant_nodes(2.0, 6.0)
+    x = (nodes - 4.0) / 2.0
+    polynomial = np.polynomial.Polynomial([3.0, -1.0, 0.5, 0.0, 0.25] + [0.0] * 13 + [1e-3])
+    fast = _chebyshev_interpolant(polynomial(x), 2.0, 6.0)
+    assert fast is not None
+    for z in np.linspace(2.0, 6.0, 9):
+        assert fast(z) == pytest.approx(polynomial((z - 4.0) / 2.0), rel=1e-13, abs=1e-13)
+    assert _chebyshev_interpolant(1.0 - np.abs(x), 2.0, 6.0) is None
+    # an odd tail: the last coefficient vanishes, the one before it does not
+    odd_tail = np.polynomial.chebyshev.chebval(x, [1.0] + [0.0] * 18 + [1e-9])
+    assert _chebyshev_interpolant(odd_tail, 2.0, 6.0) is None
+    assert _chebyshev_interpolant(1.0 / (1.0 + 100.0 * x**2), 2.0, 6.0) is None
+    assert _chebyshev_interpolant(np.zeros_like(x), 2.0, 6.0) is not None
+
+
+def test_refused_certificate_or_pinv_node_decides_the_bracket(reference_covariance, reference_array, monkeypatch):
+    # the certificate refuses the node batch, which is solved system by
+    # system: where no system needs the pseudo-inverse the interpolant still
+    # serves the bracket with the same values; where one does, the bracket
+    # refines on the product form alone.  The estimate keeps its bits
+    config = MomentEstimatorConfig()
+    R_bar = sample_covariance(sample_snapshots(reference_covariance, 1000, seed=7))
+    plain = estimate(R_bar, config, reference_array)
+    cholesky, single = np.linalg.cholesky, fitting._solve_single
+    node_systems, fast_forms, singles = (fitting._INTERPOLANT_NODES,), [], []
+
+    def certificate(a):
+        if a.shape[:1] == node_systems:
+            raise np.linalg.LinAlgError("refused")
+        return cholesky(a)
+
+    def golden(f, lo, hi, tol, exact=None):
+        fast_forms.append(exact is not None)
+        return golden_section_max(f, lo, hi, tol, exact=exact)
+
+    monkeypatch.setattr(np.linalg, "cholesky", certificate)
+    monkeypatch.setattr("tomoments.moments.golden_section_max", golden)
+    for pinv in (False, True):
+        def solve_single(y, Y):
+            alpha, q, used_pinv = single(y, Y)
+            singles.append(None)
+            return alpha, q, used_pinv or pinv
+
+        monkeypatch.setattr(fitting, "_solve_single", solve_single)
+        singles.clear()
+        fit = estimate(R_bar, config, reference_array)
+        assert len(singles) >= fitting._INTERPOLANT_NODES
+        assert fast_forms.pop() is not pinv
+        assert _fit_bits(fit) == _fit_bits(plain)
+        assert fit.diagnostics.pinv_used is pinv
+
+
+def test_interpolant_nodes_refuse_non_finite_terms(reference_covariance, reference_array, monkeypatch):
+    # a non-finite entry in the node batch's terms ends in the batched
+    # solve's ValueError, in the fit and from non-finite coefficients
+    config = MomentEstimatorConfig()
     plan = _moment_plan(config, reference_array)
-    point, terms = _point_setup(rng, reference_array, plan.response)
-    z = rng.uniform(0.0, 100.0, 16)
-    objective = solve_quadratic(*fit_terms_grid(_phase_weighted(plan.response, z, terms), terms))[1]
-    values = [point(float(height)) for height in z]
-    assert not any(pinv for _, pinv in values)
-    np.testing.assert_allclose([q for q, _ in values], objective, rtol=1e-11)
-
-
-def test_point_objective_sends_a_refused_system_to_the_single_solve(rng, reference_array, monkeypatch):
-    # two equal basis responses make every system singular: the certificate
-    # refuses it, and the single-system solve's objective and pseudo-inverse
-    # flag come back unchanged
-    h = np.ones((2, _moment_plan(MomentEstimatorConfig(), reference_array).response.shape[1]), dtype=complex)
-    point, terms = _point_setup(rng, reference_array, h)
-    single, calls = fitting._solve_single, []
-
-    def recording(y, Y):
-        calls.append(single(y, Y))
-        return calls[-1]
-
-    monkeypatch.setattr(fitting, "_solve_single", recording)
-    q, pinv = point(12.5)
-    assert len(calls) == 1 and (q, pinv) == calls[0][1:]
-    assert pinv
-
-
-def test_point_objective_refuses_non_finite_input(rng, reference_array):
-    h = _moment_plan(MomentEstimatorConfig(), reference_array).response
-    point, terms = _point_setup(rng, reference_array, h)
-    for z in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="z must be finite"):
-            point(z)
-    broken = _point_objective(h, terms._replace(c=np.where(terms.frequencies == 0.0, np.nan, terms.c)), 1.0)
+    terms = fitting.PreparedCovariance(reference_covariance, reference_array, "inverse_sample").terms
+    broken = terms._replace(c=np.where(terms.frequencies == 0.0, np.nan, terms.c[:, 0]))
     with pytest.raises(ValueError, match="non-finite entry"):
-        broken(12.5)
+        solve_quadratic(*fit_terms_grid(_phase_weighted(plan.response, _interpolant_nodes(5.0, 7.0), broken), broken))
+    grid_terms = fitting.fit_terms_grid
+
+    def breaking(hz, terms):
+        y, Y = grid_terms(hz, terms)
+        if hz.shape[0] == fitting._INTERPOLANT_NODES:
+            Y[3, 1, 1] = math.nan
+        return y, Y
+
+    monkeypatch.setattr("tomoments.moments.fit_terms_grid", breaking)
+    with pytest.raises(ValueError, match="system 3 of the batch has a non-finite entry"):
+        estimate(reference_covariance, config, reference_array)
 
 
 def _same_search_as_scipy(f, simplex, exact=None, **options):

@@ -14,6 +14,8 @@ from tomoments import (
     true_covariance,
 )
 
+from .oracles import sample_covariance_formula, sample_snapshots_formula
+
 
 def test_derive_seed_is_deterministic_and_distinct():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
@@ -26,6 +28,17 @@ def test_derive_seed_is_deterministic_and_distinct():
 def test_derive_seed_depends_on_position():
     assert derive_seed(1, 23) != derive_seed(12, 3)
     assert derive_seed(5) != derive_seed(5, 0)
+
+
+@pytest.mark.parametrize("N", [1, 7, 100, 10000])
+def test_sampling_has_the_bits_of_its_formulas(reference_covariance, N):
+    # the snapshots are written in place and scaled by the reciprocal, the
+    # covariance symmetrized in place: the bits of the formulas
+    for seed in (0, 1, 17, 2**63 + 5):
+        snapshots = sample_snapshots(reference_covariance, N, seed)
+        assert snapshots.tobytes() == sample_snapshots_formula(reference_covariance, N, seed).tobytes()
+        R = np.asarray(sample_covariance(snapshots).matrix)
+        assert R.tobytes() == np.asarray(sample_covariance_formula(snapshots).matrix).tobytes()
 
 
 def test_covariance_factor_reconstructs(reference_covariance):
