@@ -130,11 +130,13 @@ _CERTIFY_MAX_K = 13
 # for the polish's fast points
 _TIE_BAND = 1e-10
 # the largest 2-norm condition number of the weighting on which the polish
-# takes Gram-form points.  Forming a Gram matrix squares the condition
-# (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996): up to
-# this limit the polish's points stay within 4.5e-13 of the product form
+# takes Gram-form points and the moment fit its Gram-form grid and
+# interpolant.  Forming a Gram matrix squares the condition (Bjorck,
+# Numerical Methods for Least Squares Problems, SIAM 1996): up to this limit
+# the polish's points stay within 4.5e-13 of the product form
 # (tests/test_parametric.py), the benchmark's weightings reach 92, and the
-# noiseless bias scan's, far above it, move its parametric rows without it
+# noiseless bias scan's, far above it, move its rows without it; a moment
+# fit above it returns the product-form search's height (tests/test_moments.py)
 _FAST_CONDITION_LIMIT = 1e3
 # the moment fit's fast form on a bracket: the Chebyshev interpolant through
 # this many Chebyshev-Lobatto nodes, refused when either of its last two
