@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -47,18 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    if args.config is not None:
-        obj = json.loads(Path(args.config).read_text())
-        if not isinstance(obj, dict):
-            raise ValueError(f"config {args.config} must hold a JSON object, got {type(obj).__name__}")
-        obj.setdefault("kind", args.kind)
-        if obj["kind"] != args.kind:
-            raise ValueError(
-                f"config kind {obj['kind']!r} does not match the {args.kind!r} subcommand"
-            )
-        spec = ExperimentSpec.from_json(obj)
-    else:
-        spec = default_spec(args.kind)
+    """The spec of the config file (or the default one) with the flags' overrides,
+    built once, so its checks and its warnings run once."""
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
@@ -74,9 +63,17 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
         overrides["timestamp_header"] = False
     if args.dump_trials:
         overrides["dump_trials"] = True
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
-    return spec
+    if args.config is None:
+        return default_spec(args.kind, **overrides)
+    obj = json.loads(Path(args.config).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object, got {type(obj).__name__}")
+    obj.setdefault("kind", args.kind)
+    if obj["kind"] != args.kind:
+        raise ValueError(
+            f"config kind {obj['kind']!r} does not match the {args.kind!r} subcommand"
+        )
+    return ExperimentSpec.from_json({**obj, **overrides})
 
 
 def main(argv=None) -> int:

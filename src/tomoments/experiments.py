@@ -35,7 +35,7 @@ import dataclasses
 import itertools
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
@@ -46,7 +46,7 @@ import numpy as np
 from ._fields import choice, count, flag, from_json, items, real, to_json
 from .crb import PARAMETERS, SingularFimError, crb_stddev, fisher_information
 from .fitting import PreparedCovariance
-from .geometry import ArrayConfig, baseline_differences, fourier_resolution, make_uniform_array
+from .geometry import ArrayConfig, _sorted_distinct, baseline_differences, fourier_resolution, make_uniform_array
 from .moments import MomentEstimatorConfig, _moment_plan, estimate, model_power_spectrum
 from .parametric import ParametricEstimatorConfig, _parametric_plan, estimate_parametric
 from .profiles import (
@@ -191,6 +191,8 @@ class ExperimentSpec:
             object.__setattr__(self, name, values)
         for name, least in (("trials", 1), ("master_seed", 0), ("workers", 1)):
             object.__setattr__(self, name, count(getattr(self, name), name, least=least))
+        if self.kind == "rmse_vs_N":
+            _warn_small_N(self.N_list, self.array.M, estimators)
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         flag(self.timestamp_header, "timestamp_header")
@@ -207,6 +209,22 @@ class ExperimentSpec:
             profile=SourceProfile.from_json,
             array=ArrayConfig.from_json,
             estimators=lambda entries: tuple(EstimatorSpec.from_json(e) for e in items(entries, "estimators")),
+        )
+
+
+def _warn_small_N(N_list, M: int, estimators) -> None:
+    """Name the regime where inverse-sample weighting does not hold: a sample
+    covariance of N <= M snapshots is singular or nearly so (the mean of its
+    inverse exists only for N > M), so its inverse weights the fit by noise."""
+    small = [N for N in N_list if N <= M]
+    labels = [entry.label for entry in estimators if entry.config.weighting == "inverse_sample"]
+    if small and labels:
+        warnings.warn(
+            f"rmse_vs_N at N = {', '.join(map(str, small))} <= M = {M} acquisitions with inverse-sample "
+            f"weighting ({', '.join(labels)}): the sample covariance is singular or nearly so there, and "
+            "its inverse makes a poor weighting; identity weighting holds at any N",
+            UserWarning,
+            stacklevel=4,
         )
 
 
@@ -292,6 +310,16 @@ def _run_trial(spec: ExperimentSpec, sweep_index: int, N: int, R_true: Covarianc
     return [_estimates(fit) for fit in _fits(spec, R_bar)]
 
 
+def _process_pool(max_workers: int):
+    """A process pool of ``max_workers`` processes.  Imported here, as only
+    ``workers > 1`` opens one: ``concurrent.futures.process`` loads
+    ``multiprocessing``, about 16 ms of a fresh interpreter's start on a
+    2-vCPU x86 VM (Python 3.11)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def _collect_trials(spec: ExperimentSpec, sweep_index: int, N: int, R_true: CovarianceModel) -> np.ndarray:
     """(estimators, trials, 4) estimates, NaN rows for failures.
 
@@ -303,7 +331,7 @@ def _collect_trials(spec: ExperimentSpec, sweep_index: int, N: int, R_true: Cova
     workers = min(spec.workers, spec.trials, getattr(os, "process_cpu_count", os.cpu_count)() or 1)
     if workers > 1:
         chunksize = max(1, spec.trials // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(max_workers=workers) as pool:
             outputs = list(pool.map(run, range(spec.trials), chunksize=chunksize))
     else:
         outputs = list(map(run, range(spec.trials)))
@@ -575,7 +603,8 @@ def run_spectrum_dump(spec: ExperimentSpec) -> ExperimentResult:
         families = [dataclasses.replace(profile, shape="point")]
     xi = _spectrum_xi_grid(spec.array)
 
-    baselines = np.unique(np.abs(baseline_differences(spec.array)))
+    # not np.unique, which imports numpy.ma for this one call (see _sorted_distinct)
+    baselines = _sorted_distinct(np.abs(baseline_differences(spec.array)))
     noise = np.where(baselines == 0.0, spec.sigma_eps2, 0.0)  # adding 0.0 keeps every other value's bits
     densities, curves, measurements = [], [], []
     for member in families:

@@ -159,3 +159,17 @@ def baseline_differences(config: ArrayConfig) -> np.ndarray:
     """Matrix of wavenumber differences ``kz_n - kz_m`` (row n, column m)."""
     kz = config.kz
     return kz[:, None] - kz[None, :]
+
+
+def _sorted_distinct(values) -> np.ndarray:
+    """The distinct values of an array without NaN, flattened and sorted: ``np.unique(values)``.
+
+    ``np.unique`` without ``return_*`` flags imports ``numpy.ma`` (numpy 2.4:
+    about 16 ms of a fresh interpreter's start on a 2-vCPU x86 VM), which no
+    other step of a run needs.
+    """
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]

@@ -65,6 +65,7 @@ from .fitting import _weighting_flagged, cost_constant  # not called: perfbench/
 from .geometry import (
     MAX_DIFFERENCE_ORDER,
     ArrayConfig,
+    _sorted_distinct,
     baseline_differences,
     steering_vector,
 )
@@ -204,7 +205,8 @@ def _check_identifiable(config: MomentEstimatorConfig, array: ArrayConfig) -> No
     """
     if array.ambiguity is None:
         return
-    lags = np.unique(np.rint(np.abs(baseline_differences(array)) * (array.ambiguity / (2.0 * math.pi))))
+    # not np.unique, which imports numpy.ma at spec build (see _sorted_distinct)
+    lags = _sorted_distinct(np.rint(np.abs(baseline_differences(array)) * (array.ambiguity / (2.0 * math.pi))))
     distinct = int(np.count_nonzero(lags))
     if 1 + config.D // 2 >= distinct:
         raise ValueError(

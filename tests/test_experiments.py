@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -642,7 +643,7 @@ def test_pool_has_at_most_one_process_per_trial(tmp_path, monkeypatch):
         def map(self, function, iterable, chunksize=1):
             return map(function, iterable)
 
-    monkeypatch.setattr("tomoments.experiments.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("tomoments.experiments._process_pool", RecordingPool)
     for workers, trials, process_cpus, cpus, pools in (
         (64, 6, 8, 8, [6, 6]),
         (3, 6, 8, 8, [3, 3]),
@@ -756,6 +757,24 @@ def test_height_period_needs_ambiguity():
     with pytest.raises(ValueError):
         spec = default_spec("rmse_vs_N", array=array, N_list=(25,), trials=1)
         run_rmse_vs_N(spec)
+
+
+def test_spec_warns_of_inverse_sample_weighting_at_N_up_to_M():
+    # a sample covariance of N <= M snapshots is singular or nearly so, and
+    # its inverse weights the fit badly; the warning names N, M and the estimators
+    identity = EstimatorSpec("moments-id", MomentEstimatorConfig(weighting="identity"))
+    with pytest.warns(UserWarning, match=r"N = 4, 7 <= M = 7 .*\(moments-sym\)") as caught:
+        default_spec("rmse_vs_N", N_list=(4, 7, 8), estimators=(identity, MOMENTS_SYM))
+    assert "moments-id" not in str(caught[0].message)
+    with pytest.warns(UserWarning, match=r"N = 3 <= M = 5 .*\(moments-full, moments-sym, parametric-uniform"):
+        ExperimentSpec.from_json({**default_spec("rmse_vs_N").to_json(), "N_list": [3], "array": {"M": 5, "z_amb": 100.0}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        default_spec("rmse_vs_N")  # the reference spec: N from 25 on M = 7
+        default_spec("rmse_vs_N", N_list=(8,))
+        default_spec("rmse_vs_N", N_list=(2, 7), estimators=(identity,))
+        default_spec("asymptotic_bias_vs_sigma", N_list=(2,))  # a bias scan draws no snapshots
+        default_spec("spectrum_dump", N_list=(2,))
 
 
 def test_spec_refuses_an_estimator_its_array_cannot_run():

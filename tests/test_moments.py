@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tomoments import (
     EstimatorSpec,
     MomentEstimatorConfig,
     SourceProfile,
+    baseline_differences,
     default_spec,
     estimate,
     make_uniform_array,
@@ -30,6 +32,7 @@ from tomoments.fitting import (
     harmonic_terms,
     solve_quadratic,
 )
+from tomoments.geometry import _sorted_distinct
 from tomoments.moments import _basis_stack, _check_identifiable, _moment_plan, moment_orders
 
 from .conftest import IRREGULAR_STACKS
@@ -485,6 +488,46 @@ def test_lag_rule_refuses_exactly_when_the_twin_lies_in_the_even_span(lags):
                     _check_identifiable(config, array)
             else:
                 _check_identifiable(config, array)
+
+
+_LAG_SETS = st.lists(st.integers(0, 40), min_size=2, max_size=10, unique=True).map(sorted)
+
+
+@st.composite
+def _stacks(draw):
+    """A uniform stack, a sparse stack on an ambiguity, or free wavenumbers with none."""
+    kind = draw(st.sampled_from(("uniform", "sparse", "free")))
+    z_amb = draw(st.floats(1.0, 1e4))
+    if kind == "uniform":
+        return make_uniform_array(draw(st.integers(2, 12)), z_amb)
+    if kind == "sparse":
+        offset = draw(st.floats(-1.0, 1.0))
+        return ArrayConfig(offset + 2.0 * math.pi / z_amb * np.array(draw(_LAG_SETS), dtype=float), ambiguity=z_amb)
+    kz = draw(st.lists(st.integers(-1000, 1000), min_size=2, max_size=10, unique=True))
+    return ArrayConfig(np.array(sorted(kz)) / draw(st.floats(10.0, 1e3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(array=_stacks())
+def test_distinct_lags_and_baselines_are_those_of_np_unique(array):
+    # the lag count of _check_identifiable and the spectrum dump's distinct
+    # baselines are taken without np.unique, which imports numpy.ma: the same
+    # values in the same order, bit for bit
+    baselines = np.abs(baseline_differences(array))
+    expected = np.unique(baselines)
+    distinct = _sorted_distinct(baselines)
+    assert distinct.dtype == expected.dtype and distinct.tobytes() == expected.tobytes()
+    if array.ambiguity is None:
+        return
+    lags = np.rint(baselines * (array.ambiguity / (2.0 * math.pi)))
+    count = int(np.count_nonzero(np.unique(lags)))
+    for D in range(2, 13):
+        config = MomentEstimatorConfig(D=D)
+        if 1 + D // 2 >= count:
+            with pytest.raises(ValueError, match=f" fit all {count} distinct lags "):
+                _check_identifiable(config, array)
+        else:
+            _check_identifiable(config, array)
 
 
 # (z0, sigma_z, P, sigma_eps2) on the exact reference covariance, unchanged by
