@@ -35,6 +35,7 @@ import dataclasses
 import itertools
 import os
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -45,8 +46,8 @@ import numpy as np
 
 from ._fields import choice, count, flag, from_json, items, real, to_json
 from .crb import PARAMETERS, SingularFimError, crb_stddev, fisher_information
-from .fitting import PreparedCovariance
-from .geometry import ArrayConfig, _sorted_distinct, baseline_differences, fourier_resolution, make_uniform_array
+from .fitting import PreparedCovariance, _frequency_groups
+from .geometry import ArrayConfig, fourier_resolution, make_uniform_array
 from .moments import MomentEstimatorConfig, _moment_plan, estimate, model_power_spectrum
 from .parametric import ParametricEstimatorConfig, _parametric_plan, estimate_parametric
 from .profiles import (
@@ -219,12 +220,17 @@ def _warn_small_N(N_list, M: int, estimators) -> None:
     small = [N for N in N_list if N <= M]
     labels = [entry.label for entry in estimators if entry.config.weighting == "inverse_sample"]
     if small and labels:
+        # the warning names the first caller outside the package, whichever of
+        # its constructors built the spec (skip_file_prefixes needs Python 3.12)
+        frame, stacklevel = sys._getframe(), 1
+        while frame.f_back is not None and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+            frame, stacklevel = frame.f_back, stacklevel + 1
         warnings.warn(
             f"rmse_vs_N at N = {', '.join(map(str, small))} <= M = {M} acquisitions with inverse-sample "
             f"weighting ({', '.join(labels)}): the sample covariance is singular or nearly so there, and "
             "its inverse makes a poor weighting; identity weighting holds at any N",
             UserWarning,
-            stacklevel=4,
+            stacklevel=stacklevel,
         )
 
 
@@ -603,8 +609,8 @@ def run_spectrum_dump(spec: ExperimentSpec) -> ExperimentResult:
         families = [dataclasses.replace(profile, shape="point")]
     xi = _spectrum_xi_grid(spec.array)
 
-    # not np.unique, which imports numpy.ma for this one call (see _sorted_distinct)
-    baselines = _sorted_distinct(np.abs(baseline_differences(spec.array)))
+    frequencies = _frequency_groups(spec.array)[0]
+    baselines = frequencies[frequencies.size // 2 :]  # the distinct |kz_m - kz_n|, sorted
     noise = np.where(baselines == 0.0, spec.sigma_eps2, 0.0)  # adding 0.0 keeps every other value's bits
     densities, curves, measurements = [], [], []
     for member in families:

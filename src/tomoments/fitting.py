@@ -47,7 +47,7 @@ Near a flat optimum a change of the objective at the rounding level moves
 the refined estimates measurably, so the final coefficients stay on the
 product form, and both refinements, the golden section and the Nelder-Mead
 polish, decide a test whose fast values are within a relative ``1e-10`` of
-each other (a near-tie, :func:`_decided`) on their product-form values: each
+each other (a near-tie, :func:`_holds`) on their product-form values: each
 returns the point of its search on the product form alone, and every
 estimate keeps its bits, wherever the fast form is within half that band of
 the product form.  On an ill-conditioned weighting (a noiseless covariance,
@@ -123,11 +123,12 @@ _CERTIFY_SHIFT = 1e-10
 _CERTIFY_MAX_K = 13
 # relative gap within which the two refinements, the moment fit's golden
 # section and the parametric fit's Nelder-Mead polish, decide a test on the
-# product-form values rather than the fast ones (a near-tie; see _decided):
+# product-form values rather than the fast ones (a near-tie; see _holds):
 # the golden section's interpolant stays within 1.5e-13 of the product form
 # (see _INTERPOLANT_NODES), and tests/test_moments.py holds it to a tenth of
-# the band on five stacks at D = 2..8; tests/test_parametric.py does the same
-# for the polish's fast points
+# the band on five stacks at D = 2..8 and N = 1000, and to half of it on
+# weightings up to _FAST_CONDITION_LIMIT; tests/test_parametric.py holds the
+# polish's fast points to a tenth up to that limit
 _TIE_BAND = 1e-10
 # the largest 2-norm condition number of the weighting on which the polish
 # takes Gram-form points and the moment fit its Gram-form grid and
@@ -620,16 +621,24 @@ def cost_constant(R: np.ndarray, W: np.ndarray) -> float:
     return float(np.real(np.einsum("nm,mn->", X, X)))
 
 
-def _decided(gap: float, a: float, b: float) -> bool:
-    """Whether the fast values ``a`` and ``b`` settle a test that turns on the sign of ``gap``.
+def _holds(test, a: list, b: list, gap: float, exact) -> bool:
+    """``test`` on the values ``a`` and ``b``, where ``gap`` of their fast values decides it.
 
-    The tie rule of both refinements: they do when ``gap`` is beyond
-    ``_TIE_BAND`` of the larger magnitude, and never when it is a NaN; else
-    the test runs on the exact values.  Where each fast value is within a
-    relative half of the band of its exact value, the two settle it alike.
+    The tie rule of both refinements, on values kept as lists ``[fast
+    value, point, exact value or None until a test needs it]``: the fast
+    values settle the test when ``gap`` is beyond ``_TIE_BAND`` of the
+    larger magnitude, and never when it is a NaN; else, and only with an
+    ``exact`` form, the test runs on the exact values of the two points,
+    each taken at most once and kept in its list.  Where each fast value is
+    within a relative half of the band of its exact value, the two settle it
+    alike.
     """
-    gap = abs(gap)
-    return gap > _TIE_BAND * abs(a) and gap > _TIE_BAND * abs(b)
+    if exact is None or (abs(gap) > _TIE_BAND * abs(a[0]) and abs(gap) > _TIE_BAND * abs(b[0])):
+        return test(a[0], b[0])
+    for value in (a, b):
+        if value[2] is None:
+            value[2] = exact(value[1])
+    return test(a[2], b[2])
 
 
 def _chebyshev_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -690,34 +699,24 @@ def golden_section_max(f, lo: float, hi: float, tol: float, exact=None) -> float
 
     The search returns a point that depends only on the outcomes of its
     comparisons.  With ``exact``, ``f`` is a fast form of it: two values of
-    ``f`` that :func:`_decided` leaves open (within ``_TIE_BAND`` of the
-    larger magnitude, or a NaN) are compared by their ``exact`` values
-    instead, each point's computed at most once.  Where ``f`` is within a
-    relative half of the band of ``exact``, the search returns the point of
-    the search on ``exact`` alone.
+    ``f`` that the tie rule of :func:`_holds` leaves open (within
+    ``_TIE_BAND`` of the larger magnitude, or a NaN) are compared by their
+    ``exact`` values instead, each point's computed at most once.  Where
+    ``f`` is within a relative half of the band of ``exact``, the search
+    returns the point of the search on ``exact`` alone.
     """
-    exact_at = {}
-
-    def larger(c, fc, d, fd) -> bool:
-        if exact is None or _decided(fc - fd, fc, fd):
-            return fc > fd
-        for z in (c, d):
-            if z not in exact_at:
-                exact_at[z] = exact(z)
-        return exact_at[c] > exact_at[d]
-
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
+    fc, fd = [f(c), c, None], [f(d), d, None]
     while hi - lo > tol:
-        if larger(c, fc, d, fd):
+        if _holds(operator.gt, fc, fd, fc[0] - fd[0], exact):
             hi, d, fd = d, c, fc
             c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
+            fc = [f(c), c, None]
         else:
             lo, c, fc = c, d, fd
             d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
+            fd = [f(d), d, None]
     return 0.5 * (lo + hi)
 
 
@@ -775,7 +774,7 @@ def nelder_mead(
     middle of an iteration.
 
     With ``exact``, ``f`` is a fast form of it, and every test of values
-    runs under the tie rule of :func:`_decided`: the comparisons of the
+    runs under the tie rule of :func:`_holds`: the comparisons of the
     trial points, the stable, NaN-last order of the simplex and the
     ``fatol`` test, which turns on the sign of ``|f0 - fk| - fatol``.  A
     test the fast values leave open runs on the ``exact`` values of the
@@ -797,9 +796,9 @@ def nelder_mead(
 
     nfev = 0
 
-    # a value is [fast value, the point it was taken at, exact value or None
-    # until a test needs it]; a shrink cut short by the budget moves a vertex
-    # and leaves it the value of its old point
+    # a value is the list [fast value, point, exact value or None] of
+    # _holds; a shrink cut short by the budget moves a vertex and leaves it
+    # the value of its old point
     def evaluate(v) -> list:
         nonlocal nfev
         if nfev >= maxfev:
@@ -807,19 +806,8 @@ def nelder_mead(
         nfev += 1
         return [f(v), v, None]
 
-    def exact_value(value) -> float:
-        if value[2] is None:
-            value[2] = exact(value[1])
-        return value[2]
-
-    def holds(test, a, b, gap: float) -> bool:
-        """``test`` on the values a and b, where ``gap`` of their fast values decides it."""
-        if exact is None or _decided(gap, a[0], b[0]):
-            return test(a[0], b[0])
-        return test(exact_value(a), exact_value(b))
-
     def less(a, b) -> bool:
-        return holds(operator.lt, a, b, a[0] - b[0])
+        return _holds(operator.lt, a, b, a[0] - b[0], exact)
 
     def within_fatol(u: float, v: float) -> bool:
         return abs(u - v) <= fatol
@@ -827,7 +815,7 @@ def nelder_mead(
     def order() -> None:
         """Sort the simplex in place, stable and NaN last (an insertion sort)."""
         for k in range(1, n + 1):
-            while k and holds(_nan_last_less, fsim[k], fsim[k - 1], fsim[k][0] - fsim[k - 1][0]):
+            while k and _holds(_nan_last_less, fsim[k], fsim[k - 1], fsim[k][0] - fsim[k - 1][0], exact):
                 sim[k - 1], sim[k], fsim[k - 1], fsim[k] = sim[k], sim[k - 1], fsim[k], fsim[k - 1]
                 k -= 1
 
@@ -845,7 +833,7 @@ def nelder_mead(
         try:
             best, worst = sim[0], sim[-1]
             if all(abs(x - b) <= xatol for v in sim[1:] for x, b in zip(v, best)) and all(
-                holds(within_fatol, fsim[0], value, abs(fsim[0][0] - value[0]) - fatol) for value in fsim[1:]
+                _holds(within_fatol, fsim[0], value, abs(fsim[0][0] - value[0]) - fatol, exact) for value in fsim[1:]
             ):
                 break
             # the centroid of all but the worst vertex, summed in order as numpy
@@ -863,7 +851,7 @@ def nelder_mead(
                 if less(r, fsim[-1]):
                     xc = clip(_line(1.5, xbar, -0.5, worst))  # outside contraction
                     c = evaluate(xc)
-                    shrink = not holds(operator.le, c, r, c[0] - r[0])
+                    shrink = not _holds(operator.le, c, r, c[0] - r[0], exact)
                 else:
                     xc = clip(_line(0.5, xbar, 0.5, worst))  # inside contraction
                     c = evaluate(xc)

@@ -51,6 +51,7 @@ from .fitting import (
     _SearchPlan,
     PreparedCovariance,
     _check_search_options,
+    _frequency_groups,
     _interpolant_nodes,
     _objective_interpolant,
     _prepared,
@@ -62,13 +63,7 @@ from .fitting import (
     solve_quadratic,
 )
 from .fitting import _weighting_flagged, cost_constant  # not called: perfbench/spans.py patches these names
-from .geometry import (
-    MAX_DIFFERENCE_ORDER,
-    ArrayConfig,
-    _sorted_distinct,
-    baseline_differences,
-    steering_vector,
-)
+from .geometry import MAX_DIFFERENCE_ORDER, ArrayConfig, baseline_differences, steering_vector
 from .profiles import CovarianceModel
 
 __all__ = [
@@ -205,9 +200,10 @@ def _check_identifiable(config: MomentEstimatorConfig, array: ArrayConfig) -> No
     """
     if array.ambiguity is None:
         return
-    # not np.unique, which imports numpy.ma at spec build (see _sorted_distinct)
-    lags = _sorted_distinct(np.rint(np.abs(baseline_differences(array)) * (array.ambiguity / (2.0 * math.pi))))
-    distinct = int(np.count_nonzero(lags))
+    # the lags of the baseline frequencies f >= 0 rise from 0 along them
+    frequencies = _frequency_groups(array)[0]
+    lags = np.rint(frequencies[frequencies.size // 2 :] * (array.ambiguity / (2.0 * math.pi)))
+    distinct = int(np.count_nonzero(np.diff(lags)))
     if 1 + config.D // 2 >= distinct:
         raise ValueError(
             f"moment fit D={config.D}, symmetric={config.symmetric} is not identifiable on M={array.M} "

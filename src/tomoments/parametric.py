@@ -18,10 +18,11 @@ search plan bounds or wraps.
   covariance, and the grid's 2x2 systems concentrate in one broadcast call
   of the nonnegative closed form, :func:`_concentrate_terms`.
 - Exact points: the terms of the M x M product form
-  :func:`~tomoments.fitting.fit_terms`, called on per-fit tables (the basis
-  stack, ``1j * kz`` and the array's baseline differences) and concentrated
-  on Python floats by :func:`_concentrate_pair`, the same closed form in
-  the same order, so bit-identical to the array form without its per-call
+  :func:`~tomoments.fitting.fit_terms` at the
+  :func:`~tomoments.geometry.steering_vector`, called on per-fit tables (the
+  basis stack and the array's baseline differences) and concentrated on
+  Python floats by :func:`_concentrate_pair`, the same closed form in the
+  same order, so bit-identical to the array form without its per-call
   overhead.  Each point writes the shape's characteristic function at the
   differences into the stack, the entries of
   :func:`~tomoments.profiles.shape_matrix` without its profile, its
@@ -76,7 +77,7 @@ from .fitting import (
 )
 from .fitting import _weighting_flagged, cost_constant  # not called: perfbench/spans.py patches these names
 from .fitting import nelder_mead as minimize  # the polish's name: perfbench/spans.py times it
-from .geometry import ArrayConfig, _finite_height, baseline_differences
+from .geometry import ArrayConfig, baseline_differences, steering_vector
 from .profiles import CovarianceModel, shape_characteristic
 from .profiles import shape_matrix  # not called: perfbench/spans.py patches this name
 
@@ -225,9 +226,9 @@ def _point_evaluator(shape: str, array: ArrayConfig, W: np.ndarray, WRW: np.ndar
     W, WRW)`` on the (shape, identity) basis, concentrated by
     :func:`_concentrate_pair`, so bit-identical to :func:`_concentrate_terms`
     on the same terms.  The tables are taken once per fit: the basis lives
-    in one preallocated stack, whose identity row is written once,
-    ``1j * kz`` and the array's baseline differences.  Each point writes the
-    shape's characteristic function at them, the entries of
+    in one preallocated stack, whose identity row is written once, and the
+    array's baseline differences.  Each point writes the shape's
+    characteristic function at them, the entries of
     :func:`~tomoments.profiles.shape_matrix` of a profile with that spread,
     into the stack and calls this module's ``fit_terms``, the name a tracer
     patches.  Its Hermitian average changes no bit here: the differences
@@ -238,12 +239,11 @@ def _point_evaluator(shape: str, array: ArrayConfig, W: np.ndarray, WRW: np.ndar
     stack = np.zeros((2, array.M, array.M), dtype=complex)
     stack[1] = np.eye(array.M)
     differences = baseline_differences(array)
-    jkz = 1j * array.kz
 
     def concentrated(point) -> tuple[float, float, float, bool]:
         z, sigma = point
         stack[0] = shape_characteristic(shape, abs(float(sigma)), differences)
-        y, Y = fit_terms(stack, np.exp(jkz * _finite_height(z)), W, WRW)
+        y, Y = fit_terms(stack, steering_vector(array, z), W, WRW)
         (Y11, Y12), (_, Y22) = Y.tolist()
         return _concentrate_pair(*y.tolist(), Y11, Y12, Y22)
 

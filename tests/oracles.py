@@ -12,7 +12,9 @@ factorization.  The moment fit's refinement has as its oracle the golden
 section it ran before the fast point form: product-form values at every
 point, no near-tie rule.  :func:`weighting` and
 :func:`moment_model_covariance` give the weighting matrix and the moment
-model's covariance at a fitted point, which tests compare against.
+model's covariance at a fitted point, which tests compare against, and
+:func:`with_condition` a covariance stretched to a given condition number,
+which the fast forms' premise tests approach their limit with.
 :func:`sample_snapshots_formula` and :func:`sample_covariance_formula` are
 the sampling functions written as their formulas, with every temporary.
 """
@@ -157,6 +159,14 @@ def golden_section_oracle(f, lo, hi, tol):
 def weighting(R_bar, choice: str) -> np.ndarray:
     """The weighting matrix the fits use for ``choice``, without its loading flag."""
     return _weighting_flagged(R_bar, choice)[0]
+
+
+def with_condition(R_bar, condition):
+    """``R_bar`` with its eigenvalues spread geometrically about the largest to the given condition number."""
+    values, vectors = np.linalg.eigh(R_bar.matrix)
+    stretched = values[-1] * (values / values[-1]) ** (np.log(condition) / np.log(values[-1] / values[0]))
+    R = (vectors * stretched) @ vectors.conj().T
+    return CovarianceModel(0.5 * (R + R.conj().T))
 
 
 def moment_model_covariance(z0, alpha, config, array) -> np.ndarray:

@@ -35,6 +35,7 @@ from tomoments import (
     true_covariance,
     wrap_height_error,
 )
+from tomoments.cli import main
 from tomoments.experiments import PARAM_NAMES, _format_cell, _write_result
 
 MOMENTS_SYM = EstimatorSpec("moments-sym", MomentEstimatorConfig(D=4, symmetric=True))
@@ -775,6 +776,29 @@ def test_spec_warns_of_inverse_sample_weighting_at_N_up_to_M():
         default_spec("rmse_vs_N", N_list=(2, 7), estimators=(identity,))
         default_spec("asymptotic_bias_vs_sigma", N_list=(2,))  # a bias scan draws no snapshots
         default_spec("spectrum_dump", N_list=(2,))
+
+
+def test_small_N_warning_names_the_caller_outside_the_package(tmp_path, monkeypatch):
+    # whichever constructor builds the spec, the warning points at the line
+    # that called into the package, not at a package file
+    small = {**default_spec("rmse_vs_N").to_json(), "N_list": [3], "array": {"M": 5, "z_amb": 100.0}}
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(small))
+
+    def refuse(spec):
+        raise RuntimeError("not run")
+
+    monkeypatch.setattr("tomoments.cli.run_experiment", refuse)
+    builds = {
+        "ExperimentSpec": lambda: ExperimentSpec(**{**vars(default_spec("rmse_vs_N")), "N_list": (3,)}),
+        "default_spec": lambda: default_spec("rmse_vs_N", N_list=(3,)),
+        "from_json": lambda: ExperimentSpec.from_json(small),
+        "cli.main": lambda: main(["rmse", "--config", str(config), "--out", str(tmp_path)]),
+    }
+    for name, build in builds.items():
+        with pytest.warns(UserWarning, match="inverse-sample weighting") as caught:
+            build()
+        assert [Path(w.filename).name for w in caught] == [Path(__file__).name], name
 
 
 def test_spec_refuses_an_estimator_its_array_cannot_run():

@@ -25,6 +25,7 @@ from tomoments import (
 from tomoments import fitting, moments
 from tomoments.fitting import (
     _TIE_BAND,
+    _frequency_groups,
     cost_constant,
     fit_terms,
     fit_terms_grid,
@@ -32,11 +33,10 @@ from tomoments.fitting import (
     harmonic_terms,
     solve_quadratic,
 )
-from tomoments.geometry import _sorted_distinct
 from tomoments.moments import _basis_stack, _check_identifiable, _moment_plan, moment_orders
 
 from .conftest import IRREGULAR_STACKS
-from .oracles import golden_section_oracle, moment_model_covariance, random_psd_covariance, weighting
+from .oracles import golden_section_oracle, moment_model_covariance, random_psd_covariance, weighting, with_condition
 
 # linear coefficients at the true height on the exact reference covariance
 # (uniform truth z0=10, sigma_z=5, P=100, noise 10, M=7, z_amb=100), frozen
@@ -511,11 +511,13 @@ def _stacks(draw):
 @given(array=_stacks())
 def test_distinct_lags_and_baselines_are_those_of_np_unique(array):
     # the lag count of _check_identifiable and the spectrum dump's distinct
-    # baselines are taken without np.unique, which imports numpy.ma: the same
-    # values in the same order, bit for bit
+    # baselines are the f >= 0 half of the cached baseline frequencies, not
+    # np.unique, which imports numpy.ma: the same values in the same order,
+    # bit for bit
     baselines = np.abs(baseline_differences(array))
     expected = np.unique(baselines)
-    distinct = _sorted_distinct(baselines)
+    frequencies = _frequency_groups(array)[0]
+    distinct = frequencies[frequencies.size // 2 :]
     assert distinct.dtype == expected.dtype and distinct.tobytes() == expected.tobytes()
     if array.ambiguity is None:
         return
@@ -715,13 +717,11 @@ def test_estimate_equals_the_product_form_refinement(name, weighting_name, monke
 _SERVED_SHARE_MIN = 0.6
 
 
-@pytest.mark.parametrize("weighting_name", ["identity", "inverse_sample"])
-@pytest.mark.parametrize("name", list(REFINEMENT_ARRAYS))
-def test_fast_point_form_is_within_a_tenth_of_the_tie_band(name, weighting_name, monkeypatch):
-    # the premise of the near-tie rule: at every height the product-form
-    # refinement visits, the bracket's interpolant is within a tenth of the
-    # band of it, on most brackets, the rest refused
-    array = REFINEMENT_ARRAYS[name][0]
+def _recording_gaps(monkeypatch):
+    """Lists ``gaps`` and ``brackets`` that the moment fits' refinements fill
+    from here on: whether each bracket had the interpolant, and the relative
+    gap between it and the product form at every height that the golden
+    section on the product form alone visits in a bracket that had it."""
     gaps, brackets = [], []
 
     def recording(f, lo, hi, tol, exact=None):
@@ -737,11 +737,58 @@ def test_fast_point_form_is_within_a_tenth_of_the_tie_band(name, weighting_name,
         return golden_section_oracle(both, lo, hi, tol)
 
     monkeypatch.setattr("tomoments.moments.golden_section_max", recording)
+    return gaps, brackets
+
+
+@pytest.mark.parametrize("weighting_name", ["identity", "inverse_sample"])
+@pytest.mark.parametrize("name", list(REFINEMENT_ARRAYS))
+def test_fast_point_form_is_within_a_tenth_of_the_tie_band(name, weighting_name, monkeypatch):
+    # the premise of the near-tie rule: at every height the product-form
+    # refinement visits, the bracket's interpolant is within a tenth of the
+    # band of it, on most brackets, the rest refused
+    array = REFINEMENT_ARRAYS[name][0]
+    gaps, brackets = _recording_gaps(monkeypatch)
     for config, R_bar in _refinement_cases(name, weighting_name):
         estimate(R_bar, config, array)
     assert sum(brackets) >= _SERVED_SHARE_MIN * len(brackets)
     assert len(gaps) > 1000
     assert max(gaps) <= _TIE_BAND / 10
+
+
+@pytest.mark.parametrize("name", list(REFINEMENT_ARRAYS))
+def test_fast_point_form_is_within_half_the_tie_band_up_to_the_condition_limit(name, monkeypatch):
+    # the premise of the near-tie rule on inverse-sample weightings up to the
+    # fast forms' condition limit: covariances sampled at N = M..3M, each also
+    # stretched to just below the limit, fitted at every identifiable D =
+    # 2..8, full and symmetric.  Every bracket the interpolant serves is
+    # within half the band of the product form, as the rule needs; near the
+    # limit an irregular stack's gap exceeds the tenth of the band that the
+    # test above holds at N = 1000
+    array, z0_max = REFINEMENT_ARRAYS[name]
+    z_amb = z0_max or array.ambiguity
+    truth = true_covariance(SourceProfile("uniform", 0.3 * z_amb, 0.05 * z_amb, 100.0), array, 10.0)
+    configs = []
+    for D in range(2, 9):
+        for symmetric in (True, False):
+            config = MomentEstimatorConfig(D=D, symmetric=symmetric, z0_max=z0_max)
+            try:
+                _moment_plan(config, array)
+            except ValueError:  # not identifiable on this array
+                continue
+            configs.append(config)
+    gaps, brackets = _recording_gaps(monkeypatch)
+    conditions = []
+    for N in range(array.M, 3 * array.M):
+        R_bar = sample_covariance(sample_snapshots(truth, N, seed=N))
+        for R in (R_bar, with_condition(R_bar, 0.999 * fitting._FAST_CONDITION_LIMIT)):
+            covariance = fitting.PreparedCovariance(R, array, "inverse_sample")
+            if covariance.condition <= fitting._FAST_CONDITION_LIMIT:
+                conditions.append(covariance.condition)
+            for config in configs:
+                estimate(covariance, config, array)
+    assert max(conditions) > 0.99 * fitting._FAST_CONDITION_LIMIT
+    assert len(gaps) > 1000
+    assert max(gaps) <= _TIE_BAND / 2
 
 
 def _product_form_search(R_bar, config, array) -> float:

@@ -41,7 +41,7 @@ from tomoments.parametric import (
 from tomoments.profiles import shape_characteristic, shape_matrix
 
 from .conftest import IRREGULAR_STACKS
-from .oracles import random_psd_covariance, weighting
+from .oracles import random_psd_covariance, weighting, with_condition
 
 TIGHT = ParametricEstimatorConfig(refine_tol=1e-9 * 100.0)
 
@@ -428,7 +428,7 @@ def test_gram_points_are_within_a_tenth_of_the_tie_band(shape, name):
     covariances = [true_covariance(near_identity, array, 10.0)]
     for N in range(array.M, 3 * array.M):
         R_bar = sample_covariance(sample_snapshots(truth, N, seed=N))
-        covariances += [R_bar, _with_condition(R_bar, 0.999 * _FAST_CONDITION_LIMIT)]
+        covariances += [R_bar, with_condition(R_bar, 0.999 * _FAST_CONDITION_LIMIT)]
     for R in covariances:
         covariance = PreparedCovariance(R, array, "inverse_sample")
         if covariance.condition > _FAST_CONDITION_LIMIT:
@@ -447,13 +447,6 @@ def test_gram_points_are_within_a_tenth_of_the_tie_band(shape, name):
     if name == "reference" and shape == "uniform":
         assert sent
 
-
-def _with_condition(R_bar, condition):
-    """``R_bar`` with its eigenvalues spread geometrically about the largest to the given condition number."""
-    values, vectors = np.linalg.eigh(R_bar.matrix)
-    stretched = values[-1] * (values / values[-1]) ** (np.log(condition) / np.log(values[-1] / values[0]))
-    R = (vectors * stretched) @ vectors.conj().T
-    return CovarianceModel(0.5 * (R + R.conj().T))
 @pytest.mark.parametrize("shape", ["uniform", "gaussian"])
 def test_grid_argmax_matches_product_form(reference_covariance, reference_array, shape):
     # the parametric grid from the Gram form picks the same node as the
