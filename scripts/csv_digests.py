@@ -28,9 +28,14 @@
   has ``sigma_eps2 = 10``).
 
 Every run omits the timestamp header.  Run it in two checkouts and compare
-the listings: equal lines mean byte-identical CSVs.
+the listings: equal lines mean byte-identical CSVs.  With ``--compare
+LISTING`` it compares its own listing with one saved from another checkout
+instead of printing it: it prints the name of every CSV whose SHA-256
+differs, or that only one of the two lists, and exits with 1 if there is
+one, 0 otherwise.
 
-    python3 scripts/csv_digests.py [--out DIR]
+    python3 scripts/csv_digests.py [--out DIR] > parent.txt
+    python3 scripts/csv_digests.py --compare parent.txt
 """
 
 import argparse
@@ -176,12 +181,29 @@ def digests(out: Path) -> list:
     return [(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out).as_posix()) for path in paths]
 
 
+def differing(rows: list, listing: str) -> list:
+    """The sorted names whose digest in ``rows`` (``(sha256, name)`` pairs) differs from the
+    one in ``listing``, the text this script prints, or that only one of the two holds."""
+    saved = dict(reversed(line.split(maxsplit=1)) for line in listing.splitlines() if line.strip())
+    current = {name: digest for digest, name in rows}
+    return sorted(name for name in saved.keys() | current.keys() if saved.get(name) != current.get(name))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", type=Path, help="directory for the CSVs (a temporary one when omitted)")
+    parser.add_argument("--compare", type=Path, metavar="LISTING",
+                        help="a saved listing: print the names that differ from it, exit 1 if any does")
     args = parser.parse_args(argv)
+    listing = args.compare.read_text() if args.compare else None
     with tempfile.TemporaryDirectory() as scratch:
         rows = digests(args.out or Path(scratch))
+    if listing is not None:
+        names = differing(rows, listing)
+        for name in names:
+            print(name, flush=True)
+        print(f"{len(names)} of {len(rows)} CSVs differ from {args.compare}", file=sys.stderr)
+        return 1 if names else 0
     for digest, name in rows:
         print(f"{digest}  {name}", flush=True)
     print(f"{len(rows)} CSVs", file=sys.stderr)

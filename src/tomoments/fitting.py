@@ -18,12 +18,15 @@ cost's M^2 x M^2 Kronecker form is never formed; the one M^2 x M^2 matrix is
   every point of either refinement):
   :func:`fit_terms`, the one product-form point function, builds the terms
   from M x M products, ``Y_ik = tr(C_i C_k)`` with ``C_k = G H_k``, which
-  holds only for a Hermitian basis.
+  holds only for a Hermitian basis.  :func:`shape_terms_product` builds
+  them the same way for the parametric grid on an ill-conditioned
+  weighting, for all heights and shapes in one batch.
 - Grids: every basis matrix is a function of the baseline difference,
   ``H_k[m, n] = h_k(kz_m - kz_n)``, so :func:`harmonic_terms` computes
-  coefficients over the array's distinct baseline frequencies once per
-  covariance, among them the rows ``f >= 0`` of the weighting's Gram
-  matrix ``Q``.  :func:`fit_terms_grid` evaluates the terms of any
+  coefficients over the array's distinct baseline frequencies (grouped to
+  rounding, :func:`_frequency_groups`) once per covariance, among them the
+  rows ``f >= 0`` of the weighting's Gram matrix ``Q``.
+  :func:`fit_terms_grid` evaluates the terms of any
   Hermitian basis on a whole height grid from them, Y in Gram form, a
   quadratic form in the responses with ``Q``; :func:`shape_terms_grid` does
   the same for a single real, even response per system (the parametric
@@ -37,7 +40,7 @@ cost's M^2 x M^2 Kronecker form is never formed; the one M^2 x M^2 matrix is
   the pseudo-inverse or the series' last two coefficients fail a tail test.
 - The parametric polish's points: :func:`_shape_point_terms` takes
   :func:`shape_terms_grid`'s Gram form at one (height, spread) point.
-- Both fast forms of a refinement, and the moment grid, run only on a
+- Both fast forms of a refinement, and both grids' Gram forms, run only on a
   weighting of condition number at most ``_FAST_CONDITION_LIMIT`` (1e3),
   which :class:`PreparedCovariance` records: forming the Gram form squares
   the condition.
@@ -52,8 +55,8 @@ returns the point of its search on the product form alone, and every
 estimate keeps its bits, wherever the fast form is within half that band of
 the product form.  On an ill-conditioned weighting (a noiseless covariance,
 or one sampled from fewer snapshots than acquisitions) the moment grid, the
-golden section and the polish run on the product form alone; the parametric
-grid still takes the Gram form there.
+golden section, the parametric grid and the polish run on the product form
+alone.
 What every fit needs of the covariance and its weighting alone (``W``,
 ``W Rbar W``, the cost constant and one :class:`HarmonicTerms` table) is
 computed once in a :class:`PreparedCovariance`, which the fits with that
@@ -105,6 +108,7 @@ __all__ = [
     "harmonic_terms",
     "fit_terms_grid",
     "shape_terms_grid",
+    "shape_terms_product",
     "solve_quadratic",
     "cost_constant",
     "golden_section_max",
@@ -131,13 +135,15 @@ _CERTIFY_MAX_K = 13
 # polish's fast points to a tenth up to that limit
 _TIE_BAND = 1e-10
 # the largest 2-norm condition number of the weighting on which the polish
-# takes Gram-form points and the moment fit its Gram-form grid and
-# interpolant.  Forming a Gram matrix squares the condition (Bjorck,
-# Numerical Methods for Least Squares Problems, SIAM 1996): up to this limit
-# the polish's points stay within 4.5e-13 of the product form
-# (tests/test_parametric.py), the benchmark's weightings reach 92, and the
-# noiseless bias scan's, far above it, move its rows without it; a moment
-# fit above it returns the product-form search's height (tests/test_moments.py)
+# takes Gram-form points, the parametric fit its Gram-form grid and the
+# moment fit its Gram-form grid and interpolant.  Forming a Gram matrix
+# squares the condition (Bjorck, Numerical Methods for Least Squares
+# Problems, SIAM 1996): up to this limit the polish's points stay within
+# 4.5e-13 of the product form (tests/test_parametric.py), the benchmark's
+# weightings reach 92, and the noiseless bias scan's, far above it, move its
+# rows without it; a moment fit above it returns the product-form search's
+# height (tests/test_moments.py), and a parametric grid the product-form
+# grid's best node (tests/test_parametric.py)
 _FAST_CONDITION_LIMIT = 1e3
 # the moment fit's fast form on a bracket: the Chebyshev interpolant through
 # this many Chebyshev-Lobatto nodes, refused when either of its last two
@@ -159,10 +165,22 @@ _GRID_PER_CHANNEL = 8
 _GRID_PER_RESOLUTION = 16
 _REFINE_TOL_REL = 1e-4
 # heights per chunk of shape_terms_grid: the chunk's (heights, F/2, F) complex
-# and (heights, F/2, S) real temporaries hold about 0.1 MB each at F = 25 and
-# S = 64 (the parametric grid on the reference stack); all 96 heights at once
-# would hold about 0.6 MB each and took twice as long on one core
+# and (heights, F/2, S) real temporaries hold about 23 and 57 KB at F = 13 and
+# S = 64 (the parametric grid on the reference stack), and stay that small on
+# stacks of many more frequencies, whose 96 heights at once would not
 _GRAM_CHUNK = 16
+# units in the last place of the largest |kz| within which two baseline
+# differences are one frequency (see _frequency_groups).  Each kz_m is rounded
+# once (twice for make_uniform_array's 2 pi n / z_amb), so it is at most one
+# unit off its intended value, and each difference is rounded once more, by at
+# most half a unit of a value up to twice the largest |kz|: two differences of
+# one intended baseline are at most 6 units apart, and on the uniform stacks
+# of M = 2..15 at six z_amb from 1 m to 10 km they were at most 3.  A group's
+# representative is within this tolerance of each of its differences, so the
+# phase exp(j z f) a fast form takes at it is off by at most z0_max *
+# tolerance: 8.9e-14 rad at z0_max = 100 m on the reference stack, which
+# moves a term by about a relative 1e-13, far inside half of _TIE_BAND
+_BASELINE_ULPS = 16
 # (config, array) pairs whose search tables stay cached: a sweep uses one
 # array and up to four estimator configs; a moment plan holds about 0.25 MB
 _PLAN_CACHE_SIZE = 16
@@ -218,9 +236,29 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _frequency_groups(array: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
     """The distinct baseline frequencies ``(F,)`` and the 0/1 matrix ``(F, M*M)``
-    that sums the flattened ``(m, n)`` pairs at each of them."""
-    frequencies, pair = np.unique(baseline_differences(array), return_inverse=True)
-    members = (pair.reshape(-1) == np.arange(frequencies.size)[:, None]).astype(float)
+    that assigns each flattened ``(m, n)`` pair to one of them.
+
+    Differences ``kz_m - kz_n`` are distinct when they differ by more than
+    ``_BASELINE_ULPS`` units in the last place of the largest ``|kz|``: the
+    sorted ``|kz_m - kz_n|`` form groups, each of the values within that of
+    its smallest, which represents it.  The frequencies are the
+    representatives and their negatives, so they are sorted, in exact pairs
+    ``+-f``, with 0 exactly at ``F // 2``; a pair joins the group of its
+    ``|kz_m - kz_n|`` at the sign of its difference.  A uniform stack of M
+    acquisitions has ``2 M - 1`` of them.
+    """
+    differences = baseline_differences(array).reshape(-1)
+    magnitudes = np.abs(differences)
+    tolerance = _BASELINE_ULPS * float(np.spacing(np.abs(array.kz).max()))
+    representatives = [0.0]
+    for value in np.sort(magnitudes).tolist():
+        if value - representatives[-1] > tolerance:
+            representatives.append(value)
+    half = np.array(representatives)
+    group = np.searchsorted(half, magnitudes, side="right") - 1
+    frequencies = np.concatenate((-half[:0:-1], half))
+    pair = half.size - 1 + np.where(differences < 0.0, -group, group)
+    members = (pair == np.arange(frequencies.size)[:, None]).astype(float)
     return _read_only(frequencies), _read_only(members)
 
 
@@ -323,10 +361,11 @@ def fit_terms(
 class HarmonicTerms(NamedTuple):
     """Coefficients of the concentration terms of one covariance, by baseline frequency.
 
-    ``frequencies (F,)`` are the distinct baseline differences
-    ``f_mn = kz_m - kz_n``, sorted and in exact pairs ``+-f``; ``c (F,)``
-    holds ``c_f``, the sum of ``(W Rbar W)_nm`` over the pairs with
-    ``f_mn = f`` (``(F, J)`` for a stack of J data matrices).  ``Q`` holds the
+    ``frequencies (F,)`` are the baseline differences ``f_mn = kz_m - kz_n``,
+    grouped to rounding by :func:`_frequency_groups`, one representative per
+    group, sorted and in exact pairs ``+-f``; ``c (F,)`` holds ``c_f``, the
+    sum of ``(W Rbar W)_nm`` over the pairs of the group of ``f`` (``(F, J)``
+    for a stack of J data matrices).  ``Q`` holds the
     rows ``f >= 0`` (``(F // 2 + 1, F)``) of the Gram matrix
     ``Q_fg = <Gamma_f, Gamma_g>`` of ``Gamma_f = sum conj(L[m, :])^T L[n, :]``
     over the same pairs, with ``W = L L^H``; the rows ``f < 0`` are
@@ -343,10 +382,11 @@ def harmonic_terms(array: ArrayConfig, W: np.ndarray, WRW: np.ndarray) -> Harmon
 
     ``WRW`` is ``W Rbar W`` ``(M, M)``, or a stack ``(J, M, M)`` of such data
     matrices, which gives ``c`` the shape ``(F, J)``.  Frequencies are grouped
-    by exact equality, once per array, so a non-uniform stack only has more
-    of them; the uniform M = 7 stack of
-    :func:`~tomoments.geometry.make_uniform_array` has 25 rather than 13, as
-    its wavenumber differences disagree in the last bit.
+    to rounding, once per array (:func:`_frequency_groups`: differences within
+    16 units in the last place of the largest ``|kz|`` are one frequency), so
+    a non-uniform stack only has more of them; the uniform M = 7 stack of
+    :func:`~tomoments.geometry.make_uniform_array` has 2 M - 1 = 13, although
+    its wavenumber differences of one baseline disagree in the last bit.
     """
     frequencies, members = _frequency_groups(array)
     data = np.swapaxes(WRW, -1, -2).reshape(WRW.shape[:-2] + (-1,))
@@ -440,8 +480,8 @@ def fit_terms_grid(hz: np.ndarray, terms: HarmonicTerms):
     # one (heights * K, F) product for all heights, then one (K, K) product
     # per height.  Unlike the (heights, K * M * M) products of a sum of
     # squares, nothing here is large enough for OpenBLAS to thread: the moment
-    # grid on the reference stack (96 heights, K = 5, F = 25) took 0.19-0.20
-    # ms unpinned and 0.16-0.19 ms on one thread, on a 2-vCPU Xeon VM
+    # grid on the reference stack (96 heights, K = 4, F = 13) took 0.063-0.067
+    # ms both unpinned and on one thread, on a 2-vCPU Xeon VM
     V = (flat @ terms.Q.T).reshape(shape + (-1,))
     U = hz[..., F // 2 :].conj() * _half_weights(terms.frequencies)
     return y, (U @ np.swapaxes(V, -1, -2)).real
@@ -470,6 +510,27 @@ def shape_terms_grid(phi: np.ndarray, phase: np.ndarray, terms: HarmonicTerms):
         A = (phase[rows, half].conj()[:, :, None] * terms.Q * phase[rows, None, :]).real
         Y[rows] = np.einsum("zfs,fs->zs", A @ phi_t, weighted)
     return y, Y
+
+
+def shape_terms_product(shapes: np.ndarray, steering: np.ndarray, W: np.ndarray, WRW: np.ndarray):
+    """:func:`shape_terms_grid`'s terms in :func:`fit_terms`'s product form, on a (height, shape) grid.
+
+    ``shapes (S, M, M)`` holds real symmetric basis matrices ``B_s`` and
+    ``steering (Z, M)`` the steering vectors of the heights.  With
+    ``G = Phi^H W Phi`` and ``T = Phi^H (W Rbar W) Phi`` at every height,
+    ``y (Z, S, 2)`` holds the data term ``tr(B_s T)`` and the cross term
+    ``tr(G B_s G)`` with the identity, and ``Y (Z, S)`` the shape's own term
+    ``tr(G B_s G B_s)``: the terms of ``fit_terms`` on the basis ``(B_s, I)``,
+    to rounding, from one ``(Z, S, M, M)`` product ``C = G B_s`` instead of a
+    call per node.  Both outputs are real.
+    """
+    phases = steering.conj()[:, :, None] * steering[:, None, :]
+    G = phases * W
+    flat = shapes.reshape(shapes.shape[0], -1).T
+    C = G[:, None] @ shapes
+    y_data = (phases * WRW).real.reshape(G.shape[0], -1) @ flat
+    y_cross = np.einsum("zsmn,znm->zs", C, G).real
+    return np.stack((y_data, y_cross), axis=-1), np.einsum("zsmn,zsnm->zs", C, C).real
 
 
 def _shape_point_terms(terms: HarmonicTerms):

@@ -16,7 +16,11 @@ search plan bounds or wraps.
   them with a per-covariance Gram matrix, and its data and cross terms are
   one real product.  The identity terms are constants computed once per
   covariance, and the grid's 2x2 systems concentrate in one broadcast call
-  of the nonnegative closed form, :func:`_concentrate_terms`.
+  of the nonnegative closed form, :func:`_concentrate_terms`.  On a
+  weighting of condition number above 1e3, where the Gram form cancels,
+  the terms come from one batched product form over all heights and
+  spreads, :func:`~tomoments.fitting.shape_terms_product`, on the shape
+  matrices at the array's baseline differences.
 - Exact points: the terms of the M x M product form
   :func:`~tomoments.fitting.fit_terms` at the
   :func:`~tomoments.geometry.steering_vector`, called on per-fit tables (the
@@ -74,6 +78,7 @@ from .fitting import (
     _shape_point_terms,
     fit_terms,
     shape_terms_grid,
+    shape_terms_product,
 )
 from .fitting import _weighting_flagged, cost_constant  # not called: perfbench/spans.py patches these names
 from .fitting import nelder_mead as minimize  # the polish's name: perfbench/spans.py times it
@@ -325,15 +330,23 @@ def estimate_parametric(
     # power and noise.  The identity does not move with z0: its own terms are
     # the constants tr(W Rbar W) and tr(W W), and its cross term with the shape
     # is the shape's data term against W I W, the second data column.
+    # The Gram form cancels on an ill-conditioned weighting: the grid and the
+    # polish then run on the product form alone.
     noise_y, noise_Y = covariance.traces
-    y_shape, Y11 = shape_terms_grid(plan.phi, search.phase, covariance.terms)
+    gram = covariance.condition <= _FAST_CONDITION_LIMIT
+    if gram:
+        y_shape, Y11 = shape_terms_grid(plan.phi, search.phase, covariance.terms)
+    else:
+        shapes = shape_characteristic(config.assumed_shape, sigma_values[:, None, None], baseline_differences(array))
+        steering = np.exp(1j * np.multiply.outer(search.z_grid, array.kz))
+        y_shape, Y11 = shape_terms_product(shapes, steering, covariance.W, covariance.WRW)
     objective = _concentrate_terms(y_shape[..., 0], noise_y, Y11, y_shape[..., 1], noise_Y)[2]
 
     best_z, best_s = np.unravel_index(int(np.argmax(objective)), objective.shape)
     flags = {"pinv": False}
     concentrated = _point_evaluator(config.assumed_shape, array, covariance.W, covariance.WRW)
     point, exact = concentrated, None
-    if covariance.condition <= _FAST_CONDITION_LIMIT:
+    if gram:
         # the polish's points in the Gram form, its near-ties in the product
         # form: the weighting is well enough conditioned for the two to agree
         point = _gram_point_evaluator(config.assumed_shape, covariance, concentrated)

@@ -35,8 +35,11 @@ from tomoments import (
     true_covariance,
     wrap_height_error,
 )
+from tomoments import fitting
 from tomoments.cli import main
 from tomoments.experiments import PARAM_NAMES, _format_cell, _write_result
+
+from .conftest import IRREGULAR_STACKS
 
 MOMENTS_SYM = EstimatorSpec("moments-sym", MomentEstimatorConfig(D=4, symmetric=True))
 
@@ -398,6 +401,29 @@ def test_spectrum_dump(tmp_path):
             # the fitted polynomial equals P_hat at the origin
             assert float(row["model_spectrum"]) == pytest.approx(100.0, rel=0.02)
             assert float(row["true_spectrum"]) == pytest.approx(100.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["reference", "M7-signed"])
+def test_spectrum_measurements_list_each_distinct_baseline_once(tmp_path, name):
+    # the measured spectrum sits at the array's distinct baselines, grouped to
+    # rounding: M on the uniform stack, whose differences of one baseline
+    # disagree in the last bit, and no two xi of a family within the
+    # grouping's tolerance of each other
+    if name == "reference":
+        array, estimators = make_uniform_array(7, 100.0), None
+    else:
+        array = ArrayConfig(kz=np.array(IRREGULAR_STACKS[name][0]))
+        estimators = (EstimatorSpec("m", MomentEstimatorConfig(z0_max=IRREGULAR_STACKS[name][1])),)
+    options = {} if estimators is None else {"estimators": estimators}
+    spec = default_spec("spectrum_dump", array=array, output_dir=str(tmp_path), timestamp_header=False, **options)
+    rows = _read_csv(run_spectrum_dump(spec).files["spectrum_measurements"])
+    tolerance = fitting._BASELINE_ULPS * np.spacing(np.abs(array.kz).max())
+    for shape in ("uniform", "gaussian"):
+        xi = np.array([float(row["xi"]) for row in rows if row["shape"] == shape])
+        assert xi[0] == 0.0 and (np.diff(xi) > tolerance).all()
+        if name == "reference":
+            assert xi.size == 7
+            np.testing.assert_allclose(xi, 2.0 * np.pi / 100.0 * np.arange(7), rtol=1e-15)
 
 
 def test_spectrum_dump_point_profile(tmp_path):

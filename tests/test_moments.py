@@ -507,21 +507,39 @@ def _stacks(draw):
     return ArrayConfig(np.array(sorted(kz)) / draw(st.floats(10.0, 1e3)))
 
 
+def _merge_tolerance(array) -> float:
+    """The grouping's tolerance: ``_BASELINE_ULPS`` units in the last place of the largest ``|kz|``."""
+    return fitting._BASELINE_ULPS * float(np.spacing(max(abs(k) for k in array.kz.tolist())))
+
+
+def _grouped_baselines(array) -> list:
+    """Oracle of the grouping rule on Python floats: the sorted ``|kz_m - kz_n|``,
+    cut into groups of the values within the tolerance of each group's first,
+    smallest value; ``[group, ...]`` with each group a sorted list."""
+    tolerance = _merge_tolerance(array)
+    groups = []
+    for value in sorted(abs(a - b) for a in array.kz.tolist() for b in array.kz.tolist()):
+        if groups and value - groups[-1][0] <= tolerance:
+            groups[-1].append(value)
+        else:
+            groups.append([value])
+    return groups
+
+
 @settings(max_examples=80, deadline=None)
 @given(array=_stacks())
-def test_distinct_lags_and_baselines_are_those_of_np_unique(array):
+def test_distinct_lags_and_baselines_follow_the_grouping_rule(array):
     # the lag count of _check_identifiable and the spectrum dump's distinct
-    # baselines are the f >= 0 half of the cached baseline frequencies, not
-    # np.unique, which imports numpy.ma: the same values in the same order,
-    # bit for bit
-    baselines = np.abs(baseline_differences(array))
-    expected = np.unique(baselines)
+    # baselines are the f >= 0 half of the cached baseline frequencies: one
+    # per group of the oracle, its smallest value, bit for bit
+    groups = _grouped_baselines(array)
     frequencies = _frequency_groups(array)[0]
     distinct = frequencies[frequencies.size // 2 :]
-    assert distinct.dtype == expected.dtype and distinct.tobytes() == expected.tobytes()
+    assert distinct.dtype == np.float64
+    assert distinct.tolist() == [group[0] for group in groups]
     if array.ambiguity is None:
         return
-    lags = np.rint(baselines * (array.ambiguity / (2.0 * math.pi)))
+    lags = np.rint(np.abs(baseline_differences(array)) * (array.ambiguity / (2.0 * math.pi)))
     count = int(np.count_nonzero(np.unique(lags)))
     for D in range(2, 13):
         config = MomentEstimatorConfig(D=D)
@@ -530,6 +548,62 @@ def test_distinct_lags_and_baselines_are_those_of_np_unique(array):
                 _check_identifiable(config, array)
         else:
             _check_identifiable(config, array)
+
+
+@pytest.mark.parametrize("z_amb", [1.0, 37.0, 100.0, 1e4])
+@pytest.mark.parametrize("M", range(2, 16))
+def test_uniform_stack_has_one_frequency_per_baseline(M, z_amb):
+    # 2 M - 1 frequencies, 0 and the +-n * 2 pi / z_amb, n < M, each within
+    # the tolerance of every pair it holds, whose differences are those
+    # multiples to rounding
+    array = make_uniform_array(M, z_amb)
+    frequencies, members = _frequency_groups(array)
+    assert frequencies.size == 2 * M - 1
+    np.testing.assert_allclose(frequencies, 2.0 * math.pi / z_amb * np.arange(1 - M, M), rtol=1e-14, atol=0.0)
+    assigned = frequencies @ members
+    assert np.abs(assigned - baseline_differences(array).reshape(-1)).max() <= _merge_tolerance(array)
+
+
+@settings(max_examples=80, deadline=None)
+@given(array=_stacks())
+def test_frequency_groups_pair_every_baseline_once_in_exact_pairs(array):
+    # every (m, n) pair sits in exactly one group, whose frequency is within
+    # the tolerance of its difference; the frequencies rise strictly, come in
+    # exact pairs +-f and hold 0 exactly at F // 2
+    frequencies, members = _frequency_groups(array)
+    assert set(np.unique(members)) <= {0.0, 1.0}
+    assert (members.sum(axis=0) == 1.0).all() and (members.sum(axis=1) >= 1.0).all()
+    differences = baseline_differences(array).reshape(-1)
+    assert np.abs(frequencies @ members - differences).max() <= _merge_tolerance(array)
+    assert (np.diff(frequencies) > 0.0).all()
+    assert frequencies.tolist() == [-f for f in frequencies[::-1].tolist()]
+    assert frequencies.size % 2 == 1 and frequencies[frequencies.size // 2] == 0.0
+
+
+@pytest.mark.parametrize("ulps, merged", [(2, True), (8, True), (64, False), (2**20, False)])
+def test_baselines_apart_by_more_than_the_tolerance_stay_apart(ulps, merged):
+    # kz = 0, 1, 2 + ulps units of 2: the baselines 1 and 1 + ulps units of 2
+    # are one frequency within the 16-unit tolerance and two beyond it
+    kz = np.array([0.0, 1.0, 2.0 + ulps * np.spacing(2.0)])
+    frequencies = _frequency_groups(ArrayConfig(kz))[0]
+    positive = frequencies[frequencies.size // 2 + 1 :]
+    assert positive.size == (2 if merged else 3)
+    assert positive[0] == 1.0 and positive[-1] == kz[2]
+
+
+@pytest.mark.parametrize("name", list(IRREGULAR_STACKS))
+def test_irregular_stacks_keep_their_frequencies(name):
+    # the irregular stacks' baselines lie far apart but for one: on M7-signed
+    # -0.021 - (-0.06) and 0.139 - 0.1, both 0.039, round 1.4e-17 apart and
+    # are one frequency, the smaller; every other frequency of the exact
+    # grouping (np.unique) keeps its bits
+    array = ArrayConfig(kz=np.array(IRREGULAR_STACKS[name][0]))
+    expected = np.unique(baseline_differences(array))
+    if name == "M7-signed":
+        near = sorted({abs(-0.021 - -0.06), abs(0.139 - 0.1)})
+        assert len(near) == 2 and near[1] - near[0] <= _merge_tolerance(array)
+        expected = expected[np.abs(expected) != near[1]]
+    assert _frequency_groups(array)[0].tobytes() == expected.tobytes()
 
 
 # (z0, sigma_z, P, sigma_eps2) on the exact reference covariance, unchanged by

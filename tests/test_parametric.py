@@ -30,6 +30,7 @@ from tomoments.fitting import (
     harmonic_terms,
     nelder_mead,
     shape_terms_grid,
+    shape_terms_product,
 )
 from tomoments.parametric import (
     _concentrate_pair,
@@ -374,8 +375,11 @@ def _polished(R_bar, config, array):
 )
 def test_estimate_equals_the_exact_only_polish(shape, name):
     # the polish on fast points with near-ties on the product form returns
-    # the polish on the product form alone: every number's bits, the
-    # diagnostics, the polished vertex and nfev, nit and success
+    # the polish on the product form alone from the same grid: every
+    # number's bits, the diagnostics, the polished vertex and nfev, nit and
+    # success.  Every point of the exact-only polish is the product form;
+    # the condition limit also picks the grid's form, whose value at the
+    # start sets the polish's fatol, so the grid stays as it is
     array, z_max = POINT_ARRAYS[name]
     config = ParametricEstimatorConfig(assumed_shape=shape, z0_max=None if name == "reference" else z_max)
     screened = 0
@@ -383,7 +387,7 @@ def test_estimate_equals_the_exact_only_polish(shape, name):
         covariance = PreparedCovariance(R_bar, array, "inverse_sample")
         screened += covariance.condition > _FAST_CONDITION_LIMIT
         fast = _polished(covariance, config, array)
-        with mock.patch("tomoments.parametric._FAST_CONDITION_LIMIT", 0.0):
+        with mock.patch("tomoments.parametric._gram_point_evaluator", lambda shape, covariance, exact: exact):
             assert _polished(covariance, config, array) == fast, index
     assert 0 < screened < index
 
@@ -478,6 +482,56 @@ def test_grid_argmax_matches_product_form(reference_covariance, reference_array,
                 )[2]
             assert np.argmax(gram) == np.argmax(points)
             np.testing.assert_allclose(gram, points, rtol=1e-10, atol=1e-12 * np.abs(points).max())
+
+
+@pytest.mark.parametrize("sigma_z", [2.0, 5.0])
+@pytest.mark.parametrize("shape", ["uniform", "gaussian"])
+def test_grid_above_the_condition_limit_takes_the_product_forms_argmax(reference_array, shape, sigma_z):
+    # on a noiseless covariance, whose weighting lies far above the condition
+    # limit, the Gram form cancels: the polish starts from the node that the
+    # grid of product-form fit_terms calls picks, one call per height on all
+    # 64 shape matrices and the identity
+    R = true_covariance(SourceProfile("uniform", 10.0, sigma_z, 100.0), reference_array, 0.0)
+    config = ParametricEstimatorConfig(assumed_shape=shape)
+    covariance = PreparedCovariance(R, reference_array, config.weighting)
+    assert covariance.condition > 1e5 * _FAST_CONDITION_LIMIT
+    plan = _parametric_plan(config, reference_array)
+    shapes = [shape_matrix(SourceProfile(shape, 0.0, sigma, 1.0), reference_array) for sigma in plan.sigma_values]
+    stack = np.stack(shapes + [np.eye(7)])
+    points = np.empty((plan.search.z_grid.size, plan.sigma_values.size))
+    for z, height in enumerate(plan.search.z_grid):
+        y, Y = fit_terms(stack, steering_vector(reference_array, height), covariance.W, covariance.WRW)
+        points[z] = _concentrate_terms(y[:-1], y[-1], np.diag(Y)[:-1], Y[:-1, -1], Y[-1, -1])[2]
+    best_z, best_s = np.unravel_index(int(np.argmax(points)), points.shape)
+    starts = []
+
+    def polish(f, simplex, **options):
+        starts.append(simplex[0])
+        return nelder_mead(f, simplex, **options)
+
+    with mock.patch("tomoments.parametric.minimize", polish):
+        estimate_parametric(covariance, config, reference_array)
+    assert starts == [(plan.search.z_grid[best_z], plan.sigma_values[best_s])]
+
+
+def test_shape_terms_product_equals_fit_terms(reference_array):
+    # the batched product form gives fit_terms' terms of every (shape,
+    # identity) pair to rounding, on a sampled and on a noiseless covariance
+    sigma_values = np.linspace(0.0, 30.0, 9)
+    z_grid = np.linspace(-20.0, 130.0, 11)
+    shapes = np.stack([shape_matrix(SourceProfile("gaussian", 0.0, s, 1.0), reference_array) for s in sigma_values])
+    steering = np.stack([steering_vector(reference_array, z) for z in z_grid])
+    truth = true_covariance(SourceProfile("uniform", 10.0, 5.0, 100.0), reference_array, 10.0)
+    for R_bar in (sample_covariance(sample_snapshots(truth, 100, seed=3)), truth):
+        W = weighting(R_bar, "inverse_sample")
+        WRW = W @ R_bar.matrix @ W
+        y, Y11 = shape_terms_product(shapes, steering, W, WRW)
+        assert y.shape == (z_grid.size, sigma_values.size, 2) and Y11.shape == y.shape[:-1]
+        for z, a in enumerate(steering):
+            for s, B in enumerate(shapes):
+                y_point, Y_point = fit_terms(np.stack([B, np.eye(7)]), a, W, WRW)
+                np.testing.assert_allclose(y[z, s], [y_point[0], Y_point[0, 1]], rtol=1e-11)
+                assert Y11[z, s] == pytest.approx(Y_point[0, 0], rel=1e-11)
 
 
 def test_scale_equivariance(reference_covariance, reference_array):
