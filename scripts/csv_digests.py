@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the 44 CSVs that show whether a change moved any output.
+"""Print the SHA-256 of the 46 CSVs that show whether a change moved any output.
 
 - 16 from the benchmark workloads: every variant of every workload in
   ``perfbench/workloads.py``, run through ``tomoments.cli.main`` (read only;
@@ -11,13 +11,15 @@
   fits and an identity-weighted full D = 6 moment fit; the parametric
   estimator in the spec has no moment polynomial and is skipped;
 - 2 from ``tomoments rmse --trials 6 --workers 2 --dump-trials``;
-- 18 from ``tomoments rmse`` or ``tomoments bias``, by the spec's kind,
+- 20 from ``tomoments rmse`` or ``tomoments bias``, by the spec's kind,
   with ``--trials 6 --dump-trials`` (20 trials where :data:`_TRIALS` says
   so) on the paths those miss (:data:`EXTRA_SPECS`): the identity
   weighting with a full moment fit at D = 6 and with both parametric fits,
   a parametric fit bounded by ``z0_max`` on a sparse stack, a full D = 4
   moment fit bounded the same way with its source 0.3 m inside either
   edge, where the refinement's bracket is clipped to the bounds, both
+  parametric fits bounded by ``z0_max`` on a stack with no common period,
+  whose polish points fold 39 baseline frequencies, both
   parametric fits at N = 6, 8 and 10, whose inverse-sample weightings
   straddle the condition limit of the polish's fast points, both moment
   fits at N = 4, 6 and 8, whose weightings straddle the same limit of the
@@ -136,6 +138,15 @@ EXTRA_SPECS = {
         "N_list": [4, 6, 8],
         "array": {"M": 7, "z_amb": 100.0},
         "estimators": [entry.to_json() for entry in default_estimators()[:2]],
+    },
+    # both parametric fits on a stack with no common period (39 distinct
+    # baseline frequencies where a uniform stack of 7 has 13), bounded by
+    # z0_max: the only digest of a gaussian fit off a harmonic stack
+    "irregular-parametric": {
+        **_SCENARIO,
+        "array": {"kz": [-0.06, -0.021, 0.0, 0.044, 0.052, 0.1, 0.139]},
+        "estimators": [{"label": f"parametric-{shape}-z100", "method": "parametric", "assumed_shape": shape,
+                        "weighting": "inverse_sample", "z0_max": 100.0} for shape in ("uniform", "gaussian")],
     },
     "quoted-labels": {
         **_SCENARIO,

@@ -38,8 +38,11 @@ cost's M^2 x M^2 Kronecker form is never formed; the one M^2 x M^2 matrix is
   Chebyshev series with one fixed DCT-I matrix and evaluates it by
   Clenshaw's recurrence on Python floats.  It is refused when a node needs
   the pseudo-inverse or the series' last two coefficients fail a tail test.
-- The parametric polish's points: :func:`_shape_point_terms` takes
-  :func:`shape_terms_grid`'s Gram form at one (height, spread) point.
+- The parametric polish's points: ``PreparedCovariance.shape_point_form``
+  folds :func:`shape_terms_grid`'s Gram form at one (height, spread) point
+  into one real quadratic form ``[G; D]`` in the float view of the shape's
+  phase-weighted responses at the frequencies ``f >= 0``, built once per
+  covariance at the first parametric fit that asks.
 - Both fast forms of a refinement, and both grids' Gram forms, run only on a
   weighting of condition number at most ``_FAST_CONDITION_LIMIT`` (1e3),
   which :class:`PreparedCovariance` records: forming the Gram form squares
@@ -96,7 +99,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _fields
-from .geometry import ArrayConfig, _finite_height, baseline_differences, fourier_resolution
+from .geometry import ArrayConfig, baseline_differences, fourier_resolution
 from .profiles import CovarianceModel
 
 __all__ = [
@@ -139,7 +142,7 @@ _TIE_BAND = 1e-10
 # moment fit its Gram-form grid and interpolant.  Forming a Gram matrix
 # squares the condition (Bjorck, Numerical Methods for Least Squares
 # Problems, SIAM 1996): up to this limit the polish's points stay within
-# 4.5e-13 of the product form (tests/test_parametric.py), the benchmark's
+# 9e-13 of the product form (tests/test_parametric.py), the benchmark's
 # weightings reach 92, and the noiseless bias scan's, far above it, move its
 # rows without it; a moment fit above it returns the product-form search's
 # height (tests/test_moments.py), and a parametric grid the product-form
@@ -164,11 +167,12 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_PER_CHANNEL = 8
 _GRID_PER_RESOLUTION = 16
 _REFINE_TOL_REL = 1e-4
-# heights per chunk of shape_terms_grid: the chunk's (heights, F/2, F) complex
-# and (heights, F/2, S) real temporaries hold about 23 and 57 KB at F = 13 and
-# S = 64 (the parametric grid on the reference stack), and stay that small on
-# stacks of many more frequencies, whose 96 heights at once would not
-_GRAM_CHUNK = 16
+# complex elements of shape_terms_grid's (heights, F // 2 + 1, F) temporary,
+# which sets how many heights a chunk takes: 256 KB, so the reference stack's
+# 96 heights (F = 13) run as one chunk of 140 KB, with a (heights, F // 2 + 1,
+# S) real temporary of 344 KB at S = 64, while a stack of many more
+# frequencies takes fewer heights at a time (17 at F = 43)
+_GRAM_ELEMENTS = 1 << 14
 # units in the last place of the largest |kz| within which two baseline
 # differences are one frequency (see _frequency_groups).  Each kz_m is rounded
 # once (twice for make_uniform_array's 2 pi n / z_amb), so it is at most one
@@ -437,6 +441,38 @@ class PreparedCovariance:
         self.terms = terms._replace(c=_read_only(terms.c), Q=_read_only(terms.Q))
         self.cost_constant = cost_constant(self.R, W)
 
+    @functools.cached_property
+    def shape_point_form(self) -> np.ndarray:
+        """:func:`shape_terms_grid`'s terms at one point as one real matrix ``[G; D]``.
+
+        Let ``x`` be the float view (real and imaginary parts interleaved)
+        of ``v = (1, e_f phi_f for f > 0)`` over the ``F // 2 + 1``
+        frequencies ``f >= 0`` of ``terms``, for the phases ``e_f = exp(j z
+        f)`` of a height and a real, even response ``phi`` with ``phi_0 =
+        1`` (a shape characteristic function).  Then the shape's own term is
+        ``Y = x^T G x`` and its data terms, one per column of ``terms.c``,
+        are ``y = D x``: G ``(n, n)``, ``n = 2 (F // 2 + 1)``, is the real
+        symmetric matrix of :func:`fit_terms_grid`'s Gram form with the
+        columns ``g < 0`` of ``Q`` folded onto ``v`` (``v_{-g} =
+        conj(v_g)``), and D ``(J, n)`` holds ``Re(v @ (w c))`` over the rows
+        ``f >= 0``, with ``w`` 1 at ``f = 0`` and 2 above.  Built at the
+        first fit that asks, so the parametric fits on this covariance share
+        it and a moment fit builds none; read-only.
+        """
+        half = self.terms.frequencies.size // 2
+        weights = _half_weights(self.terms.frequencies)
+        # Y = Re sum_{f >= 0} w_f conj(v_f) (A v + B conj(v))_f, with A the
+        # columns g >= 0 of Q and B those of -g, less the column g = 0 in A
+        A = self.terms.Q[:, half:]
+        B = self.terms.Q[:, half::-1] * (np.arange(half + 1) > 0)
+        blocks = np.empty((half + 1, 2, half + 1, 2))
+        blocks[:, 0, :, 0], blocks[:, 0, :, 1] = (A + B).real, (B - A).imag
+        blocks[:, 1, :, 0], blocks[:, 1, :, 1] = (A + B).imag, (A - B).real
+        folded = (weights[:, None, None, None] * blocks).reshape(2 * half + 2, -1)
+        data = weights[:, None] * self.terms.c[half:]
+        D = np.stack((data.real, -data.imag), axis=1).reshape(folded.shape[0], -1).T
+        return _read_only(np.concatenate((0.5 * (folded + folded.T), D)))
+
 
 def _prepared(R_bar, array: ArrayConfig, weighting: str) -> PreparedCovariance:
     """``R_bar`` ready for a fit under ``weighting`` on ``array``: a
@@ -505,8 +541,9 @@ def shape_terms_grid(phi: np.ndarray, phase: np.ndarray, terms: HarmonicTerms):
     y = np.swapaxes((phase[:, :, None] * terms.c).real.transpose(0, 2, 1) @ phi_t, 1, 2)
     weighted = phi_t[half] * _half_weights(terms.frequencies)[:, None]
     Y = np.empty((phase.shape[0], phi.shape[0]))
-    for start in range(0, phase.shape[0], _GRAM_CHUNK):
-        rows = slice(start, start + _GRAM_CHUNK)
+    chunk = max(1, _GRAM_ELEMENTS // terms.Q.size)
+    for start in range(0, phase.shape[0], chunk):
+        rows = slice(start, start + chunk)
         A = (phase[rows, half].conj()[:, :, None] * terms.Q * phase[rows, None, :]).real
         Y[rows] = np.einsum("zfs,fs->zs", A @ phi_t, weighted)
     return y, Y
@@ -531,34 +568,6 @@ def shape_terms_product(shapes: np.ndarray, steering: np.ndarray, W: np.ndarray,
     y_data = (phases * WRW).real.reshape(G.shape[0], -1) @ flat
     y_cross = np.einsum("zsmn,znm->zs", C, G).real
     return np.stack((y_data, y_cross), axis=-1), np.einsum("zsmn,zsnm->zs", C, C).real
-
-
-def _shape_point_terms(terms: HarmonicTerms):
-    """:func:`shape_terms_grid`'s Gram form at one ``(height, response)`` point at a time.
-
-    Returns a function ``(z, phi) -> (y, Y)`` of a height and a real, even
-    response ``phi`` sampled at the frequencies ``f >= 0`` of ``terms``;
-    those of ``f < 0`` mirror it.  With ``v = e_f phi_f`` on ``f >= 0``
-    (and ``conj(v)`` mirrored on ``f < 0``), ``y = Re(v @ (w c))`` over the
-    rows ``f >= 0``, as ``c_{-f} = conj(c_f)``, and
-    ``Y = Re(conj(v) @ Q^H (w v))`` over all rows of ``v``, the conjugate of
-    :func:`fit_terms_grid`'s Gram form, with ``w`` 1 at ``f = 0`` and 2
-    above.  ``y`` is a list of one float per data column of ``terms.c``, ``Y``
-    a float; both agree with :func:`fit_terms` to rounding, not to the bit.
-    A non-finite ``z`` is refused with ``ValueError``.
-    """
-    half = terms.frequencies.size // 2
-    weights = _half_weights(terms.frequencies)
-    gram = terms.Q.conj().T * weights
-    data = weights[:, None] * terms.c[half:]
-    rate = 1j * terms.frequencies[half:]
-
-    def at(z: float, phi: np.ndarray):
-        v = np.exp(rate * _finite_height(z)) * phi
-        full = np.concatenate((v[:0:-1].conj(), v))
-        return (v @ data).real.tolist(), float(np.vdot(full, gram @ v).real)
-
-    return at
 
 
 def solve_quadratic(y: np.ndarray, Y: np.ndarray):
@@ -809,7 +818,7 @@ def _nan_last_less(u: float, v: float) -> bool:
 
 def _line(a: float, u, b: float, v) -> tuple[float, ...]:
     """The point ``a u + b v``, coordinate by coordinate."""
-    return tuple(a * x + b * y for x, y in zip(u, v))
+    return tuple([a * x + b * y for x, y in zip(u, v)])
 
 
 def nelder_mead(
@@ -851,7 +860,7 @@ def nelder_mead(
             return v
     else:
         def clip(v):
-            return tuple(_clip(x, lo, hi) for x, (lo, hi) in zip(v, bounds))
+            return tuple([_clip(x, lo, hi) for x, (lo, hi) in zip(v, bounds)])
 
         sim = [clip(tuple(2 * hi - x if x > hi else x for x, (_, hi) in zip(v, bounds))) for v in sim]
 
@@ -921,7 +930,7 @@ def nelder_mead(
                     sim[-1], fsim[-1] = xc, c
                 else:
                     for j in range(1, n + 1):
-                        sim[j] = clip(tuple(b + 0.5 * (x - b) for x, b in zip(sim[j], best)))
+                        sim[j] = clip(tuple([b + 0.5 * (x - b) for x, b in zip(sim[j], best)]))
                         fsim[j] = evaluate(sim[j])
             nit += 1
         except _BudgetSpent:

@@ -16,7 +16,8 @@ search plan bounds or wraps.
   them with a per-covariance Gram matrix, and its data and cross terms are
   one real product.  The identity terms are constants computed once per
   covariance, and the grid's 2x2 systems concentrate in one broadcast call
-  of the nonnegative closed form, :func:`_concentrate_terms`.  On a
+  of the nonnegative closed form that forms only the objective,
+  :func:`_grid_objective`, the identity's edge once as a scalar.  On a
   weighting of condition number above 1e3, where the Gram form cancels,
   the terms come from one batched product form over all heights and
   spreads, :func:`~tomoments.fitting.shape_terms_product`, on the shape
@@ -35,8 +36,11 @@ search plan bounds or wraps.
 - Polish: the package's own Nelder-Mead on Python floats,
   :func:`~tomoments.fitting.nelder_mead`.  On a weighting of condition
   number at most 1e3 its points take the Gram form of the prepared table
-  at one point, :func:`~tomoments.fitting._shape_point_terms`, about half
-  the cost of an exact point (:func:`_gram_point_evaluator`), and every
+  at one point as one real quadratic form,
+  ``PreparedCovariance.shape_point_form``: one ``exp`` of the phases (a
+  gaussian's spread in the same exponent), a uniform's ``sin(u) / u``, one
+  matrix-vector product and one dot, about a quarter of the cost of an
+  exact point (:func:`_gram_point_evaluator`), and every
   test of two values within a relative 1e-10 of each other (a near-tie)
   runs on their exact values; a point near the 2x2 determinant screen
   takes the exact form.  The polish then returns the search on exact
@@ -75,15 +79,14 @@ from .fitting import (
     _prepared,
     _read_only,
     _search_plan,
-    _shape_point_terms,
     fit_terms,
     shape_terms_grid,
     shape_terms_product,
 )
 from .fitting import _weighting_flagged, cost_constant  # not called: perfbench/spans.py patches these names
 from .fitting import nelder_mead as minimize  # the polish's name: perfbench/spans.py times it
-from .geometry import ArrayConfig, baseline_differences, steering_vector
-from .profiles import CovarianceModel, shape_characteristic
+from .geometry import ArrayConfig, _finite_height, baseline_differences, steering_vector
+from .profiles import _SQRT3, CovarianceModel, shape_characteristic
 from .profiles import shape_matrix  # not called: perfbench/spans.py patches this name
 
 __all__ = [
@@ -175,37 +178,42 @@ class ParametricEstimate:
     diagnostics: ParametricDiagnostics
 
 
-def _concentrate_terms(y1, y2, Y11, Y12, Y22):
-    """Maximize 2*y'a - a'Ya over a = (P, sigma_eps2) with a >= 0.
+def _grid_objective(y1, y2: float, Y11, Y12, Y22: float) -> np.ndarray:
+    """The objective of ``max 2 y'a - a'Ya`` over ``a = (P, sigma_eps2) >= 0`` on a grid.
 
     ``y = (y1, y2)`` and ``Y = [[Y11, Y12], [Y12, Y22]]`` are given by their
-    terms, which broadcast; the grid scan passes the identity's constant
-    terms ``y2`` and ``Y22`` as scalars.  Each system uses its interior
-    stationary point when that is feasible, otherwise the best feasible
-    edge, in closed form.  Returns ``(P, sigma_eps2, objective, degenerate)``.
+    terms: arrays for the shape's and the identity's constant terms ``y2``
+    and ``Y22``, scalars.  Each system takes its interior stationary point
+    when that is feasible, otherwise the best feasible edge, in closed form:
+    :func:`_concentrate_pair`'s formulas in the same order, on arrays, so
+    each objective has the bits that function gives on its system, and the
+    identity's edge ``q2`` is computed once.
     """
-    det = Y11 * Y22 - Y12 * Y12
-    degenerate = ~(det > 1e-12 * np.maximum(Y11 * Y22, _TINY))
     with np.errstate(divide="ignore", invalid="ignore"):
-        a1 = (Y22 * y1 - Y12 * y2) / det
-        a2 = (Y11 * y2 - Y12 * y1) / det
-        q_in = (Y22 * y1 * y1 - 2.0 * Y12 * y1 * y2 + Y11 * y2 * y2) / det
+        edge2 = np.maximum(y2, 0.0) / Y22 if Y22 > 0.0 else 0.0  # P = 0
+        q2 = edge2 * y2
+        Y11Y22 = Y11 * Y22
+        det = Y11Y22 - Y12 * Y12
+        degenerate = ~(det > 1e-12 * np.maximum(Y11Y22, _TINY))
+        Y22y1, Y11y2 = Y22 * y1, Y11 * y2
+        a1 = (Y22y1 - Y12 * y2) / det
+        a2 = (Y11y2 - Y12 * y1) / det
+        q_in = (Y22y1 * y1 - 2.0 * Y12 * y1 * y2 + Y11y2 * y2) / det
         edge1 = np.where(Y11 > 0.0, np.maximum(y1, 0.0) / Y11, 0.0)  # sigma_eps2 = 0
-        edge2 = np.where(Y22 > 0.0, np.maximum(y2, 0.0) / Y22, 0.0)  # P = 0
-    q1, q2 = edge1 * y1, edge2 * y2
+    q1 = edge1 * y1
     interior = ~degenerate & (a1 >= 0.0) & (a2 >= 0.0)
-    first = q1 >= q2
-    P = np.where(interior, a1, np.where(first, edge1, 0.0))
-    noise = np.where(interior, a2, np.where(first, 0.0, edge2))
-    return P, noise, np.where(interior, q_in, np.where(first, q1, q2)), degenerate
+    return np.where(interior, q_in, np.where(q1 >= q2, q1, q2))
 
 
 def _concentrate_pair(y1: float, y2: float, Y11: float, Y12: float, Y22: float):
-    """:func:`_concentrate_terms` on one system of Python floats.
+    """Maximize ``2 y'a - a'Ya`` over ``a = (P, sigma_eps2) >= 0`` on one system of Python floats.
 
-    Same formulas in the same order, so the results are bit-identical to the
-    array form's; returns ``(P, sigma_eps2, objective, degenerate)``.  The
-    interior solution is only formed when ``det`` passes the screen.
+    ``y = (y1, y2)`` and ``Y = [[Y11, Y12], [Y12, Y22]]`` are given by their
+    terms.  The system takes its interior stationary point when that is
+    feasible, otherwise the best feasible edge, in closed form; returns
+    ``(P, sigma_eps2, objective, degenerate)``, ``degenerate`` when the
+    determinant is at most ``1e-12`` of ``Y11 Y22``.  The interior solution
+    is only formed when ``det`` passes that screen.
     """
     det = Y11 * Y22 - Y12 * Y12
     degenerate = not det > 1e-12 * max(Y11 * Y22, _TINY)
@@ -229,11 +237,11 @@ def _point_evaluator(shape: str, array: ArrayConfig, W: np.ndarray, WRW: np.ndar
     Returns a function of ``(z, sigma)`` giving ``(P, sigma_eps2, objective,
     degenerate)``: the terms of ``fit_terms(stack, steering_vector(array, z),
     W, WRW)`` on the (shape, identity) basis, concentrated by
-    :func:`_concentrate_pair`, so bit-identical to :func:`_concentrate_terms`
-    on the same terms.  The tables are taken once per fit: the basis lives
-    in one preallocated stack, whose identity row is written once, and the
-    array's baseline differences.  Each point writes the shape's
-    characteristic function at them, the entries of
+    :func:`_concentrate_pair`, so its objective has the bits of
+    :func:`_grid_objective` on the same terms.  The tables are taken once
+    per fit: the basis lives in one preallocated stack, whose identity row
+    is written once, and the array's baseline differences.  Each point
+    writes the shape's characteristic function at them, the entries of
     :func:`~tomoments.profiles.shape_matrix` of a profile with that spread,
     into the stack and calls this module's ``fit_terms``, the name a tracer
     patches.  Its Hermitian average changes no bit here: the differences
@@ -259,22 +267,43 @@ def _gram_point_evaluator(shape: str, covariance: PreparedCovariance, product_fo
     """:func:`_point_evaluator`'s criterion in the Gram form of the prepared table.
 
     The same ``(z, sigma) -> (P, sigma_eps2, objective, degenerate)``, from
-    :func:`~tomoments.fitting._shape_point_terms` on ``covariance.terms``
-    with the shape's characteristic function at the frequencies ``f >= 0``,
-    and the ``covariance.traces`` as the identity's terms, concentrated by
-    :func:`_concentrate_pair`.  It agrees to rounding with ``product_form``,
-    the :func:`_point_evaluator` of the same fit, and returns its values at
-    every point whose determinant is at most ``_FAST_DET_MIN`` of
-    ``Y11 Y22``, where the screen or the rounding would set the two apart.
+    the real quadratic form ``covariance.shape_point_form``: the shape's
+    characteristic function at the frequencies ``f > 0`` times the phases
+    ``exp(j z f)`` fill one preallocated complex vector ``v`` (its ``f = 0``
+    entry is 1), and with ``x`` its float view ``Y11 = x^T G x`` and ``(y1,
+    Y12) = D x``; the ``covariance.traces`` are the identity's terms, and
+    :func:`_concentrate_pair` concentrates them.  A gaussian's ``exp(-sigma^2
+    f^2 / 2)`` joins the phases' exponent, a uniform's ``sin(u) / u``, ``u =
+    sqrt(3) sigma f``, multiplies them at a nonzero spread.  It agrees to
+    rounding with ``product_form``, the :func:`_point_evaluator` of the same
+    fit, and returns its values at every point whose determinant is at most
+    ``_FAST_DET_MIN`` of ``Y11 Y22``, where the screen or the rounding would
+    set the two apart, or is not a number (a NaN spread, or one so small
+    that ``u`` underflows to 0).  A non-finite height raises ``ValueError``.
     """
-    terms = covariance.terms
-    frequencies = terms.frequencies[terms.frequencies.size // 2 :]
-    terms_at = _shape_point_terms(terms)
+    form = covariance.shape_point_form
+    n = form.shape[1]
+    positive = covariance.terms.frequencies[covariance.terms.frequencies.size // 2 + 1 :]
+    v = np.ones(n // 2, dtype=complex)
+    x, tail = v.view(float), v[1:]
+    rate = 1j * positive
+    gaussian = shape == "gaussian"
+    decay, width = -0.5 * positive * positive, _SQRT3 * positive
     noise_y, noise_Y = covariance.traces.tolist()
 
     def concentrated(point) -> tuple[float, float, float, bool]:
         z, sigma = point
-        (y1, Y12), Y11 = terms_at(z, shape_characteristic(shape, abs(float(sigma)), frequencies))
+        z, s = _finite_height(z), abs(float(sigma))
+        if gaussian:
+            np.exp(rate * z + (s * s) * decay, out=tail)
+        else:
+            np.exp(rate * z, out=tail)
+            if s != 0.0:
+                u = s * width
+                np.multiply(tail, np.sin(u) / u, out=tail)
+        g = form.dot(x)
+        Y11 = float(x.dot(g[:n]))
+        y1, Y12 = g[n:].tolist()
         if not Y11 * noise_Y - Y12 * Y12 > _FAST_DET_MIN * Y11 * noise_Y:
             return product_form(point)
         return _concentrate_pair(y1, noise_y, Y11, Y12, noise_Y)
@@ -332,7 +361,7 @@ def estimate_parametric(
     # is the shape's data term against W I W, the second data column.
     # The Gram form cancels on an ill-conditioned weighting: the grid and the
     # polish then run on the product form alone.
-    noise_y, noise_Y = covariance.traces
+    noise_y, noise_Y = covariance.traces.tolist()
     gram = covariance.condition <= _FAST_CONDITION_LIMIT
     if gram:
         y_shape, Y11 = shape_terms_grid(plan.phi, search.phase, covariance.terms)
@@ -340,7 +369,7 @@ def estimate_parametric(
         shapes = shape_characteristic(config.assumed_shape, sigma_values[:, None, None], baseline_differences(array))
         steering = np.exp(1j * np.multiply.outer(search.z_grid, array.kz))
         y_shape, Y11 = shape_terms_product(shapes, steering, covariance.W, covariance.WRW)
-    objective = _concentrate_terms(y_shape[..., 0], noise_y, Y11, y_shape[..., 1], noise_Y)[2]
+    objective = _grid_objective(y_shape[..., 0], noise_y, Y11, y_shape[..., 1], noise_Y)
 
     best_z, best_s = np.unravel_index(int(np.argmax(objective)), objective.shape)
     flags = {"pinv": False}

@@ -8,7 +8,12 @@ computations.  The Nelder-Mead oracle is ``scipy.optimize.minimize``, the
 implementation :func:`tomoments.fitting.nelder_mead` ports bit for bit, and
 the batched solve's oracle is the eigenvalue screen that
 :func:`tomoments.fitting.solve_quadratic` certifies with a Cholesky
-factorization.  The moment fit's refinement has as its oracle the golden
+factorization.  :func:`concentrate_terms` is the parametric fit's
+nonnegative 2x2 closed form on arrays, every output of it, which the
+package's one-system form and its objective-only grid form must match bit
+for bit, and :func:`concentrated_objective_mp` its objective at one grid
+node in 60-digit arithmetic, which holds the product form's rounding on an
+ill-conditioned weighting.  The moment fit's refinement has as its oracle the golden
 section it ran before the fast point form: product-form values at every
 point, no near-tie rule.  :func:`weighting` and
 :func:`moment_model_covariance` give the weighting matrix and the moment
@@ -131,6 +136,73 @@ def solve_quadratic_eigvalsh_oracle(y, Y):
     alpha = beta / scale
     objective = np.clip(np.einsum("zk,zk->z", ys, beta), 0.0, None)
     return alpha, objective, bool(np.any(bad))
+
+
+def concentrate_terms(y1, y2, Y11, Y12, Y22):
+    """Maximize 2*y'a - a'Ya over a = (P, sigma_eps2) with a >= 0.
+
+    ``y = (y1, y2)`` and ``Y = [[Y11, Y12], [Y12, Y22]]`` are given by their
+    terms, which broadcast.  Each system uses its interior stationary point
+    when that is feasible, otherwise the best feasible edge, in closed form.
+    Returns ``(P, sigma_eps2, objective, degenerate)``.
+    """
+    det = Y11 * Y22 - Y12 * Y12
+    degenerate = ~(det > 1e-12 * np.maximum(Y11 * Y22, np.finfo(float).tiny))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a1 = (Y22 * y1 - Y12 * y2) / det
+        a2 = (Y11 * y2 - Y12 * y1) / det
+        q_in = (Y22 * y1 * y1 - 2.0 * Y12 * y1 * y2 + Y11 * y2 * y2) / det
+        edge1 = np.where(Y11 > 0.0, np.maximum(y1, 0.0) / Y11, 0.0)  # sigma_eps2 = 0
+        edge2 = np.where(Y22 > 0.0, np.maximum(y2, 0.0) / Y22, 0.0)  # P = 0
+    q1, q2 = edge1 * y1, edge2 * y2
+    interior = ~degenerate & (a1 >= 0.0) & (a2 >= 0.0)
+    first = q1 >= q2
+    P = np.where(interior, a1, np.where(first, edge1, 0.0))
+    noise = np.where(interior, a2, np.where(first, 0.0, edge2))
+    return P, noise, np.where(interior, q_in, np.where(first, q1, q2)), degenerate
+
+
+def concentrated_objective_mp(R, W, kz, shape: str, z: float, sigma: float, digits: int = 60):
+    """The parametric fit's concentrated objective at one ``(z, sigma)`` node, to ``digits`` digits.
+
+    The float covariance ``R``, weighting ``W`` and wavenumbers ``kz`` are
+    taken as exact; ``W R W``, the steering vector, the shape matrix of the
+    ``"uniform"`` or ``"gaussian"`` family, the terms of the (shape,
+    identity) basis and the nonnegative 2x2 closed form (the interior
+    point when it is feasible, else the better edge) are all evaluated in
+    mpmath at ``digits`` decimal digits.  Returns an ``mpmath.mpf``.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        M = len(kz)
+        k = [mpmath.mpf(float(value)) for value in kz]
+        Wm = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in np.asarray(W)])
+        Rm = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in np.asarray(R)])
+        WRW = Wm * Rm * Wm
+        a = [mpmath.expj(k[m] * mpmath.mpf(z)) for m in range(M)]
+        spread = mpmath.mpf(sigma)
+
+        def phi(x):
+            if shape == "gaussian":
+                return mpmath.exp(-((spread * x) ** 2) / 2)
+            u = mpmath.sqrt(3) * spread * x
+            return mpmath.mpf(1) if u == 0 else mpmath.sin(u) / u
+
+        B = mpmath.matrix([[phi(k[m] - k[n]) for n in range(M)] for m in range(M)])
+        G = mpmath.matrix([[mpmath.conj(a[m]) * Wm[m, n] * a[n] for n in range(M)] for m in range(M)])
+        T = [[mpmath.conj(a[m]) * WRW[m, n] * a[n] for n in range(M)] for m in range(M)]
+        C = G * B
+        y1 = mpmath.re(mpmath.fsum(B[m, n] * mpmath.conj(T[m][n]) for m in range(M) for n in range(M)))
+        y2 = mpmath.re(mpmath.fsum(T[m][m] for m in range(M)))
+        Y11 = mpmath.re(mpmath.fsum(C[m, n] * C[n, m] for m in range(M) for n in range(M)))
+        Y12 = mpmath.re(mpmath.fsum(C[m, n] * G[n, m] for m in range(M) for n in range(M)))
+        Y22 = mpmath.re(mpmath.fsum(G[m, n] * G[n, m] for m in range(M) for n in range(M)))
+        det = Y11 * Y22 - Y12 * Y12
+        if det > 0 and Y22 * y1 - Y12 * y2 >= 0 and Y11 * y2 - Y12 * y1 >= 0:
+            return (Y22 * y1 * y1 - 2 * Y12 * y1 * y2 + Y11 * y2 * y2) / det
+        edges = [value * value / diagonal for value, diagonal in ((y1, Y11), (y2, Y22)) if value > 0 and diagonal > 0]
+        return +max(edges, default=mpmath.mpf(0))
 
 
 def golden_section_oracle(f, lo, hi, tol):

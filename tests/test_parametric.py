@@ -13,6 +13,7 @@ from tomoments import (
     ParametricEstimatorConfig,
     SigmaGrid,
     SourceProfile,
+    baseline_differences,
     estimate_parametric,
     make_uniform_array,
     sample_covariance,
@@ -34,15 +35,21 @@ from tomoments.fitting import (
 )
 from tomoments.parametric import (
     _concentrate_pair,
-    _concentrate_terms,
     _gram_point_evaluator,
+    _grid_objective,
     _parametric_plan,
     _point_evaluator,
 )
 from tomoments.profiles import shape_characteristic, shape_matrix
 
 from .conftest import IRREGULAR_STACKS
-from .oracles import random_psd_covariance, weighting, with_condition
+from .oracles import (
+    concentrate_terms,
+    concentrated_objective_mp,
+    random_psd_covariance,
+    weighting,
+    with_condition,
+)
 
 TIGHT = ParametricEstimatorConfig(refine_tol=1e-9 * 100.0)
 
@@ -127,7 +134,7 @@ def test_stays_in_domain_when_the_optimum_lies_outside(stack, z0_frac):
     a = steering_vector(array, result.z0_hat)
     for sigma in result.sigma_z_hat * np.array([0.9, 0.97, 1.03, 1.1]):
         basis = np.stack([shape_matrix(SourceProfile("gaussian", 0.0, sigma, 1.0), array), np.eye(array.M)])
-        q = _concentrate_terms(*_terms(*fit_terms(basis, a, W, WRW)))[2]
+        q = concentrate_terms(*_terms(*fit_terms(basis, a, W, WRW)))[2]
         assert result.cost <= cost_constant(R.matrix, W) - q + 1e-9
 
 
@@ -166,7 +173,7 @@ def test_concentrate_nonneg_matches_nnls(rng):
         A = rng.standard_normal((2, 2)) * rng.choice([1.0, 10.0, 1e3])
         Y = A.T @ A + 1e-6 * np.eye(2)
         y = rng.standard_normal(2) * rng.choice([1.0, 50.0])
-        P, noise, q, degenerate = _concentrate_terms(*_terms(y, Y))
+        P, noise, q, degenerate = concentrate_terms(*_terms(y, Y))
         assert np.ndim(P) == np.ndim(noise) == np.ndim(q) == np.ndim(degenerate) == 0
         alpha = np.array([P, noise])
         assert np.all(alpha >= 0.0)
@@ -182,7 +189,7 @@ def test_concentrate_nonneg_matches_nnls(rng):
 
 def test_concentrate_nonneg_degenerate_system():
     # rank-1 Y: closed form must still return a feasible point
-    P, noise, q, degenerate = _concentrate_terms(*_terms(np.array([1.0, 1.0]), np.ones((2, 2))))
+    P, noise, q, degenerate = concentrate_terms(*_terms(np.array([1.0, 1.0]), np.ones((2, 2))))
     assert degenerate
     assert P >= 0.0 and noise >= 0.0
     assert q == pytest.approx(1.0)
@@ -205,11 +212,11 @@ def test_concentrate_nonneg_batch_matches_elementwise(rng):
     y = np.concatenate([y, 10.0 * rng.standard_normal((12, 2))])
     Y = np.concatenate([Y, extra @ np.swapaxes(extra, -1, -2)])
     batch_y, batch_Y = y.reshape(3, 6, 2), Y.reshape(3, 6, 2, 2)
-    P, noise, q, degenerate = _concentrate_terms(*_terms(batch_y, batch_Y))
+    P, noise, q, degenerate = concentrate_terms(*_terms(batch_y, batch_Y))
     assert P.shape == noise.shape == q.shape == degenerate.shape == (3, 6)
     seen = {"interior": 0, "edge": 0, "degenerate": 0}
     for index in np.ndindex(3, 6):
-        P_i, noise_i, q_i, d_i = _concentrate_terms(*_terms(batch_y[index], batch_Y[index]))
+        P_i, noise_i, q_i, d_i = concentrate_terms(*_terms(batch_y[index], batch_Y[index]))
         np.testing.assert_array_equal([P[index], noise[index]], [P_i, noise_i])
         assert q[index] == q_i and degenerate[index] == d_i
         kind = "degenerate" if d_i else ("interior" if P_i > 0.0 and noise_i > 0.0 else "edge")
@@ -246,13 +253,13 @@ def test_concentrate_pair_is_bit_identical_to_the_array_form(rng):
     extra = rng.standard_normal((200, 2, 2)) * rng.choice([1e-3, 1.0, 1e3], (200, 1, 1))
     y = np.concatenate([y, 10.0 * rng.standard_normal((200, 2))])
     Y = np.concatenate([Y, extra @ np.swapaxes(extra, -1, -2)])
-    P_all, noise_all, q, degenerate = _concentrate_terms(*_terms(y, Y))
+    P_all, noise_all, q, degenerate = concentrate_terms(*_terms(y, Y))
     kinds = set()
     for i in range(y.shape[0]):
         P, noise, q_i, d_i = _concentrate_pair(*_terms(y[i], Y[i]))
         assert _bits(P, noise, q_i) == _bits(P_all[i], noise_all[i], q[i])
         assert d_i is bool(degenerate[i])
-        alone = _concentrate_terms(*_terms(y[i], Y[i]))
+        alone = concentrate_terms(*_terms(y[i], Y[i]))
         assert _bits(P, noise, q_i) == _bits(*alone[:3])
         kinds.add("degenerate" if d_i else ("interior" if P > 0.0 and noise > 0.0 else "edge"))
     assert kinds == {"degenerate", "interior", "edge"}
@@ -296,7 +303,7 @@ def test_point_evaluator_matches_array_concentration(rng, shape, name):
         z = rng.uniform(-0.2, 1.2) * z_max
         profile = SourceProfile(shape, 0.0, abs(float(sigma)), 1.0)
         stack = np.stack([shape_matrix(profile, array), np.eye(array.M)])
-        P_array, noise_array, q, degenerate = _concentrate_terms(
+        P_array, noise_array, q, degenerate = concentrate_terms(
             *_terms(*fit_terms(stack, steering_vector(array, z), W, WRW))
         )
         P, noise, q_point, d_point = evaluate(np.array([z, sigma]))
@@ -451,6 +458,95 @@ def test_gram_points_are_within_a_tenth_of_the_tie_band(shape, name):
     if name == "reference" and shape == "uniform":
         assert sent
 
+
+@pytest.mark.parametrize("shape", ["uniform", "gaussian"])
+def test_gram_point_contract_matches_the_product_form(shape, reference_covariance, reference_array):
+    # a non-finite height is refused with the product form's ValueError.  A
+    # NaN spread makes the fast terms NaN, so the determinant screen hands the
+    # point to the product form, whose value it returns (the noise-only edge,
+    # flagged degenerate), not the zero-spread point's (the gaussian's complex
+    # exp warns on the NaN it makes).  Spreads of either zero sign give one
+    # result, within a tenth of the band of the product form
+    R_bar = sample_covariance(sample_snapshots(reference_covariance, 1000, seed=5))
+    covariance = PreparedCovariance(R_bar, reference_array, "inverse_sample")
+    assert covariance.condition <= _FAST_CONDITION_LIMIT
+    exact = _point_evaluator(shape, reference_array, covariance.W, covariance.WRW)
+    sent = []
+    fast = _gram_point_evaluator(shape, covariance, _counting(exact, sent))
+    for z in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="z must be finite") as raised:
+            exact((z, 5.0))
+        with pytest.raises(ValueError, match=str(raised.value)):
+            fast((z, 5.0))
+    undefined = (10.0, np.nan)
+    with np.errstate(invalid="ignore"):
+        got = fast(undefined)
+    assert sent == [undefined]
+    expected = exact(undefined)
+    assert _bits(*got[:3]) == _bits(*expected[:3]) and got[3] is expected[3] is True
+    zero, negative_zero = fast((10.0, 0.0)), fast((10.0, -0.0))
+    assert _bits(*zero[:3]) == _bits(*negative_zero[:3]) and zero[3] is negative_zero[3] is False
+    assert len(sent) == 1 and got[2] != zero[2]
+    assert abs(zero[2] - exact((10.0, 0.0))[2]) <= _TIE_BAND / 10 * abs(zero[2])
+
+
+def test_grid_objective_is_bit_identical_to_the_array_form(rng):
+    # the grid's objective-only closed form against every output of the array
+    # form, on seeded batches: systems at scales 1e-3..1e3, degenerate ones
+    # (det = 0 and det within the 1e-12 screen), Y11 of zero or below, shape
+    # terms y1 and Y12 of either sign, and the identity's scalar terms with y2
+    # negative or a zero of either sign and Y22 = 0
+    shape = (24, 16)
+    scale = rng.choice([1e-3, 1.0, 1e3], shape)
+    Y11 = scale * rng.uniform(0.0, 4.0, shape)
+    Y12 = scale * rng.standard_normal(shape)
+    y1 = 10.0 * scale * rng.standard_normal(shape)
+    Y11[0, :4], Y12[0, :4] = 2.0, 2.0  # det = 0 against Y22 = 2
+    Y11[1, :4], Y12[1, :4] = 2.0, 2.0 * (1.0 - 1e-14)  # det within the screen
+    Y11[2, :4] = 0.0
+    Y11[3, :4] = -1.0
+    kinds = set()
+    for y2, Y22 in [(5.0, 2.0), (-3.0, 2.0), (0.0, 2.0), (-0.0, 2.0), (5.0, 0.0), (-1.0, 0.0), (0.5, 1e3)]:
+        P, noise, q, degenerate = concentrate_terms(y1, y2, Y11, Y12, Y22)
+        got = _grid_objective(y1, y2, Y11, Y12, Y22)
+        assert got.shape == shape and got.tobytes() == q.tobytes(), (y2, Y22)
+        kinds |= {"degenerate"} if degenerate.any() else set()
+        kinds |= {"interior"} if ((P > 0.0) & (noise > 0.0) & ~degenerate).any() else set()
+        kinds |= {"edge"} if ((P == 0.0) | (noise == 0.0)).any() else set()
+    assert kinds == {"degenerate", "interior", "edge"}
+
+
+@pytest.mark.parametrize("shape", ["uniform", "gaussian"])
+def test_product_form_grid_is_within_a_bound_of_a_60_digit_objective(reference_array, shape):
+    # the noiseless sigma_z = 2 m covariance, whose loaded weighting (cond
+    # 6.6e8) puts the parametric grid on the product form: at every 8th node
+    # in height and spread, the grid's objective is within 1e-5 of the largest
+    # 60-digit objective there.  The bound was set before measuring; 2.7e-6
+    # was measured, the largest at zero spread
+    pytest.importorskip("mpmath")
+    R = true_covariance(SourceProfile("uniform", 10.0, 2.0, 100.0), reference_array, 0.0)
+    config = ParametricEstimatorConfig(assumed_shape=shape)
+    covariance = PreparedCovariance(R, reference_array, config.weighting)
+    assert covariance.condition > _FAST_CONDITION_LIMIT
+    plan = _parametric_plan(config, reference_array)
+    shapes = shape_characteristic(shape, plan.sigma_values[:, None, None], baseline_differences(reference_array))
+    steering = np.exp(1j * np.multiply.outer(plan.search.z_grid, reference_array.kz))
+    y, Y11 = shape_terms_product(shapes, steering, covariance.W, covariance.WRW)
+    noise_y, noise_Y = covariance.traces.tolist()
+    grid = _grid_objective(y[..., 0], noise_y, Y11, y[..., 1], noise_Y)[::8, ::8]
+    digits = np.array(
+        [
+            [
+                float(concentrated_objective_mp(covariance.R, covariance.W, reference_array.kz, shape, z, sigma))
+                for sigma in plan.sigma_values[::8]
+            ]
+            for z in plan.search.z_grid[::8]
+        ]
+    )
+    assert grid.shape == (12, 8)
+    assert np.abs(grid - digits).max() <= 1e-5 * np.abs(digits).max()
+
+
 @pytest.mark.parametrize("shape", ["uniform", "gaussian"])
 def test_grid_argmax_matches_product_form(reference_covariance, reference_array, shape):
     # the parametric grid from the Gram form picks the same node as the
@@ -473,11 +569,11 @@ def test_grid_argmax_matches_product_form(reference_covariance, reference_array,
             noise_y, noise_Y = np.trace(data, axis1=-2, axis2=-1).real
             phase = np.exp(1j * np.multiply.outer(z_grid, terms.frequencies))
             y, Y11 = shape_terms_grid(phi, phase, terms)
-            gram = _concentrate_terms(y[..., 0], noise_y, Y11, y[..., 1], noise_Y)[2]
+            gram = concentrate_terms(y[..., 0], noise_y, Y11, y[..., 1], noise_Y)[2]
             points = np.empty_like(gram)
             for z, a in enumerate(steering):
                 y_point, Y_point = fit_terms(stack, a, W, WRW)
-                points[z] = _concentrate_terms(
+                points[z] = concentrate_terms(
                     y_point[:-1], y_point[-1], np.diag(Y_point)[:-1], Y_point[:-1, -1], Y_point[-1, -1]
                 )[2]
             assert np.argmax(gram) == np.argmax(points)
@@ -501,7 +597,7 @@ def test_grid_above_the_condition_limit_takes_the_product_forms_argmax(reference
     points = np.empty((plan.search.z_grid.size, plan.sigma_values.size))
     for z, height in enumerate(plan.search.z_grid):
         y, Y = fit_terms(stack, steering_vector(reference_array, height), covariance.W, covariance.WRW)
-        points[z] = _concentrate_terms(y[:-1], y[-1], np.diag(Y)[:-1], Y[:-1, -1], Y[-1, -1])[2]
+        points[z] = concentrate_terms(y[:-1], y[-1], np.diag(Y)[:-1], Y[:-1, -1], Y[-1, -1])[2]
     best_z, best_s = np.unravel_index(int(np.argmax(points)), points.shape)
     starts = []
 

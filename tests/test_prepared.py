@@ -40,7 +40,14 @@ from tomoments import (
     true_covariance,
 )
 from tomoments.experiments import _KIND_STREAM, PARAM_NAMES, _run_trial
-from tomoments.fitting import _weighting_flagged, fit_terms, fit_terms_grid, harmonic_terms
+from tomoments.fitting import (
+    _FAST_CONDITION_LIMIT,
+    _weighting_flagged,
+    fit_terms,
+    fit_terms_grid,
+    harmonic_terms,
+    shape_terms_grid,
+)
 from tomoments.moments import _basis_stack, _moment_plan
 from tomoments.parametric import _concentrate_pair, _point_evaluator
 from tomoments.sampling import derive_seed
@@ -395,6 +402,51 @@ def test_point_terms_match_fit_terms(rng, name):
             got = fit_terms(stack, np.exp(jkz * z), W, WRW)
             assert [np.asarray(v).tobytes() for v in got] == [v.tobytes() for v in expected], (K, z)
             assert np.array_equal(got[1], got[1].T)
+
+
+@pytest.mark.parametrize("shape", ["uniform", "gaussian"])
+@pytest.mark.parametrize("name", list(POINT_ARRAYS))
+def test_shape_point_form_gives_the_grid_terms_at_one_point(rng, shape, name):
+    # with x the float view of v = (1, e_f phi_f for f > 0), x^T G x and D x
+    # are shape_terms_grid's terms at that (height, spread) point, to the
+    # rounding of sums of their magnitudes; G is exactly symmetric
+    array, z_max = POINT_ARRAYS[name]
+    prepared = PreparedCovariance(CovarianceModel(random_psd_covariance(rng, array.M, scale=50.0)), array,
+                                  "inverse_sample")
+    frequencies = prepared.terms.frequencies
+    form = prepared.shape_point_form
+    n = 2 * (frequencies.size // 2 + 1)
+    assert form.shape == (n + 2, n)
+    G, D = form[:n], form[n:]
+    assert np.array_equal(G, G.T)
+    for sigma in np.concatenate([[0.0], rng.uniform(0.0, 0.3, 40) * z_max]):
+        z = rng.uniform(-0.2, 1.2) * z_max
+        phi = shape_characteristic(shape, sigma, frequencies)
+        phase = np.exp(1j * z * frequencies)
+        (y,), (Y,) = shape_terms_grid(phi[None], phase[None], prepared.terms)
+        x = (phase * phi)[frequencies.size // 2 :].view(float)
+        assert x[:2].tolist() == [1.0, 0.0]
+        assert abs(x @ G @ x - Y[0]) <= 1e-13 * np.abs(G).sum()
+        assert np.all(np.abs(D @ x - y[0]) <= 1e-13 * np.abs(D).sum(axis=1))
+
+
+def test_shape_point_form_is_built_once_by_the_first_fast_polish(reference_covariance):
+    # a moment fit builds no point form, the first parametric fit whose polish
+    # takes fast points builds it, the next reuses it, read-only; a fit above
+    # the condition limit builds none
+    prepared = PreparedCovariance(reference_covariance, REFERENCE, "inverse_sample")
+    assert prepared.condition <= _FAST_CONDITION_LIMIT
+    estimate(prepared, MomentEstimatorConfig(), REFERENCE)
+    assert "shape_point_form" not in vars(prepared)
+    estimate_parametric(prepared, ParametricEstimatorConfig(), REFERENCE)
+    form = vars(prepared)["shape_point_form"]
+    estimate_parametric(prepared, ParametricEstimatorConfig(assumed_shape="gaussian"), REFERENCE)
+    assert prepared.shape_point_form is form and not form.flags.writeable
+    noiseless = true_covariance(SourceProfile("uniform", 10.0, 2.0, 100.0), REFERENCE, 0.0)
+    loaded = PreparedCovariance(noiseless, REFERENCE, "inverse_sample")
+    assert loaded.condition > _FAST_CONDITION_LIMIT
+    estimate_parametric(loaded, ParametricEstimatorConfig(), REFERENCE)
+    assert "shape_point_form" not in vars(loaded)
 
 
 def test_point_terms_refuse_a_non_finite_height(rng):
