@@ -46,7 +46,6 @@ from .moments import (
 from .parametric import (
     ParametricEstimate,
     ParametricEstimatorConfig,
-    SigmaGrid,
     estimate_parametric,
 )
 from .profiles import (

@@ -76,16 +76,15 @@ def items(value, name: str) -> tuple:
 
 
 def to_json(obj) -> dict:
-    """The fields of dataclass ``obj`` in order, except None and a default factory's value.
+    """The fields of dataclass ``obj`` in order, except None.
 
     Nested dataclasses write their own ``to_json``; tuples become lists.
     """
     out = {}
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        if value is None or (f.default_factory is not dataclasses.MISSING and value == f.default_factory()):
-            continue
-        out[f.name] = _json_value(value)
+        if value is not None:
+            out[f.name] = _json_value(value)
     return out
 
 

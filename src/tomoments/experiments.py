@@ -92,6 +92,7 @@ FAST_TRIALS = 500
 _KIND_STREAM = {kind: index + 1 for index, kind in enumerate(KINDS)}
 _SIGMA_SWEEP_CAP = 0.35
 _FAILURE_RATE_LIMIT = 0.01
+_SPECTRUM_XI_POINTS = 321
 
 _CONFIG_TYPES = {"moments": MomentEstimatorConfig, "parametric": ParametricEstimatorConfig}
 # the cached search plan of each config class; building it refuses a config its array cannot run
@@ -548,9 +549,9 @@ def run_rmse_vs_N(spec: ExperimentSpec) -> ExperimentResult:
     )
 
 
-def _spectrum_xi_grid(array: ArrayConfig, points: int = 321) -> np.ndarray:
+def _spectrum_xi_grid(array: ArrayConfig) -> np.ndarray:
     span = float(array.kz[-1] - array.kz[0])
-    return np.linspace(0.0, 1.05 * span, points)
+    return np.linspace(0.0, 1.05 * span, _SPECTRUM_XI_POINTS)
 
 
 def run_asymptotic_bias_vs_sigma(spec: ExperimentSpec) -> ExperimentResult:

@@ -163,7 +163,7 @@ _FAST_CONDITION_LIMIT = 1e3
 _INTERPOLANT_NODES = 21
 _INTERPOLANT_TAIL = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Height-grid default: at least 8 points per acquisition and 16 per resolution cell.
+# The height grid: at least 8 points per acquisition and 16 per resolution cell.
 _GRID_PER_CHANNEL = 8
 _GRID_PER_RESOLUTION = 16
 _REFINE_TOL_REL = 1e-4
@@ -217,15 +217,12 @@ def _weighting_flagged(R_bar: CovarianceModel, choice: str) -> tuple[np.ndarray,
     return 0.5 * (W + W.conj().T), loaded, float(eigenvalues[-1] / eigenvalues[0])
 
 
-def _check_search_options(config, grid_name: str) -> None:
+def _check_search_options(config) -> None:
     """Validate the weighting and height-search fields both estimator configs share.
 
-    ``grid_name`` names the config's coarse z0 grid field; the fields set
-    are stored normalized (an int, floats) on the frozen config.
+    The fields set are stored normalized (floats) on the frozen config.
     """
     _fields.choice(config.weighting, WEIGHTINGS, "weighting")
-    if getattr(config, grid_name) is not None:
-        object.__setattr__(config, grid_name, _fields.count(getattr(config, grid_name), grid_name, least=2))
     for name in ("refine_tol", "z0_max"):
         if getattr(config, name) is not None:
             object.__setattr__(config, name, _fields.real(getattr(config, name), name, above=0.0))
@@ -304,12 +301,12 @@ class _SearchPlan(NamedTuple):
         return None if self.bounds is None else [self.bounds, (-math.inf, math.inf)]
 
 
-def _search_plan(config, array: ArrayConfig, grid_points: int | None) -> _SearchPlan:
-    """The :class:`_SearchPlan` of a config whose coarse grid field holds ``grid_points``.
+def _search_plan(config, array: ArrayConfig) -> _SearchPlan:
+    """The :class:`_SearchPlan` of a config on ``array``.
 
-    ``z0_max`` defaults to the array's ambiguity, the grid to ``max(8 M,
-    ceil(z_amb / (fourier_resolution / 16)))`` points, the tolerance to
-    ``1e-4 * z_amb``.  When ``z_amb`` is a whole number of ambiguities the
+    ``z0_max`` defaults to the array's ambiguity, the tolerance to ``1e-4 *
+    z_amb``; the grid has ``max(8 M, ceil(z_amb / (fourier_resolution /
+    16)))`` points.  When ``z_amb`` is a whole number of ambiguities the
     steering vectors repeat every ``z_amb`` (Reigber & Moreira, IEEE TGRS
     2000), so a refined height runs free and wraps; otherwise wrapping would
     change the model, so it stays between 0 and the largest float below ``z_amb``.
@@ -320,7 +317,7 @@ def _search_plan(config, array: ArrayConfig, grid_points: int | None) -> _Search
         raise ValueError("array has no known ambiguity; set z0_max on the config")
     else:
         z_amb = float(array.ambiguity)
-    points = grid_points or max(
+    points = max(
         _GRID_PER_CHANNEL * array.M, math.ceil(z_amb / (fourier_resolution(array) / _GRID_PER_RESOLUTION))
     )
     step = z_amb / points

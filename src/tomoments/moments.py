@@ -46,7 +46,6 @@ import numpy as np
 from ._fields import count, flag, from_json, to_json
 from .fitting import (
     _FAST_CONDITION_LIMIT,
-    _GRID_PER_CHANNEL,
     _PLAN_CACHE_SIZE,
     _SearchPlan,
     PreparedCovariance,
@@ -90,9 +89,6 @@ class MomentEstimatorConfig:
     weighting : str
         ``"identity"`` or ``"inverse_sample"`` (the asymptotically efficient
         choice when the model holds).
-    grid_points : int, optional
-        Coarse z0 grid size; defaults to
-        ``max(8 M, ceil(z_amb / (fourier_resolution / 16)))``.
     refine_tol : float, optional
         Golden-section bracket width at which the z0 refinement stops, in m.
         Defaults to ``1e-4 * z_amb``.
@@ -100,20 +96,22 @@ class MomentEstimatorConfig:
         Upper edge of the searched height interval ``[0, z0_max)``.
         Defaults to the array ambiguity.
 
+    The coarse z0 grid follows the array: ``max(8 M, ceil(z_amb /
+    (fourier_resolution / 16)))`` points on ``[0, z0_max)``.
+
     Fields are checked by :mod:`tomoments._fields`; JSON writes those set.
     """
 
     D: int = 4
     symmetric: bool = True
     weighting: str = "inverse_sample"
-    grid_points: int | None = None
     refine_tol: float | None = None
     z0_max: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "D", count(self.D, "D", least=2, most=MAX_DIFFERENCE_ORDER))
         flag(self.symmetric, "symmetric")
-        _check_search_options(self, "grid_points")
+        _check_search_options(self)
 
     def to_json(self) -> dict:
         return {"method": "moments", **to_json(self)}
@@ -231,13 +229,11 @@ class _MomentPlan(NamedTuple):
 def _moment_plan(config: MomentEstimatorConfig, array: ArrayConfig) -> _MomentPlan:
     """The cached :class:`_MomentPlan` of ``(config, array)``, its arrays read-only.
 
-    Raises for a config the array cannot identify or a grid too coarse for
-    it; nothing is cached then, so every later call raises again.
+    Raises for a config the array cannot identify; nothing is cached then,
+    so every later call raises again.
     """
     _check_identifiable(config, array)
-    search = _search_plan(config, array, config.grid_points)
-    if search.z_grid.size < _GRID_PER_CHANNEL * array.M:
-        raise ValueError(f"grid_points must be at least {_GRID_PER_CHANNEL}*M")
+    search = _search_plan(config, array)
     response = _basis_response(config, search.frequencies)
     weighted = response * search.phase[:, None, :]
     return _MomentPlan(search, *map(_read_only, (_basis_stack(config, array), response, weighted)))

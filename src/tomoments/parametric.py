@@ -63,12 +63,12 @@ sigma_eps2 >= 0 removes both.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._fields import choice, count, from_json, real, to_json
+from ._fields import choice, from_json, to_json
 from .fitting import (
     _FAST_CONDITION_LIMIT,
     _PLAN_CACHE_SIZE,
@@ -91,7 +91,6 @@ from .profiles import shape_matrix  # not called: perfbench/spans.py patches thi
 
 __all__ = [
     "ASSUMED_SHAPES",
-    "SigmaGrid",
     "ParametricEstimatorConfig",
     "ParametricDiagnostics",
     "ParametricEstimate",
@@ -101,6 +100,7 @@ __all__ = [
 ASSUMED_SHAPES = ("uniform", "gaussian")
 
 _SIGMA_MAX_REL = 0.3
+_SIGMA_POINTS = 64
 _TINY = float(np.finfo(float).tiny)
 # the 2x2 determinant, relative to Y11 Y22, at or below which a polish point
 # takes the product form rather than the Gram form: the objective and the
@@ -113,51 +113,31 @@ _FAST_DET_MIN = 1e-3
 
 
 @dataclass(frozen=True)
-class SigmaGrid:
-    """Coarse search grid for the spread parameter, in m; JSON leaves out an unset ``max``."""
-
-    min: float = 0.0
-    max: float | None = None  # None -> 0.3 * z_amb
-    points: int = 64
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "min", real(self.min, "sigma_grid.min", least=0.0))
-        if self.max is not None:
-            object.__setattr__(self, "max", real(self.max, "sigma_grid.max", above=self.min))
-        object.__setattr__(self, "points", count(self.points, "sigma_grid.points", least=2))
-
-    def to_json(self) -> dict:
-        return to_json(self)
-
-
-@dataclass(frozen=True)
 class ParametricEstimatorConfig:
     """Configuration of the assumed-shape estimator.
 
     ``assumed_shape`` selects the coherence family used by the fit, which
-    need not match the data; ``z0_grid`` defaults to the same rule as the
-    moment estimator's grid.  The JSON form writes every field that is set,
-    after ``"method": "parametric"``, and ``sigma_grid`` only when it is not
-    the default grid.
+    need not match the data.  The (z0, sigma_z) grid follows the array: the
+    moment estimator's z0 grid, and 64 spreads from 0 to ``0.3 * z_amb``.
+    The JSON form writes every field that is set, after ``"method":
+    "parametric"``.
     """
 
     assumed_shape: str = "uniform"
     weighting: str = "inverse_sample"
-    z0_grid: int | None = None
-    sigma_grid: SigmaGrid = field(default_factory=SigmaGrid)
     refine_tol: float | None = None
     z0_max: float | None = None
 
     def __post_init__(self) -> None:
         choice(self.assumed_shape, ASSUMED_SHAPES, "assumed_shape")
-        _check_search_options(self, "z0_grid")
+        _check_search_options(self)
 
     def to_json(self) -> dict:
         return {"method": "parametric", **to_json(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ParametricEstimatorConfig":
-        return from_json(cls, obj, fixed={"method": "parametric"}, sigma_grid=lambda grid: from_json(SigmaGrid, grid))
+        return from_json(cls, obj, fixed={"method": "parametric"})
 
 
 @dataclass(frozen=True)
@@ -324,13 +304,8 @@ class _ParametricPlan(NamedTuple):
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _parametric_plan(config: ParametricEstimatorConfig, array: ArrayConfig) -> _ParametricPlan:
     """The cached :class:`_ParametricPlan` of ``(config, array)``, its arrays read-only."""
-    search = _search_plan(config, array, config.z0_grid)
-    grid = config.sigma_grid
-    sigma_max = grid.max if grid.max is not None else _SIGMA_MAX_REL * search.z_amb
-    sigma_values = np.linspace(grid.min, sigma_max, grid.points)
-    if not (np.diff(sigma_values) > 0.0).all():  # the polish's simplex steps by the grid's spacing
-        message = f"sigma_grid.min must leave {grid.points} spreads below the maximum {sigma_max!r}, got {grid.min!r}"
-        raise ValueError(message)
+    search = _search_plan(config, array)
+    sigma_values = np.linspace(0.0, _SIGMA_MAX_REL * search.z_amb, _SIGMA_POINTS)
     phi = shape_characteristic(config.assumed_shape, sigma_values[:, None], search.frequencies)
     return _ParametricPlan(search, _read_only(sigma_values), _read_only(phi))
 

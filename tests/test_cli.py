@@ -142,15 +142,15 @@ def test_non_finite_count_is_a_named_error(tmp_path, capsys):
 
 
 def test_estimator_its_array_cannot_run_is_refused_before_any_trial(tmp_path, capsys):
-    # a 10-point grid on 7 acquisitions used to fail every trial, then report only the failure count
+    # D = 12 on 7 acquisitions would fail every trial, then report only the failure count
     obj = default_spec("rmse_vs_N", N_list=(25,), trials=3).to_json()
-    obj["estimators"] = [{"label": "m", "method": "moments", "grid_points": 10}]
+    obj["estimators"] = [{"label": "m", "method": "moments", "D": 12}]
     config_path = tmp_path / "spec.json"
     config_path.write_text(json.dumps(obj))
     assert main(["rmse", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
-    assert "grid_points" in err["message"]
+    assert "not identifiable" in err["message"]
     assert not list(tmp_path.rglob("*.csv"))
 
 

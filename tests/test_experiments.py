@@ -477,8 +477,6 @@ def test_asymptotic_bias(tmp_path):
 
 
 def test_bias_rows_are_the_exact_fits(tmp_path):
-    # one fit of the exact covariance per spread, so bias is its (wrapped)
-    # error, rmse the error's magnitude and mean the fitted value, bit for bit
     spec = default_spec(
         "asymptotic_bias_vs_sigma",
         sigma_list=(0.0, 7.0, 20.0),
@@ -487,6 +485,33 @@ def test_bias_rows_are_the_exact_fits(tmp_path):
     )
     result = run_asymptotic_bias_vs_sigma(spec)
     assert len(result.rows) == 3 * 4 * 4
+    _assert_rows_are_the_exact_fits(spec, result)
+
+
+def test_bias_rows_on_a_stack_without_an_ambiguity_are_the_exact_fits(tmp_path):
+    # an irregular stack has no period, so a height error is not folded
+    kz, z0_max = IRREGULAR_STACKS["M7-signed"]
+    estimators = (
+        EstimatorSpec("moments", MomentEstimatorConfig(z0_max=z0_max)),
+        EstimatorSpec("parametric", ParametricEstimatorConfig(z0_max=z0_max)),
+    )
+    spec = default_spec(
+        "asymptotic_bias_vs_sigma",
+        array=ArrayConfig(kz=np.array(kz)),
+        estimators=estimators,
+        sigma_list=(0.0, 5.0, 20.0),
+        output_dir=str(tmp_path),
+        timestamp_header=False,
+    )
+    result = run_asymptotic_bias_vs_sigma(spec)
+    assert len(result.rows) == 3 * 2 * 4
+    _assert_rows_are_the_exact_fits(spec, result)
+
+
+def _assert_rows_are_the_exact_fits(spec, result):
+    # one fit of the exact covariance per spread, so bias is its error (folded
+    # on the array's ambiguity, when it has one), rmse the error's magnitude
+    # and mean the fitted value, bit for bit
     for sigma in spec.sigma_list:
         profile = dataclasses.replace(spec.profile, sigma_z=sigma)
         R = true_covariance(profile, spec.array, spec.sigma_eps2)
@@ -498,8 +523,8 @@ def test_bias_rows_are_the_exact_fits(tmp_path):
             for parameter, value, truth in zip(PARAM_NAMES, fitted, truths):
                 (row,) = result.select(estimator=entry.label, sweep_value=sigma, parameter=parameter)
                 error = value - truth
-                if parameter == "z0":
-                    error = float(wrap_height_error(error, 100.0))
+                if parameter == "z0" and spec.array.ambiguity is not None:
+                    error = float(wrap_height_error(error, spec.array.ambiguity))
                 assert row["bias"] == error
                 assert row["rmse"] == abs(error)
                 assert row["mean"] == value
@@ -829,9 +854,6 @@ def test_small_N_warning_names_the_caller_outside_the_package(tmp_path, monkeypa
 
 def test_spec_refuses_an_estimator_its_array_cannot_run():
     # the estimator's own plan decides, when the spec is built, not after every trial failed
-    coarse = EstimatorSpec("m", MomentEstimatorConfig(grid_points=10))
-    with pytest.raises(ValueError, match="grid_points"):
-        default_spec("rmse_vs_N", estimators=(coarse,))
     with pytest.raises(ValueError, match="not identifiable"):
         default_spec("rmse_vs_N", estimators=(EstimatorSpec("m", MomentEstimatorConfig(D=12)),))
     irregular = ArrayConfig(kz=np.array([0.0, 0.05, 0.17]))

@@ -13,7 +13,6 @@ from tomoments import (
     ExperimentSpec,
     MomentEstimatorConfig,
     ParametricEstimatorConfig,
-    SigmaGrid,
     SourceProfile,
     central_moment,
     crb_stddev,
@@ -30,6 +29,13 @@ ARRAY = make_uniform_array(7, 100.0)
 PROFILE = SourceProfile("uniform", 10.0, 5.0, 100.0)
 R = true_covariance(PROFILE, ARRAY, 10.0)
 FIM = fisher_information(PROFILE, ARRAY, 10.0, 1)
+SPEC_JSON = default_spec("rmse_vs_N").to_json()
+
+
+def _spec_with(**parts):
+    """``ExperimentSpec.from_json`` of the default rmse spec with ``parts`` in place of its own."""
+    return ExperimentSpec.from_json({**SPEC_JSON, **parts})
+
 
 # each entry point with the field it reads; True marks a count
 ENTRY_POINTS = {
@@ -41,12 +47,16 @@ ENTRY_POINTS = {
     "ArrayConfig.from_json M": (lambda v: ArrayConfig.from_json({"M": v, "z_amb": 100.0}), True),
     "ArrayConfig.from_json kz": (lambda v: ArrayConfig.from_json({"kz": [0.0, v]}), False),
     "trials": (lambda v: default_spec("rmse_vs_N", trials=v), True),
-    "sigma_grid.points": (lambda v: ParametricEstimatorConfig.from_json({"sigma_grid": {"points": v}}), True),
+    # a parametric fit runs on two acquisitions, a moment fit does not
+    "spec array.M": (
+        lambda v: _spec_with(array={"M": v, "z_amb": 100.0}, estimators=[{"label": "p", "method": "parametric"}]),
+        True,
+    ),
     "crb_stddev n_scale": (lambda v: crb_stddev(FIM, n_scale=v), False),
     "SourceProfile z0": (lambda v: SourceProfile("uniform", v, 5.0, 100.0), False),
     "make_uniform_array z_amb": (lambda v: make_uniform_array(7, v), False),
     "refine_tol": (lambda v: MomentEstimatorConfig(refine_tol=v), False),
-    "sigma_grid.min": (lambda v: ParametricEstimatorConfig.from_json({"sigma_grid": {"min": v}}), False),
+    "spec profile.z0": (lambda v: _spec_with(profile={**PROFILE.to_json(), "z0": v}), False),
 }
 NOT_NUMBERS = (True, np.True_, "1", math.inf, math.nan)
 
@@ -76,8 +86,8 @@ def test_entry_points_accept_numbers_and_integral_floats(entry, value):
 def test_refusals_name_the_field():
     with pytest.raises(ValueError, match="trials"):
         default_spec("rmse_vs_N", trials=math.inf)
-    with pytest.raises(ValueError, match="sigma_grid.min"):
-        ParametricEstimatorConfig.from_json({"sigma_grid": {"min": "0.5"}})
+    with pytest.raises(ValueError, match="sigma_z"):
+        _spec_with(profile={**PROFILE.to_json(), "sigma_z": "0.5"})
     with pytest.raises(ValueError, match="n_scale"):
         crb_stddev(FIM, n_scale=10**400)
     with pytest.raises(ValueError, match=r"D must be an integer in \[2, 12\], got 13"):
@@ -96,12 +106,12 @@ def test_counts_keep_their_exact_value():
 
 
 def test_from_json_does_not_coerce():
-    # int(7.5) used to build M = 7, float(True) a grid from 1.0 m
+    # int(7.5) used to build M = 7, float(True) a length of 1.0 m
     with pytest.raises(ValueError, match="M"):
         ArrayConfig.from_json({"M": 7.5, "z_amb": 100})
     for bad in (True, "0.5"):
-        with pytest.raises(ValueError, match="sigma_grid"):
-            ParametricEstimatorConfig.from_json({"sigma_grid": {"min": bad}})
+        with pytest.raises(ValueError, match="sigma_z"):
+            _spec_with(profile={**PROFILE.to_json(), "sigma_z": bad})
     # str() used to turn any object that prints as a shape name into that shape
     obj = {**PROFILE.to_json(), "shape": PurePosixPath("uniform")}
     with pytest.raises(ValueError, match="shape"):
@@ -117,15 +127,22 @@ def test_from_json_does_not_coerce():
         (lambda: ExperimentSpec.from_json({**default_spec("rmse_vs_N").to_json(), "trails": 3}), "trails"),
         (lambda: EstimatorSpec.from_json({**default_estimators()[1].to_json(), "symetric": False}), "symetric"),
         (lambda: SourceProfile.from_json({**PROFILE.to_json(), "sigmaz": 5.0}), "sigmaz"),
-        (lambda: ParametricEstimatorConfig.from_json({"sigma_grid": {"point": 8}}), "point"),
+        (lambda: _spec_with(profile={**PROFILE.to_json(), "sigmaz": 5.0}), "sigmaz"),
         (lambda: MomentEstimatorConfig.from_json({"method": "moments", "label": "x"}), "label"),
         (lambda: ArrayConfig.from_json({"M": 7, "z_amb": 100.0, "kz": [0.0, 1.0]}), "kz"),
         (lambda: ArrayConfig.from_json({"kz": [0.0, 1.0], "ambiguty": 5.0}), "ambiguty"),
+        (lambda: MomentEstimatorConfig.from_json({"grid_points": 128}), "grid_points"),
+        (lambda: ParametricEstimatorConfig.from_json({"z0_grid": 96}), "z0_grid"),
+        (lambda: ParametricEstimatorConfig.from_json({"sigma_grid": {"points": 32}}), "sigma_grid"),
     ],
-    ids=["spec", "estimator", "profile", "sigma_grid", "config-label", "array-mixed", "array-other"],
+    ids=[
+        "spec", "estimator", "profile", "spec-profile", "config-label", "array-mixed", "array-other",
+        "grid_points", "z0_grid", "sigma_grid",
+    ],
 )
 def test_from_json_refuses_a_key_that_names_no_field(read, key):
-    # a misspelled key used to be ignored, so its field kept its default
+    # a misspelled key used to be ignored, so its field kept its default; the
+    # grid keys name fields the search grids no longer have
     with pytest.raises(ValueError, match=repr(key)):
         read()
 
@@ -150,17 +167,6 @@ def test_from_json_names_a_missing_field():
     spec = {**default_spec("rmse_vs_N").to_json(), "profile": [10.0, 5.0]}
     with pytest.raises(ValueError, match="SourceProfile"):
         ExperimentSpec.from_json(spec)
-
-
-def test_sigma_grid_json_round_trip():
-    for grid in (SigmaGrid(points=32), SigmaGrid(min=1.0, max=20.0, points=16)):
-        config = ParametricEstimatorConfig(sigma_grid=grid)
-        assert ParametricEstimatorConfig.from_json(config.to_json()) == config
-    # a grid written with an explicit null max still reads
-    obj = {"sigma_grid": {"min": 0.0, "max": None, "points": 32}}
-    assert ParametricEstimatorConfig.from_json(obj).sigma_grid == SigmaGrid(points=32)
-    # the default grid is left out
-    assert "sigma_grid" not in ParametricEstimatorConfig().to_json()
 
 
 # json.dumps(default_spec(kind).to_json()), frozen from the field-by-field writer it replaced

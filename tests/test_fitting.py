@@ -20,6 +20,7 @@ from tomoments import (
     baseline_differences,
     estimate,
     estimate_parametric,
+    fourier_resolution,
     make_uniform_array,
     sample_covariance,
     sample_snapshots,
@@ -45,6 +46,7 @@ from tomoments.fitting import (
     solve_quadratic,
 )
 from tomoments.moments import _basis_response, _basis_stack, _moment_plan
+from tomoments.parametric import _parametric_plan
 
 from .conftest import IRREGULAR_STACKS
 from .oracles import (
@@ -837,7 +839,7 @@ def test_polish_matches_scipy_on_irregular_stacks(stack, z0_frac):
 def test_search_plan_wraps_on_a_period(reference_array):
     # 100 m is the reference stack's ambiguity: the bracket runs a step past
     # either end of the grid, and every refined height folds into [0, 100)
-    plan = _search_plan(MomentEstimatorConfig(), reference_array, None)
+    plan = _search_plan(MomentEstimatorConfig(), reference_array)
     assert plan.bounds is None and plan.polish_bounds() is None
     assert plan.bracket(0) == (-plan.step, plan.step)
     last = plan.z_grid[-1]
@@ -847,6 +849,29 @@ def test_search_plan_wraps_on_a_period(reference_array):
         wrapped = plan.wrap(z)
         assert 0.0 <= wrapped < plan.z_amb
         assert wrapped == pytest.approx(folded, abs=1e-12), z
+
+
+@pytest.mark.parametrize(
+    "array, z0_max",
+    [
+        (make_uniform_array(7, 100.0), None),
+        (make_uniform_array(7, 100.0), 80.0),
+        (ArrayConfig(kz=np.array(IRREGULAR_STACKS["M7-signed"][0])), IRREGULAR_STACKS["M7-signed"][1]),
+    ],
+    ids=["reference", "reference-z0_max", "M7-signed"],
+)
+def test_search_grids_follow_the_array(array, z0_max):
+    # no config field sets either grid, so every output rests on this rule:
+    # 16 height nodes per resolution cell, at least 8 per acquisition (the
+    # floor sets M7-signed's), and 64 spreads up to 0.3 z_amb
+    z_amb = z0_max if z0_max is not None else array.ambiguity
+    nodes = max(8 * array.M, math.ceil(z_amb / (fourier_resolution(array) / 16)))
+    for config in (MomentEstimatorConfig(z0_max=z0_max), ParametricEstimatorConfig(z0_max=z0_max)):
+        plan = _search_plan(config, array)
+        assert plan.step == z_amb / nodes
+        np.testing.assert_array_equal(plan.z_grid, z_amb / nodes * np.arange(nodes))
+    sigma_values = _parametric_plan(ParametricEstimatorConfig(z0_max=z0_max), array).sigma_values
+    np.testing.assert_array_equal(sigma_values, np.linspace(0.0, 0.3 * z_amb, 64))
 
 
 BOUNDED_SEARCHES = {
@@ -861,7 +886,7 @@ def test_search_plan_bounds_a_search_without_period(name):
     # the brackets of the first and last nodes are clipped to the bounds, and
     # no refined height is moved
     array, z0_max = BOUNDED_SEARCHES[name]
-    plan = _search_plan(MomentEstimatorConfig(z0_max=z0_max), array, None)
+    plan = _search_plan(MomentEstimatorConfig(z0_max=z0_max), array)
     top = math.nextafter(z0_max, 0.0)
     assert plan.bounds == (0.0, top)
     assert plan.polish_bounds() == [(0.0, top), (-math.inf, math.inf)]

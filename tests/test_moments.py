@@ -112,8 +112,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MomentEstimatorConfig(weighting="other")
     with pytest.raises(ValueError):
-        MomentEstimatorConfig(grid_points=1)
-    with pytest.raises(ValueError):
         MomentEstimatorConfig(refine_tol=-1.0)
     # booleans are not lengths, although float(True) == 1.0
     for overrides in ({"refine_tol": True}, {"z0_max": True}):
@@ -125,7 +123,7 @@ def test_config_validation():
 
 
 def test_config_json_round_trip():
-    config = MomentEstimatorConfig(D=6, symmetric=False, weighting="identity", grid_points=128)
+    config = MomentEstimatorConfig(D=6, symmetric=False, weighting="identity", refine_tol=1e-5)
     assert MomentEstimatorConfig.from_json(config.to_json()) == config
     assert config.to_json()["method"] == "moments"
 
@@ -712,10 +710,6 @@ def test_unidentifiable_config_raises_on_every_call():
     for _ in range(3):
         with pytest.raises(ValueError, match="not identifiable"):
             estimate(R, config, array)
-    coarse = MomentEstimatorConfig(grid_points=8 * 7 - 1)
-    for _ in range(3):
-        with pytest.raises(ValueError, match="grid_points"):
-            estimate(R, coarse, array)
 
 
 def test_cached_plan_arrays_are_read_only(reference_array):

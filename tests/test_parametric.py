@@ -11,7 +11,6 @@ from tomoments import (
     ArrayConfig,
     CovarianceModel,
     ParametricEstimatorConfig,
-    SigmaGrid,
     SourceProfile,
     baseline_differences,
     estimate_parametric,
@@ -21,7 +20,6 @@ from tomoments import (
     steering_vector,
     true_covariance,
 )
-from tomoments.experiments import ExperimentSpec, default_spec
 from tomoments.fitting import (
     _FAST_CONDITION_LIMIT,
     _TIE_BAND,
@@ -661,57 +659,23 @@ def test_sampled_covariance_smoke(reference_covariance, reference_array):
     assert abs(result.P_hat - 100.0) / 100.0 < 0.10
 
 
-def test_sigma_grid_validation():
-    with pytest.raises(ValueError):
-        SigmaGrid(min=-1.0)
-    with pytest.raises(ValueError):
-        SigmaGrid(min=5.0, max=4.0)
-    with pytest.raises(ValueError):
-        SigmaGrid(points=1)
-
-
-@pytest.mark.parametrize("sigma_min", [30.0, 29.999999999999996, 40.0])
-def test_sigma_grid_min_at_or_above_the_default_maximum_is_refused(reference_covariance, reference_array, sigma_min):
-    # the unset maximum resolves to 0.3 * z_amb = 30 m: a minimum at it gave a
-    # grid of copies of one spread and the polish a zero spread step, one just
-    # below it a grid of two values, one above it a decreasing grid
-    config = ParametricEstimatorConfig(sigma_grid=SigmaGrid(min=sigma_min))
-    message = rf"sigma_grid\.min must leave 64 spreads below the maximum 30\.0, got {sigma_min!r}"
-    with pytest.raises(ValueError, match=message):
-        estimate_parametric(reference_covariance, config, reference_array)
-    spec = default_spec("rmse_vs_N").to_json()
-    spec["estimators"].append({"label": "parametric-narrow", **config.to_json()})
-    with pytest.raises(ValueError, match=message):
-        ExperimentSpec.from_json(spec)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ParametricEstimatorConfig(assumed_shape="triangular")
     with pytest.raises(ValueError):
         ParametricEstimatorConfig(weighting="other")
     with pytest.raises(ValueError):
-        ParametricEstimatorConfig(z0_grid=1)
-    with pytest.raises(ValueError):
         ParametricEstimatorConfig(refine_tol=0.0)
     # booleans are not lengths, although float(True) == 1.0
     for overrides in ({"refine_tol": True}, {"z0_max": True}):
         with pytest.raises(ValueError):
             ParametricEstimatorConfig(**overrides)
-    for bounds in ({"max": True}, {"min": True, "max": 5.0}):
-        with pytest.raises(ValueError):
-            SigmaGrid(**bounds)
-    # a fractional grid size from JSON is rejected, not truncated
-    with pytest.raises(ValueError):
-        ParametricEstimatorConfig.from_json({"sigma_grid": {"points": 2.7}})
 
 
 def test_config_json_round_trip():
     config = ParametricEstimatorConfig(
         assumed_shape="gaussian",
         weighting="identity",
-        z0_grid=96,
-        sigma_grid=SigmaGrid(min=1.0, max=20.0, points=32),
         refine_tol=1e-5,
     )
     assert ParametricEstimatorConfig.from_json(config.to_json()) == config
