@@ -13,6 +13,10 @@ neither side), how much worse the change's median is than the parent's as a
 share of the parent's, the metric's status against its ``bound``, and
 whether the gain rule holds: the change wins at least nine tenths of the
 pairs, and the medians differ by more than the parent's interquartile range.
+It also prints each side's median of two counts of the operating system
+for every run, taken as the ``resource.getrusage(RUSAGE_CHILDREN)`` deltas
+around it, so over every process the run waited for: ``minflt``, the minor
+page faults, and ``stime_s``, the system CPU seconds.
 The status is one of
 
 - ``exceeded``: the change's median is worse by more than the bound;
@@ -32,9 +36,10 @@ run per side cannot resolve a layer, as the same layer reads up to a third
 apart between runs.
 
 With ``--json OUT`` the runs are stored under ``end_to_end.<workload>`` of
-OUT (``seeds`` and, per side, one list per metric in seed order) and the
-traced runs under ``trace.<workload>`` (``seeds`` and, per side, one
-``{metric: value}`` per run in seed order), the layout of the committed
+OUT (``seeds`` and, per side, one list per metric in seed order), their
+counts under ``rusage.<workload>`` in the same layout, and the traced runs
+under ``trace.<workload>`` (``seeds`` and, per side, one ``{metric: value}``
+per run in seed order, the counts among them), the layout of the committed
 ``BENCH_<n>.json`` records; other keys of an existing OUT are kept.  Nothing
 in either checkout is edited; ``perfbench/run.py`` writes its scratch output
 to the checkout's ``.bench_out/``.
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -55,20 +61,31 @@ sys.path.insert(0, str(ROOT))
 from perfbench.spread import spread  # noqa: E402
 
 SIDES = ("parent", "change")
+USAGE = ("minflt", "stime_s")
+
+
+def child_usage() -> dict:
+    """The ``USAGE`` counts of every child process waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return {"minflt": usage.ru_minflt, "stime_s": usage.ru_stime}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """The metrics of one ``--trace`` run, ``{name: value}``; refuses a faulty run."""
+    """The metrics of one ``--trace`` run, ``{name: value}``, plus its ``USAGE``
+    counts (see the module docstring); refuses a faulty run."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
+    before = child_usage()
     done = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    after = child_usage()
     lines = done.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"{checkout}: seed {seed} printed no result (exit code {done.returncode})")
     result = json.loads(lines[-1])
     if not result.get("correct") or result.get("failed", 1) > 0:
         raise SystemExit(f"{checkout}: seed {seed} is not correct or has failed fits: {lines[-1]}")
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    return {**{name: metric["value"] for name, metric in result["metrics"].items()},
+            **{name: after[name] - before[name] for name in USAGE}}
 
 
 def summary(metric: dict, parent: list, change: list) -> dict:
@@ -113,6 +130,11 @@ def trace_medians(metrics: list, parent: list, change: list) -> list:
     ]
 
 
+def columns(results: dict, names) -> dict:
+    """``{side: {name: [value per run]}}`` of ``alternating``'s results, for each of ``names``."""
+    return {side: {name: [values[name] for values in results[side]] for name in names} for side in SIDES}
+
+
 def alternating(checkouts: dict, seeds: list, run, shown=()) -> dict:
     """``run(checkout, seed)`` on both sides for each seed, the parent first
     on the odd ones, each run's ``shown`` metrics printed to stderr;
@@ -148,8 +170,7 @@ def main(argv=None) -> int:
     seeds = [args.seed_base + i for i in range(1, args.pairs + 1)]
     pairs = alternating(checkouts, seeds, lambda checkout, seed: run_once(checkout, args.workload, seed, seconds),
                         [metric["name"] for metric in metrics])
-    runs = {side: {metric["name"]: [values[metric["name"]] for values in pairs[side]] for metric in metrics}
-            for side in SIDES}
+    runs, usage = columns(pairs, [metric["name"] for metric in metrics]), columns(pairs, USAGE)
 
     print(f"{args.workload}: {args.pairs} pairs, seeds {seeds[0]}-{seeds[-1]}, {seconds:g} s per run")
     print(f"{'metric':<12} {'parent q1/median/q3':>28} {'change q1/median/q3':>28} {'wins':>6}  "
@@ -160,6 +181,9 @@ def main(argv=None) -> int:
         parent, change = ("/".join(f"{v:.4g}" for v in row[side]) for side in SIDES)
         print(f"{name:<12} {parent:>28} {change:>28} {row['wins']:>3}/{args.pairs:<2}  {row['worse']:>+8.3f}  "
               f"{row['status']:>10}  {'yes' if row['gain'] else 'no'}")
+    for name in USAGE:
+        parent, change = (statistics.median(usage[side][name]) for side in SIDES)
+        print(f"{name:<12} per run, median: parent {parent:.4g}, change {change:.4g}")
 
     trace_seeds = [seeds[-1] + i for i in range(1, args.traced + 1)]
     traced = alternating(checkouts, trace_seeds,
@@ -173,6 +197,7 @@ def main(argv=None) -> int:
     if args.json:
         record = json.loads(args.json.read_text()) if args.json.exists() else {}
         record.setdefault("end_to_end", {})[args.workload] = {"seeds": seeds, **runs}
+        record.setdefault("rusage", {})[args.workload] = {"seeds": seeds, **usage}
         if trace_seeds:
             record.setdefault("trace", {})[args.workload] = {"seeds": trace_seeds, **traced}
         args.json.write_text(json.dumps(record, indent=1) + "\n")

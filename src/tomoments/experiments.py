@@ -310,11 +310,22 @@ def _estimates(fit) -> tuple:
     return (fit.z0_hat, fit.sigma_z_hat, fit.P_hat, fit.sigma_eps2_hat)
 
 
-def _run_trial(spec: ExperimentSpec, sweep_index: int, N: int, R_true: CovarianceModel, trial: int) -> list:
-    """Every estimator's estimates on one seeded sample covariance."""
+def _run_trial(
+    spec: ExperimentSpec, sweep_index: int, N: int, R_true: CovarianceModel, trial: int, out=None
+) -> list:
+    """Every estimator's estimates on one seeded sample covariance, its
+    snapshots drawn into ``out`` (see :func:`~tomoments.sampling.sample_snapshots`)."""
     seed = derive_seed(spec.master_seed, _KIND_STREAM[spec.kind], sweep_index, trial)
-    R_bar = sample_covariance(sample_snapshots(R_true, N, seed))
+    R_bar = sample_covariance(sample_snapshots(R_true, N, seed, out=out))
     return [_estimates(fit) for fit in _fits(spec, R_bar)]
+
+
+def _run_trials(spec: ExperimentSpec, sweep_index: int, N: int, R_true: CovarianceModel, trials: range) -> list:
+    """``_run_trial`` of each trial of a chunk, every one drawn into one
+    snapshot buffer: at large N a fresh stack per trial costs the allocator's
+    page faults, which one buffer pays once per chunk."""
+    out = np.empty((N, R_true.M), dtype=complex)
+    return [_run_trial(spec, sweep_index, N, R_true, trial, out) for trial in trials]
 
 
 def _process_pool(max_workers: int):
@@ -330,19 +341,23 @@ def _process_pool(max_workers: int):
 def _collect_trials(spec: ExperimentSpec, sweep_index: int, N: int, R_true: CovarianceModel) -> np.ndarray:
     """(estimators, trials, 4) estimates, NaN rows for failures.
 
-    The pool has at most one process per trial and per CPU the process may
-    use (``os.process_cpu_count``, else ``os.cpu_count``): under ``fork`` it
-    starts all ``max_workers`` processes with the first task.
+    The trials run in chunks (``_run_trials``): a serial run is one chunk of
+    all trials, a pool runs chunks of ``trials // (8 workers)`` trials, at
+    least one, a task each.  The pool has at most one process per trial and
+    per CPU the process may use (``os.process_cpu_count``, else
+    ``os.cpu_count``): under ``fork`` it starts all ``max_workers`` processes
+    with the first task.
     """
-    run = partial(_run_trial, spec, sweep_index, N, R_true)
+    run = partial(_run_trials, spec, sweep_index, N, R_true)
+    trials = range(spec.trials)
     workers = min(spec.workers, spec.trials, getattr(os, "process_cpu_count", os.cpu_count)() or 1)
     if workers > 1:
-        chunksize = max(1, spec.trials // (8 * workers))
+        size = max(1, spec.trials // (8 * workers))
         with _process_pool(max_workers=workers) as pool:
-            outputs = list(pool.map(run, range(spec.trials), chunksize=chunksize))
+            chunks = list(pool.map(run, [trials[start : start + size] for start in trials[::size]]))
     else:
-        outputs = list(map(run, range(spec.trials)))
-    return np.array(outputs, dtype=float).transpose(1, 0, 2)
+        chunks = [run(trials)]
+    return np.array(list(itertools.chain.from_iterable(chunks)), dtype=float).transpose(1, 0, 2)
 
 
 def _normalizers(spec: ExperimentSpec) -> dict:

@@ -392,7 +392,9 @@ def harmonic_terms(array: ArrayConfig, W: np.ndarray, WRW: np.ndarray) -> Harmon
     frequencies, members = _frequency_groups(array)
     data = np.swapaxes(WRW, -1, -2).reshape(WRW.shape[:-2] + (-1,))
     L = np.linalg.cholesky(W)
-    Gamma = members @ np.kron(L.conj(), L)
+    M = L.shape[0]
+    # np.kron(L.conj(), L) as one broadcast product: each entry the same single multiply
+    Gamma = members @ (L.conj()[:, None, :, None] * L[None, :, None, :]).reshape(M * M, M * M)
     Q = Gamma[frequencies.size // 2 :].conj() @ Gamma.T
     return HarmonicTerms(frequencies, np.moveaxis(data @ members.T, -1, 0), Q)
 

@@ -63,6 +63,7 @@ sigma_eps2 >= 0 removes both.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -211,6 +212,15 @@ def _concentrate_pair(y1: float, y2: float, Y11: float, Y12: float, Y22: float):
     return 0.0, edge2, q2, degenerate
 
 
+def _finite_spread(sigma) -> float:
+    """The spread's magnitude ``|sigma|`` as a float, refused with ``ValueError``
+    when it is not finite: a NaN spread would otherwise give a finite objective."""
+    s = abs(float(sigma))
+    if not math.isfinite(s):
+        raise ValueError("sigma must be finite")
+    return s
+
+
 def _point_evaluator(shape: str, array: ArrayConfig, W: np.ndarray, WRW: np.ndarray):
     """The concentrated criterion at one ``(z0, sigma_z)`` point, exact.
 
@@ -227,7 +237,8 @@ def _point_evaluator(shape: str, array: ArrayConfig, W: np.ndarray, WRW: np.ndar
     patches.  Its Hermitian average changes no bit here: the differences
     are exactly antisymmetric and both assumed shapes exactly even.  A
     non-finite height raises
-    :func:`~tomoments.geometry.steering_vector`'s ``ValueError``.
+    :func:`~tomoments.geometry.steering_vector`'s ``ValueError``, and then a
+    non-finite spread :func:`_finite_spread`'s.
     """
     stack = np.zeros((2, array.M, array.M), dtype=complex)
     stack[1] = np.eye(array.M)
@@ -235,8 +246,9 @@ def _point_evaluator(shape: str, array: ArrayConfig, W: np.ndarray, WRW: np.ndar
 
     def concentrated(point) -> tuple[float, float, float, bool]:
         z, sigma = point
-        stack[0] = shape_characteristic(shape, abs(float(sigma)), differences)
-        y, Y = fit_terms(stack, steering_vector(array, z), W, WRW)
+        a = steering_vector(array, z)
+        stack[0] = shape_characteristic(shape, _finite_spread(sigma), differences)
+        y, Y = fit_terms(stack, a, W, WRW)
         (Y11, Y12), (_, Y22) = Y.tolist()
         return _concentrate_pair(*y.tolist(), Y11, Y12, Y22)
 
@@ -258,8 +270,9 @@ def _gram_point_evaluator(shape: str, covariance: PreparedCovariance, product_fo
     rounding with ``product_form``, the :func:`_point_evaluator` of the same
     fit, and returns its values at every point whose determinant is at most
     ``_FAST_DET_MIN`` of ``Y11 Y22``, where the screen or the rounding would
-    set the two apart, or is not a number (a NaN spread, or one so small
-    that ``u`` underflows to 0).  A non-finite height raises ``ValueError``.
+    set the two apart, or is not a number (a spread so small that ``u``
+    underflows to 0).  A non-finite height or spread raises the
+    ``ValueError`` of the product form.
     """
     form = covariance.shape_point_form
     n = form.shape[1]
@@ -273,7 +286,7 @@ def _gram_point_evaluator(shape: str, covariance: PreparedCovariance, product_fo
 
     def concentrated(point) -> tuple[float, float, float, bool]:
         z, sigma = point
-        z, s = _finite_height(z), abs(float(sigma))
+        z, s = _finite_height(z), _finite_spread(sigma)
         if gaussian:
             np.exp(rate * z + (s * s) * decay, out=tail)
         else:

@@ -70,7 +70,7 @@ def covariance_factor(matrix: np.ndarray) -> np.ndarray:
     return vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
 
 
-def sample_snapshots(R: CovarianceModel, N: int, seed: int) -> np.ndarray:
+def sample_snapshots(R: CovarianceModel, N: int, seed: int, *, out: np.ndarray | None = None) -> np.ndarray:
     """Draw N zero-mean circular complex Gaussian snapshots with covariance R,
     the rows of a complex ``(N, M)`` array.
 
@@ -79,17 +79,36 @@ def sample_snapshots(R: CovarianceModel, N: int, seed: int) -> np.ndarray:
     is generated by the counter-based Philox 4x64 generator keyed by
     ``seed``, so equal seeds give byte-identical stacks.  ``N`` is a count
     (see :mod:`tomoments._fields`).
+
+    ``out``, as in numpy, is a C-contiguous, writeable complex ``(N, M)``
+    array that the stack is written into and returned as; its contents are
+    overwritten, and valid until the next draw into it.  The stack has the
+    bits of a fresh draw, so a caller drawing many stacks of one size can
+    reuse one buffer, which the allocator need not map again per draw.
+    Any other ``out`` raises ``ValueError``.
     """
     N = count(N, "N", least=1)
+    shape = (N, R.M)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.shape == shape
+        and out.dtype == complex
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ValueError(f"out must be a C-contiguous, writeable complex array of shape {shape}")
     L = covariance_factor(R.matrix)
     rng = np.random.Generator(np.random.Philox(int(seed)))
-    shape = (N, R.M)
-    # the bits of (a + 1j b) / sqrt(2), without its three complex temporaries
+    # the bits of (a + 1j b) / sqrt(2), without its three complex temporaries:
+    # the first N M floats of out take a, then b, before the product overwrites them
+    normals = out.reshape(-1).view(float)[: N * R.M].reshape(shape)
     w = np.empty(shape, dtype=complex)
-    w.real = rng.standard_normal(shape)
-    w.imag = rng.standard_normal(shape)
+    w.real = rng.standard_normal(out=normals)
+    w.imag = rng.standard_normal(out=normals)
     w *= 1.0 / math.sqrt(2.0)
-    return w @ L.T
+    return np.matmul(w, L.T, out=out)
 
 
 def sample_covariance(snapshots: np.ndarray) -> CovarianceModel:

@@ -32,6 +32,7 @@ from tomoments import (
     run_experiment,
     run_rmse_vs_N,
     run_spectrum_dump,
+    sample_snapshots,
     true_covariance,
     wrap_height_error,
 )
@@ -672,6 +673,74 @@ def test_rmse_workers_match_serial(tmp_path):
     assert rows[1] == rows[2]
     assert set(files[1]) == {"rmse_vs_N", "rmse_vs_N_trials"}
     assert files[1] == files[2]
+
+
+def _recording_draws(monkeypatch):
+    """``(N, out)`` of each draw the sweeps make from here on, each ``out`` held alive."""
+    draws = []
+
+    def recording(R, N, seed, out=None):
+        draws.append((N, out))
+        return sample_snapshots(R, N, seed, out=out)
+
+    monkeypatch.setattr("tomoments.experiments.sample_snapshots", recording)
+    return draws
+
+
+def test_serial_sweep_point_draws_its_trials_into_one_buffer(tmp_path, monkeypatch):
+    # a serial run draws every trial of a sweep point into one (N, M) buffer,
+    # a new one per point
+    draws = _recording_draws(monkeypatch)
+    spec = default_spec(
+        "rmse_vs_N",
+        N_list=(25, 50),
+        trials=5,
+        estimators=(MOMENTS_SYM,),
+        output_dir=str(tmp_path),
+        timestamp_header=False,
+    )
+    run_rmse_vs_N(spec)
+    assert [N for N, _ in draws] == [25] * 5 + [50] * 5
+    assert len({id(out) for _, out in draws}) == 2
+    for N, out in draws:
+        assert out is draws[0 if N == 25 else 5][1] and out.shape == (N, 7)
+
+
+def test_pool_draws_each_chunk_of_trials_into_one_buffer(tmp_path, monkeypatch):
+    # a pool of 2 processes runs 40 trials as 20 tasks of 2 consecutive
+    # trials, each drawing into a buffer of its own
+    chunks = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, function, iterable):
+            chunks.extend(iterable)
+            return map(function, chunks)
+
+    monkeypatch.setattr("tomoments.experiments._process_pool", RecordingPool)
+    monkeypatch.setattr(os, "process_cpu_count", lambda: 2, raising=False)
+    draws = _recording_draws(monkeypatch)
+    spec = default_spec(
+        "rmse_vs_N",
+        N_list=(25,),
+        trials=40,
+        estimators=(MOMENTS_SYM,),
+        output_dir=str(tmp_path),
+        timestamp_header=False,
+        workers=2,
+    )
+    run_rmse_vs_N(spec)
+    assert chunks == [range(start, start + 2) for start in range(0, 40, 2)]
+    assert [len({id(out) for _, out in draws[start : start + 2]}) for start in range(0, 40, 2)] == [1] * 20
+    assert len({id(out) for _, out in draws}) == 20
 
 
 def test_pool_has_at_most_one_process_per_trial(tmp_path, monkeypatch):

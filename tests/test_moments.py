@@ -728,6 +728,24 @@ REFINEMENT_ARRAYS = {
 }
 
 
+@pytest.mark.parametrize("name", list(REFINEMENT_ARRAYS))
+def test_harmonic_terms_have_the_bits_of_the_kronecker_form(name, rng):
+    # harmonic_terms builds np.kron(L.conj(), L) as one broadcast product,
+    # each entry the same single complex multiply: its Gram rows keep every
+    # bit of the Kronecker form, under random weightings and the
+    # inverse-sample weighting of a sampled covariance
+    array = REFINEMENT_ARRAYS[name][0]
+    R = true_covariance(SourceProfile("uniform", 10.0, 5.0, 100.0), array, 10.0)
+    Ws = [random_psd_covariance(rng, array.M) for _ in range(3)]
+    Ws.append(weighting(sample_covariance(sample_snapshots(R, 1000, seed=5)), "inverse_sample"))
+    frequencies, members = _frequency_groups(array)
+    for W in Ws:
+        L = np.linalg.cholesky(W)
+        Gamma = members @ np.kron(L.conj(), L)
+        Q = Gamma[frequencies.size // 2 :].conj() @ Gamma.T
+        assert harmonic_terms(array, W, W @ R.matrix @ W).Q.tobytes() == Q.tobytes()
+
+
 def _refinement_cases(name, weighting_name):
     """``(config, covariance)`` pairs on one array: every identifiable config
     at D = 2..8, full and symmetric, with ``refine_tol`` at its default, 1e-6

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tomoments import (
+    ArrayConfig,
     CovarianceModel,
     SourceProfile,
     covariance_factor,
@@ -14,6 +15,7 @@ from tomoments import (
     true_covariance,
 )
 
+from .conftest import IRREGULAR_STACKS
 from .oracles import sample_covariance_formula, sample_snapshots_formula
 
 
@@ -39,6 +41,44 @@ def test_sampling_has_the_bits_of_its_formulas(reference_covariance, N):
         assert snapshots.tobytes() == sample_snapshots_formula(reference_covariance, N, seed).tobytes()
         R = np.asarray(sample_covariance(snapshots).matrix)
         assert R.tobytes() == np.asarray(sample_covariance_formula(snapshots).matrix).tobytes()
+
+
+def _signed_stack_covariance():
+    kz, _ = IRREGULAR_STACKS["M7-signed"]
+    return true_covariance(SourceProfile("gaussian", 20.0, 4.0, 100.0), ArrayConfig(kz=np.array(kz)), 10.0)
+
+
+@pytest.mark.parametrize("stack", ["reference", "M7-signed"])
+@pytest.mark.parametrize("N", [1, 6, 7, 1000, 10000])
+def test_draw_into_out_has_the_bits_of_a_fresh_draw(reference_covariance, stack, N):
+    # at N = 1, M - 1, M and beyond: the stack drawn into a buffer is the
+    # buffer, with the bits of a fresh draw, and a buffer reused across seeds
+    # (and holding another draw's stack) keeps each seed's bits
+    R = reference_covariance if stack == "reference" else _signed_stack_covariance()
+    buffer = np.full((N, R.M), np.nan + 1j * np.inf)
+    for seed in (0, 17, 2**63 + 5, 0):
+        assert sample_snapshots(R, N, seed, out=buffer) is buffer
+        assert buffer.tobytes() == sample_snapshots(R, N, seed).tobytes()
+
+
+def test_draw_refuses_an_unusable_out(reference_covariance):
+    # the wrong shape or dtype, a strided or Fortran-ordered view, a read-only
+    # array and a non-array are refused
+    read_only = np.zeros((10, 7), dtype=complex)
+    read_only.flags.writeable = False
+    for out in (
+        np.zeros((10, 6), dtype=complex),
+        np.zeros((7, 10), dtype=complex),
+        np.zeros(70, dtype=complex),
+        np.zeros((10, 7), dtype=np.complex64),
+        np.zeros((10, 14)),
+        np.zeros((20, 7), dtype=complex)[::2],
+        np.zeros((10, 7), dtype=complex, order="F"),
+        read_only,
+        read_only.tolist(),
+    ):
+        with pytest.raises(ValueError, match="out must be"):
+            sample_snapshots(reference_covariance, 10, 3, out=out)
 
 
 def test_covariance_factor_reconstructs(reference_covariance):
